@@ -116,8 +116,9 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # tanh form saturates instead of overflowing
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Value-level logistic function; the tanh form saturates instead of
+    overflowing."""
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
@@ -279,7 +280,7 @@ def softmax(a: Tensor) -> Tensor:
 
 
 def silu(a: Tensor) -> Tensor:
-    s = _sigmoid(a.value)
+    s = sigmoid(a.value)
     value = a.value * s
     if not _needs_grad(a):
         return Tensor(value, op="silu")
@@ -479,7 +480,7 @@ def sigmoid_bce(logits: Tensor, targets: np.ndarray) -> Tensor:
     value = np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))
     if not _needs_grad(logits):
         return Tensor(value, op="sigmoid_bce")
-    s = _sigmoid(x)
+    s = sigmoid(x)
     return Tensor(value, (logits,), lambda g: (g * (s - t),), True, "sigmoid_bce")
 
 

@@ -20,15 +20,14 @@ import numpy as np
 
 from . import model as md
 from .corruption import BetaSchedule, CorruptionError, NoiseSchedule
-from .inference import (DENOISE_OBJECTIVES, InferenceError,
-                        collect_predictions, evaluate, generate_remask,
-                        pass_at_k)
+from .inference import (InferenceError, collect_predictions, evaluate,
+                        generate_remask, pass_at_k)
 from .render import RenderError, StepFrame, render_trajectory
 from .seeding import rng_for
 from .tasks import (DeskDataset, TaskError, build_dataset, dataset_hash,
                     generate_synthetic, load_arc_json)
-from .training import (DivergenceError, TrainConfig, TrainingError,
-                       run_training, window_plan)
+from .training import (DENOISE_OBJECTIVES, DivergenceError, TrainConfig,
+                       TrainingError, run_training, window_plan)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

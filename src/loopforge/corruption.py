@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import sigmoid
 from .tasks import MASK, TokenSeq
 
 NOISE_KINDS = ("cosine", "linear", "sigmoid")
@@ -33,10 +34,6 @@ class NoiseSchedule:
                                   f"choose from {NOISE_KINDS}")
 
 
-def _sigmoid(x):
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
 def mask_fraction(schedule: NoiseSchedule, tau: float) -> float:
     """Fraction of cells masked at time tau; 0 at tau=0, 1 at tau=1, monotone."""
     if not 0.0 <= tau <= 1.0:
@@ -47,8 +44,8 @@ def mask_fraction(schedule: NoiseSchedule, tau: float) -> float:
     if schedule.kind == "linear":
         return float(tau)
     a = schedule.sigmoid_a
-    lo, hi = _sigmoid(-0.5 * a), _sigmoid(0.5 * a)
-    return float((_sigmoid(a * (tau - 0.5)) - lo) / (hi - lo))
+    lo, hi = sigmoid(-0.5 * a), sigmoid(0.5 * a)
+    return float((sigmoid(a * (tau - 0.5)) - lo) / (hi - lo))
 
 
 def num_masked(schedule: NoiseSchedule, tau: float, num_valid: int) -> int:

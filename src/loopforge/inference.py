@@ -29,36 +29,17 @@ from .corruption import NoiseSchedule, num_masked, sample_timesteps
 from .seeding import rng_for
 from .tasks import (MASK, NUM_COLOURS, PAD, Augmentation, DeskDataset,
                     from_template, undo_augmentation)
-
-DENOISE_OBJECTIVES = ("diffusion", "drm", "stacked_transformer")
+from .training import DENOISE_OBJECTIVES
 
 
 class InferenceError(ValueError):
     pass
 
 
-def _sigmoid(x):
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
 def _colour_argmax(logits: np.ndarray) -> np.ndarray:
     # MASK is not a decoder class and PAD is never a valid answer; the
     # prediction is always the best colour
     return np.argmax(logits[..., :NUM_COLOURS], axis=-1)
-
-
-def _z_noise(g: np.random.Generator, positions: int, width: int) -> np.ndarray:
-    return (g.standard_normal((positions, width)) * md.STATE_NOISE_STD).astype(np.float32)
-
-
-def _label_state_values(params: md.Parameters, cfg: md.ModelConfig,
-                        tokens: np.ndarray, noise: np.ndarray) -> md.LatentState:
-    body = params["embed/label"][tokens]
-    head = np.broadcast_to(params["state/y0"],
-                           (tokens.shape[0], 1, cfg.hidden_size))
-    y = np.concatenate([head, body], axis=1)
-    z = params["state/z0"][None, None, :] + noise
-    return md.LatentState(y=ad.constant(y), z=ad.constant(z))
 
 
 def _run_and_decode(pt, cfg, x, state, cycles):
@@ -97,12 +78,10 @@ def remask_batch(inputs: np.ndarray, masks: np.ndarray, rows: np.ndarray,
     with ad.no_grad():
         x = md.embed_input(pt, cfg, inputs, rows)
         for it in range(num_steps):
-            noise = np.stack([_z_noise(g, cfg.seq_len + 1, cfg.hidden_size)
-                              for g in streams])
-            state = _label_state_values(params, cfg, current, noise)
+            state = md.label_state(pt, cfg, current, streams)
             _, logits, q_logit = _run_and_decode(pt, cfg, x, state, cycles)
             pred = _colour_argmax(logits)
-            q_out = _sigmoid(q_logit)
+            q_out = ad.sigmoid(q_logit)
             remasked = []
             for i in range(B):
                 current[i, valid[i]] = pred[i, valid[i]]
@@ -161,24 +140,17 @@ def halting_batch(inputs: np.ndarray, masks: np.ndarray, rows: np.ndarray,
         raise InferenceError(f"halting budget must be >= 1, got {budget}")
     masks = np.asarray(masks, dtype=bool)
 
-    d = cfg.hidden_size
-    y = np.stack([params["state/y0"][None, :]
-                  + (g.standard_normal((cfg.seq_len + 1, d)) * md.STATE_NOISE_STD)
-                  .astype(np.float32) for g in streams])
-    z = np.stack([params["state/z0"][None, :] + _z_noise(g, cfg.seq_len + 1, d)
-                  for g in streams])
-
     out = np.where(masks, 0, PAD).astype(np.int64)
     q_final = np.zeros(B)
     traces: list[list[float]] = [[] for _ in range(B)]
     active = np.arange(B)
     pt = md.wrap_parameters(params, requires_grad=False)
     with ad.no_grad():
+        state = md.init_state(pt, cfg, streams)
         for w in range(budget):
             x = md.embed_input(pt, cfg, np.asarray(inputs)[active], np.asarray(rows)[active])
-            state = md.LatentState(ad.constant(y), ad.constant(z))
             state, logits, q_logit = _run_and_decode(pt, cfg, x, state, cycles)
-            sq = _sigmoid(q_logit)
+            sq = ad.sigmoid(q_logit)
             for j, item in enumerate(active):
                 traces[item].append(float(sq[j]))
             halted = (q_logit > 0) | (w == budget - 1)
@@ -191,8 +163,8 @@ def halting_batch(inputs: np.ndarray, masks: np.ndarray, rows: np.ndarray,
             if halted.all():
                 break
             active = active[~halted]
-            y = state.y.value[~halted]
-            z = state.z.value[~halted]
+            state = md.LatentState(ad.constant(state.y.value[~halted]),
+                                   ad.constant(state.z.value[~halted]))
     return out, q_final, traces
 
 

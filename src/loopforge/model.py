@@ -20,6 +20,7 @@ import math
 import struct
 from dataclasses import dataclass, asdict
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -210,38 +211,37 @@ def embed_label(pt: dict, cfg: ModelConfig, tokens: np.ndarray) -> ad.Tensor:
                     math.sqrt(cfg.hidden_size))
 
 
-def _broadcast_row(row: ad.Tensor, batch: int, positions: int) -> ad.Tensor:
-    d = row.shape[0]
-    zeros = ad.constant(np.zeros((batch, positions, 1), dtype=row.value.dtype))
-    return ad.add(ad.reshape(row, (1, 1, d)), zeros)
-
-
-def init_state(pt: dict, cfg: ModelConfig, batch: int,
-               rng: np.random.Generator) -> LatentState:
-    """Learned initial rows broadcast over positions, plus small noise."""
-    n = cfg.seq_len + 1
-    dtype = pt["state/y0"].value.dtype
-    noise_y = ad.constant(
-        (rng.standard_normal((batch, n, cfg.hidden_size)) * STATE_NOISE_STD).astype(dtype))
-    noise_z = ad.constant(
-        (rng.standard_normal((batch, n, cfg.hidden_size)) * STATE_NOISE_STD).astype(dtype))
-    y = ad.add(ad.reshape(pt["state/y0"], (1, 1, cfg.hidden_size)), noise_y)
-    z = ad.add(ad.reshape(pt["state/z0"], (1, 1, cfg.hidden_size)), noise_z)
+def _noisy_state(pt: dict, cfg: ModelConfig, y: ad.Tensor,
+                 streams: Sequence[np.random.Generator]) -> LatentState:
+    """Add small noise to y and to the learned z row.  Each item draws from
+    its own stream, y noise then z noise, so an item's state never depends
+    on which other items share its batch."""
+    shape = (cfg.seq_len + 1, cfg.hidden_size)
+    dtype = pt["state/z0"].value.dtype
+    noise = np.stack([[(g.standard_normal(shape) * STATE_NOISE_STD).astype(dtype)
+                       for _ in range(2)] for g in streams])
+    y = ad.add(y, ad.constant(noise[:, 0]))
+    z = ad.add(ad.reshape(pt["state/z0"], (1, 1, cfg.hidden_size)),
+               ad.constant(noise[:, 1]))
     return LatentState(y=y, z=z, window_index=0)
+
+
+def init_state(pt: dict, cfg: ModelConfig,
+               streams: Sequence[np.random.Generator]) -> LatentState:
+    """Learned initial rows broadcast over positions, plus small noise;
+    one generator per item."""
+    return _noisy_state(pt, cfg, ad.reshape(pt["state/y0"], (1, 1, cfg.hidden_size)),
+                        streams)
 
 
 def label_state(pt: dict, cfg: ModelConfig, label_tokens: np.ndarray,
-                rng: np.random.Generator) -> LatentState:
-    """Initial state for denoising: y embeds the (corrupted) target."""
-    batch = np.asarray(label_tokens).shape[0]
+                streams: Sequence[np.random.Generator]) -> LatentState:
+    """Initial state for denoising: y embeds the (corrupted) target behind
+    the learned y row at the task position; one generator per item."""
     body = embed_label(pt, cfg, label_tokens)
-    head = _broadcast_row(pt["state/y0"], batch, 1)
-    y = ad.concat([head, body], axis=1)
-    dtype = pt["state/z0"].value.dtype
-    noise = ad.constant((rng.standard_normal((batch, cfg.seq_len + 1, cfg.hidden_size))
-                         * STATE_NOISE_STD).astype(dtype))
-    z = ad.add(ad.reshape(pt["state/z0"], (1, 1, cfg.hidden_size)), noise)
-    return LatentState(y=y, z=z, window_index=0)
+    zeros = ad.constant(np.zeros((body.shape[0], 1, 1), dtype=body.value.dtype))
+    head = ad.add(ad.reshape(pt["state/y0"], (1, 1, cfg.hidden_size)), zeros)
+    return _noisy_state(pt, cfg, ad.concat([head, body], axis=1), streams)
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +295,9 @@ def decode_state(pt: dict, cfg: ModelConfig, state: LatentState) -> tuple[ad.Ten
     logits = ad.matmul(body, pt["decode/w"])
     pool_w = ad.constant(np.full((1, cfg.seq_len), 1.0 / cfg.seq_len,
                                  dtype=carrier.value.dtype))
-    pooled = ad.reshape(ad.matmul(pool_w, body), (body.shape[0], cfg.hidden_size))
-    q = ad.add(ad.matmul(pooled, pt["q/w"]), pt["q/b"])
+    # (B, 1, d) @ (d, 1) keeps q one dot product per item; a (B, d) @ (d, 1)
+    # product sums in a batch-size-dependent order under BLAS
+    q = ad.add(ad.matmul(ad.matmul(pool_w, body), pt["q/w"]), pt["q/b"])
     return logits, ad.reshape(q, (body.shape[0],))
 
 
@@ -319,12 +320,6 @@ def run_window(pt: dict, cfg: ModelConfig, x: ad.Tensor, state: LatentState,
     logits, q = decode_state(pt, cfg, state)
     state = LatentState(y=state.y, z=state.z, window_index=state.window_index + 1)
     return state, logits, q
-
-
-def recursion_window(pt: dict, cfg: ModelConfig, x: ad.Tensor, state: LatentState,
-                     with_gradient: bool = True):
-    """The standard window: T-1 warm-up cycles, one gradient-bearing cycle."""
-    return run_window(pt, cfg, x, state, cfg.cycles_per_window - 1, 1, with_gradient)
 
 
 # ---------------------------------------------------------------------------
@@ -354,31 +349,37 @@ def save_checkpoint(path, cfg: ModelConfig, params: Parameters,
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, Parameters, Parameters | None, dict]:
+    """Read a checkpoint; any malformed content raises CheckpointError."""
     path = Path(path)
     raw = path.read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
-    version, = struct.unpack_from("<I", raw, 4)
+    if len(raw) < 12:
+        raise CheckpointError(f"{path}: truncated header")
+    version, hlen = struct.unpack_from("<II", raw, 4)
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
-    hlen, = struct.unpack_from("<I", raw, 8)
-    header = json.loads(raw[12:12 + hlen].decode("utf-8"))
-    cfg = ModelConfig.from_dict(header["config"])
-    offset = 12 + hlen
-    plain: dict[str, np.ndarray] = {}
-    ema: dict[str, np.ndarray] = {}
-    for spec in header["arrays"]:
-        shape = tuple(spec["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(raw, dtype="<f4", count=size, offset=offset)
-        offset += 4 * size
-        arr = arr.reshape(shape).astype(np.float32)
-        name = spec["name"]
-        if name.startswith("ema/"):
-            ema[name[4:]] = arr
-        else:
-            plain[name] = arr
+    try:
+        header = json.loads(raw[12:12 + hlen].decode("utf-8"))
+        cfg = ModelConfig.from_dict(header["config"])
+        offset = 12 + hlen
+        plain: dict[str, np.ndarray] = {}
+        ema: dict[str, np.ndarray] = {}
+        for spec in header["arrays"]:
+            shape = tuple(spec["shape"])
+            size = int(np.prod(shape)) if shape else 1
+            arr = np.frombuffer(raw, dtype="<f4", count=size, offset=offset)
+            offset += 4 * size
+            arr = arr.reshape(shape).astype(np.float32)
+            name = spec["name"]
+            if name.startswith("ema/"):
+                ema[name[4:]] = arr
+            else:
+                plain[name] = arr
+        metadata = header.get("metadata", {})
+    except (KeyError, TypeError, AttributeError, ValueError) as e:
+        raise CheckpointError(f"{path}: malformed checkpoint "
+                              f"({type(e).__name__}: {e})") from e
     if offset != len(raw):
         raise CheckpointError(f"{path}: trailing bytes after arrays")
-    return (cfg, Parameters(plain), Parameters(ema) if ema else None,
-            header.get("metadata", {}))
+    return (cfg, Parameters(plain), Parameters(ema) if ema else None, metadata)

@@ -44,6 +44,7 @@ OBJECTIVES = (
     "stacked_transformer",
     "stacked_deep_sup",
 )
+DENOISE_OBJECTIVES = ("diffusion", "drm", "stacked_transformer")
 
 ADAM_BETAS = (0.9, 0.95)
 ADAM_EPS = 1e-8
@@ -291,7 +292,6 @@ def _step_backward(batch: Batch, params: md.Parameters, cfg: md.ModelConfig,
     warm, grad_cycles = check_objective(cfg, tcfg)
     B = batch.rows.size
     windows = tcfg.max_halt_steps
-    state_rng = rng_for(seed, "state", step_index)
 
     active = np.arange(B)
     y_carry = z_carry = None
@@ -308,7 +308,8 @@ def _step_backward(batch: Batch, params: md.Parameters, cfg: md.ModelConfig,
         pt = md.wrap_parameters(params)
         x = md.embed_input(pt, cfg, batch.inputs[active], batch.rows[active])
         if w == 0:
-            state = md.init_state(pt, cfg, B, state_rng)
+            streams = [rng_for(seed, "state", step_index, i) for i in range(B)]
+            state = md.init_state(pt, cfg, streams)
         else:
             state = md.LatentState(y=y_carry, z=z_carry, window_index=w)
         supervise = deep_supervision or w == windows - 1
@@ -382,20 +383,7 @@ def _step_backward(batch: Batch, params: md.Parameters, cfg: md.ModelConfig,
     )
 
 
-def step_trm(batch: Batch, params: md.Parameters, cfg: md.ModelConfig,
-             tcfg: TrainConfig, opt: AdamW, seed: int, step_index: int,
-             *, audit: list | None = None) -> StepMetrics:
-    deep = tcfg.objective != "trm_no_deep_sup"
-    return _step_backward(batch, params, cfg, tcfg, opt, seed, step_index,
-                          deep_supervision=deep, audit=audit)
-
-
-def step_sprm(batch: Batch, params: md.Parameters, cfg: md.ModelConfig,
-              tcfg: TrainConfig, opt: AdamW, seed: int, step_index: int,
-              beta_schedule: BetaSchedule | None = None,
-              *, audit: list | None = None) -> StepMetrics:
-    sched = beta_schedule if beta_schedule is not None else BetaSchedule()
-
+def _sprm_perturber(sched: BetaSchedule, seed: int, step_index: int) -> Callable:
     def perturber(y: ad.Tensor, z: ad.Tensor, boundary: int, items: np.ndarray):
         yv = y.value.copy()
         zv = z.value.copy()
@@ -407,10 +395,7 @@ def step_sprm(batch: Batch, params: md.Parameters, cfg: md.ModelConfig,
             zv[j] = perturb_latent(z.value[j], tau, sched, s)
         return (ad.Tensor(yv, op="perturb", detached=y.detached),
                 ad.Tensor(zv, op="perturb", detached=z.detached))
-
-    return _step_backward(batch, params, cfg, tcfg, opt, seed, step_index,
-                          deep_supervision=True, perturber=perturber,
-                          audit=audit)
+    return perturber
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +423,8 @@ def _step_denoise(batch: Batch, params: md.Parameters, cfg: md.ModelConfig,
     corrupted = corrupt_batch(batch, noise_schedule, seed, step_index)
     pt = md.wrap_parameters(params)
     x = md.embed_input(pt, cfg, batch.inputs, batch.rows)
-    state = md.label_state(pt, cfg, corrupted, rng_for(seed, "state", step_index))
+    streams = [rng_for(seed, "state", step_index, i) for i in range(B)]
+    state = md.label_state(pt, cfg, corrupted, streams)
     state, logits, q = md.run_window(pt, cfg, x, state, warm, grad_cycles)
     loss, parts = combined_loss(logits, q, batch.targets, batch.loss_mask)
     if not np.all(np.isfinite(loss.value)):
@@ -457,50 +443,22 @@ def _step_denoise(batch: Batch, params: md.Parameters, cfg: md.ModelConfig,
     )
 
 
-def step_diffusion(batch: Batch, params: md.Parameters, cfg: md.ModelConfig,
-                   tcfg: TrainConfig, opt: AdamW, seed: int, step_index: int,
-                   noise_schedule: NoiseSchedule | None = None) -> StepMetrics:
-    sched = noise_schedule if noise_schedule is not None else NoiseSchedule()
-    return _step_denoise(batch, params, cfg, tcfg, opt, seed, step_index, sched)
-
-
-def step_drm(batch: Batch, params: md.Parameters, cfg: md.ModelConfig,
-             tcfg: TrainConfig, opt: AdamW, seed: int, step_index: int,
-             noise_schedule: NoiseSchedule | None = None) -> StepMetrics:
-    sched = noise_schedule if noise_schedule is not None else NoiseSchedule()
-    return _step_denoise(batch, params, cfg, tcfg, opt, seed, step_index, sched)
-
-
-def step_stacked(batch: Batch, params: md.Parameters, cfg: md.ModelConfig,
-                 tcfg: TrainConfig, opt: AdamW, seed: int, step_index: int,
-                 noise_schedule: NoiseSchedule | None = None,
-                 *, audit: list | None = None) -> StepMetrics:
-    if tcfg.objective == "stacked_transformer":
-        sched = noise_schedule if noise_schedule is not None else NoiseSchedule()
-        return _step_denoise(batch, params, cfg, tcfg, opt, seed, step_index, sched)
-    return _step_backward(batch, params, cfg, tcfg, opt, seed, step_index,
-                          deep_supervision=True, audit=audit)
-
-
 def train_step(batch: Batch, params: md.Parameters, cfg: md.ModelConfig,
                tcfg: TrainConfig, opt: AdamW, seed: int, step_index: int,
                *, noise_schedule: NoiseSchedule | None = None,
                beta_schedule: BetaSchedule | None = None,
                audit: list | None = None) -> StepMetrics:
     obj = tcfg.objective
-    if obj in ("trm", "trm_no_deep_sup"):
-        return step_trm(batch, params, cfg, tcfg, opt, seed, step_index, audit=audit)
+    if obj in DENOISE_OBJECTIVES:
+        sched = noise_schedule if noise_schedule is not None else NoiseSchedule()
+        return _step_denoise(batch, params, cfg, tcfg, opt, seed, step_index, sched)
+    perturber = None
     if obj == "sprm":
-        return step_sprm(batch, params, cfg, tcfg, opt, seed, step_index,
-                         beta_schedule, audit=audit)
-    if obj == "diffusion":
-        return step_diffusion(batch, params, cfg, tcfg, opt, seed, step_index,
-                              noise_schedule)
-    if obj == "drm":
-        return step_drm(batch, params, cfg, tcfg, opt, seed, step_index,
-                        noise_schedule)
-    return step_stacked(batch, params, cfg, tcfg, opt, seed, step_index,
-                        noise_schedule, audit=audit)
+        sched = beta_schedule if beta_schedule is not None else BetaSchedule()
+        perturber = _sprm_perturber(sched, seed, step_index)
+    return _step_backward(batch, params, cfg, tcfg, opt, seed, step_index,
+                          deep_supervision=obj != "trm_no_deep_sup",
+                          perturber=perturber, audit=audit)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,10 @@
 
 Each test here pins down one externally visible property of the engine,
 at the tolerance we are prepared to promise. The -v report doubles as
-the checklist: one pass/fail line per guarantee. The desk-scale
-learning tests at the bottom train real models on one CPU core and
-dominate the suite's runtime; everything above them is property
-checking and finishes in seconds.
+the checklist: one pass/fail line per guarantee. The gate holds no
+learning runs: those are the overfit tests in test_training.py and the
+copy-model fixtures in test_inference.py. Everything here is property
+checking on small models.
 """
 
 import time
@@ -141,6 +141,11 @@ def _primitive_cases(i):
     yield "mean_all", case(lambda t: ad.mean_all(t["a"]), a=n(m, k))
 
 
+def state_streams(seed, batch):
+    """One state-noise generator per item, as the trainer draws them."""
+    return [rng_for(seed, "state", i) for i in range(batch)]
+
+
 def oracle_cfg(**kw):
     base = dict(hidden_size=8, num_heads=2, num_layers=1, expansion=2,
                 seq_len=4, inner_steps=2, cycles_per_window=2,
@@ -229,11 +234,11 @@ def _objective_loss_cases():
     batch = oracle_batch(1002)
     base_pt = {k: ad.tensor(v, op=k) for k, v in base.arrays.items()}
     fy, fz = _frozen_state(base_pt, cfg, batch,
-                           lambda pt: md.init_state(pt, cfg, 2, rng_for(1033, "state")),
+                           lambda pt: md.init_state(pt, cfg, state_streams(1033, 2)),
                            warm=1)
 
     def trm_full(t):
-        state = md.init_state(t, cfg, 2, rng_for(1033, "state"))
+        state = md.init_state(t, cfg, state_streams(1033, 2))
         return _window_loss(t, cfg, batch, state, 1, 1)
 
     def trm_frozen(t):
@@ -251,7 +256,7 @@ def _objective_loss_cases():
     pt2 = {k: ad.tensor(v, op=k) for k, v in base2.arrays.items()}
     with ad.no_grad():
         x = md.embed_input(pt2, cfg2, batch2.inputs, batch2.rows)
-        st = md.init_state(pt2, cfg2, 2, rng_for(1006, "state"))
+        st = md.init_state(pt2, cfg2, state_streams(1006, 2))
         st, _, _ = md.run_window(pt2, cfg2, x, st, 1, 1, with_gradient=False)
     cy, cz = st.y.value, st.z.value
     ncy, ncz = _frozen_state(
@@ -299,11 +304,11 @@ def _objective_loss_cases():
     pt3 = {k: ad.tensor(v, op=k) for k, v in base3.arrays.items()}
     dy, dz = _frozen_state(
         pt3, cfg3, batch3,
-        lambda pt: md.label_state(pt, cfg3, corrupted, rng_for(1011, "state")),
+        lambda pt: md.label_state(pt, cfg3, corrupted, state_streams(1011, 2)),
         warm=2)
 
     def drm_full(t):
-        state = md.label_state(t, cfg3, corrupted, rng_for(1011, "state"))
+        state = md.label_state(t, cfg3, corrupted, state_streams(1011, 2))
         return _window_loss(t, cfg3, batch3, state, 2, 1)
 
     def drm_frozen(t):
@@ -320,12 +325,12 @@ def _objective_loss_cases():
     corr4 = tr.corrupt_batch(batch4, NoiseSchedule(), seed=1014, step_index=0)
 
     def diff_full(t):
-        state = md.label_state(t, cfg4, corr4, rng_for(1015, "state"))
+        state = md.label_state(t, cfg4, corr4, state_streams(1015, 2))
         return _window_loss(t, cfg4, batch4, state, 0, 1)
 
     vy, vz = _frozen_state(
         {k: ad.tensor(v, op=k) for k, v in base4.arrays.items()}, cfg4, batch4,
-        lambda pt: md.label_state(pt, cfg4, corr4, rng_for(1015, "state")),
+        lambda pt: md.label_state(pt, cfg4, corr4, state_streams(1015, 2)),
         warm=0)
     _guard_frozen(cfg4, base4.arrays, batch4, vy, vz, 1)
     yield "diffusion", diff_full, diff_full, dict(base4.arrays), wrt
@@ -338,12 +343,12 @@ def _objective_loss_cases():
     corr5 = tr.corrupt_batch(batch5, NoiseSchedule(), seed=1018, step_index=0)
 
     def stk_full(t):
-        state = md.label_state(t, cfg5, corr5, rng_for(1019, "state"))
+        state = md.label_state(t, cfg5, corr5, state_streams(1019, 2))
         return _window_loss(t, cfg5, batch5, state, 0, 1)
 
     wy, wz = _frozen_state(
         {k: ad.tensor(v, op=k) for k, v in base5.arrays.items()}, cfg5, batch5,
-        lambda pt: md.label_state(pt, cfg5, corr5, rng_for(1019, "state")),
+        lambda pt: md.label_state(pt, cfg5, corr5, state_streams(1019, 2)),
         warm=0)
     _guard_frozen(cfg5, base5.arrays, batch5, wy, wz, 1)
     yield ("stacked_transformer", stk_full, stk_full,
@@ -355,7 +360,7 @@ def _objective_loss_cases():
     pt6 = {k: ad.tensor(v, op=k) for k, v in base6.arrays.items()}
     with ad.no_grad():
         x = md.embed_input(pt6, cfg6, batch6.inputs, batch6.rows)
-        st = md.init_state(pt6, cfg6, 2, rng_for(1022, "state"))
+        st = md.init_state(pt6, cfg6, state_streams(1022, 2))
         st, _, _ = md.run_window(pt6, cfg6, x, st, 0, 1)
     sy, sz = st.y.value, st.z.value
 
@@ -421,8 +426,8 @@ def test_stop_gradient_blocks_adjoints_across_windows():
     batch = oracle_batch(1101, B=3)
 
     audit: list = []
-    tr.step_trm(batch, params, cfg, tcfg, opt, seed=1102, step_index=0,
-                audit=audit)
+    tr.train_step(batch, params, cfg, tcfg, opt, seed=1102, step_index=0,
+                  audit=audit)
     assert len(audit) == 2
     assert audit[0]["loss"] != audit[1]["loss"]
 

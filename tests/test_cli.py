@@ -1,6 +1,7 @@
 """Command wiring: config resolution, run directories, exit codes."""
 
 import json
+import shutil
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -148,6 +149,14 @@ class TestEval:
 
     def test_missing_run_dir_is_data_error(self, tmp_path):
         assert run_cli("eval", tmp_path / "nope") == cli.EXIT_DATA
+
+    def test_malformed_checkpoint_is_data_error(self, drm_run, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(drm_run, run)
+        ck = sorted((run / "checkpoints").glob("*.ltrm"))[0]
+        ck.write_bytes(ck.read_bytes()[:12] + b"{not json")
+        assert run_cli("eval", run) == cli.EXIT_DATA
+        assert "malformed checkpoint" in capsys.readouterr().err
 
     def test_requesting_untrained_augmentations_fails(self, drm_run):
         assert run_cli("eval", drm_run, "--augmentations", "9") == cli.EXIT_CONFIG

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from loopforge import autodiff as ad
 from loopforge import inference as inf
 from loopforge import model as md
-from loopforge.corruption import NoiseSchedule
+from loopforge.corruption import NoiseSchedule, sample_timesteps
 from loopforge.seeding import rng_for
 from loopforge.tasks import (MASK, PAD, Augmentation, Task, apply_augmentation,
                              build_dataset, generate_synthetic)
@@ -189,6 +190,33 @@ class TestRemask:
                                              rng_for(9, "b", i))
             assert np.array_equal(out_b[i], out_s)
             assert q_b[i] == q_s
+
+    def test_first_state_is_the_training_label_state(self, monkeypatch):
+        # the generator must start from the state training refines from:
+        # md.label_state of the all-MASK board, sqrt(d) scale included
+        ds, cfg, params = tiny_setup()
+        cases = ds.eval_cases[:2]
+        inputs = np.stack([c.input_tokens for c in cases])
+        masks = np.stack([c.loss_mask for c in cases])
+        rows = np.array([c.row for c in cases])
+        seen = []
+        run_cycles = md.run_cycles
+
+        def spy(pt, cfg, x, state, cycles, app_start=0):
+            seen.append((state.y.value.copy(), state.z.value.copy()))
+            return run_cycles(pt, cfg, x, state, cycles, app_start)
+
+        monkeypatch.setattr(md, "run_cycles", spy)
+        inf.remask_batch(inputs, masks, rows, params, cfg, 2, NoiseSchedule(),
+                         [rng_for(4, "s", i) for i in range(2)])
+        streams = [rng_for(4, "s", i) for i in range(2)]
+        for g in streams:  # the timestep ladder is drawn first
+            sample_timesteps(2, g)
+        pt = md.wrap_parameters(params, requires_grad=False)
+        with ad.no_grad():
+            want = md.label_state(pt, cfg, np.where(masks, MASK, PAD), streams)
+        assert seen[0][0].tobytes() == want.y.value.tobytes()
+        assert seen[0][1].tobytes() == want.z.value.tobytes()
 
     def test_copy_model_returns_input(self, copy_setup, drm_copy):
         ds, cfg = copy_setup

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -134,7 +136,7 @@ def test_latent_step_deterministic_and_tied():
     pt = md.wrap_parameters(params)
     tokens, rows = batch_inputs(cfg)
     x = md.embed_input(pt, cfg, tokens, rows)
-    state = md.init_state(pt, cfg, 2, rng_for(0, "st"))
+    state = md.init_state(pt, cfg, [rng_for(0, "st", i) for i in range(2)])
     s1 = md.latent_step(pt, cfg, x, state)
     s2 = md.latent_step(pt, cfg, x, state)
     assert s1.z.value.tobytes() == s2.z.value.tobytes()
@@ -151,7 +153,7 @@ def test_gradients_reach_all_step_inputs():
     pt = md.wrap_parameters(params)
     tokens, rows = batch_inputs(cfg)
     x = md.embed_input(pt, cfg, tokens, rows)
-    state = md.init_state(pt, cfg, 2, rng_for(0, "st"))
+    state = md.init_state(pt, cfg, [rng_for(0, "st", i) for i in range(2)])
     out = md.latent_step(pt, cfg, x, state)
     loss = ad.mean_all(ad.multiply(out.z, out.z))
     ad.backward(loss)
@@ -164,7 +166,7 @@ def test_gradients_reach_all_step_inputs():
 def test_answer_step_single_z_identity():
     cfg, params = tiny_setup(single_z=True)
     pt = md.wrap_parameters(params)
-    state = md.init_state(pt, cfg, 1, rng_for(0, "st"))
+    state = md.init_state(pt, cfg, [rng_for(0, "st")])
     out = md.answer_step(pt, cfg, state)
     assert out is state
 
@@ -176,7 +178,7 @@ def test_single_z_window_ignores_y_pathway():
     def build(leaves):
         pt = dict(leaves)
         x = md.embed_input(pt, cfg, tokens, rows)
-        state = md.init_state(pt, cfg, 1, rng_for(3, "st"))
+        state = md.init_state(pt, cfg, [rng_for(3, "st")])
         _, logits, q = md.run_window(pt, cfg, x, state, warm_cycles=0, grad_cycles=1)
         return ad.add(ad.mean_all(logits), ad.mean_all(q))
 
@@ -190,8 +192,8 @@ def test_window_shapes_and_t1_boundary():
     pt = md.wrap_parameters(params)
     tokens, rows = batch_inputs(cfg, batch=3)
     x = md.embed_input(pt, cfg, tokens, rows)
-    state = md.init_state(pt, cfg, 3, rng_for(1, "st"))
-    out, logits, q = md.recursion_window(pt, cfg, x, state)
+    state = md.init_state(pt, cfg, [rng_for(1, "st", i) for i in range(3)])
+    out, logits, q = md.run_window(pt, cfg, x, state, cfg.cycles_per_window - 1, 1)
     assert logits.shape == (3, cfg.seq_len, cfg.vocab_size)
     assert q.shape == (3,)
     assert out.window_index == 1
@@ -210,8 +212,9 @@ def test_window_without_gradient_gives_zero_grads():
     def build(leaves):
         pt = dict(leaves)
         x = md.embed_input(pt, cfg, tokens, rows)
-        state = md.init_state(pt, cfg, 1, rng_for(5, "st"))
-        _, logits, _ = md.recursion_window(pt, cfg, x, state, with_gradient=False)
+        state = md.init_state(pt, cfg, [rng_for(5, "st")])
+        _, logits, _ = md.run_window(pt, cfg, x, state, cfg.cycles_per_window - 1, 1,
+                                      with_gradient=False)
         return ad.mean_all(logits)
 
     grads = ad.gradient(build, dict(base.arrays), ["phi/l0/attn/wq", "phi/l0/mlp/w2"])
@@ -226,8 +229,8 @@ def test_warmup_cycles_carry_zero_gradient():
     pt = md.wrap_parameters(params)
     tokens, rows = batch_inputs(cfg, batch=1)
     x = md.embed_input(pt, cfg, tokens, rows)
-    state = md.init_state(pt, cfg, 1, rng_for(2, "st"))
-    out, logits, q = md.recursion_window(pt, cfg, x, state)
+    state = md.init_state(pt, cfg, [rng_for(2, "st")])
+    out, logits, q = md.run_window(pt, cfg, x, state, cfg.cycles_per_window - 1, 1)
     ad.backward(ad.mean_all(logits))
     # warm-up products enter the gradient cycle as plain leaves
     nodes = ad.graph_nodes(logits)
@@ -253,6 +256,22 @@ def test_decoding_is_position_local():
     assert changed.sum() == 1 and changed[0, 2]
 
 
+def test_q_readout_is_batch_invariant():
+    # at d=128 a (B, d) @ (d, 1) product sums in a different order than
+    # one item's dot product; each item's q must not depend on its batch
+    cfg, params = tiny_setup(hidden_size=128, num_heads=4)
+    params["q/b"][:] = 0.0  # the -5 start bias would round the last bit away
+    pt = md.wrap_parameters(params, requires_grad=False)
+    rng = rng_for(6, "q")
+    y = rng.standard_normal((8, cfg.seq_len + 1, 128)).astype(np.float32)
+    with ad.no_grad():
+        _, q = md.decode_state(pt, cfg, md.LatentState(ad.constant(y), ad.constant(y)))
+        for i in range(8):
+            one = ad.constant(y[i:i + 1])
+            _, qi = md.decode_state(pt, cfg, md.LatentState(one, one))
+            assert qi.value.tobytes() == q.value[i:i + 1].tobytes(), i
+
+
 def test_untied_depth_uses_distinct_sets():
     cfg, params = tiny_setup(untied_depth=6, cycles_per_window=2)
     assert "phi0/l0/attn/wq" in params.arrays
@@ -261,7 +280,7 @@ def test_untied_depth_uses_distinct_sets():
     pt = md.wrap_parameters(params)
     tokens, rows = batch_inputs(cfg, batch=1)
     x = md.embed_input(pt, cfg, tokens, rows)
-    state = md.init_state(pt, cfg, 1, rng_for(0, "st"))
+    state = md.init_state(pt, cfg, [rng_for(0, "st")])
     out, logits, q = md.run_window(pt, cfg, x, state, 1, 1)
     assert logits.shape == (1, cfg.seq_len, cfg.vocab_size)
     with pytest.raises(md.ModelError):
@@ -273,7 +292,7 @@ def test_window_count_validation():
     pt = md.wrap_parameters(params)
     tokens, rows = batch_inputs(cfg, batch=1)
     x = md.embed_input(pt, cfg, tokens, rows)
-    state = md.init_state(pt, cfg, 1, rng_for(0, "st"))
+    state = md.init_state(pt, cfg, [rng_for(0, "st")])
     with pytest.raises(md.ModelError):
         md.run_window(pt, cfg, x, state, 1, 0)
 
@@ -302,14 +321,14 @@ def test_window_loss_matches_finite_differences():
 
     def build_full(leaves):
         pt = dict(leaves)
-        return loss_from(pt, md.init_state(pt, cfg, 1, rng_for(7, "st")),
+        return loss_from(pt, md.init_state(pt, cfg, [rng_for(7, "st")]),
                          warm_cycles=cfg.cycles_per_window - 1)
 
     # freeze the warm-up at the base parameters
     base_pt = {k: ad.tensor(v, op=k) for k, v in base.arrays.items()}
     with ad.no_grad():
         x0 = md.embed_input(base_pt, cfg, tokens, rows)
-        st0 = md.init_state(base_pt, cfg, 1, rng_for(7, "st"))
+        st0 = md.init_state(base_pt, cfg, [rng_for(7, "st")])
         warm, _ = md.run_cycles(base_pt, cfg, x0, st0, cfg.cycles_per_window - 1)
     warm_y, warm_z = warm.y.value, warm.z.value
 
@@ -381,3 +400,32 @@ def test_checkpoint_truncated(tmp_path):
     (tmp_path / "cut.ltrm").write_bytes(raw + b"\x00\x00")
     with pytest.raises(md.CheckpointError, match="trailing"):
         md.load_checkpoint(tmp_path / "cut.ltrm")
+
+
+def _checkpoint_bytes(header) -> bytes:
+    blob = header if isinstance(header, bytes) else json.dumps(header).encode()
+    return b"LTRM" + struct.pack("<II", 1, len(blob)) + blob
+
+
+def _header(**config):
+    return {"config": {**tiny_cfg().to_dict(), **config}, "metadata": {},
+            "arrays": [{"name": "q/b", "shape": [1]}]}
+
+
+@pytest.mark.parametrize("raw", [
+    b"LTRM\x01\x00",
+    _checkpoint_bytes(b"{not json"),
+    _checkpoint_bytes(b"\xff\xfe"),
+    _checkpoint_bytes([1, 2, 3]),
+    _checkpoint_bytes({"config": tiny_cfg().to_dict()}),
+    _checkpoint_bytes({"arrays": []}),
+    _checkpoint_bytes(_header(bogus=1)),
+    _checkpoint_bytes(_header(hidden_size=7)),
+    _checkpoint_bytes(_header()) + b"\x00\x00",
+], ids=["short", "bad_json", "bad_utf8", "header_not_dict", "no_arrays",
+        "no_config", "unknown_key", "invalid_config", "truncated_array"])
+def test_checkpoint_malformed_bytes_raise_checkpoint_error(tmp_path, raw):
+    p = tmp_path / "bad.ltrm"
+    p.write_bytes(raw)
+    with pytest.raises(md.CheckpointError):
+        md.load_checkpoint(p)

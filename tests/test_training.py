@@ -35,6 +35,11 @@ def toy_batch(seed=0, B=3, M=6, rows_max=4):
                  inputs=inputs, targets=targets, loss_mask=mask)
 
 
+def state_streams(seed, batch):
+    """One state-noise generator per item, as the trainer draws them."""
+    return [rng_for(seed, "state", i) for i in range(batch)]
+
+
 def live_heads(params, seed):
     # read-out heads init at zero; randomize them so window losses differ
     # and gradients reach the operator in single-step tests
@@ -238,7 +243,7 @@ def test_step_trm_single_window_no_carry():
     cfg = tiny_cfg(max_halt_steps=1)
     tcfg = TrainConfig(objective="trm", max_halt_steps=1, warmup_steps=0)
     params, _, opt = fresh(cfg, tcfg)
-    m = tr.step_trm(toy_batch(), params, cfg, tcfg, opt, seed=11, step_index=0)
+    m = tr.train_step(toy_batch(), params, cfg, tcfg, opt, seed=11, step_index=0)
     assert m.halt_histogram == [3]
     assert opt.t == 1
     assert m.grad_norm > 0
@@ -249,8 +254,8 @@ def test_step_trm_two_window_detach_audit():
     tcfg = TrainConfig(objective="trm", max_halt_steps=2, warmup_steps=0)
     params, _, opt = fresh(cfg, tcfg)
     audit: list = []
-    m = tr.step_trm(toy_batch(), params, cfg, tcfg, opt, seed=5, step_index=0,
-                    audit=audit)
+    m = tr.train_step(toy_batch(), params, cfg, tcfg, opt, seed=5, step_index=0,
+                      audit=audit)
     # the q bias starts at -5, so nothing halts before the last window
     assert [a["window"] for a in audit] == [0, 1]
     assert opt.t == 2
@@ -266,7 +271,7 @@ def test_step_trm_early_exit_on_positive_q():
     tcfg = TrainConfig(objective="trm", max_halt_steps=3, warmup_steps=0)
     params, _, opt = fresh(cfg, tcfg)
     params["q/b"][:] = 5.0
-    m = tr.step_trm(toy_batch(), params, cfg, tcfg, opt, seed=6, step_index=0)
+    m = tr.train_step(toy_batch(), params, cfg, tcfg, opt, seed=6, step_index=0)
     assert m.halt_histogram == [3, 0, 0]
     assert opt.t == 1
 
@@ -276,7 +281,7 @@ def test_step_trm_no_deep_sup_trains_final_window_only():
     tcfg = TrainConfig(objective="trm_no_deep_sup", max_halt_steps=3,
                        warmup_steps=0)
     params, _, opt = fresh(cfg, tcfg)
-    m = tr.step_trm(toy_batch(), params, cfg, tcfg, opt, seed=7, step_index=0)
+    m = tr.train_step(toy_batch(), params, cfg, tcfg, opt, seed=7, step_index=0)
     assert opt.t == 1
     assert m.halt_histogram == [0, 0, 3]
 
@@ -287,7 +292,7 @@ def test_step_trm_divergence_raises():
     params, _, opt = fresh(cfg, tcfg)
     params["decode/w"][:] = np.nan
     with pytest.raises(DivergenceError):
-        tr.step_trm(toy_batch(), params, cfg, tcfg, opt, seed=8, step_index=0)
+        tr.train_step(toy_batch(), params, cfg, tcfg, opt, seed=8, step_index=0)
 
 
 def run_steps(objective, seed, steps=2, beta=None, **cfg_kw):
@@ -364,7 +369,7 @@ def test_perturbed_recursion_stays_finite_over_many_windows():
     tokens = rng_for(40, "tok").integers(0, 10, size=(1, 6))
     with ad.no_grad():
         x = md.embed_input(pt, cfg, tokens, np.zeros(1, dtype=np.int64))
-        state = md.init_state(pt, cfg, 1, rng)
+        state = md.init_state(pt, cfg, [rng])
         for _ in range(1000):
             state, _ = md.run_cycles(pt, cfg, x, state, 1)
             y = perturb_latent(state.y.value, sched.num_steps, sched, rng)
@@ -422,7 +427,7 @@ def test_drm_single_optimizer_step_per_batch():
     cfg = tiny_cfg()
     tcfg = TrainConfig(objective="drm", gradient_cycles=2, warmup_steps=0)
     params, _, opt = fresh(cfg, tcfg)
-    m = tr.step_drm(toy_batch(), params, cfg, tcfg, opt, seed=62, step_index=0)
+    m = tr.train_step(toy_batch(), params, cfg, tcfg, opt, seed=62, step_index=0)
     assert opt.t == 1
     assert m.halt_histogram == [3]
 
@@ -438,7 +443,7 @@ def test_stacked_transformer_runs_untied():
     phi1_before = params["phi1/l0/attn/wq"].copy()
     params["phi0/l0/attn/wq"][0, 0] += 1.0
     assert np.array_equal(params["phi1/l0/attn/wq"], phi1_before)
-    m = tr.step_stacked(toy_batch(), params, cfg, tcfg, opt, seed=70, step_index=0)
+    m = tr.train_step(toy_batch(), params, cfg, tcfg, opt, seed=70, step_index=0)
     assert opt.t == 1 and m.grad_norm > 0
 
 
@@ -456,7 +461,7 @@ def test_stacked_deep_sup_supervises_each_application():
     tcfg = TrainConfig(objective="stacked_deep_sup", max_halt_steps=2,
                        warmup_steps=0)
     params, _, opt = fresh(cfg, tcfg)
-    m = tr.step_stacked(toy_batch(), params, cfg, tcfg, opt, seed=72, step_index=0)
+    m = tr.train_step(toy_batch(), params, cfg, tcfg, opt, seed=72, step_index=0)
     assert opt.t == 2
     assert sum(m.halt_histogram) == 3
 
@@ -488,7 +493,7 @@ def test_trm_window_loss_full_gradient_matches_fd():
     def build(leaves):
         pt = dict(leaves)
         x = md.embed_input(pt, cfg, batch.inputs, batch.rows)
-        state = md.init_state(pt, cfg, 2, rng_for(80, "state"))
+        state = md.init_state(pt, cfg, state_streams(80, 2))
         _, logits, q = md.run_window(pt, cfg, x, state, 0, cfg.cycles_per_window)
         loss, _ = combined_loss(logits, q, batch.targets, batch.loss_mask)
         return loss
@@ -511,7 +516,7 @@ def _probe_logits(cfg, base, batch):
     pt = {k: ad.tensor(v, op=k) for k, v in base.arrays.items()}
     with ad.no_grad():
         x = md.embed_input(pt, cfg, batch.inputs, batch.rows)
-        state = md.init_state(pt, cfg, batch.rows.size, rng_for(80, "state"))
+        state = md.init_state(pt, cfg, state_streams(80, batch.rows.size))
         _, logits, _ = md.run_window(pt, cfg, x, state, 0, cfg.cycles_per_window,
                                      with_gradient=False)
     return logits.value
@@ -533,13 +538,13 @@ def test_drm_loss_with_warmup_matches_fd_of_truncated_function():
 
     def build_full(leaves):
         pt = dict(leaves)
-        state = md.label_state(pt, cfg, corrupted, rng_for(86, "state"))
+        state = md.label_state(pt, cfg, corrupted, state_streams(86, 2))
         return loss_from(pt, state, warm_cycles)
 
     base_pt = {k: ad.tensor(v, op=k) for k, v in base.arrays.items()}
     with ad.no_grad():
         x0 = md.embed_input(base_pt, cfg, batch.inputs, batch.rows)
-        st0 = md.label_state(base_pt, cfg, corrupted, rng_for(86, "state"))
+        st0 = md.label_state(base_pt, cfg, corrupted, state_streams(86, 2))
         warm_state, _ = md.run_cycles(base_pt, cfg, x0, st0, warm_cycles)
     frozen_y, frozen_z = warm_state.y.value, warm_state.z.value
 
