@@ -72,28 +72,22 @@ def _str(s):
     return s.strip()
 
 
-# every run-affecting knob, with its default and parser
+def _defaults(instance, parsers: dict) -> dict:
+    return {k: (getattr(instance, k), parse) for k, parse in parsers.items()}
+
+
+# every run-affecting knob, with its default and parser; model and
+# training defaults are the config dataclasses' own
 CONFIG_KEYS = {
-    # model
-    "hidden_size": (128, _int),
-    "num_heads": (4, _int),
-    "num_layers": (2, _int),
-    "expansion": (4, _int),
-    "inner_steps": (6, _int),
-    "cycles_per_window": (3, _int),
-    "single_z": (False, _bool),
-    "max_halt_steps": (16, _int),
-    # training
-    "objective": ("trm", _str),
-    "lr": (1e-4, _float),
-    "task_embedding_lr": (1e-2, _float),
-    "weight_decay": (0.1, _float),
-    "warmup_steps": (100, _int),
-    "batch_size": (32, _int),
-    "ema_decay": (0.999, _float),
-    "gradient_cycles": (1, _int),
-    "warmup_cycles": (None, _opt(_int)),
-    "epochs": (1, _int),
+    **_defaults(md.ModelConfig(), {
+        "hidden_size": _int, "num_heads": _int, "num_layers": _int,
+        "expansion": _int, "inner_steps": _int, "cycles_per_window": _int,
+        "single_z": _bool, "max_halt_steps": _int}),
+    **_defaults(TrainConfig(), {
+        "objective": _str, "lr": _float, "task_embedding_lr": _float,
+        "weight_decay": _float, "warmup_steps": _int, "batch_size": _int,
+        "ema_decay": _float, "gradient_cycles": _int,
+        "warmup_cycles": _opt(_int), "epochs": _int}),
     # data and run shape
     "seed": (0, _int),
     "data": (None, _opt(_str)),

@@ -1,10 +1,13 @@
 """Test-time generation, voting, and scoring.
 
-Two generators mirror the two training paths.  Generate-and-remask
-starts from a fully masked label sequence and alternates full-grid
-prediction with stochastic remasking along a descending timestep
-ladder; the halting generator carries (y, z) through recursion windows
-until the Q-head goes positive.  Both run strictly without gradient.
+Two generators, one per kind of objective, both without gradient.
+Generate-and-remask, for the denoising objectives, starts from a fully
+masked answer; each iteration embeds the current answer as the training
+label state, predicts the full grid, and remasks part of it along a
+descending timestep ladder.  The halting generator, for the recursive
+objectives, runs the training loop itself (`md.halting_windows`),
+carrying (y, z) through recursion windows until the Q-head goes
+positive.
 
 Per-item randomness comes from one generator per case with a fixed
 consumption order (timesteps, then per iteration noise and remask
@@ -42,12 +45,6 @@ def _colour_argmax(logits: np.ndarray) -> np.ndarray:
     return np.argmax(logits[..., :NUM_COLOURS], axis=-1)
 
 
-def _run_and_decode(pt, cfg, x, state, cycles):
-    state, _ = md.run_cycles(pt, cfg, x, state, cycles)
-    logits, q = md.decode_state(pt, cfg, state)
-    return state, logits.value, q.value
-
-
 # ---------------------------------------------------------------------------
 # generate-and-remask
 
@@ -79,9 +76,10 @@ def remask_batch(inputs: np.ndarray, masks: np.ndarray, rows: np.ndarray,
         x = md.embed_input(pt, cfg, inputs, rows)
         for it in range(num_steps):
             state = md.label_state(pt, cfg, current, streams)
-            _, logits, q_logit = _run_and_decode(pt, cfg, x, state, cycles)
-            pred = _colour_argmax(logits)
-            q_out = ad.sigmoid(q_logit)
+            state, _ = md.run_cycles(pt, cfg, x, state, cycles)
+            logits, q_logit = md.decode_state(pt, cfg, state)
+            pred = _colour_argmax(logits.value)
+            q_out = ad.sigmoid(q_logit.value)
             remasked = []
             for i in range(B):
                 current[i, valid[i]] = pred[i, valid[i]]
@@ -129,43 +127,29 @@ def halting_batch(inputs: np.ndarray, masks: np.ndarray, rows: np.ndarray,
                   cycles: int | None = None,
                   max_steps: int | None = None
                   ) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
-    """Recurse until each item's q goes positive or the budget runs out.
+    """Replay the training recursion (`md.halting_windows`) until each
+    item's q goes positive or the budget runs out.
 
     Returns (tokens (B, M), final sigmoid q (B,), per-item q traces).
     """
-    B, M = np.asarray(inputs).shape
     cycles = cfg.cycles_per_window if cycles is None else cycles
     budget = cfg.max_halt_steps if max_steps is None else max_steps
-    if budget < 1:
-        raise InferenceError(f"halting budget must be >= 1, got {budget}")
+    if budget < 1 or cycles < 1:
+        raise InferenceError(f"halting needs a budget and cycles >= 1, got "
+                             f"{budget} and {cycles}")
     masks = np.asarray(masks, dtype=bool)
 
-    out = np.where(masks, 0, PAD).astype(np.int64)
-    q_final = np.zeros(B)
-    traces: list[list[float]] = [[] for _ in range(B)]
-    active = np.arange(B)
-    pt = md.wrap_parameters(params, requires_grad=False)
+    out = np.zeros(masks.shape, dtype=np.int64)
+    traces: list[list[float]] = [[] for _ in range(masks.shape[0])]
     with ad.no_grad():
-        state = md.init_state(pt, cfg, streams)
-        for w in range(budget):
-            x = md.embed_input(pt, cfg, np.asarray(inputs)[active], np.asarray(rows)[active])
-            state, logits, q_logit = _run_and_decode(pt, cfg, x, state, cycles)
-            sq = ad.sigmoid(q_logit)
-            for j, item in enumerate(active):
-                traces[item].append(float(sq[j]))
-            halted = (q_logit > 0) | (w == budget - 1)
-            if halted.any():
-                pred = _colour_argmax(logits[halted])
-                for j, item in enumerate(active[halted]):
-                    m = masks[item]
-                    out[item, m] = pred[j][m]
-                    q_final[item] = sq[halted][j]
-            if halted.all():
-                break
-            active = active[~halted]
-            state = md.LatentState(ad.constant(state.y.value[~halted]),
-                                   ad.constant(state.z.value[~halted]))
-    return out, q_final, traces
+        for _, active, _, logits, q_logit, halted in md.halting_windows(
+                params, cfg, inputs, rows, lambda pt: md.init_state(pt, cfg, streams),
+                budget, cycles - 1, 1):
+            for item, sq in zip(active, ad.sigmoid(q_logit.value)):
+                traces[item].append(float(sq))
+            done = active[halted]
+            out[done] = np.where(masks[done], _colour_argmax(logits.value[halted]), PAD)
+    return out, np.array([t[-1] for t in traces]), traces
 
 
 def generate_halting(tokens: np.ndarray, loss_mask: np.ndarray, row: int,

@@ -20,7 +20,7 @@ import math
 import struct
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -86,7 +86,34 @@ class ModelConfig:
 class LatentState:
     y: ad.Tensor
     z: ad.Tensor
-    window_index: int = 0
+
+
+# task rows and initial state rows start at zero, and so do both read-out
+# heads: logits begin exactly uniform, which keeps early gradient in the
+# signal path instead of spending it on collapsing the state to fix
+# miscalibrated random logits
+_ZERO_INIT = ("embed/task", "decode/w", "q/w", "state/y0", "state/z0")
+
+
+def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in the order `Parameters.init`
+    draws them."""
+    d, e = cfg.hidden_size, cfg.expansion
+    shapes: dict[str, tuple[int, ...]] = {}
+    for s in range(max(1, cfg.untied_depth)):
+        p = "phi" if cfg.untied_depth == 0 else f"phi{s}"
+        for i in range(cfg.num_layers):
+            base = f"{p}/l{i}"
+            for w in ("wq", "wk", "wv", "wo"):
+                shapes[f"{base}/attn/{w}"] = (d, d)
+            shapes[f"{base}/attn/gain"] = (d,)
+            shapes[f"{base}/mlp/w1"] = (d, e * d)
+            shapes[f"{base}/mlp/w2"] = (e * d, d)
+            shapes[f"{base}/mlp/gain"] = (d,)
+    shapes.update({"embed/input": (VOCAB_SIZE, d), "embed/label": (LABEL_ROWS, d),
+                   "embed/task": (cfg.num_tasks, d), "decode/w": (d, cfg.vocab_size),
+                   "q/w": (d, 1), "q/b": (1,), "state/y0": (d,), "state/z0": (d,)})
+    return shapes
 
 
 class Parameters:
@@ -98,34 +125,19 @@ class Parameters:
     @classmethod
     def init(cls, cfg: ModelConfig, rng: np.random.Generator,
              dtype=np.float32) -> "Parameters":
-        d, e = cfg.hidden_size, cfg.expansion
         arrays: dict[str, np.ndarray] = {}
-
-        def linear(name, fan_in, fan_out):
-            arrays[name] = (rng.normal(size=(fan_in, fan_out))
-                            / np.sqrt(fan_in)).astype(dtype)
-
-        for s in range(max(1, cfg.untied_depth)):
-            p = "phi" if cfg.untied_depth == 0 else f"phi{s}"
-            for i in range(cfg.num_layers):
-                base = f"{p}/l{i}"
-                for w in ("wq", "wk", "wv", "wo"):
-                    linear(f"{base}/attn/{w}", d, d)
-                arrays[f"{base}/attn/gain"] = np.ones(d, dtype=dtype)
-                linear(f"{base}/mlp/w1", d, e * d)
-                linear(f"{base}/mlp/w2", e * d, d)
-                arrays[f"{base}/mlp/gain"] = np.ones(d, dtype=dtype)
-        arrays["embed/input"] = (rng.normal(size=(VOCAB_SIZE, d)) / np.sqrt(d)).astype(dtype)
-        arrays["embed/label"] = (rng.normal(size=(LABEL_ROWS, d)) / np.sqrt(d)).astype(dtype)
-        arrays["embed/task"] = np.zeros((cfg.num_tasks, d), dtype=dtype)
-        # both read-out heads start at zero: logits begin exactly uniform,
-        # which keeps early gradient in the signal path instead of spending
-        # it on collapsing the state to fix miscalibrated random logits
-        arrays["decode/w"] = np.zeros((d, cfg.vocab_size), dtype=dtype)
-        arrays["q/w"] = np.zeros((d, 1), dtype=dtype)
-        arrays["q/b"] = np.full(1, -5.0, dtype=dtype)  # start far from halting
-        arrays["state/y0"] = np.zeros(d, dtype=dtype)
-        arrays["state/z0"] = np.zeros(d, dtype=dtype)
+        for name, shape in parameter_shapes(cfg).items():
+            if name.endswith("/gain"):
+                arr = np.ones(shape)
+            elif name == "q/b":
+                arr = np.full(shape, -5.0)  # start far from halting
+            elif name in _ZERO_INIT:
+                arr = np.zeros(shape)
+            else:
+                # linear maps draw N(0, 1/fan_in); embedding rows N(0, 1/d)
+                fan = shape[1] if name.startswith("embed/") else shape[0]
+                arr = rng.normal(size=shape) / np.sqrt(fan)
+            arrays[name] = arr.astype(dtype)
         return cls(arrays)
 
     def copy(self) -> "Parameters":
@@ -223,7 +235,7 @@ def _noisy_state(pt: dict, cfg: ModelConfig, y: ad.Tensor,
     y = ad.add(y, ad.constant(noise[:, 0]))
     z = ad.add(ad.reshape(pt["state/z0"], (1, 1, cfg.hidden_size)),
                ad.constant(noise[:, 1]))
-    return LatentState(y=y, z=z, window_index=0)
+    return LatentState(y=y, z=z)
 
 
 def init_state(pt: dict, cfg: ModelConfig,
@@ -255,7 +267,7 @@ def latent_step(pt: dict, cfg: ModelConfig, x: ad.Tensor, state: LatentState,
         z = phi_apply(pt, cfg, ad.add(x, state.z), app_index)
     else:
         z = phi_apply(pt, cfg, ad.add(ad.add(x, state.y), state.z), app_index)
-    return LatentState(y=state.y, z=z, window_index=state.window_index)
+    return LatentState(y=state.y, z=z)
 
 
 def answer_step(pt: dict, cfg: ModelConfig, state: LatentState,
@@ -264,7 +276,7 @@ def answer_step(pt: dict, cfg: ModelConfig, state: LatentState,
     if cfg.single_z:
         return state
     y = phi_apply(pt, cfg, ad.add(state.y, state.z), app_index)
-    return LatentState(y=y, z=state.z, window_index=state.window_index)
+    return LatentState(y=y, z=state.z)
 
 
 def _cycle(pt, cfg, x, state, app_start):
@@ -318,8 +330,55 @@ def run_window(pt: dict, cfg: ModelConfig, x: ad.Tensor, state: LatentState,
         with ad.no_grad():
             state, app = run_cycles(pt, cfg, x, state, grad_cycles, app)
     logits, q = decode_state(pt, cfg, state)
-    state = LatentState(y=state.y, z=state.z, window_index=state.window_index + 1)
     return state, logits, q
+
+
+def _carry(t: ad.Tensor, staying: np.ndarray) -> ad.Tensor:
+    """The surviving rows of t behind a stop_gradient boundary."""
+    value = t.value if staying.all() else t.value[staying]
+    return ad.Tensor(value, op="stop_gradient", detached=t)
+
+
+def halting_windows(params: Parameters, cfg: ModelConfig, inputs: np.ndarray,
+                    rows: np.ndarray, first_state: Callable[[dict], LatentState],
+                    windows: int, warm_cycles: int, grad_cycles: int, *,
+                    halt_early: bool = True, perturb: Callable | None = None
+                    ) -> Iterator[tuple]:
+    """The recursion that training runs and halting inference replays.
+
+    Each of up to `windows` windows wraps the parameters afresh (one graph
+    per window), embeds the items still active, and runs `run_window`
+    from `first_state(pt)` in window 0 and from the carried state after.
+    It yields (w, active, pt, logits, q_logit, exiting); the caller takes
+    its loss or its predictions before resuming.
+
+    Every item exits at the last window.  With halt_early an item also
+    exits once its q logit is positive, and every window carries gradient;
+    without it only the last window does, since no item can exit earlier.
+    Survivors carry (y, z) across a stop_gradient boundary, passed through
+    perturb(y, z, w, active) when given.
+    """
+    inputs, rows = np.asarray(inputs), np.asarray(rows)
+    active = np.arange(rows.size)
+    state = None
+    for w in range(windows):
+        pt = wrap_parameters(params)
+        x = embed_input(pt, cfg, inputs[active], rows[active])
+        if state is None:
+            state = first_state(pt)
+        last = w == windows - 1
+        state, logits, q = run_window(pt, cfg, x, state, warm_cycles, grad_cycles,
+                                      with_gradient=halt_early or last)
+        exiting = (q.value > 0) | last if halt_early else np.full(active.size, last)
+        yield w, active, pt, logits, q, exiting
+        staying = ~exiting
+        if not staying.any():
+            return
+        active = active[staying]
+        y, z = _carry(state.y, staying), _carry(state.z, staying)
+        if perturb is not None:
+            y, z = perturb(y, z, w, active)
+        state = LatentState(y, z)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +408,9 @@ def save_checkpoint(path, cfg: ModelConfig, params: Parameters,
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, Parameters, Parameters | None, dict]:
-    """Read a checkpoint; any malformed content raises CheckpointError."""
+    """Read a checkpoint; any malformed content raises CheckpointError,
+    and so do arrays whose names or shapes differ from what the config
+    builds (see parameter_shapes) or that hold a NaN or infinity."""
     path = Path(path)
     raw = path.read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
@@ -382,4 +443,15 @@ def load_checkpoint(path) -> tuple[ModelConfig, Parameters, Parameters | None, d
                               f"({type(e).__name__}: {e})") from e
     if offset != len(raw):
         raise CheckpointError(f"{path}: trailing bytes after arrays")
+    want = parameter_shapes(cfg)
+    for kind, arrays in (("params", plain), ("ema", ema)):
+        if kind == "ema" and not arrays:
+            continue
+        for name in sorted(want.keys() | arrays.keys()):
+            got = arrays[name].shape if name in arrays else None
+            if got != want.get(name):
+                raise CheckpointError(f"{path}: {kind} {name} has shape {got}, "
+                                      f"config needs {want.get(name)}")
+            if not np.all(np.isfinite(arrays[name])):
+                raise CheckpointError(f"{path}: {kind} {name} holds non-finite values")
     return (cfg, Parameters(plain), Parameters(ema) if ema else None, metadata)

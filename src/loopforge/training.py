@@ -1,18 +1,18 @@
 """Training regimes for the looped model.
 
-Two data paths cover all seven objectives.  The backward path (trm,
-trm_no_deep_sup, sprm, stacked_deep_sup) starts from a learned initial
-state and runs up to max_halt_steps recursion windows, detaching the
-state at every boundary; deep supervision means one loss and one
-optimizer step per window.  The denoising path (diffusion, drm,
-stacked_transformer) corrupts the target, embeds it as the initial
-answer state, runs a single window, and takes a single step.
+All seven objectives run one loop, `md.halting_windows`, which halting
+inference replays.  The recursive objectives (trm, trm_no_deep_sup, sprm,
+stacked_deep_sup) start from the learned initial state and run up to
+max_halt_steps recursion windows, detaching the state at every boundary;
+deep supervision means one loss and one optimizer step per window, and an
+item leaves once its q logit is positive.  The denoising objectives
+(diffusion, drm, stacked_transformer) corrupt the target, embed it as the
+initial answer state, and run a single window with a single step.
 
-The state-perturbation regime is the backward path with the carried
-(y, z) passed through perturb_latent at each boundary; with beta = 0 it
-is bit-for-bit the plain backward path.  Likewise drm with one gradient
-cycle and no warm-up is bit-for-bit the one-step denoiser, which the
-tests lean on.
+The state-perturbation regime is trm with the carried (y, z) passed
+through perturb_latent at each boundary; with beta = 0 it is bit-for-bit
+trm.  Likewise drm with one gradient cycle and no warm-up is bit-for-bit
+the one-step denoiser, which the tests lean on.
 
 Optimization is AdamW with decoupled weight decay, a linear warmup on
 the learning rate, a separate learning rate for the task-embedding
@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -157,7 +156,7 @@ class LossParts:
     ce: float
     q: float
     match: np.ndarray      # (B,) 0/1 exact-match indicator
-    correct_tokens: int
+    correct: np.ndarray    # (B,) correct valid tokens per item
     valid_tokens: int
 
 
@@ -174,7 +173,7 @@ def combined_loss(logits: ad.Tensor, q_logit: ad.Tensor, targets: np.ndarray,
     q = ad.mean_all(ad.sigmoid_bce(q_logit, match))
     loss = ad.add(ce, q)
     parts = LossParts(ce=float(ce.value), q=float(q.value), match=match,
-                      correct_tokens=int(hit.sum()), valid_tokens=int(loss_mask.sum()))
+                      correct=hit.sum(axis=-1), valid_tokens=int(loss_mask.sum()))
     return loss, parts
 
 
@@ -281,106 +280,20 @@ def check_objective(cfg: md.ModelConfig, tcfg: TrainConfig) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# backward path: trm, trm_no_deep_sup, sprm, stacked_deep_sup
+# corruption and state perturbation
 
 
-def _step_backward(batch: Batch, params: md.Parameters, cfg: md.ModelConfig,
-                   tcfg: TrainConfig, opt: AdamW, seed: int, step_index: int,
-                   *, deep_supervision: bool,
-                   perturber: Callable | None = None,
-                   audit: list | None = None) -> StepMetrics:
-    warm, grad_cycles = check_objective(cfg, tcfg)
-    B = batch.rows.size
-    windows = tcfg.max_halt_steps
-
-    active = np.arange(B)
-    y_carry = z_carry = None
-    ce_sum = 0.0
-    ce_mass = 0
-    q_sum = 0.0
-    q_mass = 0
-    correct = 0
-    exact = 0
-    hist = [0] * windows
-    norms: list[float] = []
-
-    for w in range(windows):
-        pt = md.wrap_parameters(params)
-        x = md.embed_input(pt, cfg, batch.inputs[active], batch.rows[active])
-        if w == 0:
-            streams = [rng_for(seed, "state", step_index, i) for i in range(B)]
-            state = md.init_state(pt, cfg, streams)
-        else:
-            state = md.LatentState(y=y_carry, z=z_carry, window_index=w)
-        supervise = deep_supervision or w == windows - 1
-        state, logits, q = md.run_window(pt, cfg, x, state, warm, grad_cycles,
-                                         with_gradient=supervise)
-
-        if supervise:
-            loss, parts = combined_loss(logits, q, batch.targets[active],
-                                        batch.loss_mask[active])
-            if not np.all(np.isfinite(loss.value)):
-                raise DivergenceError(
-                    f"non-finite loss at step {step_index}, window {w}")
-            ad.backward(loss)
-            grads = _collect_grads(pt)
-            norm, applied = opt.apply(grads)
-            norms.append(norm if applied else 0.0)
-            n_valid = parts.valid_tokens
-            ce_sum += parts.ce * n_valid
-            ce_mass += n_valid
-            q_sum += parts.q * active.size
-            q_mass += active.size
-
-        # halting: the pre-sigmoid logit decides; everyone exits at the end
-        if w == windows - 1:
-            exiting = np.ones(active.size, dtype=bool)
-        elif deep_supervision:
-            exiting = q.value > 0
-        else:
-            exiting = np.zeros(active.size, dtype=bool)
-
-        if exiting.any():
-            pred = np.argmax(logits.value[exiting], axis=-1)
-            tgt = batch.targets[active[exiting]]
-            msk = batch.loss_mask[active[exiting]]
-            hit = (pred == tgt) & msk
-            correct += int(hit.sum())
-            exact += int((hit | ~msk).all(axis=-1).sum())
-            hist[w] += int(exiting.sum())
-
-        if audit is not None and supervise:
-            nodes = ad.graph_nodes(loss)
-            audit.append({"window": w, "nodes": nodes,
-                          "loss": float(loss.value), "active": int(active.size)})
-            for node in nodes:
-                node.adjoint = None
-
-        staying = ~exiting
-        if not staying.any():
-            break
-        active = active[staying]
-        y_carry = ad.stop_gradient(state.y)
-        z_carry = ad.stop_gradient(state.z)
-        if staying.size != staying.sum():
-            y_carry = ad.Tensor(y_carry.value[staying], op="stop_gradient",
-                                detached=state.y)
-            z_carry = ad.Tensor(z_carry.value[staying], op="stop_gradient",
-                                detached=state.z)
-        if perturber is not None:
-            y_carry, z_carry = perturber(y_carry, z_carry, w, active)
-
-    total_valid = int(batch.loss_mask.sum())
-    return StepMetrics(
-        step=step_index,
-        objective=tcfg.objective,
-        ce_loss=ce_sum / max(1, ce_mass),
-        q_loss=q_sum / max(1, q_mass),
-        token_accuracy=correct / max(1, total_valid),
-        exact_match_rate=exact / B,
-        halt_histogram=hist,
-        grad_norm=float(np.mean(norms)) if norms else 0.0,
-    )
+def corrupt_batch(batch: Batch, schedule: NoiseSchedule, seed: int,
+                  step_index: int) -> np.ndarray:
+    """Per-item tau ~ U(0,1) and masking, each from its own (step, item)
+    stream so batch composition never couples the draws."""
+    out = np.empty_like(batch.targets)
+    for i in range(batch.rows.size):
+        tau = float(rng_for(seed, "tau", step_index, i).uniform())
+        seq = corrupt_target(TokenSeq(batch.targets[i], batch.loss_mask[i]),
+                             tau, schedule, rng_for(seed, "mask", step_index, i))
+        out[i] = seq.tokens
+    return out
 
 
 def _sprm_perturber(sched: BetaSchedule, seed: int, step_index: int) -> Callable:
@@ -399,48 +312,7 @@ def _sprm_perturber(sched: BetaSchedule, seed: int, step_index: int) -> Callable
 
 
 # ---------------------------------------------------------------------------
-# denoising path: diffusion, drm, stacked_transformer
-
-
-def corrupt_batch(batch: Batch, schedule: NoiseSchedule, seed: int,
-                  step_index: int) -> np.ndarray:
-    """Per-item tau ~ U(0,1) and masking, each from its own (step, item)
-    stream so batch composition never couples the draws."""
-    out = np.empty_like(batch.targets)
-    for i in range(batch.rows.size):
-        tau = float(rng_for(seed, "tau", step_index, i).uniform())
-        seq = corrupt_target(TokenSeq(batch.targets[i], batch.loss_mask[i]),
-                             tau, schedule, rng_for(seed, "mask", step_index, i))
-        out[i] = seq.tokens
-    return out
-
-
-def _step_denoise(batch: Batch, params: md.Parameters, cfg: md.ModelConfig,
-                  tcfg: TrainConfig, opt: AdamW, seed: int, step_index: int,
-                  noise_schedule: NoiseSchedule) -> StepMetrics:
-    warm, grad_cycles = check_objective(cfg, tcfg)
-    B = batch.rows.size
-    corrupted = corrupt_batch(batch, noise_schedule, seed, step_index)
-    pt = md.wrap_parameters(params)
-    x = md.embed_input(pt, cfg, batch.inputs, batch.rows)
-    streams = [rng_for(seed, "state", step_index, i) for i in range(B)]
-    state = md.label_state(pt, cfg, corrupted, streams)
-    state, logits, q = md.run_window(pt, cfg, x, state, warm, grad_cycles)
-    loss, parts = combined_loss(logits, q, batch.targets, batch.loss_mask)
-    if not np.all(np.isfinite(loss.value)):
-        raise DivergenceError(f"non-finite loss at step {step_index}")
-    ad.backward(loss)
-    norm, applied = opt.apply(_collect_grads(pt))
-    return StepMetrics(
-        step=step_index,
-        objective=tcfg.objective,
-        ce_loss=parts.ce,
-        q_loss=parts.q,
-        token_accuracy=parts.correct_tokens / max(1, parts.valid_tokens),
-        exact_match_rate=float(parts.match.mean()),
-        halt_histogram=[B],
-        grad_norm=norm if applied else 0.0,
-    )
+# one training step
 
 
 def train_step(batch: Batch, params: md.Parameters, cfg: md.ModelConfig,
@@ -448,17 +320,71 @@ def train_step(batch: Batch, params: md.Parameters, cfg: md.ModelConfig,
                *, noise_schedule: NoiseSchedule | None = None,
                beta_schedule: BetaSchedule | None = None,
                audit: list | None = None) -> StepMetrics:
+    """Run the objective's windows over one batch, with one optimizer step
+    per supervised window.  `audit`, when given, collects each supervised
+    window's graph nodes, loss and active count."""
+    warm, grad_cycles = check_objective(cfg, tcfg)
     obj = tcfg.objective
+    B = batch.rows.size
+    streams = [rng_for(seed, "state", step_index, i) for i in range(B)]
+    perturb = None
     if obj in DENOISE_OBJECTIVES:
         sched = noise_schedule if noise_schedule is not None else NoiseSchedule()
-        return _step_denoise(batch, params, cfg, tcfg, opt, seed, step_index, sched)
-    perturber = None
-    if obj == "sprm":
-        sched = beta_schedule if beta_schedule is not None else BetaSchedule()
-        perturber = _sprm_perturber(sched, seed, step_index)
-    return _step_backward(batch, params, cfg, tcfg, opt, seed, step_index,
-                          deep_supervision=obj != "trm_no_deep_sup",
-                          perturber=perturber, audit=audit)
+        corrupted = corrupt_batch(batch, sched, seed, step_index)
+        windows = 1
+        first_state = lambda pt: md.label_state(pt, cfg, corrupted, streams)
+    else:
+        windows = tcfg.max_halt_steps
+        first_state = lambda pt: md.init_state(pt, cfg, streams)
+        if obj == "sprm":
+            sched = beta_schedule if beta_schedule is not None else BetaSchedule()
+            perturb = _sprm_perturber(sched, seed, step_index)
+    halt_early = obj != "trm_no_deep_sup"
+
+    ce_sum = 0.0
+    ce_mass = 0
+    q_sum = 0.0
+    q_mass = 0
+    correct = 0
+    exact = 0
+    hist = [0] * windows
+    norms: list[float] = []
+    for w, active, pt, logits, q, exiting in md.halting_windows(
+            params, cfg, batch.inputs, batch.rows, first_state, windows, warm,
+            grad_cycles, halt_early=halt_early, perturb=perturb):
+        hist[w] = int(exiting.sum())
+        if not (halt_early or w == windows - 1):
+            continue        # no loss, and no item can exit here
+        loss, parts = combined_loss(logits, q, batch.targets[active],
+                                    batch.loss_mask[active])
+        if not np.all(np.isfinite(loss.value)):
+            raise DivergenceError(f"non-finite loss at step {step_index}, window {w}")
+        ad.backward(loss)
+        norm, applied = opt.apply(_collect_grads(pt))
+        norms.append(norm if applied else 0.0)
+        ce_sum += parts.ce * parts.valid_tokens
+        ce_mass += parts.valid_tokens
+        q_sum += parts.q * active.size
+        q_mass += active.size
+        correct += int(parts.correct[exiting].sum())
+        exact += int(parts.match[exiting].sum())
+        if audit is not None:
+            nodes = ad.graph_nodes(loss)
+            audit.append({"window": w, "nodes": nodes,
+                          "loss": float(loss.value), "active": int(active.size)})
+            for node in nodes:
+                node.adjoint = None
+
+    return StepMetrics(
+        step=step_index,
+        objective=obj,
+        ce_loss=ce_sum / max(1, ce_mass),
+        q_loss=q_sum / max(1, q_mass),
+        token_accuracy=correct / max(1, int(batch.loss_mask.sum())),
+        exact_match_rate=exact / B,
+        halt_histogram=hist,
+        grad_norm=float(np.mean(norms)) if norms else 0.0,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,9 @@ import loopforge.training as tr
 from loopforge.corruption import (BetaSchedule, NoiseSchedule, corrupt_target,
                                   mask_fraction, perturb_latent,
                                   sample_timesteps)
-from loopforge.inference import (generate_remask, permutation_test,
-                                 permutation_test_exhaustive, ranked_candidates,
-                                 remask_batch, vote)
+from loopforge.inference import (generate_remask, halting_batch,
+                                 permutation_test, permutation_test_exhaustive,
+                                 ranked_candidates, remask_batch, vote)
 from loopforge.seeding import rng_for
 from loopforge.tasks import (MASK, NUM_COLOURS, PAD, Augmentation, TokenSeq,
                              apply_augmentation, apply_dihedral, build_dataset,
@@ -264,11 +264,11 @@ def _objective_loss_cases():
         lambda pt: md.LatentState(ad.constant(cy), ad.constant(cz)), warm=1)
 
     def nds_full(t):
-        state = md.LatentState(ad.constant(cy), ad.constant(cz), window_index=1)
+        state = md.LatentState(ad.constant(cy), ad.constant(cz))
         return _window_loss(t, cfg2, batch2, state, 1, 1)
 
     def nds_frozen(t):
-        state = md.LatentState(ad.constant(ncy), ad.constant(ncz), window_index=1)
+        state = md.LatentState(ad.constant(ncy), ad.constant(ncz))
         return _window_loss(t, cfg2, batch2, state, 0, 1)
 
     _guard_frozen(cfg2, base2.arrays, batch2, ncy, ncz, 1)
@@ -285,11 +285,11 @@ def _objective_loss_cases():
         lambda pt: md.LatentState(ad.constant(py), ad.constant(pz)), warm=1)
 
     def sprm_full(t):
-        state = md.LatentState(ad.constant(py), ad.constant(pz), window_index=1)
+        state = md.LatentState(ad.constant(py), ad.constant(pz))
         return _window_loss(t, cfg2, batch2, state, 1, 1)
 
     def sprm_frozen(t):
-        state = md.LatentState(ad.constant(spy), ad.constant(spz), window_index=1)
+        state = md.LatentState(ad.constant(spy), ad.constant(spz))
         return _window_loss(t, cfg2, batch2, state, 0, 1)
 
     _guard_frozen(cfg2, base2.arrays, batch2, spy, spz, 1)
@@ -365,7 +365,7 @@ def _objective_loss_cases():
     sy, sz = st.y.value, st.z.value
 
     def sds_full(t):
-        state = md.LatentState(ad.constant(sy), ad.constant(sz), window_index=1)
+        state = md.LatentState(ad.constant(sy), ad.constant(sz))
         return _window_loss(t, cfg6, batch6, state, 0, 1)
 
     _guard_frozen(cfg6, base6.arrays, batch6, sy, sz, 1)
@@ -592,6 +592,41 @@ def test_remask_inference_contract(trained_drm_run):
     assert not np.any(out == MASK)
     assert np.all(out[~case.loss_mask] == PAD)
     assert 0.0 <= q <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# halting inference runs the recursion that training ran
+
+
+def test_halting_inference_replays_the_training_recursion(monkeypatch):
+    cfg = oracle_cfg(max_halt_steps=3, num_tasks=4)
+    tcfg = TrainConfig(objective="trm_no_deep_sup", max_halt_steps=3,
+                       warmup_steps=0, batch_size=3)
+    params = live_params(cfg, 1600, dtype=np.float32)
+    params["q/b"][:] = -50.0      # no item halts before the last window
+    frozen = params.copy()        # the step updates params in place
+    batch = oracle_batch(1601, B=3)
+
+    decoded: list = []
+    decode = md.decode_state
+
+    def spy(pt, cfg_, state):
+        logits, q = decode(pt, cfg_, state)
+        decoded.append(q.value.copy())
+        return logits, q
+
+    monkeypatch.setattr(md, "decode_state", spy)
+    tr.train_step(batch, params, cfg, tcfg, tr.AdamW(params, None, tcfg),
+                  seed=1602, step_index=5)
+    trained, decoded[:] = decoded[:], []
+    streams = [rng_for(1602, "state", 5, i) for i in range(3)]
+    _, _, traces = halting_batch(batch.inputs, batch.loss_mask, batch.rows,
+                                 frozen, cfg, streams)
+
+    assert [len(t) for t in traces] == [3, 3, 3]
+    assert len(trained) == len(decoded) == 3
+    for w, (a, b) in enumerate(zip(trained, decoded)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), w
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ import json
 import shutil
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from loopforge import cli
+from loopforge import model as md
 from loopforge.tasks import build_dataset, generate_synthetic
 
 
@@ -133,6 +135,16 @@ class TestTrain:
 # eval
 
 
+def _bad_json(ck):
+    ck.write_bytes(ck.read_bytes()[:12] + b"{not json")
+
+
+def _nan_weight(ck):
+    cfg, params, ema, meta = md.load_checkpoint(ck)
+    params["q/b"][:] = np.nan
+    md.save_checkpoint(ck, cfg, params, ema, meta)
+
+
 class TestEval:
     def test_report_schema(self, drm_run, tmp_path):
         out = tmp_path / "report.json"
@@ -150,13 +162,17 @@ class TestEval:
     def test_missing_run_dir_is_data_error(self, tmp_path):
         assert run_cli("eval", tmp_path / "nope") == cli.EXIT_DATA
 
-    def test_malformed_checkpoint_is_data_error(self, drm_run, tmp_path, capsys):
+    @pytest.mark.parametrize("corrupt, message", [
+        (_bad_json, "malformed checkpoint"),
+        (_nan_weight, "non-finite"),
+    ], ids=["bad_json", "nan_weight"])
+    def test_malformed_checkpoint_is_data_error(self, drm_run, tmp_path, capsys,
+                                                corrupt, message):
         run = tmp_path / "run"
         shutil.copytree(drm_run, run)
-        ck = sorted((run / "checkpoints").glob("*.ltrm"))[0]
-        ck.write_bytes(ck.read_bytes()[:12] + b"{not json")
+        corrupt(sorted((run / "checkpoints").glob("*.ltrm"))[0])
         assert run_cli("eval", run) == cli.EXIT_DATA
-        assert "malformed checkpoint" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_requesting_untrained_augmentations_fails(self, drm_run):
         assert run_cli("eval", drm_run, "--augmentations", "9") == cli.EXIT_CONFIG

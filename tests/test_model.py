@@ -193,10 +193,9 @@ def test_window_shapes_and_t1_boundary():
     tokens, rows = batch_inputs(cfg, batch=3)
     x = md.embed_input(pt, cfg, tokens, rows)
     state = md.init_state(pt, cfg, [rng_for(1, "st", i) for i in range(3)])
-    out, logits, q = md.run_window(pt, cfg, x, state, cfg.cycles_per_window - 1, 1)
+    _, logits, q = md.run_window(pt, cfg, x, state, cfg.cycles_per_window - 1, 1)
     assert logits.shape == (3, cfg.seq_len, cfg.vocab_size)
     assert q.shape == (3,)
-    assert out.window_index == 1
     # T=1 means zero warm-up cycles: bitwise equal to an explicit (0, 1) window
     out2, logits2, q2 = md.run_window(pt, cfg, x, state, 0, 1)
     assert logits.value.tobytes() == logits2.value.tobytes()
@@ -412,6 +411,32 @@ def _header(**config):
             "arrays": [{"name": "q/b", "shape": [1]}]}
 
 
+def _full_checkpoint(shapes=None, ema_value=None) -> bytes:
+    """Every array the tiny config builds, zero-filled, with `shapes`
+    overriding some shapes and, given `ema_value`, an ema copy filled
+    with it."""
+    cfg = tiny_cfg()
+    named = {n: np.zeros(s) for n, s in {**md.parameter_shapes(cfg),
+                                         **(shapes or {})}.items()}
+    if ema_value is not None:
+        named.update({f"ema/{n}": np.full(a.shape, ema_value)
+                      for n, a in list(named.items())})
+    order = sorted(named)
+    header = {"config": cfg.to_dict(), "metadata": {},
+              "arrays": [{"name": n, "shape": list(named[n].shape)} for n in order]}
+    return _checkpoint_bytes(header) + b"".join(named[n].astype("<f4").tobytes()
+                                                for n in order)
+
+
+def test_checkpoint_with_every_array_loads(tmp_path):
+    # the control for the wrong_shape and nan_value inputs below
+    p = tmp_path / "full.ltrm"
+    p.write_bytes(_full_checkpoint(ema_value=1.0))
+    cfg, params, ema, _ = md.load_checkpoint(p)
+    assert params.names() == sorted(md.parameter_shapes(cfg))
+    assert ema is not None and np.all(ema["q/b"] == 1.0)
+
+
 @pytest.mark.parametrize("raw", [
     b"LTRM\x01\x00",
     _checkpoint_bytes(b"{not json"),
@@ -422,8 +447,12 @@ def _header(**config):
     _checkpoint_bytes(_header(bogus=1)),
     _checkpoint_bytes(_header(hidden_size=7)),
     _checkpoint_bytes(_header()) + b"\x00\x00",
+    _checkpoint_bytes(_header()) + struct.pack("<f", -5.0),
+    _full_checkpoint(shapes={"q/w": (16, 2)}),
+    _full_checkpoint(ema_value=np.nan),
 ], ids=["short", "bad_json", "bad_utf8", "header_not_dict", "no_arrays",
-        "no_config", "unknown_key", "invalid_config", "truncated_array"])
+        "no_config", "unknown_key", "invalid_config", "truncated_array",
+        "only_q_bias", "wrong_shape", "nan_value"])
 def test_checkpoint_malformed_bytes_raise_checkpoint_error(tmp_path, raw):
     p = tmp_path / "bad.ltrm"
     p.write_bytes(raw)
