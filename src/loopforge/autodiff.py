@@ -16,6 +16,7 @@ boundary node (forward value bit-identical to its operand), and the
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -399,6 +400,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
 
     q, k, v: (B, M, d).  Heads are carved out of the feature axis, scores
     scaled by head_dim ** -0.5, softmax over keys, heads merged back.
+    The scale is a Python float folded into q, so the result keeps the
+    operands' dtype; softmax and its backward each run in one buffer.
     """
     if not (q.shape == k.shape == v.shape):
         raise ShapeError(f"attention: q/k/v shapes differ: {q.shape}, {k.shape}, {v.shape}")
@@ -408,33 +411,35 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
     if d % num_heads != 0:
         raise ShapeError(f"attention: feature dim {d} not divisible by {num_heads} heads")
     hd = d // num_heads
-    alpha = 1.0 / np.sqrt(hd)
+    alpha = 1.0 / math.sqrt(hd)
 
     def heads(x):
         return x.reshape(B, M, num_heads, hd).transpose(0, 2, 1, 3)
 
-    qh, kh, vh = heads(q.value), heads(k.value), heads(v.value)
-    scores = np.matmul(qh, kh.swapaxes(-1, -2)) * alpha
-    scores -= scores.max(axis=-1, keepdims=True)
-    p = np.exp(scores)
+    def merge(x):
+        return x.transpose(0, 2, 1, 3).reshape(B, M, d)
+
+    qs, kh, vh = heads(q.value) * alpha, heads(k.value), heads(v.value)
+    p = np.matmul(qs, kh.swapaxes(-1, -2))
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    outh = np.matmul(p, vh)
-    value = outh.transpose(0, 2, 1, 3).reshape(B, M, d)
+    value = merge(np.matmul(p, vh))
     if not _needs_grad(q, k, v):
         return Tensor(value, op="attention")
 
     def vjp(g):
-        gh = g.reshape(B, M, num_heads, hd).transpose(0, 2, 1, 3)
-        gp = np.matmul(gh, vh.swapaxes(-1, -2))
+        gh = heads(g)
         gv = np.matmul(p.swapaxes(-1, -2), gh)
-        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
-        gs *= alpha
-        gq = np.matmul(gs, kh)
-        gk = np.matmul(gs.swapaxes(-1, -2), qh)
-
-        def merge(x):
-            return x.transpose(0, 2, 1, 3).reshape(B, M, d)
-
+        gp = np.matmul(gh, vh.swapaxes(-1, -2))
+        # softmax backward in place on gp; rowsum(gp * p) is rowsum(g * out)
+        # per head, which costs a (B, M, d) product instead of (B, H, M, M)
+        inner = (g * value).reshape(B, M, num_heads, hd).sum(axis=-1)
+        gp -= inner.transpose(0, 2, 1)[..., None]
+        gp *= p
+        gq = np.matmul(gp, kh)
+        gq *= alpha
+        gk = np.matmul(gp.swapaxes(-1, -2), qs)
         return merge(gq), merge(gk), merge(gv)
 
     return Tensor(value, (q, k, v), vjp, True, "attention")

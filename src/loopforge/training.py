@@ -47,6 +47,8 @@ DENOISE_OBJECTIVES = ("diffusion", "drm", "stacked_transformer")
 
 ADAM_BETAS = (0.9, 0.95)
 ADAM_EPS = 1e-8
+# this many updates in a row with non-finite gradients end the run
+MAX_SKIPPED_IN_A_ROW = 8
 
 
 class TrainingError(RuntimeError):
@@ -54,7 +56,8 @@ class TrainingError(RuntimeError):
 
 
 class DivergenceError(TrainingError):
-    """Loss went non-finite; the run cannot continue."""
+    """Loss or parameters went non-finite, or the optimizer skipped
+    MAX_SKIPPED_IN_A_ROW updates in a row; the run cannot continue."""
 
 
 @dataclass
@@ -102,6 +105,7 @@ class StepMetrics:
     exact_match_rate: float
     halt_histogram: list[int]
     grad_norm: float
+    skipped_updates: int
 
     def __post_init__(self):
         for name in ("ce_loss", "q_loss", "token_accuracy", "exact_match_rate", "grad_norm"):
@@ -121,6 +125,7 @@ class StepMetrics:
             "q_loss": self.q_loss,
             "token_accuracy": self.token_accuracy,
             "exact_match_rate": self.exact_match_rate,
+            "skipped_updates": self.skipped_updates,
         }
 
 
@@ -194,6 +199,7 @@ class AdamW:
         self.v = {k: np.zeros_like(v) for k, v in params.arrays.items()}
         self.t = 0
         self.skipped = 0
+        self.skipped_in_a_row = 0
 
     def _warm_factor(self, t: int) -> float:
         if self.tcfg.warmup_steps <= 0:
@@ -210,7 +216,9 @@ class AdamW:
         norm = math.sqrt(sq) if math.isfinite(sq) else float("inf")
         if not math.isfinite(norm):
             self.skipped += 1
+            self.skipped_in_a_row += 1
             return norm, False
+        self.skipped_in_a_row = 0
         self.t += 1
         b1, b2 = ADAM_BETAS
         factor = self._warm_factor(self.t)
@@ -361,6 +369,11 @@ def train_step(batch: Batch, params: md.Parameters, cfg: md.ModelConfig,
             raise DivergenceError(f"non-finite loss at step {step_index}, window {w}")
         ad.backward(loss)
         norm, applied = opt.apply(_collect_grads(pt))
+        if opt.skipped_in_a_row >= MAX_SKIPPED_IN_A_ROW:
+            raise DivergenceError(f"{opt.skipped_in_a_row} updates in a row skipped for "
+                                  f"non-finite gradients, at step {step_index}")
+        if applied and not all(np.isfinite(v).all() for v in params.arrays.values()):
+            raise DivergenceError(f"non-finite parameters after step {step_index}, window {w}")
         norms.append(norm if applied else 0.0)
         ce_sum += parts.ce * parts.valid_tokens
         ce_mass += parts.valid_tokens
@@ -384,6 +397,7 @@ def train_step(batch: Batch, params: md.Parameters, cfg: md.ModelConfig,
         exact_match_rate=exact / B,
         halt_histogram=hist,
         grad_norm=float(np.mean(norms)) if norms else 0.0,
+        skipped_updates=opt.skipped,
     )
 
 

@@ -376,3 +376,46 @@ def test_rope_preserves_norm():
     x = r.normal(size=(1, 6, 8))
     y = ad.rope(ad.tensor(x), 2).value
     assert np.allclose(np.linalg.norm(y, axis=-1), np.linalg.norm(x, axis=-1), atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# dtype invariance: every primitive's value and vjp keep the operand dtype
+
+IDX = np.array([[0, 2], [4, 1]])
+TARGETS = np.array([[0, 3, 1], [2, 2, 0]])
+MASK = np.array([[True, False, True], [True, True, False]])
+
+DTYPE_CASES = {
+    "add": (lambda t: ad.add(t["a"], t["b"]), {"a": (2, 3, 4), "b": (4,)}),
+    "multiply": (lambda t: ad.multiply(t["a"], t["b"]), {"a": (2, 3, 4), "b": (3, 1)}),
+    "scale": (lambda t: ad.scale(t["a"], 0.3), {"a": (2, 3)}),
+    "matmul": (lambda t: ad.matmul(t["a"], t["b"]), {"a": (2, 3, 4), "b": (4, 5)}),
+    "reshape": (lambda t: ad.reshape(t["a"], (6, 4)), {"a": (2, 3, 4)}),
+    "slice_axis": (lambda t: ad.slice_axis(t["a"], 1, 3), {"a": (2, 3, 4)}),
+    "concat": (lambda t: ad.concat([t["a"], t["b"]]), {"a": (2, 3, 4), "b": (2, 3, 2)}),
+    "softmax": (lambda t: ad.softmax(t["a"]), {"a": (2, 3, 4)}),
+    "silu": (lambda t: ad.silu(t["a"]), {"a": (2, 3, 4)}),
+    "rms_norm": (lambda t: ad.rms_norm(t["a"], t["g"]), {"a": (2, 3, 4), "g": (4,)}),
+    "gather": (lambda t: ad.gather(t["table"], IDX), {"table": (5, 4)}),
+    "rope": (lambda t: ad.rope(t["a"], 2), {"a": (2, 6, 8)}),
+    "attention": (lambda t: ad.attention(t["q"], t["k"], t["v"], 2),
+                  {"q": (2, 5, 8), "k": (2, 5, 8), "v": (2, 5, 8)}),
+    "softmax_cross_entropy": (lambda t: ad.softmax_cross_entropy(t["a"], TARGETS),
+                              {"a": (2, 3, 4)}),
+    "sigmoid_bce": (lambda t: ad.sigmoid_bce(t["a"], MASK), {"a": (2, 3)}),
+    "masked_mean": (lambda t: ad.masked_mean(t["a"], MASK), {"a": (2, 3)}),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op", sorted(DTYPE_CASES))
+def test_primitive_keeps_operand_dtype(op, dtype):
+    build, shapes = DTYPE_CASES[op]
+    r = rng(40)
+    leaves = {name: ad.tensor(r.normal(size=s).astype(dtype), requires_grad=True)
+              for name, s in shapes.items()}
+    out = build(leaves)
+    assert out.op == op and out.value.dtype == dtype
+    grads = out.vjp(np.asarray(r.normal(size=out.shape), dtype=dtype))
+    assert len(grads) == len(out.parents)
+    assert [g.dtype for g in grads] == [np.dtype(dtype)] * len(grads)

@@ -290,6 +290,31 @@ class TestHalting:
                                  params, cfg, rng_for(0, "h"), max_steps=0)
 
 
+@pytest.mark.parametrize("generator", ["remask", "halting"])
+def test_generators_decode_float32_states(generator, monkeypatch):
+    ds, cfg, params = tiny_setup()
+    cases = ds.eval_cases[:2]
+    inputs = np.stack([c.input_tokens for c in cases])
+    masks = np.stack([c.loss_mask for c in cases])
+    rows = np.array([c.row for c in cases])
+    streams = [rng_for(6, "f32", i) for i in range(2)]
+    seen = []
+    decode = md.decode_state
+
+    def spy(pt, cfg_, state):
+        seen.append((state.y.value.dtype, state.z.value.dtype))
+        return decode(pt, cfg_, state)
+
+    monkeypatch.setattr(md, "decode_state", spy)
+    if generator == "remask":
+        inf.remask_batch(inputs, masks, rows, params, cfg, 2, NoiseSchedule(), streams)
+    else:
+        params["q/b"][...] = -5.0
+        inf.halting_batch(inputs, masks, rows, params, cfg, streams, max_steps=2)
+    assert len(seen) == 2
+    assert set(seen) == {(np.dtype(np.float32), np.dtype(np.float32))}
+
+
 # ---------------------------------------------------------------------------
 # scoring
 

@@ -295,6 +295,82 @@ def test_step_trm_divergence_raises():
         tr.train_step(toy_batch(), params, cfg, tcfg, opt, seed=8, step_index=0)
 
 
+def test_step_raises_after_a_run_of_skipped_updates(monkeypatch):
+    # gradients that are non-finite while the loss stays finite: every
+    # update is skipped, and the run must not go on silently
+    cfg = tiny_cfg(max_halt_steps=1)
+    tcfg = TrainConfig(objective="trm", max_halt_steps=1, warmup_steps=0)
+    params, _, opt = fresh(cfg, tcfg)
+    collect = tr._collect_grads
+    monkeypatch.setattr(tr, "_collect_grads", lambda pt: {
+        k: np.full_like(g, np.inf) for k, g in collect(pt).items()})
+    before = params.copy()
+    bound = tr.MAX_SKIPPED_IN_A_ROW
+    for s in range(bound - 1):
+        m = tr.train_step(toy_batch(s), params, cfg, tcfg, opt, seed=9, step_index=s)
+        assert m.skipped_updates == s + 1 and m.record()["skipped_updates"] == s + 1
+    with pytest.raises(DivergenceError, match="in a row"):
+        tr.train_step(toy_batch(bound - 1), params, cfg, tcfg, opt, seed=9,
+                      step_index=bound - 1)
+    assert opt.skipped == bound and opt.t == 0
+    for name in params.names():
+        assert np.array_equal(params[name], before[name]), name
+
+
+def test_applied_update_resets_the_skip_run(monkeypatch):
+    cfg = tiny_cfg(max_halt_steps=1)
+    tcfg = TrainConfig(objective="trm", max_halt_steps=1, warmup_steps=0)
+    params, _, opt = fresh(cfg, tcfg)
+    collect = tr._collect_grads
+    run = [True] * (tr.MAX_SKIPPED_IN_A_ROW - 1)
+    poison = iter(run + [False] * 2 + run)
+
+    def grads(pt):
+        bad = next(poison)
+        return {k: np.full_like(g, np.nan) if bad else g for k, g in collect(pt).items()}
+
+    monkeypatch.setattr(tr, "_collect_grads", grads)
+    steps = 2 * len(run) + 2
+    for s in range(steps):
+        m = tr.train_step(toy_batch(s), params, cfg, tcfg, opt, seed=9, step_index=s)
+    assert m.skipped_updates == opt.skipped == steps - 2
+    assert opt.t == 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_step_raises_when_an_update_makes_params_non_finite():
+    # a task row no item reads keeps the loss and gradients finite, and a
+    # decay factor of 1 - lr * wd = -99 overflows it in one applied update
+    cfg = tiny_cfg(max_halt_steps=1, num_tasks=5)
+    tcfg = TrainConfig(objective="trm", max_halt_steps=1, warmup_steps=0,
+                       task_embedding_lr=1000.0, weight_decay=0.1)
+    params, _, opt = fresh(cfg, tcfg)
+    params["embed/task"][4] = 1e37
+    with pytest.raises(DivergenceError, match="non-finite parameters"):
+        tr.train_step(toy_batch(), params, cfg, tcfg, opt, seed=8, step_index=0)
+
+
+@pytest.mark.parametrize("objective", ["drm", "trm"])
+def test_train_step_stays_float32(objective, monkeypatch):
+    cfg = tiny_cfg(max_halt_steps=2)
+    tcfg = TrainConfig(objective=objective, max_halt_steps=2, warmup_steps=0)
+    params, _, opt = fresh(cfg, tcfg)
+    grads: list = []
+    apply = opt.apply
+    monkeypatch.setattr(opt, "apply", lambda g: (grads.append(g), apply(g))[1])
+    audit: list = []
+    tr.train_step(toy_batch(), params, cfg, tcfg, opt, seed=4, step_index=0,
+                  audit=audit)
+    assert audit and grads
+    for entry in audit:
+        wrong = {(n.op, str(n.value.dtype)) for n in entry["nodes"]
+                 if n.value.dtype != np.float32}
+        assert not wrong, f"window {entry['window']}: {sorted(wrong)}"
+    for g in grads:
+        assert {str(a.dtype) for a in g.values()} == {"float32"}
+    assert {str(a.dtype) for a in params.arrays.values()} == {"float32"}
+
+
 def run_steps(objective, seed, steps=2, beta=None, **cfg_kw):
     cfg = tiny_cfg(**cfg_kw)
     tcfg = TrainConfig(objective=objective, max_halt_steps=cfg.max_halt_steps,
@@ -594,7 +670,8 @@ def test_run_training_writes_metrics_and_checkpoint(tmp_path):
     for line in lines:
         rec = json.loads(line)
         assert sorted(rec) == ["ce_loss", "exact_match_rate", "objective",
-                               "q_loss", "step", "token_accuracy"]
+                               "q_loss", "skipped_updates", "step", "token_accuracy"]
+        assert rec["skipped_updates"] == 0
         assert rec["objective"] == "trm"
     cfg2, params2, ema2, meta = md.load_checkpoint(ckpt)
     assert cfg2 == cfg
