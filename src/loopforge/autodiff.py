@@ -248,36 +248,8 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
     return Tensor(value, tuple(parts), vjp, True, "concat")
 
 
-def split(a: Tensor, sizes: Sequence[int], axis: int = -1) -> list[Tensor]:
-    """Split along an axis into parts of the given sizes."""
-    ax = axis if axis >= 0 else a.value.ndim + axis
-    if sum(sizes) != a.shape[ax]:
-        raise ShapeError(f"split: sizes {list(sizes)} do not sum to axis {axis} of {a.shape}")
-    out, offset = [], 0
-    for s in sizes:
-        out.append(slice_axis(a, offset, offset + s, axis=ax))
-        offset += s
-    return out
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities and norms
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis."""
-    x = a.value
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    value = e / e.sum(axis=-1, keepdims=True)
-    if not _needs_grad(a):
-        return Tensor(value, op="softmax")
-
-    def vjp(g):
-        inner = (g * value).sum(axis=-1, keepdims=True)
-        return (value * (g - inner),)
-
-    return Tensor(value, (a,), vjp, True, "softmax")
 
 
 def silu(a: Tensor) -> Tensor:

@@ -127,8 +127,8 @@ def _set_key(cfgmap: dict, key: str, raw: str) -> None:
 def load_config_file(path) -> dict:
     cfgmap = default_config()
     try:
-        text = Path(path).read_text()
-    except OSError as e:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     for ln, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -227,11 +227,28 @@ def _write_manifest(out_dir: Path, payload: dict) -> None:
                                                     sort_keys=True) + "\n")
 
 
+# what eval and render read from a manifest
+MANIFEST_KEYS = ("config", "seed", "objective", "dataset_hash",
+                 "resolved.warmup_cycles", "resolved.gradient_cycles")
+
+
 def read_manifest(run_dir: Path) -> dict:
     path = Path(run_dir) / MANIFEST_NAME
     if not path.exists():
         raise TaskError(f"{run_dir} has no {MANIFEST_NAME}; not a run directory")
-    return json.loads(path.read_text())
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as e:
+        raise TaskError(f"{path}: unreadable manifest ({e})") from e
+    for key in MANIFEST_KEYS:
+        node = manifest
+        for part in key.split("."):
+            if not isinstance(node, dict) or part not in node:
+                raise TaskError(f"{path}: manifest has no {key}")
+            node = node[part]
+    if not isinstance(manifest["config"], dict):
+        raise TaskError(f"{path}: manifest config is not a JSON object")
+    return manifest
 
 
 def execute_training(cfgmap: dict, out_dir: Path, progress=None):
@@ -370,9 +387,10 @@ def cmd_render(args) -> None:
     manifest, cfgmap, dataset = _load_run(run_dir)
     path = _checkpoint_paths(run_dir)[-1]
     cfg, params, ema, meta = md.load_checkpoint(path)
-    if meta["objective"] not in DENOISE_OBJECTIVES:
+    objective = meta.get("objective", manifest["objective"])
+    if objective not in DENOISE_OBJECTIVES:
         raise ConfigError(
-            f"checkpoint was trained with {meta['objective']!r}; the renderer "
+            f"checkpoint was trained with {objective!r}; the renderer "
             "covers generate-and-remask inference only (halting models expose "
             "per-window decodes instead)")
 

@@ -1,13 +1,13 @@
 """Test-time generation, voting, and scoring.
 
-Two generators, one per kind of objective, both without gradient.
-Generate-and-remask, for the denoising objectives, starts from a fully
-masked answer; each iteration embeds the current answer as the training
-label state, predicts the full grid, and remasks part of it along a
+Two generators, one per kind of objective, both replaying the training
+loop (`md.halting_windows`) without gradient.  Generate-and-remask, for
+the denoising objectives, starts from a fully masked answer; each
+iteration is one drm training window from the label state of the current
+answer, whose full-grid prediction is then partly remasked along a
 descending timestep ladder.  The halting generator, for the recursive
-objectives, runs the training loop itself (`md.halting_windows`),
-carrying (y, z) through recursion windows until the Q-head goes
-positive.
+objectives, carries (y, z) through recursion windows until the Q-head
+goes positive.
 
 Per-item randomness comes from one generator per case with a fixed
 consumption order (timesteps, then per iteration noise and remask
@@ -62,6 +62,8 @@ def remask_batch(inputs: np.ndarray, masks: np.ndarray, rows: np.ndarray,
     """
     B, M = np.asarray(inputs).shape
     cycles = cfg.cycles_per_window if cycles is None else cycles
+    if cycles < 1:
+        raise InferenceError(f"remask needs cycles >= 1, got {cycles}")
     masks = np.asarray(masks, dtype=bool)
     valid = [np.flatnonzero(masks[i]) for i in range(B)]
 
@@ -70,14 +72,15 @@ def remask_batch(inputs: np.ndarray, masks: np.ndarray, rows: np.ndarray,
         raise InferenceError("timestep draws collided; re-seed the run")
 
     current = np.where(masks, MASK, PAD).astype(np.int64)
-    pt = md.wrap_parameters(params, requires_grad=False)
     q_out = np.zeros(B)
     with ad.no_grad():
-        x = md.embed_input(pt, cfg, inputs, rows)
         for it in range(num_steps):
-            state = md.label_state(pt, cfg, current, streams)
-            state, _ = md.run_cycles(pt, cfg, x, state, cycles)
-            logits, q_logit = md.decode_state(pt, cfg, state)
+            # the drm training window: one window, cycles - 1 warm-up cycles
+            # and one more, from the label state of the current answer
+            [(_, _, _, logits, q_logit, _)] = md.halting_windows(
+                params, cfg, inputs, rows,
+                lambda pt: md.label_state(pt, cfg, current, streams),
+                1, cycles - 1, 1)
             pred = _colour_argmax(logits.value)
             q_out = ad.sigmoid(q_logit.value)
             remasked = []

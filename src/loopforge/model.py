@@ -156,9 +156,9 @@ class Parameters:
         self.arrays[name] = value
 
 
-def wrap_parameters(params: Parameters, requires_grad: bool = True) -> dict[str, ad.Tensor]:
+def wrap_parameters(params: Parameters) -> dict[str, ad.Tensor]:
     """Fresh leaf tensors over the parameter arrays, one graph's worth."""
-    return {name: ad.Tensor(arr, requires_grad=requires_grad, op=name)
+    return {name: ad.Tensor(arr, requires_grad=True, op=name)
             for name, arr in params.arrays.items()}
 
 
@@ -260,44 +260,23 @@ def label_state(pt: dict, cfg: ModelConfig, label_tokens: np.ndarray,
 # recursion
 
 
-def latent_step(pt: dict, cfg: ModelConfig, x: ad.Tensor, state: LatentState,
-                app_index: int = 0) -> LatentState:
-    """z <- phi(x + y + z); with single_z the y pathway does not exist."""
-    if cfg.single_z:
-        z = phi_apply(pt, cfg, ad.add(x, state.z), app_index)
-    else:
-        z = phi_apply(pt, cfg, ad.add(ad.add(x, state.y), state.z), app_index)
-    return LatentState(y=state.y, z=z)
-
-
-def answer_step(pt: dict, cfg: ModelConfig, state: LatentState,
-                app_index: int = 0) -> LatentState:
-    """y <- phi(y + z); identity under single_z."""
-    if cfg.single_z:
-        return state
-    y = phi_apply(pt, cfg, ad.add(state.y, state.z), app_index)
-    return LatentState(y=y, z=state.z)
-
-
-def _cycle(pt, cfg, x, state, app_start):
-    app = app_start
-    for _ in range(cfg.inner_steps):
-        state = latent_step(pt, cfg, x, state, app)
-        app += 1
-    if not cfg.single_z:
-        state = answer_step(pt, cfg, state, app)
-        app += 1
-    return state, app
-
-
 def run_cycles(pt: dict, cfg: ModelConfig, x: ad.Tensor, state: LatentState,
                cycles: int, app_start: int = 0) -> tuple[LatentState, int]:
-    """A bare run of full cycles with no decode; gradient behaviour follows
-    the ambient grad mode."""
-    app = app_start
+    """Full cycles with no decode; gradient behaviour follows the ambient
+    grad mode.  A cycle is n latent steps z <- phi(x + y + z), then one
+    answer step y <- phi(y + z); with single_z the y pathway does not
+    exist, so z <- phi(x + z) and y passes through.  Returns the state and
+    the next application index."""
+    y, z, app = state.y, state.z, app_start
     for _ in range(cycles):
-        state, app = _cycle(pt, cfg, x, state, app)
-    return state, app
+        for _ in range(cfg.inner_steps):
+            h = ad.add(x, z) if cfg.single_z else ad.add(ad.add(x, y), z)
+            z = phi_apply(pt, cfg, h, app)
+            app += 1
+        if not cfg.single_z:
+            y = phi_apply(pt, cfg, ad.add(y, z), app)
+            app += 1
+    return LatentState(y=y, z=z), app
 
 
 def decode_state(pt: dict, cfg: ModelConfig, state: LatentState) -> tuple[ad.Tensor, ad.Tensor]:
@@ -344,7 +323,7 @@ def halting_windows(params: Parameters, cfg: ModelConfig, inputs: np.ndarray,
                     windows: int, warm_cycles: int, grad_cycles: int, *,
                     halt_early: bool = True, perturb: Callable | None = None
                     ) -> Iterator[tuple]:
-    """The recursion that training runs and halting inference replays.
+    """The recursion that training runs and both generators replay.
 
     Each of up to `windows` windows wraps the parameters afresh (one graph
     per window), embeds the items still active, and runs `run_window`
@@ -441,6 +420,8 @@ def load_checkpoint(path) -> tuple[ModelConfig, Parameters, Parameters | None, d
     except (KeyError, TypeError, AttributeError, ValueError) as e:
         raise CheckpointError(f"{path}: malformed checkpoint "
                               f"({type(e).__name__}: {e})") from e
+    if not isinstance(metadata, dict):
+        raise CheckpointError(f"{path}: metadata is not a JSON object")
     if offset != len(raw):
         raise CheckpointError(f"{path}: trailing bytes after arrays")
     want = parameter_shapes(cfg)

@@ -31,7 +31,10 @@ class TaskError(ValueError):
 
 
 def validate_grid(cells, where: str = "grid") -> np.ndarray:
-    arr = np.asarray(cells)
+    try:
+        arr = np.asarray(cells)
+    except ValueError as e:  # ragged rows
+        raise TaskError(f"{where}: not a rectangular grid ({e})") from e
     if arr.ndim != 2:
         raise TaskError(f"{where}: expected 2 dimensions, got {arr.ndim}")
     h, w = arr.shape
@@ -79,7 +82,8 @@ def _parse_pair(obj, where: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def parse_task(obj: dict, task_id: str) -> Task:
-    if not isinstance(obj, dict) or "train" not in obj or "test" not in obj:
+    if not (isinstance(obj, dict) and isinstance(obj.get("train"), list)
+            and isinstance(obj.get("test"), list)):
         raise TaskError(f"task {task_id}: expected object with 'train' and 'test' arrays")
     train = [_parse_pair(p, f"task {task_id} train[{i}]") for i, p in enumerate(obj["train"])]
     test = [_parse_pair(p, f"task {task_id} test[{i}]") for i, p in enumerate(obj["test"])]
@@ -95,8 +99,8 @@ def load_arc_json(path) -> list[Task]:
             raise TaskError(f"{path}: no .json task files found")
         return [t for f in files for t in load_arc_json(f)]
     try:
-        obj = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as e:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as e:  # unreadable, not UTF-8, or not JSON
         raise TaskError(f"{path}: cannot read task JSON ({e})")
     return [parse_task(obj, path.stem)]
 

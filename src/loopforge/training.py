@@ -1,7 +1,7 @@
 """Training regimes for the looped model.
 
-All seven objectives run one loop, `md.halting_windows`, which halting
-inference replays.  The recursive objectives (trm, trm_no_deep_sup, sprm,
+All seven objectives run one loop, `md.halting_windows`, which both
+generators replay.  The recursive objectives (trm, trm_no_deep_sup, sprm,
 stacked_deep_sup) start from the learned initial state and run up to
 max_halt_steps recursion windows, detaching the state at every boundary;
 deep supervision means one loss and one optimizer step per window, and an
@@ -411,7 +411,6 @@ class TrainResult:
     ema: md.Parameters
     history: list[StepMetrics]
     steps: int
-    final_eval: float | None
 
 
 def run_training(dataset: DeskDataset, cfg: md.ModelConfig, tcfg: TrainConfig,
@@ -421,13 +420,10 @@ def run_training(dataset: DeskDataset, cfg: md.ModelConfig, tcfg: TrainConfig,
                  metrics_path=None,
                  checkpoint_path=None,
                  checkpoint_every: int = 0,
-                 eval_fn: Callable[[md.Parameters], float] | None = None,
-                 eval_every: int = 0,
-                 eval_target: float | None = None,
                  max_steps: int | None = None,
                  progress: Callable[[StepMetrics], None] | None = None) -> TrainResult:
-    """Epochs over the packed training examples.  Evaluation (and the
-    optional early stop on eval_target) always sees the EMA weights."""
+    """Epochs over the packed training examples, up to max_steps steps;
+    checkpoints carry the EMA shadow next to the weights."""
     check_objective(cfg, tcfg)
     if cfg.num_tasks < dataset.num_rows:
         raise TrainingError(
@@ -446,38 +442,29 @@ def run_training(dataset: DeskDataset, cfg: md.ModelConfig, tcfg: TrainConfig,
         raise TrainingError("dataset has no training examples")
 
     history: list[StepMetrics] = []
+    orders = (rng_for(seed, "data", epoch).permutation(len(examples))
+              for epoch in range(tcfg.epochs))
+    batches = (order[lo:lo + tcfg.batch_size] for order in orders
+               for lo in range(0, len(order), tcfg.batch_size))
     out = open(metrics_path, "w", encoding="utf-8") if metrics_path else None
-    final_eval = None
     step = 0
     try:
-        done = False
-        for epoch in range(tcfg.epochs):
-            order = rng_for(seed, "data", epoch).permutation(len(examples))
-            for lo in range(0, len(order), tcfg.batch_size):
-                picked = [examples[i] for i in order[lo:lo + tcfg.batch_size]]
-                metrics = train_step(collate(picked), params, cfg, tcfg, opt,
-                                     seed, step,
-                                     noise_schedule=noise_schedule,
-                                     beta_schedule=beta_schedule)
-                history.append(metrics)
-                if out is not None:
-                    out.write(json.dumps(metrics.record()) + "\n")
-                if progress is not None:
-                    progress(metrics)
-                step += 1
-                if checkpoint_path and checkpoint_every and step % checkpoint_every == 0:
-                    md.save_checkpoint(str(checkpoint_path).format(step=step),
-                                       cfg, params, ema,
-                                       {"step": step, "objective": tcfg.objective})
-                if eval_fn is not None and eval_every and step % eval_every == 0:
-                    final_eval = float(eval_fn(ema))
-                    if eval_target is not None and final_eval >= eval_target:
-                        done = True
-                        break
-                if max_steps is not None and step >= max_steps:
-                    done = True
-                    break
-            if done:
+        for picked in batches:
+            metrics = train_step(collate([examples[i] for i in picked]), params,
+                                 cfg, tcfg, opt, seed, step,
+                                 noise_schedule=noise_schedule,
+                                 beta_schedule=beta_schedule)
+            history.append(metrics)
+            if out is not None:
+                out.write(json.dumps(metrics.record()) + "\n")
+            if progress is not None:
+                progress(metrics)
+            step += 1
+            if checkpoint_path and checkpoint_every and step % checkpoint_every == 0:
+                md.save_checkpoint(str(checkpoint_path).format(step=step),
+                                   cfg, params, ema,
+                                   {"step": step, "objective": tcfg.objective})
+            if max_steps is not None and step >= max_steps:
                 break
     finally:
         if out is not None:
@@ -485,5 +472,4 @@ def run_training(dataset: DeskDataset, cfg: md.ModelConfig, tcfg: TrainConfig,
     if checkpoint_path:
         md.save_checkpoint(str(checkpoint_path).format(step=step), cfg, params,
                            ema, {"step": step, "objective": tcfg.objective})
-    return TrainResult(params=params, ema=ema, history=history, steps=step,
-                       final_eval=final_eval)
+    return TrainResult(params=params, ema=ema, history=history, steps=step)

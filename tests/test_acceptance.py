@@ -103,15 +103,6 @@ def _primitive_cases(i):
     yield "concat", case(
         lambda t: _weighted(ad.concat([t["a"], t["b"]], axis=0), i, "cat"),
         ("a", "b"), a=n(m, k), b=n(p, k))
-
-    def split_build(t):
-        parts = ad.split(t["a"], [1, k], axis=-1)
-        return ad.add(_weighted(parts[0], i, "split", 0),
-                      _weighted(parts[1], i, "split", 1))
-    yield "split", case(split_build, a=n(m, k + 1))
-
-    yield "softmax", case(lambda t: _weighted(ad.softmax(t["a"]), i, "sm"),
-                          a=n(m, 5))
     yield "silu", case(lambda t: _weighted(ad.silu(t["a"]), i, "silu"),
                        a=n(m, k))
     yield "rms_norm", case(

@@ -16,6 +16,11 @@ def run_cli(*argv):
     return cli.main([str(a) for a in argv])
 
 
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def train_args(out, objective="drm", steps=12, **extra):
     sets = {"tasks": 2, "augmentations": 2, "template_h": 4, "template_w": 4,
             "hidden_size": 16, "num_heads": 2, "num_layers": 1,
@@ -87,6 +92,13 @@ class TestConfig:
         with pytest.raises(cli.ConfigError, match="key=value"):
             cli.load_config_file(cfile)
 
+    def test_non_utf8_file_exits_config(self, tmp_path, capsys):
+        cfile = tmp_path / "c.cfg"
+        cfile.write_bytes("objective = drm  # caf\xe9\n".encode("latin-1"))
+        assert run_cli("train", "--out", tmp_path / "x",
+                       "--config", cfile) == cli.EXIT_CONFIG
+        assert_one_error_line(capsys)
+
 
 # ---------------------------------------------------------------------------
 # train
@@ -124,6 +136,21 @@ class TestTrain:
         code = run_cli("train", "--out", tmp_path / "x", "--set", "nope=1")
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("task", [
+        {"train": 5, "test": []},
+        {"train": [{"input": [[1, 2], [3]], "output": [[1, 2], [3, 4]]}],
+         "test": [{"input": [[1]], "output": [[1]]}]},
+        "not_utf8",
+    ], ids=["train_not_a_list", "ragged_grid", "not_utf8"])
+    def test_malformed_task_file_exits_data(self, tmp_path, capsys, task):
+        data = tmp_path / "task.json"
+        if task == "not_utf8":
+            data.write_bytes('{"caf\xe9": 1}'.encode("latin-1"))
+        else:
+            data.write_text(json.dumps(task))
+        assert run_cli("train", "--out", tmp_path / "x", "--data", data) == cli.EXIT_DATA
+        assert_one_error_line(capsys)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_numeric(self, tmp_path):
         code = run_cli(*train_args(tmp_path / "x", objective="trm",
@@ -143,6 +170,53 @@ def _nan_weight(ck):
     cfg, params, ema, meta = md.load_checkpoint(ck)
     params["q/b"][:] = np.nan
     md.save_checkpoint(ck, cfg, params, ema, meta)
+
+
+def _set_metadata(run, metadata):
+    for ck in (run / "checkpoints").glob("*.ltrm"):
+        cfg, params, ema, _ = md.load_checkpoint(ck)
+        md.save_checkpoint(ck, cfg, params, ema, metadata)
+
+
+def _drop_manifest_key(key):
+    def edit(path):
+        doc = json.loads(path.read_text())
+        *parents, last = key.split(".")
+        node = doc
+        for part in parents:
+            node = node[part]
+        del node[last]
+        path.write_text(json.dumps(doc))
+    return edit
+
+
+BAD_MANIFESTS = {
+    "truncated": lambda p: p.write_text(p.read_text()[:40]),
+    "not_an_object": lambda p: p.write_text("[]"),
+    "config_not_an_object": lambda p: p.write_text(
+        json.dumps({**json.loads(p.read_text()), "config": 5})),
+    "no_resolved": _drop_manifest_key("resolved"),
+    **{f"no_{key}": _drop_manifest_key(key) for key in cli.MANIFEST_KEYS},
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "render"])
+@pytest.mark.parametrize("bad", sorted(BAD_MANIFESTS))
+def test_malformed_manifest_is_data_error(drm_run, tmp_path, capsys, command, bad):
+    run = tmp_path / "run"
+    shutil.copytree(drm_run, run)
+    BAD_MANIFESTS[bad](run / cli.MANIFEST_NAME)
+    assert run_cli(command, run) == cli.EXIT_DATA
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["eval", "render"])
+def test_checkpoint_metadata_list_is_data_error(drm_run, tmp_path, capsys, command):
+    run = tmp_path / "run"
+    shutil.copytree(drm_run, run)
+    _set_metadata(run, ["drm"])
+    assert run_cli(command, run) == cli.EXIT_DATA
+    assert_one_error_line(capsys)
 
 
 class TestEval:
@@ -214,6 +288,14 @@ class TestRender:
         assert len(sizes) == 1
         # the final frame remasks nothing, so it carries no cross overlays
         assert "<line" not in (out / "step_004.svg").read_text()
+
+    def test_empty_metadata_falls_back_to_the_manifest(self, drm_run, tmp_path):
+        run = tmp_path / "run"
+        shutil.copytree(drm_run, run)
+        _set_metadata(run, {})
+        out = tmp_path / "frames"
+        assert run_cli("render", run, "--num-denoise-steps", "2", "--out", out) == 0
+        assert len(list(out.glob("step_*.svg"))) == 2
 
     def test_trm_checkpoint_rejected_with_explanation(self, trm_run, capsys):
         assert run_cli("render", trm_run) == cli.EXIT_CONFIG

@@ -212,11 +212,19 @@ class TestRemask:
         streams = [rng_for(4, "s", i) for i in range(2)]
         for g in streams:  # the timestep ladder is drawn first
             sample_timesteps(2, g)
-        pt = md.wrap_parameters(params, requires_grad=False)
+        pt = md.wrap_parameters(params)
         with ad.no_grad():
             want = md.label_state(pt, cfg, np.where(masks, MASK, PAD), streams)
         assert seen[0][0].tobytes() == want.y.value.tobytes()
         assert seen[0][1].tobytes() == want.z.value.tobytes()
+
+    def test_zero_cycles_rejected(self):
+        # a remask iteration is a drm training window, which needs a cycle
+        ds, cfg, params = tiny_setup()
+        case = ds.eval_cases[0]
+        with pytest.raises(inf.InferenceError, match="cycles"):
+            inf.generate_remask(case.input_tokens, case.loss_mask, case.row,
+                                params, cfg, 2, rng_for(0, "r"), cycles=0)
 
     def test_copy_model_returns_input(self, copy_setup, drm_copy):
         ds, cfg = copy_setup

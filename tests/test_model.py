@@ -69,7 +69,7 @@ def test_label_table_has_mask_row():
 
 def test_embed_input_symmetry_and_task_isolation():
     cfg, params = tiny_setup()
-    pt = md.wrap_parameters(params, requires_grad=False)
+    pt = md.wrap_parameters(params)
     tokens = np.full((1, cfg.seq_len), 10, dtype=np.int64)  # all PAD
     rows0 = np.zeros(1, dtype=np.int64)
     out = md.embed_input(pt, cfg, tokens, rows0).value
@@ -85,7 +85,7 @@ def test_embed_input_symmetry_and_task_isolation():
 
 def test_embed_input_rejects_mask_tokens():
     cfg, params = tiny_setup()
-    pt = md.wrap_parameters(params, requires_grad=False)
+    pt = md.wrap_parameters(params)
     tokens = np.full((1, cfg.seq_len), 11, dtype=np.int64)
     with pytest.raises(md.ModelError):
         md.embed_input(pt, cfg, tokens, np.zeros(1, dtype=np.int64))
@@ -93,7 +93,7 @@ def test_embed_input_rejects_mask_tokens():
 
 def test_embed_input_unknown_task():
     cfg, params = tiny_setup()
-    pt = md.wrap_parameters(params, requires_grad=False)
+    pt = md.wrap_parameters(params)
     tokens = np.zeros((1, cfg.seq_len), dtype=np.int64)
     with pytest.raises(ad.ContractError):
         md.embed_input(pt, cfg, tokens, np.array([99]))
@@ -101,7 +101,7 @@ def test_embed_input_unknown_task():
 
 def test_embed_label_mask_rows():
     cfg, params = tiny_setup()
-    pt = md.wrap_parameters(params, requires_grad=False)
+    pt = md.wrap_parameters(params)
     all_mask = np.full((1, cfg.seq_len), 11, dtype=np.int64)
     out = md.embed_label(pt, cfg, all_mask).value
     assert np.all(out == params["embed/label"][11] * math.sqrt(cfg.hidden_size))
@@ -117,7 +117,7 @@ def test_embed_label_mask_rows():
 
 def test_label_and_input_tables_are_separate():
     cfg, params = tiny_setup()
-    pt = md.wrap_parameters(params, requires_grad=False)
+    pt = md.wrap_parameters(params)
     tokens = np.zeros((1, cfg.seq_len), dtype=np.int64)
     lab = md.embed_label(pt, cfg, tokens).value
     inp = md.embed_input(pt, cfg, tokens, np.zeros(1, dtype=np.int64)).value[:, 1:]
@@ -131,31 +131,36 @@ def batch_inputs(cfg, batch=2, seed=1):
     return tokens, rows
 
 
-def test_latent_step_deterministic_and_tied():
-    cfg, params = tiny_setup()
+def cycle_setup(seed=0, **kw):
+    cfg, params = tiny_setup(seed, **kw)
     pt = md.wrap_parameters(params)
     tokens, rows = batch_inputs(cfg)
     x = md.embed_input(pt, cfg, tokens, rows)
     state = md.init_state(pt, cfg, [rng_for(0, "st", i) for i in range(2)])
-    s1 = md.latent_step(pt, cfg, x, state)
-    s2 = md.latent_step(pt, cfg, x, state)
+    return cfg, pt, x, state
+
+
+def test_latent_step_deterministic_and_tied():
+    cfg, pt, x, state = cycle_setup()
+    s1, apps = md.run_cycles(pt, cfg, x, state, 1)
+    s2, _ = md.run_cycles(pt, cfg, x, state, 1)
+    assert apps == cfg.inner_steps + 1
     assert s1.z.value.tobytes() == s2.z.value.tobytes()
-    assert s1.y is state.y
-    # both steps read the very same weight tensors (tying is structural)
-    chain = md.latent_step(pt, cfg, x, s1)
-    nodes = ad.graph_nodes(chain.z)
+    assert s1.y.value.tobytes() == s2.y.value.tobytes()
+    # all n + 1 applications read the very same weight tensors (tying is
+    # structural): one shared leaf, not per-step copies
+    nodes = ad.graph_nodes(s1.y)
     leaves = [n for n in nodes if n.op == "phi/l0/attn/wq"]
-    assert len(leaves) == 1  # one shared leaf, not per-step copies
+    assert len(leaves) == 1
+    readers = [n for n in nodes if any(p is leaves[0] for p in n.parents)]
+    assert len(readers) == cfg.inner_steps + 1
 
 
 def test_gradients_reach_all_step_inputs():
-    cfg, params = tiny_setup(dtype=np.float64)
-    pt = md.wrap_parameters(params)
-    tokens, rows = batch_inputs(cfg)
-    x = md.embed_input(pt, cfg, tokens, rows)
-    state = md.init_state(pt, cfg, [rng_for(0, "st", i) for i in range(2)])
-    out = md.latent_step(pt, cfg, x, state)
-    loss = ad.mean_all(ad.multiply(out.z, out.z))
+    cfg, pt, x, state = cycle_setup(dtype=np.float64)
+    out, _ = md.run_cycles(pt, cfg, x, state, 1)
+    loss = ad.add(ad.mean_all(ad.multiply(out.y, out.y)),
+                  ad.mean_all(ad.multiply(out.z, out.z)))
     ad.backward(loss)
     for name in ("phi/l0/attn/wq", "phi/l0/mlp/w1", "embed/input", "embed/task",
                  "state/y0", "state/z0"):
@@ -164,11 +169,21 @@ def test_gradients_reach_all_step_inputs():
 
 
 def test_answer_step_single_z_identity():
-    cfg, params = tiny_setup(single_z=True)
-    pt = md.wrap_parameters(params)
-    state = md.init_state(pt, cfg, [rng_for(0, "st")])
-    out = md.answer_step(pt, cfg, state)
-    assert out is state
+    cfg, pt, x, state = cycle_setup(single_z=True)
+    out, apps = md.run_cycles(pt, cfg, x, state, 1)
+    assert out.y is state.y
+    assert apps == cfg.inner_steps
+
+
+def test_cycle_is_n_latent_steps_then_one_answer_step():
+    cfg, pt, x, state = cycle_setup()
+    out, _ = md.run_cycles(pt, cfg, x, state, 1)
+    y, z = state.y, state.z
+    for i in range(cfg.inner_steps):
+        z = md.phi_apply(pt, cfg, ad.add(ad.add(x, y), z), i)
+    y = md.phi_apply(pt, cfg, ad.add(y, z), cfg.inner_steps)
+    assert out.z.value.tobytes() == z.value.tobytes()
+    assert out.y.value.tobytes() == y.value.tobytes()
 
 
 def test_single_z_window_ignores_y_pathway():
@@ -242,7 +257,7 @@ def test_warmup_cycles_carry_zero_gradient():
 
 def test_decoding_is_position_local():
     cfg, params = tiny_setup()
-    pt = md.wrap_parameters(params, requires_grad=False)
+    pt = md.wrap_parameters(params)
     rng = rng_for(4, "dec")
     y = rng.normal(size=(1, cfg.seq_len + 1, cfg.hidden_size)).astype(np.float32)
     state = md.LatentState(ad.tensor(y), ad.tensor(np.zeros_like(y)))
@@ -260,7 +275,7 @@ def test_q_readout_is_batch_invariant():
     # one item's dot product; each item's q must not depend on its batch
     cfg, params = tiny_setup(hidden_size=128, num_heads=4)
     params["q/b"][:] = 0.0  # the -5 start bias would round the last bit away
-    pt = md.wrap_parameters(params, requires_grad=False)
+    pt = md.wrap_parameters(params)
     rng = rng_for(6, "q")
     y = rng.standard_normal((8, cfg.seq_len + 1, 128)).astype(np.float32)
     with ad.no_grad():
@@ -411,10 +426,10 @@ def _header(**config):
             "arrays": [{"name": "q/b", "shape": [1]}]}
 
 
-def _full_checkpoint(shapes=None, ema_value=None) -> bytes:
+def _full_checkpoint(shapes=None, ema_value=None, metadata=None) -> bytes:
     """Every array the tiny config builds, zero-filled, with `shapes`
-    overriding some shapes and, given `ema_value`, an ema copy filled
-    with it."""
+    overriding some shapes, given `ema_value`, an ema copy filled with it,
+    and `metadata` in the header (default {})."""
     cfg = tiny_cfg()
     named = {n: np.zeros(s) for n, s in {**md.parameter_shapes(cfg),
                                          **(shapes or {})}.items()}
@@ -422,7 +437,7 @@ def _full_checkpoint(shapes=None, ema_value=None) -> bytes:
         named.update({f"ema/{n}": np.full(a.shape, ema_value)
                       for n, a in list(named.items())})
     order = sorted(named)
-    header = {"config": cfg.to_dict(), "metadata": {},
+    header = {"config": cfg.to_dict(), "metadata": {} if metadata is None else metadata,
               "arrays": [{"name": n, "shape": list(named[n].shape)} for n in order]}
     return _checkpoint_bytes(header) + b"".join(named[n].astype("<f4").tobytes()
                                                 for n in order)
@@ -450,9 +465,10 @@ def test_checkpoint_with_every_array_loads(tmp_path):
     _checkpoint_bytes(_header()) + struct.pack("<f", -5.0),
     _full_checkpoint(shapes={"q/w": (16, 2)}),
     _full_checkpoint(ema_value=np.nan),
+    _full_checkpoint(metadata=["drm"]),
 ], ids=["short", "bad_json", "bad_utf8", "header_not_dict", "no_arrays",
         "no_config", "unknown_key", "invalid_config", "truncated_array",
-        "only_q_bias", "wrong_shape", "nan_value"])
+        "only_q_bias", "wrong_shape", "nan_value", "metadata_list"])
 def test_checkpoint_malformed_bytes_raise_checkpoint_error(tmp_path, raw):
     p = tmp_path / "bad.ltrm"
     p.write_bytes(raw)

@@ -68,6 +68,38 @@ def test_malformed_json(tmp_path):
         tk.load_arc_json(p)
 
 
+@pytest.mark.parametrize("raw", [
+    json.dumps({"train": 5, "test": GOOD_TASK["test"]}).encode(),
+    json.dumps({"train": [{"input": [[1, 2], [3]], "output": [[1]]}],
+                "test": GOOD_TASK["test"]}).encode(),
+    '{"train": [], "test": [], "caf\xe9": 1}'.encode("latin-1"),
+], ids=["train_not_a_list", "ragged_grid", "not_utf8"])
+def test_malformed_task_file_raises_task_error(tmp_path, raw):
+    p = tmp_path / "bad.json"
+    p.write_bytes(raw)
+    with pytest.raises(tk.TaskError):
+        tk.load_arc_json(p)
+
+
+# any JSON document; keys and small integers lean towards task structure
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 10) | st.integers()
+    | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["train", "test", "input", "output", "x"]), inner,
+        max_size=4),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_parse_task_returns_task_or_raises_task_error(obj):
+    try:
+        assert isinstance(tk.parse_task(obj, "fuzz"), tk.Task)
+    except tk.TaskError:
+        pass
+
+
 def test_too_many_test_pairs(tmp_path):
     obj = {"train": GOOD_TASK["train"], "test": GOOD_TASK["test"] * 4}
     p = write_task(tmp_path, "many", obj)

@@ -439,7 +439,7 @@ def test_perturbed_recursion_stays_finite_over_many_windows():
     # the normalisation inside the operator must keep the state bounded
     cfg = tiny_cfg(seq_len=6)
     params = md.Parameters.init(cfg, rng_for(40, "init"))
-    pt = md.wrap_parameters(params, requires_grad=False)
+    pt = md.wrap_parameters(params)
     sched = BetaSchedule()
     rng = rng_for(40, "soak")
     tokens = rng_for(40, "tok").integers(0, 10, size=(1, 6))
@@ -688,24 +688,6 @@ def test_run_training_is_deterministic(tmp_path):
     for p in paths:
         run_training(ds, cfg, tcfg, seed=92, metrics_path=p, max_steps=3)
     assert paths[0].read_bytes() == paths[1].read_bytes()
-
-
-def test_run_training_early_stops_on_eval_target():
-    ds = desk_dataset()
-    cfg = tiny_cfg(seq_len=9, num_tasks=ds.num_rows, max_halt_steps=1)
-    tcfg = TrainConfig(objective="trm", max_halt_steps=1, batch_size=4,
-                       epochs=50, warmup_steps=2)
-    seen = []
-
-    def eval_fn(p):
-        seen.append(p)
-        return 1.0
-
-    result = run_training(ds, cfg, tcfg, seed=93, eval_fn=eval_fn, eval_every=2,
-                          eval_target=0.9)
-    assert result.steps == 2
-    assert result.final_eval == 1.0
-    assert seen[0] is result.ema
 
 
 def test_run_training_validates_dataset_fit():
