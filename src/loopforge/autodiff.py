@@ -61,8 +61,10 @@ class Tensor:
     """One graph node: forward value plus enough to run backward through it.
 
     `adjoint` stays None until `backward` reaches the node; an untouched
-    node therefore has an exactly-zero gradient by construction.  Stop
-    gradient nodes keep a `detached` reference to their operand so tests
+    node therefore has an exactly-zero gradient by construction.  Only a
+    leaf keeps its adjoint after backward: an interior node's adjoint is
+    transient, dropped as soon as its vjp has consumed it.  Nodes made by
+    `stop_gradient` keep a `detached` reference to their operand so tests
     can audit what sits behind a boundary, but backward never follows it.
     """
 
@@ -488,7 +490,8 @@ def mean_all(a: Tensor) -> Tensor:
 
 def stop_gradient(a: Tensor) -> Tensor:
     """Identity forward, zero backward.  The result is a leaf; the operand
-    stays reachable through `.detached` for inspection only."""
+    stays reachable through `.detached` for inspection only, which keeps
+    the operand's whole graph alive for as long as the result lives."""
     return Tensor(a.value, parents=(), vjp=None, requires_grad=False,
                   op="stop_gradient", detached=a)
 
@@ -517,7 +520,11 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 
 def backward(root: Tensor) -> None:
-    """Populate `.adjoint` on every gradient-reachable node under root."""
+    """Populate `.adjoint` on every gradient-reachable leaf under root.
+
+    Interior adjoints are freed as soon as their vjp has run, so backward
+    holds only the frontier of adjoints still to be propagated; after it
+    returns, every node with a vjp reads `adjoint is None`."""
     if root.value.size != 1:
         raise ContractError(f"backward: root must be scalar, got shape {root.shape}")
     if not np.all(np.isfinite(root.value)):
@@ -530,6 +537,7 @@ def backward(root: Tensor) -> None:
         if node.vjp is None:
             continue
         grads = node.vjp(node.adjoint)
+        node.adjoint = None
         for parent, g in zip(node.parents, grads):
             if g is None or not parent.requires_grad:
                 continue

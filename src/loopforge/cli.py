@@ -113,13 +113,17 @@ def default_config() -> dict:
     return {k: v for k, (v, _) in CONFIG_KEYS.items()}
 
 
-def _set_key(cfgmap: dict, key: str, raw: str) -> None:
+def _parse_key(key: str, raw):
+    """The value of one config key.  raw is a config-file value, or a JSON
+    value from a manifest, which is parsed as its JSON text."""
+    if not isinstance(raw, str):
+        raw = json.dumps(raw)
     if key not in CONFIG_KEYS:
         raise ConfigError(f"unknown config key {key!r}; valid keys: "
                           + ", ".join(sorted(CONFIG_KEYS)))
     _, parse = CONFIG_KEYS[key]
     try:
-        cfgmap[key] = parse(raw)
+        return parse(raw)
     except ValueError as e:
         raise ConfigError(f"bad value for {key}: {e}") from e
 
@@ -137,7 +141,7 @@ def load_config_file(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{ln}: expected key=value, got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
-        _set_key(cfgmap, key, raw)
+        cfgmap[key] = _parse_key(key, raw)
     return cfgmap
 
 
@@ -148,7 +152,7 @@ def resolve_config(args) -> dict:
         if "=" not in kv:
             raise ConfigError(f"--set takes key=value, got {kv!r}")
         key, raw = (part.strip() for part in kv.split("=", 1))
-        _set_key(cfgmap, key, raw)
+        cfgmap[key] = _parse_key(key, raw)
     for flag, key in (("objective", "objective"), ("seed", "seed"),
                       ("steps", "steps"), ("grid", "grid"),
                       ("family", "family"), ("augmentations", "augmentations"),
@@ -157,6 +161,8 @@ def resolve_config(args) -> dict:
         value = getattr(args, flag, None)
         if value is not None:
             cfgmap[key] = value
+    if cfgmap["steps"] is not None and cfgmap["steps"] < 1:
+        raise ConfigError(f"steps must be >= 1, got {cfgmap['steps']}")
     return cfgmap
 
 
@@ -223,8 +229,8 @@ def _claim_run_dir(out_dir: Path) -> None:
 
 
 def _write_manifest(out_dir: Path, payload: dict) -> None:
-    (out_dir / MANIFEST_NAME).write_text(json.dumps(payload, indent=2,
-                                                    sort_keys=True) + "\n")
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    md.write_atomic(out_dir / MANIFEST_NAME, [text.encode("utf-8")])
 
 
 # what eval and render read from a manifest
@@ -293,9 +299,16 @@ def execute_training(cfgmap: dict, out_dir: Path, progress=None):
 
 
 def _load_run(run_dir: Path):
+    """The manifest, with its config and seed parsed as config-file lines
+    are, and the regenerated dataset it was trained on."""
     manifest = read_manifest(run_dir)
     cfgmap = default_config()
-    cfgmap.update(manifest["config"])
+    try:
+        for key, value in manifest["config"].items():
+            cfgmap[key] = _parse_key(key, value)
+        manifest["seed"] = _parse_key("seed", manifest["seed"])
+    except ConfigError as e:
+        raise TaskError(f"{run_dir}: manifest {e}") from e
     dataset = build_desk_dataset(cfgmap)
     if dataset_hash(dataset.tasks) != manifest["dataset_hash"]:
         raise TaskError(f"{run_dir}: regenerated dataset does not match the "

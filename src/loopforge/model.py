@@ -15,12 +15,14 @@ header, then the raw float32 arrays in sorted name order.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -313,9 +315,10 @@ def run_window(pt: dict, cfg: ModelConfig, x: ad.Tensor, state: LatentState,
 
 
 def _carry(t: ad.Tensor, staying: np.ndarray) -> ad.Tensor:
-    """The surviving rows of t behind a stop_gradient boundary."""
+    """The surviving rows of t as a fresh leaf: a stop_gradient boundary
+    with no back-edge, so the window that made t can be freed."""
     value = t.value if staying.all() else t.value[staying]
-    return ad.Tensor(value, op="stop_gradient", detached=t)
+    return ad.Tensor(value, op="stop_gradient")
 
 
 def halting_windows(params: Parameters, cfg: ModelConfig, inputs: np.ndarray,
@@ -335,7 +338,10 @@ def halting_windows(params: Parameters, cfg: ModelConfig, inputs: np.ndarray,
     exits once its q logit is positive, and every window carries gradient;
     without it only the last window does, since no item can exit earlier.
     Survivors carry (y, z) across a stop_gradient boundary, passed through
-    perturb(y, z, w, active) when given.
+    perturb(y, z, w, active) when given.  Nothing carried points back at
+    the window's graph, and the generator drops its logits and q before
+    the next window runs, so once the caller has dropped its references
+    too only one window's graph is alive at a time.
     """
     inputs, rows = np.asarray(inputs), np.asarray(rows)
     active = np.arange(rows.size)
@@ -350,6 +356,7 @@ def halting_windows(params: Parameters, cfg: ModelConfig, inputs: np.ndarray,
                                       with_gradient=halt_early or last)
         exiting = (q.value > 0) | last if halt_early else np.full(active.size, last)
         yield w, active, pt, logits, q, exiting
+        del logits, q
         staying = ~exiting
         if not staying.any():
             return
@@ -366,7 +373,6 @@ def halting_windows(params: Parameters, cfg: ModelConfig, inputs: np.ndarray,
 
 def save_checkpoint(path, cfg: ModelConfig, params: Parameters,
                     ema: Parameters | None, metadata: dict | None = None) -> None:
-    path = Path(path)
     named: dict[str, np.ndarray] = dict(params.arrays)
     if ema is not None:
         named.update({f"ema/{k}": v for k, v in ema.arrays.items()})
@@ -377,13 +383,24 @@ def save_checkpoint(path, cfg: ModelConfig, params: Parameters,
         "arrays": [{"name": n, "shape": list(named[n].shape)} for n in order],
     }
     blob = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        for n in order:
-            f.write(np.ascontiguousarray(named[n], dtype="<f4").tobytes())
+    head = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(blob)), blob]
+    arrays = (np.ascontiguousarray(named[n], dtype="<f4").tobytes() for n in order)
+    write_atomic(path, itertools.chain(head, arrays))
+
+
+def write_atomic(path, chunks: Iterable[bytes]) -> None:
+    """Write chunks to a temp file beside path, then rename it over path:
+    a crash leaves the old file or the new one, never a partial one.  The
+    temp name ends in .tmp, so it matches no *.ltrm glob."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, Parameters, Parameters | None, dict]:

@@ -314,8 +314,7 @@ def _sprm_perturber(sched: BetaSchedule, seed: int, step_index: int) -> Callable
             yv[j] = perturb_latent(y.value[j], tau, sched, s)
             tau = int(s.integers(1, sched.num_steps + 1))
             zv[j] = perturb_latent(z.value[j], tau, sched, s)
-        return (ad.Tensor(yv, op="perturb", detached=y.detached),
-                ad.Tensor(zv, op="perturb", detached=z.detached))
+        return ad.Tensor(yv, op="perturb"), ad.Tensor(zv, op="perturb")
     return perturber
 
 
@@ -330,7 +329,8 @@ def train_step(batch: Batch, params: md.Parameters, cfg: md.ModelConfig,
                audit: list | None = None) -> StepMetrics:
     """Run the objective's windows over one batch, with one optimizer step
     per supervised window.  `audit`, when given, collects each supervised
-    window's graph nodes, loss and active count."""
+    window's graph nodes, loss and active count; it keeps those graphs
+    alive, which plain training does not."""
     warm, grad_cycles = check_objective(cfg, tcfg)
     obj = tcfg.objective
     B = batch.rows.size
@@ -382,11 +382,11 @@ def train_step(batch: Batch, params: md.Parameters, cfg: md.ModelConfig,
         correct += int(parts.correct[exiting].sum())
         exact += int(parts.match[exiting].sum())
         if audit is not None:
-            nodes = ad.graph_nodes(loss)
-            audit.append({"window": w, "nodes": nodes,
+            audit.append({"window": w, "nodes": ad.graph_nodes(loss),
                           "loss": float(loss.value), "active": int(active.size)})
-            for node in nodes:
-                node.adjoint = None
+        # the generator builds the next window on resuming; holding this
+        # window's graph through it would double the peak
+        del loss, logits, q, pt
 
     return StepMetrics(
         step=step_index,
@@ -425,6 +425,8 @@ def run_training(dataset: DeskDataset, cfg: md.ModelConfig, tcfg: TrainConfig,
     """Epochs over the packed training examples, up to max_steps steps;
     checkpoints carry the EMA shadow next to the weights."""
     check_objective(cfg, tcfg)
+    if max_steps is not None and max_steps < 1:
+        raise TrainingError(f"max_steps must be >= 1, got {max_steps}")
     if cfg.num_tasks < dataset.num_rows:
         raise TrainingError(
             f"model has {cfg.num_tasks} task rows but the dataset needs "

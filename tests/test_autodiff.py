@@ -226,6 +226,30 @@ def test_transformer_block_composition():
     })
 
 
+def test_backward_keeps_only_leaf_adjoints():
+    # interior adjoints are dropped once their vjp has run; the leaves,
+    # which gradient() and the optimizer read, keep theirs
+    r = rng(27)
+    d, H = 8, 2
+    x = ad.tensor(r.normal(size=(2, 4, d)))
+    w = {n: ad.tensor(r.normal(size=(d, d)) / np.sqrt(d), requires_grad=True, op=n)
+         for n in ("wq", "wk", "wv", "wo")}
+    gain = ad.tensor(np.ones(d), requires_grad=True, op="gain")
+    q = ad.rope(ad.matmul(x, w["wq"]), H)
+    k = ad.rope(ad.matmul(x, w["wk"]), H)
+    att = ad.matmul(ad.attention(q, k, ad.matmul(x, w["wv"]), H), w["wo"])
+    h = ad.rms_norm(ad.add(att, att), gain)
+    loss = ad.mean_all(ad.softmax_cross_entropy(ad.silu(h), np.zeros((2, 4), int)))
+    ad.backward(loss)
+    nodes = ad.graph_nodes(loss)
+    interior = [n for n in nodes if n.vjp is not None]
+    assert len(interior) > 10 and loss in interior
+    assert [n.op for n in interior if n.adjoint is not None] == []
+    for leaf in [*w.values(), gain]:
+        assert leaf.adjoint is not None and np.any(leaf.adjoint), leaf.op
+    assert x.adjoint is None
+
+
 def test_stop_gradient_blocks_branch():
     r = rng(25)
     a0 = r.normal(size=(3, 3))

@@ -151,6 +151,13 @@ class TestTrain:
         assert run_cli("train", "--out", tmp_path / "x", "--data", data) == cli.EXIT_DATA
         assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_non_positive_steps_exits_config(self, tmp_path, capsys, steps):
+        out = tmp_path / "x"
+        assert run_cli(*train_args(out, steps=steps)) == cli.EXIT_CONFIG
+        assert_one_error_line(capsys)
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_numeric(self, tmp_path):
         code = run_cli(*train_args(tmp_path / "x", objective="trm",
@@ -178,14 +185,18 @@ def _set_metadata(run, metadata):
         md.save_checkpoint(ck, cfg, params, ema, metadata)
 
 
-def _drop_manifest_key(key):
+def _edit_manifest(key, *value):
+    """Drop a dotted key from the manifest, or set it to value."""
     def edit(path):
         doc = json.loads(path.read_text())
         *parents, last = key.split(".")
         node = doc
         for part in parents:
             node = node[part]
-        del node[last]
+        if value:
+            node[last] = value[0]
+        else:
+            del node[last]
         path.write_text(json.dumps(doc))
     return edit
 
@@ -195,8 +206,11 @@ BAD_MANIFESTS = {
     "not_an_object": lambda p: p.write_text("[]"),
     "config_not_an_object": lambda p: p.write_text(
         json.dumps({**json.loads(p.read_text()), "config": 5})),
-    "no_resolved": _drop_manifest_key("resolved"),
-    **{f"no_{key}": _drop_manifest_key(key) for key in cli.MANIFEST_KEYS},
+    "no_resolved": _edit_manifest("resolved"),
+    **{f"no_{key}": _edit_manifest(key) for key in cli.MANIFEST_KEYS},
+    "grid_not_an_int": _edit_manifest("config.grid", "x"),
+    "seed_not_an_int": _edit_manifest("seed", "abc"),
+    "unknown_config_key": _edit_manifest("config.nope", 1),
 }
 
 
@@ -208,6 +222,45 @@ def test_malformed_manifest_is_data_error(drm_run, tmp_path, capsys, command, ba
     BAD_MANIFESTS[bad](run / cli.MANIFEST_NAME)
     assert run_cli(command, run) == cli.EXIT_DATA
     assert_one_error_line(capsys)
+
+
+class _HalfWrite:
+    """A file whose first write stores half its bytes, then fails."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.f.write(data[:len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+
+def test_failed_writes_leave_earlier_files_intact(drm_run, tmp_path, monkeypatch):
+    run = tmp_path / "run"
+    shutil.copytree(drm_run, run)
+    snapshot = lambda: {p.relative_to(run): p.read_bytes()
+                        for p in run.rglob("*") if p.is_file()}
+    before = snapshot()
+    ck_dir = run / "checkpoints"
+    cfg, params, ema, _ = md.load_checkpoint(ck_dir / "step_000012.ltrm")
+    manifest = json.loads((run / cli.MANIFEST_NAME).read_text())
+    real_open = open
+    monkeypatch.setattr(md, "open", lambda path, mode="r": _HalfWrite(real_open(path, mode)),
+                        raising=False)
+    # overwrite an existing checkpoint, write a new one, rewrite the manifest
+    for name in ("step_000012.ltrm", "step_000018.ltrm"):
+        with pytest.raises(OSError):
+            md.save_checkpoint(ck_dir / name, cfg, params, ema, {"step": 18})
+    with pytest.raises(OSError):
+        cli._write_manifest(run, {**manifest, "steps_run": 18})
+    monkeypatch.undo()
+    assert snapshot() == before
 
 
 @pytest.mark.parametrize("command", ["eval", "render"])

@@ -1,5 +1,6 @@
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -250,8 +251,11 @@ def test_step_trm_single_window_no_carry():
 
 
 def test_step_trm_two_window_detach_audit():
+    # no warm-up cycle, so the carried state feeds window 1's gradient
+    # cycle directly and only the carry's boundary can cut the path
     cfg = tiny_cfg(max_halt_steps=2)
-    tcfg = TrainConfig(objective="trm", max_halt_steps=2, warmup_steps=0)
+    tcfg = TrainConfig(objective="trm", max_halt_steps=2, warmup_steps=0,
+                       warmup_cycles=0)
     params, _, opt = fresh(cfg, tcfg)
     audit: list = []
     m = tr.train_step(toy_batch(), params, cfg, tcfg, opt, seed=5, step_index=0,
@@ -260,10 +264,34 @@ def test_step_trm_two_window_detach_audit():
     assert [a["window"] for a in audit] == [0, 1]
     assert opt.t == 2
     assert m.halt_histogram == [0, 3]
-    # every node of the first window's graph kept a zero adjoint while the
-    # second window trained: the detach boundary held
-    for node in audit[0]["nodes"]:
-        assert node.adjoint is None or not np.any(node.adjoint)
+    # no node of the first window's graph is reachable from the second
+    # window's loss: the detach boundary held
+    first = {id(n) for n in audit[0]["nodes"]}
+    assert not any(id(n) in first for n in audit[1]["nodes"])
+
+
+def test_step_trm_frees_each_window_before_the_next(monkeypatch):
+    # a weakref to an array that only a window's graph holds: the residual
+    # sum inside the last block of y; it must be gone when the next
+    # window's forward starts
+    cfg = tiny_cfg(max_halt_steps=3)
+    tcfg = TrainConfig(objective="trm", max_halt_steps=3, warmup_steps=0)
+    params, _, opt = fresh(cfg, tcfg)
+    refs: list = []
+    alive: list = []
+    run_window = md.run_window
+
+    def spy(*args, **kwargs):
+        alive.append([r() is not None for r in refs])
+        state, logits, q = run_window(*args, **kwargs)
+        refs.append(weakref.ref(state.y.parents[0].value))
+        return state, logits, q
+
+    monkeypatch.setattr(md, "run_window", spy)
+    m = tr.train_step(toy_batch(), params, cfg, tcfg, opt, seed=5, step_index=0)
+    assert m.halt_histogram == [0, 0, 3]
+    assert alive == [[], [False], [False, False]]
+    assert refs[-1]() is None
 
 
 def test_step_trm_early_exit_on_positive_q():
@@ -697,6 +725,17 @@ def test_run_training_validates_dataset_fit():
     with pytest.raises(TrainingError):
         run_training(ds, tiny_cfg(seq_len=4, num_tasks=ds.num_rows),
                      TrainConfig(), seed=1)
+
+
+@pytest.mark.parametrize("max_steps", [0, -1])
+def test_run_training_rejects_non_positive_max_steps(tmp_path, max_steps):
+    ds = desk_dataset()
+    cfg = tiny_cfg(seq_len=9, num_tasks=ds.num_rows, max_halt_steps=2)
+    metrics_path = tmp_path / "metrics.jsonl"
+    with pytest.raises(TrainingError, match="max_steps"):
+        run_training(ds, cfg, TrainConfig(max_halt_steps=2), seed=1,
+                     metrics_path=metrics_path, max_steps=max_steps)
+    assert not metrics_path.exists()
 
 
 # ---------------------------------------------------------------------------
