@@ -66,6 +66,11 @@ class Tensor:
     transient, dropped as soon as its vjp has consumed it.  Nodes made by
     `stop_gradient` keep a `detached` reference to their operand so tests
     can audit what sits behind a boundary, but backward never follows it.
+
+    A vjp closure keeps the operand values, which the graph holds anyway,
+    and small per-row factors.  Full-size intermediates that are cheap to
+    rebuild, such as attention's scores and silu's sigmoid, are recomputed
+    in backward rather than kept for every application of the block.
     """
 
     __slots__ = ("value", "parents", "vjp", "adjoint", "requires_grad", "op", "detached")
@@ -121,8 +126,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Value-level logistic function; the tanh form saturates instead of
-    overflowing."""
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+    overflowing.  Built in one buffer; a scalar argument gives a 0-d array."""
+    s = np.asarray(np.multiply(x, 0.5))
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +264,24 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
 
 
 def silu(a: Tensor) -> Tensor:
-    s = sigmoid(a.value)
-    value = a.value * s
+    """x * sigmoid(x).  The node keeps only its input: backward recomputes
+    the sigmoid rather than holding a full-size copy of it per application."""
+    av = a.value
+    value = sigmoid(av)
+    value *= av
     if not _needs_grad(a):
         return Tensor(value, op="silu")
-    av = a.value
-    return Tensor(value, (a,), lambda g: (g * (s * (1.0 + av * (1.0 - s))),), True, "silu")
+
+    def vjp(g):
+        s = sigmoid(av)
+        out = np.subtract(1.0, s)   # g * (s * (1 + av * (1 - s))), one buffer
+        out *= av
+        out += 1.0
+        out *= s
+        out *= g
+        return (out,)
+
+    return Tensor(value, (a,), vjp, True, "silu")
 
 
 RMS_NORM_EPS = 1e-6
@@ -272,16 +293,26 @@ def rms_norm(a: Tensor, gain: Tensor) -> Tensor:
     if gain.shape != (d,):
         raise ShapeError(f"rms_norm: gain shape {gain.shape} does not match feature dim {d}")
     x, gv = a.value, gain.value
-    r = 1.0 / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + RMS_NORM_EPS)
-    value = x * r * gv
+    value = np.square(x)
+    r = 1.0 / np.sqrt(np.mean(value, axis=-1, keepdims=True) + RMS_NORM_EPS)
+    np.multiply(x, r, out=value)
+    value *= gv
     if not _needs_grad(a, gain):
         return Tensor(value, op="rms_norm")
 
     def vjp(g):
-        gg = g * gv
-        ga = r * gg - (r ** 3 / d) * x * (gg * x).sum(axis=-1, keepdims=True)
-        ggain = (g * x * r).reshape(-1, d).sum(axis=0)
-        return ga, ggain
+        # ga = r * gg - (r ** 3 / d) * x * sum(gg * x) and ggain = sum(g * x * r),
+        # in two full-size buffers
+        ga = g * gv
+        tmp = np.multiply(ga, x)
+        dot = tmp.sum(axis=-1, keepdims=True)
+        np.multiply(r ** 3 / d, x, out=tmp)
+        tmp *= dot
+        ga *= r
+        ga -= tmp
+        np.multiply(g, x, out=tmp)
+        tmp *= r
+        return ga, tmp.reshape(-1, d).sum(axis=0)
 
     return Tensor(value, (a, gain), vjp, True, "rms_norm")
 
@@ -347,8 +378,13 @@ def rope(a: Tensor, num_heads: int) -> Tensor:
     xh = a.value.reshape(*lead, M, num_heads, hd)
     x1, x2 = xh[..., :half], xh[..., half:]
     out = np.empty_like(xh)
-    out[..., :half] = x1 * cos - x2 * sin
-    out[..., half:] = x1 * sin + x2 * cos
+    o1, o2 = out[..., :half], out[..., half:]
+    np.multiply(x1, cos, out=o1)        # o1 = x1 * cos - x2 * sin
+    tmp = x2 * sin
+    o1 -= tmp
+    np.multiply(x1, sin, out=o2)        # o2 = x1 * sin + x2 * cos
+    np.multiply(x2, cos, out=tmp)
+    o2 += tmp
     value = out.reshape(a.shape)
     if not _needs_grad(a):
         return Tensor(value, op="rope")
@@ -358,8 +394,14 @@ def rope(a: Tensor, num_heads: int) -> Tensor:
         gh = g.reshape(*lead, M, num_heads, hd)
         g1, g2 = gh[..., :half], gh[..., half:]
         back = np.empty_like(gh)
-        back[..., :half] = g1 * cos + g2 * sin
-        back[..., half:] = -g1 * sin + g2 * cos
+        b1, b2 = back[..., :half], back[..., half:]
+        np.multiply(g1, cos, out=b1)    # b1 = g1 * cos + g2 * sin
+        tmp = g2 * sin
+        b1 += tmp
+        np.negative(g1, out=b2)         # b2 = -g1 * sin + g2 * cos
+        b2 *= sin
+        np.multiply(g2, cos, out=tmp)
+        b2 += tmp
         return (back.reshape(src),)
 
     return Tensor(value, (a,), vjp, True, "rope")
@@ -376,6 +418,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
     scaled by head_dim ** -0.5, softmax over keys, heads merged back.
     The scale is a Python float folded into q, so the result keeps the
     operands' dtype; softmax and its backward each run in one buffer.
+    The node keeps neither the (B, H, M, M) probabilities nor the scaled
+    q: backward rebuilds both from q and k with the forward's own ops, so
+    its gradients are the ones the stored arrays would give, bit for bit.
     """
     if not (q.shape == k.shape == v.shape):
         raise ShapeError(f"attention: q/k/v shapes differ: {q.shape}, {k.shape}, {v.shape}")
@@ -393,16 +438,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
     def merge(x):
         return x.transpose(0, 2, 1, 3).reshape(B, M, d)
 
-    qs, kh, vh = heads(q.value) * alpha, heads(k.value), heads(v.value)
-    p = np.matmul(qs, kh.swapaxes(-1, -2))
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    def softmax_scores():
+        qs, kh = heads(q.value) * alpha, heads(k.value)
+        p = np.matmul(qs, kh.swapaxes(-1, -2))
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        return qs, kh, p
+
+    _, _, p = softmax_scores()
+    vh = heads(v.value)
     value = merge(np.matmul(p, vh))
     if not _needs_grad(q, k, v):
         return Tensor(value, op="attention")
 
     def vjp(g):
+        qs, kh, p = softmax_scores()
         gh = heads(g)
         gv = np.matmul(p.swapaxes(-1, -2), gh)
         gp = np.matmul(gh, vh.swapaxes(-1, -2))

@@ -294,37 +294,6 @@ def generate_synthetic(family: str, grid_size: int, num_tasks: int, seed: int) -
     return tasks
 
 
-def family_rule_holds(family: str, task: Task) -> bool:
-    """Check every pair of a synthetic task against its family's rule."""
-    for inp, out in task.train_pairs + task.test_pairs:
-        if family == "copy":
-            good = np.array_equal(out, inp)
-        elif family == "recolor_map":
-            # recover the mapping from the first train pair, then check
-            ref_in, ref_out = task.train_pairs[0]
-            lut = np.full(NUM_COLOURS, -1)
-            lut[ref_in.ravel()] = ref_out.ravel()
-            seen = lut[inp.ravel()]
-            good = np.all((seen == out.ravel()) | (seen == -1))
-        elif family == "hmirror":
-            good = np.array_equal(out, np.fliplr(inp))
-        elif family == "border_fill":
-            c = out[0, 0]
-            want = inp.copy()
-            want[0, :] = want[-1, :] = want[:, 0] = want[:, -1] = c
-            good = np.array_equal(out, want)
-        elif family == "translate_object":
-            good = np.count_nonzero(inp) == np.count_nonzero(out)
-        elif family == "mini_sudoku4":
-            sols = solve_sudoku4(inp)
-            good = len(sols) == 1 and np.array_equal(sols[0], out)
-        else:
-            raise TaskError(f"unknown family {family!r}")
-        if not good:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # augmentation: colour permutation x dihedral x template translation
 

@@ -125,6 +125,8 @@ class StepMetrics:
             "q_loss": self.q_loss,
             "token_accuracy": self.token_accuracy,
             "exact_match_rate": self.exact_match_rate,
+            "halt_histogram": self.halt_histogram,
+            "grad_norm": self.grad_norm,
             "skipped_updates": self.skipped_updates,
         }
 

@@ -417,3 +417,118 @@ def test_primitive_keeps_operand_dtype(op, dtype):
     grads = out.vjp(np.asarray(r.normal(size=out.shape), dtype=dtype))
     assert len(grads) == len(out.parents)
     assert [g.dtype for g in grads] == [np.dtype(dtype)] * len(grads)
+
+
+# ---------------------------------------------------------------------------
+# kernels that rebuild state in backward, pinned to the plain formulas
+# byte for byte; a vjp closure keeps no array that backward can recompute
+
+
+def _same_bytes(got, want, what):
+    assert got.dtype == want.dtype and got.shape == want.shape, what
+    assert got.tobytes() == want.tobytes(), what
+
+
+def test_rewritten_kernels_match_reference_formulas():
+    B, M, d, H = 3, 37, 32, 4
+    hd = d // H
+    half = hd // 2
+    for dtype in (np.float32, np.float64):
+        r = rng(42)
+        x, q, k, v, g = (r.normal(size=(B, M, d)).astype(dtype) for _ in range(5))
+        x *= dtype(4.0)   # reach well into the sigmoid's saturated tails
+        gain = r.normal(size=(d,)).astype(dtype)
+
+        def run(op, *values):
+            node = op(*(ad.tensor(a, requires_grad=True) for a in values))
+            return node.value, node.vjp(g)
+
+        def ref_sigmoid(a):
+            return 0.5 * (1.0 + np.tanh(0.5 * a))
+
+        _same_bytes(ad.sigmoid(x), ref_sigmoid(x), f"sigmoid {dtype}")
+
+        value, (gx,) = run(ad.silu, x)
+        s = ref_sigmoid(x)
+        _same_bytes(value, x * s, f"silu value {dtype}")
+        _same_bytes(gx, g * (s * (1.0 + x * (1.0 - s))), f"silu vjp {dtype}")
+
+        value, (gx, ggain) = run(ad.rms_norm, x, gain)
+        rr = 1.0 / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + ad.RMS_NORM_EPS)
+        gg = g * gain
+        _same_bytes(value, x * rr * gain, f"rms_norm value {dtype}")
+        _same_bytes(gx, rr * gg - (rr ** 3 / d) * x * (gg * x).sum(axis=-1, keepdims=True),
+                    f"rms_norm vjp x {dtype}")
+        _same_bytes(ggain, (g * x * rr).reshape(-1, d).sum(axis=0), f"rms_norm vjp gain {dtype}")
+
+        value, (gx,) = run(lambda t: ad.rope(t, H), x)
+        inv = 10000.0 ** (-np.arange(half, dtype=np.float64) / half)
+        ang = np.arange(M, dtype=np.float64)[:, None] * inv[None, :]
+        cos = np.cos(ang).astype(dtype)[:, None, :]
+        sin = np.sin(ang).astype(dtype)[:, None, :]
+        xh, gh = x.reshape(B, M, H, hd), g.reshape(B, M, H, hd)
+        x1, x2, g1, g2 = xh[..., :half], xh[..., half:], gh[..., :half], gh[..., half:]
+        want = np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
+        _same_bytes(value, want.reshape(B, M, d), f"rope value {dtype}")
+        want = np.concatenate([g1 * cos + g2 * sin, -g1 * sin + g2 * cos], axis=-1)
+        _same_bytes(gx, want.reshape(B, M, d), f"rope vjp {dtype}")
+
+        value, (gq, gk, gv) = run(lambda a, b, c: ad.attention(a, b, c, H), q, k, v)
+
+        def heads(a):
+            return a.reshape(B, M, H, hd).transpose(0, 2, 1, 3)
+
+        def merge(a):
+            return a.transpose(0, 2, 1, 3).reshape(B, M, d)
+
+        alpha = 1.0 / np.sqrt(hd)
+        qs, kh, vh = heads(q) * float(alpha), heads(k), heads(v)
+        p = np.matmul(qs, kh.swapaxes(-1, -2))
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        out = merge(np.matmul(p, vh))
+        _same_bytes(value, out, f"attention value {dtype}")
+        ghh = heads(g)
+        gp = np.matmul(ghh, vh.swapaxes(-1, -2))
+        gp -= (g * out).reshape(B, M, H, hd).sum(axis=-1).transpose(0, 2, 1)[..., None]
+        gp *= p
+        gqh = np.matmul(gp, kh)
+        gqh *= float(alpha)
+        _same_bytes(gq, merge(gqh), f"attention vjp q {dtype}")
+        _same_bytes(gk, merge(np.matmul(gp.swapaxes(-1, -2), qs)), f"attention vjp k {dtype}")
+        _same_bytes(gv, merge(np.matmul(p.swapaxes(-1, -2), ghh)), f"attention vjp v {dtype}")
+
+
+def _closure_arrays(fn):
+    """Every ndarray a function's closure reaches, through nested closures."""
+    found, stack, seen = [], [fn], set()
+    while stack:
+        f = stack.pop()
+        if id(f) in seen:
+            continue
+        seen.add(id(f))
+        for cell in f.__closure__ or ():
+            obj = cell.cell_contents
+            if isinstance(obj, np.ndarray):
+                found.append(obj)
+            elif callable(obj) and hasattr(obj, "__closure__"):
+                stack.append(obj)
+    return found
+
+
+def test_vjp_closures_keep_no_recomputable_arrays():
+    B, M, d, H = 2, 6, 8, 2
+    r = rng(43)
+    q, k, v = (ad.tensor(r.normal(size=(B, M, d)), requires_grad=True) for _ in range(3))
+    node = ad.attention(q, k, v, H)
+    kept = _closure_arrays(node.vjp)
+    assert kept and not [a.shape for a in kept if a.shape == (B, H, M, M)]
+    # what is left is views of the operands or of the node's own value
+    for a in kept:
+        assert any(np.shares_memory(a, t) for t in (q.value, k.value, v.value, node.value))
+
+    x = ad.tensor(r.normal(size=(B, M, d)), requires_grad=True)
+    node = ad.silu(x)
+    full = [a for a in _closure_arrays(node.vjp) if a.size == x.value.size]
+    assert full and all(a is x.value for a in full)

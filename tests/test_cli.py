@@ -116,7 +116,7 @@ class TestTrain:
         assert len(metrics) == 12
         assert set(json.loads(metrics[0])) == {
             "step", "objective", "ce_loss", "q_loss", "token_accuracy",
-            "exact_match_rate", "skipped_updates"}
+            "exact_match_rate", "halt_histogram", "grad_norm", "skipped_updates"}
 
     def test_never_overwrites(self, drm_run, capsys):
         assert run_cli(*train_args(drm_run)) == cli.EXIT_CONFIG

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import family_rule_holds
 from loopforge import tasks as tk
 from loopforge.seeding import rng_for
 
@@ -140,7 +141,7 @@ def test_family_rules_hold(family):
         assert len(t.train_pairs) == 3 and len(t.test_pairs) == 1
         for inp, out in t.train_pairs + t.test_pairs:
             assert inp.shape == out.shape
-        assert tk.family_rule_holds(family, t), t.task_id
+        assert family_rule_holds(family, t), t.task_id
 
 
 def test_copy_outputs_equal_inputs():

@@ -697,8 +697,9 @@ def test_run_training_writes_metrics_and_checkpoint(tmp_path):
     assert len(lines) == 4
     for line in lines:
         rec = json.loads(line)
-        assert sorted(rec) == ["ce_loss", "exact_match_rate", "objective",
-                               "q_loss", "skipped_updates", "step", "token_accuracy"]
+        assert sorted(rec) == ["ce_loss", "exact_match_rate", "grad_norm", "halt_histogram",
+                               "objective", "q_loss", "skipped_updates", "step",
+                               "token_accuracy"]
         assert rec["skipped_updates"] == 0
         assert rec["objective"] == "trm"
     cfg2, params2, ema2, meta = md.load_checkpoint(ckpt)
