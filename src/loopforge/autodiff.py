@@ -5,6 +5,10 @@ value, the parent nodes, and a closure computing vector-Jacobian products.
 The graph is rebuilt from scratch on every training step; nothing here is
 retained between steps except the raw parameter arrays owned by the caller.
 
+A vjp reads only what its closure captured at forward time, never a
+node's value slot, so `release` can drop the values that no vjp needs
+while the graph waits for backward.
+
 Only the primitives the looped-transformer stack needs are provided.  Each
 one validates operand shapes up front and raises a structured error naming
 the op, rather than letting numpy fail somewhere downstream.
@@ -67,10 +71,14 @@ class Tensor:
     `stop_gradient` keep a `detached` reference to their operand so tests
     can audit what sits behind a boundary, but backward never follows it.
 
-    A vjp closure keeps the operand values, which the graph holds anyway,
-    and small per-row factors.  Full-size intermediates that are cheap to
-    rebuild, such as attention's scores and silu's sigmoid, are recomputed
-    in backward rather than kept for every application of the block.
+    `value` is the forward result, read by the ops that consume it later
+    in the forward pass and never by backward.  Each vjp closure captures
+    at forward time the operand arrays and shapes it needs, plus small
+    per-row factors, so an operand array lives as long as some closure
+    needs it and no longer once `release` has swapped the node's value for
+    a placeholder.  Full-size intermediates that are cheap to rebuild, such
+    as attention's scores and silu's sigmoid, are recomputed in backward
+    rather than kept for every application of the block.
     """
 
     __slots__ = ("value", "parents", "vjp", "adjoint", "requires_grad", "op", "detached")
@@ -145,9 +153,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"add: operands {a.shape} and {b.shape} do not broadcast")
     if not _needs_grad(a, b):
         return Tensor(value, op="add")
+    ashape, bshape = a.shape, b.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, ashape), _unbroadcast(g, bshape)
 
     return Tensor(value, (a, b), vjp, True, "add")
 
@@ -163,7 +172,7 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.value, b.value
 
     def vjp(g):
-        return _unbroadcast(g * bv, a.shape), _unbroadcast(g * av, b.shape)
+        return _unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)
 
     return Tensor(value, (a, b), vjp, True, "multiply")
 
@@ -191,8 +200,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.value, b.value
 
     def vjp(g):
-        ga = _unbroadcast(np.matmul(g, bv.swapaxes(-1, -2)), a.shape)
-        gb = _unbroadcast(np.matmul(av.swapaxes(-1, -2), g), b.shape)
+        ga = _unbroadcast(np.matmul(g, bv.swapaxes(-1, -2)), av.shape)
+        gb = _unbroadcast(np.matmul(av.swapaxes(-1, -2), g), bv.shape)
         return ga, gb
 
     return Tensor(value, (a, b), vjp, True, "matmul")
@@ -431,6 +440,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
         raise ShapeError(f"attention: feature dim {d} not divisible by {num_heads} heads")
     hd = d // num_heads
     alpha = 1.0 / math.sqrt(hd)
+    qv, kv = q.value, k.value
 
     def heads(x):
         return x.reshape(B, M, num_heads, hd).transpose(0, 2, 1, 3)
@@ -439,7 +449,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
         return x.transpose(0, 2, 1, 3).reshape(B, M, d)
 
     def softmax_scores():
-        qs, kh = heads(q.value) * alpha, heads(k.value)
+        qs, kh = heads(qv) * alpha, heads(kv)
         p = np.matmul(qs, kh.swapaxes(-1, -2))
         p -= p.max(axis=-1, keepdims=True)
         np.exp(p, out=p)
@@ -523,10 +533,10 @@ def masked_mean(a: Tensor, mask: np.ndarray) -> Tensor:
     value = np.asarray((a.value * m).sum() / n, dtype=a.value.dtype)
     if not _needs_grad(a):
         return Tensor(value, op="masked_mean")
-    ashape = a.shape
+    dtype = a.value.dtype
 
     def vjp(g):
-        return ((np.asarray(g) / n) * m.astype(a.value.dtype),)
+        return ((np.asarray(g) / n) * m.astype(dtype),)
 
     return Tensor(value, (a,), vjp, True, "masked_mean")
 
@@ -545,6 +555,31 @@ def stop_gradient(a: Tensor) -> Tensor:
     the operand's whole graph alive for as long as the result lives."""
     return Tensor(a.value, parents=(), vjp=None, requires_grad=False,
                   op="stop_gradient", detached=a)
+
+
+def release(out: Tensor, stop: Sequence[Tensor], keep: Sequence[Tensor]) -> None:
+    """Drop the values of the nodes `out` was computed from, back to `stop`.
+
+    Walks back from out; the nodes in `stop` are visited but not crossed.
+    Every grad-mode node on the way, that is one with parents, gets a
+    zero-stride NaN placeholder of the same shape and dtype in place of its
+    value, except out and the nodes in `keep`.  Leaves and everything built
+    under `no_grad` have no parents and are never touched.  Backward gives
+    the same gradients, since vjps read only what their closures captured;
+    a stray forward read of a released value shows up as non-finite."""
+    stop_ids = {id(t) for t in stop}
+    keep_ids = {id(t) for t in keep} | {id(out)}
+    seen, stack = set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node.parents and id(node) not in keep_ids:
+            v = node.value
+            node.value = np.broadcast_to(np.full((), np.nan, dtype=v.dtype), v.shape)
+        if id(node) not in stop_ids:
+            stack.extend(node.parents)
 
 
 # ---------------------------------------------------------------------------

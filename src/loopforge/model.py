@@ -148,9 +148,6 @@ class Parameters:
     def names(self) -> list[str]:
         return sorted(self.arrays)
 
-    def count(self) -> int:
-        return sum(v.size for v in self.arrays.values())
-
     def __getitem__(self, name: str) -> np.ndarray:
         return self.arrays[name]
 
@@ -268,15 +265,24 @@ def run_cycles(pt: dict, cfg: ModelConfig, x: ad.Tensor, state: LatentState,
     grad mode.  A cycle is n latent steps z <- phi(x + y + z), then one
     answer step y <- phi(y + z); with single_z the y pathway does not
     exist, so z <- phi(x + z) and y passes through.  Returns the state and
-    the next application index."""
+    the next application index.
+
+    After each application the values of the nodes it made are released
+    (see `ad.release`), and so is the y or z it replaced: no later forward
+    reads them, and backward reads only what its closures captured.  x,
+    the live y and z, and the inputs keep theirs.  Under no_grad nothing
+    is released, since those nodes have no parents."""
     y, z, app = state.y, state.z, app_start
+    inputs = (x, y, z)
     for _ in range(cycles):
         for _ in range(cfg.inner_steps):
             h = ad.add(x, z) if cfg.single_z else ad.add(ad.add(x, y), z)
-            z = phi_apply(pt, cfg, h, app)
+            z, old = phi_apply(pt, cfg, h, app), z
+            ad.release(z, stop=(x, y, old), keep=inputs + (y,))
             app += 1
         if not cfg.single_z:
-            y = phi_apply(pt, cfg, ad.add(y, z), app)
+            y, old = phi_apply(pt, cfg, ad.add(y, z), app), y
+            ad.release(y, stop=(old, z), keep=inputs + (z,))
             app += 1
     return LatentState(y=y, z=z), app
 

@@ -111,13 +111,6 @@ def serialize_task(task: Task) -> dict:
     return {"train": enc(task.train_pairs), "test": enc(task.test_pairs)}
 
 
-def save_tasks(tasks: list[Task], out_dir) -> None:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for t in tasks:
-        (out_dir / f"{t.task_id}.json").write_text(json.dumps(serialize_task(t)))
-
-
 def dataset_hash(tasks: list[Task]) -> str:
     """Content hash over the canonical JSON of all tasks, order-sensitive."""
     h = hashlib.sha256()
@@ -323,14 +316,6 @@ def apply_dihedral(grid: np.ndarray, element: int) -> np.ndarray:
 def dihedral_inverse(element: int) -> int:
     # reflections are involutions; pure rotations invert to 4-k
     return element if element >= 4 else (4 - element) % 4
-
-
-def dihedral_compose(second: int, first: int) -> int:
-    """Element equal to applying `first` then `second`."""
-    k1, f1 = first % 4, first >= 4
-    k2, f2 = second % 4, second >= 4
-    k = (k2 - k1) % 4 if f2 else (k2 + k1) % 4
-    return k + 4 * (f1 ^ f2)
 
 
 def apply_augmentation(pair, aug: Augmentation):

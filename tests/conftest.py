@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 
 from loopforge import tasks as tk
@@ -36,3 +39,24 @@ def family_rule_holds(family: str, task: tk.Task) -> bool:
         if not good:
             return False
     return True
+
+
+def save_tasks(tasks: list[tk.Task], out_dir) -> None:
+    """Write each task as ARC JSON, <task_id>.json, under out_dir."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for t in tasks:
+        (out_dir / f"{t.task_id}.json").write_text(json.dumps(tk.serialize_task(t)))
+
+
+def dihedral_compose(second: int, first: int) -> int:
+    """Dihedral element equal to applying `first` then `second`."""
+    k1, f1 = first % 4, first >= 4
+    k2, f2 = second % 4, second >= 4
+    k = (k2 - k1) % 4 if f2 else (k2 + k1) % 4
+    return k + 4 * (f1 ^ f2)
+
+
+def param_count(params) -> int:
+    """Number of scalars across all parameter arrays."""
+    return sum(v.size for v in params.arrays.values())

@@ -14,6 +14,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from conftest import dihedral_compose
 import loopforge.autodiff as ad
 import loopforge.cli as cli
 import loopforge.model as md
@@ -27,9 +28,8 @@ from loopforge.inference import (generate_remask, halting_batch,
 from loopforge.seeding import rng_for
 from loopforge.tasks import (MASK, NUM_COLOURS, PAD, Augmentation, TokenSeq,
                              apply_augmentation, apply_dihedral, build_dataset,
-                             dihedral_compose, dihedral_inverse,
-                             generate_synthetic, identity_augmentation,
-                             undo_augmentation)
+                             dihedral_inverse, generate_synthetic,
+                             identity_augmentation, undo_augmentation)
 from loopforge.training import Batch, TrainConfig, combined_loss
 
 IDENT = identity_augmentation()
@@ -402,6 +402,39 @@ def test_gradient_oracle_primitives_and_objective_losses():
                     "stacked_transformer", "stacked_deep_sup"]
 
     assert time.monotonic() - start < 120.0
+
+
+def _placeholder_interior(root):
+    """Swap the value of every interior node under root for a NaN array
+    of its shape and dtype; returns how many were swapped."""
+    swapped = 0
+    for node in ad.graph_nodes(root):
+        if node.parents and node is not root:
+            v = node.value
+            node.value = np.broadcast_to(np.full((), np.nan, dtype=v.dtype), v.shape)
+            swapped += 1
+    return swapped
+
+
+def test_vjps_read_no_value_slot():
+    # backward must read only what each vjp captured at forward time, so
+    # a graph whose interior values are gone gives the same gradients;
+    # every binding enters through a reshape, so the operands of the op
+    # under test are interior nodes too
+    def grads(build, bindings, wrt, swap):
+        leaves = {k: ad.tensor(v, requires_grad=True, op=k) for k, v in bindings.items()}
+        root = build({k: ad.reshape(t, t.shape) for k, t in leaves.items()})
+        if swap:
+            assert _placeholder_interior(root) >= len(bindings)
+        ad.backward(root)
+        return [leaves[k].adjoint for k in wrt]
+
+    for i in range(INSTANCES):
+        for name, (build, bindings, wrt) in _primitive_cases(i):
+            want = grads(build, bindings, wrt, swap=False)
+            got = grads(build, bindings, wrt, swap=True)
+            for k, g, w in zip(wrt, got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (name, k)
 
 
 # ---------------------------------------------------------------------------

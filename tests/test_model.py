@@ -5,10 +5,12 @@ from __future__ import annotations
 import json
 import math
 import struct
+import weakref
 
 import numpy as np
 import pytest
 
+from conftest import param_count
 from loopforge import autodiff as ad
 from loopforge import model as md
 from loopforge.seeding import rng_for
@@ -54,7 +56,7 @@ def test_parameter_count_near_seven_million():
     cfg = md.ModelConfig(hidden_size=512, num_heads=8, num_layers=2, expansion=4,
                          seq_len=900, num_tasks=1000)
     params = md.Parameters.init(cfg, rng_for(0, "big"))
-    count = params.count()
+    count = param_count(params)
     print(f"parameter count at d=512/heads=8/layers=2/expansion=4 "
           f"with 1000 task rows: {count}")
     assert count == 6_824_449  # exact; and within 10% of 7M:
@@ -166,6 +168,62 @@ def test_gradients_reach_all_step_inputs():
                  "state/y0", "state/z0"):
         adj = pt[name].adjoint
         assert adj is not None and np.any(adj != 0), name
+
+
+def test_run_cycles_releases_values_no_vjp_reads(monkeypatch):
+    # weakrefs to forward arrays, taken as ad.rope and ad.add see them
+    def run(release):
+        cfg, pt, x, state = cycle_setup()
+        refs = {k: [] for k in ("pre_rope", "rope", "wo", "w2", "silu_in", "xy", "z", "y")}
+        rope, add = ad.rope, ad.add
+
+        def rope_spy(a, num_heads):
+            out = rope(a, num_heads)
+            refs["pre_rope"].append(weakref.ref(a.value))
+            refs["rope"].append(weakref.ref(out.value))
+            return out
+
+        def add_spy(a, b):
+            out = add(a, b)
+            if a is x:                                  # x + y
+                refs["xy"].append(weakref.ref(out.value))
+            elif a.op == "add" and a.parents[0] is x:   # (x + y) + z
+                refs["z"].append(weakref.ref(b.value))
+            elif b.op != "matmul":                      # y + z
+                refs["y"].append(weakref.ref(a.value))
+            elif b.parents[0].op == "attention":        # h + wo output
+                refs["wo"].append(weakref.ref(b.value))
+            else:                                       # h + w2 output
+                refs["w2"].append(weakref.ref(b.value))
+                refs["silu_in"].append(weakref.ref(b.parents[0].parents[0].value))
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(ad, "rope", rope_spy)
+            m.setattr(ad, "add", add_spy)
+            m.setattr(ad, "release", release)
+            out, _ = md.run_cycles(pt, cfg, x, state, 2)
+        alive = {k: [r() is not None for r in v] for k, v in refs.items()}
+        ad.backward(ad.add(ad.mean_all(ad.multiply(out.y, out.y)),
+                           ad.mean_all(ad.multiply(out.z, out.z))))
+        return alive, {k: t.adjoint for k, t in pt.items()}
+
+    alive, grads = run(ad.release)
+    kept, want = run(lambda *args, **kwargs: None)
+    cfg = tiny_cfg()
+    blocks = 2 * cfg.apps_per_cycle * cfg.num_layers
+    assert [len(alive[k]) for k in ("pre_rope", "wo", "w2")] == [2 * blocks, blocks, blocks]
+    assert all(all(v) for v in kept.values())
+    for key in ("pre_rope", "wo", "w2", "xy"):
+        assert not any(alive[key]), key
+    assert all(alive["rope"]) and all(alive["silu_in"])
+    # a replaced z or y is released too; run_cycles' own inputs are not
+    assert alive["z"] == [True] + [False] * (2 * cfg.inner_steps - 1)
+    assert alive["y"] == [True, False]
+    for name, g in grads.items():
+        w = want[name]
+        assert (g is None) == (w is None), name
+        assert g is None or g.tobytes() == w.tobytes(), name
 
 
 def test_answer_step_single_z_identity():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import family_rule_holds
+from conftest import dihedral_compose, family_rule_holds, save_tasks
 from loopforge import tasks as tk
 from loopforge.seeding import rng_for
 
@@ -110,7 +110,7 @@ def test_too_many_test_pairs(tmp_path):
 
 def test_save_load_round_trip(tmp_path):
     tasks = tk.generate_synthetic("recolor_map", 5, 4, seed=3)
-    tk.save_tasks(tasks, tmp_path / "ds")
+    save_tasks(tasks, tmp_path / "ds")
     back = tk.load_arc_json(tmp_path / "ds")
     assert len(back) == len(tasks)
     for a, b in zip(sorted(tasks, key=lambda t: t.task_id), back):
@@ -226,7 +226,7 @@ def test_dihedral_composition_table():
     for e1 in range(8):
         for e2 in range(8):
             two_step = tk.apply_dihedral(tk.apply_dihedral(g, e1), e2)
-            one_step = tk.apply_dihedral(g, tk.dihedral_compose(e2, e1))
+            one_step = tk.apply_dihedral(g, dihedral_compose(e2, e1))
             assert np.array_equal(two_step, one_step), (e1, e2)
 
 
@@ -266,7 +266,7 @@ def test_augmentation_closure_on_components(seed):
     a1 = tk.random_augmentation(rng, 5, 5, 12, 12)
     a2 = tk.random_augmentation(rng, 5, 5, 12, 12)
     p1, p2 = np.asarray(a1.colour_perm), np.asarray(a2.colour_perm)
-    d = tk.dihedral_compose(a2.dihedral, a1.dihedral)
+    d = dihedral_compose(a2.dihedral, a1.dihedral)
     combined = tk.Augmentation(tuple(int(v) for v in p2[p1]), d, (0, 0))
     step = tk.apply_augmentation((g, g), a1)
     two = tk.apply_augmentation(step, a2)[0]

@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+from conftest import param_count
 import loopforge.autodiff as ad
 import loopforge.model as md
 import loopforge.training as tr
@@ -552,8 +553,8 @@ def test_stacked_transformer_runs_untied():
 
 
 def test_stacked_parameter_count_scales_with_depth():
-    tied = md.Parameters.init(tiny_cfg(), rng_for(71)).count()
-    untied = md.Parameters.init(tiny_cfg(untied_depth=3), rng_for(71)).count()
+    tied = param_count(md.Parameters.init(tiny_cfg(), rng_for(71)))
+    untied = param_count(md.Parameters.init(tiny_cfg(untied_depth=3), rng_for(71)))
     cfg = tiny_cfg()
     d, e = cfg.hidden_size, cfg.expansion
     per_phi = cfg.num_layers * (4 * d * d + d + d * e * d + e * d * d + d)
