@@ -20,8 +20,8 @@ import numpy as np
 
 from . import model as md
 from .corruption import BetaSchedule, CorruptionError, NoiseSchedule
-from .inference import (InferenceError, collect_predictions, evaluate,
-                        generate_remask, pass_at_k)
+from .inference import (InferenceError, collect_predictions, generate_remask,
+                        pass_at_k)
 from .render import RenderError, StepFrame, render_trajectory
 from .seeding import rng_for
 from .tasks import (DeskDataset, TaskError, build_dataset, dataset_hash,
@@ -45,14 +45,6 @@ class ConfigError(ValueError):
 # config file handling
 
 
-def _int(s):
-    return int(s)
-
-
-def _float(s):
-    return float(s)
-
-
 def _bool(s):
     low = s.strip().lower()
     if low in ("true", "1", "yes", "on"):
@@ -63,49 +55,48 @@ def _bool(s):
 
 
 def _opt(parse):
-    def inner(s):
-        return None if s.strip().lower() in ("none", "null", "") else parse(s)
-    return inner
-
-
-def _str(s):
-    return s.strip()
+    return lambda s: None if s.strip().lower() in ("none", "null", "") else parse(s)
 
 
 def _defaults(instance, parsers: dict) -> dict:
     return {k: (getattr(instance, k), parse) for k, parse in parsers.items()}
 
 
+# the config dataclasses' fields that a config names, with their parsers;
+# make_configs passes each one through under its own name
+MODEL_KEYS = {
+    "hidden_size": int, "num_heads": int, "num_layers": int,
+    "expansion": int, "inner_steps": int, "cycles_per_window": int,
+    "single_z": _bool, "max_halt_steps": int}
+TRAIN_KEYS = {
+    "objective": str.strip, "lr": float, "task_embedding_lr": float,
+    "weight_decay": float, "warmup_steps": int, "batch_size": int,
+    "ema_decay": float, "gradient_cycles": int,
+    "warmup_cycles": _opt(int), "epochs": int}
+
 # every run-affecting knob, with its default and parser; model and
 # training defaults are the config dataclasses' own
 CONFIG_KEYS = {
-    **_defaults(md.ModelConfig(), {
-        "hidden_size": _int, "num_heads": _int, "num_layers": _int,
-        "expansion": _int, "inner_steps": _int, "cycles_per_window": _int,
-        "single_z": _bool, "max_halt_steps": _int}),
-    **_defaults(TrainConfig(), {
-        "objective": _str, "lr": _float, "task_embedding_lr": _float,
-        "weight_decay": _float, "warmup_steps": _int, "batch_size": _int,
-        "ema_decay": _float, "gradient_cycles": _int,
-        "warmup_cycles": _opt(_int), "epochs": _int}),
+    **_defaults(md.ModelConfig(), MODEL_KEYS),
+    **_defaults(TrainConfig(), TRAIN_KEYS),
     # data and run shape
-    "seed": (0, _int),
-    "data": (None, _opt(_str)),
-    "family": ("recolor_map", _str),
-    "grid": (8, _int),
-    "tasks": (16, _int),
-    "augmentations": (4, _int),
-    "template_h": (None, _opt(_int)),
-    "template_w": (None, _opt(_int)),
-    "steps": (None, _opt(_int)),
-    "checkpoint_interval": (1000, _int),
-    "num_denoise_steps": (16, _int),
+    "seed": (0, int),
+    "data": (None, _opt(str.strip)),
+    "family": ("recolor_map", str.strip),
+    "grid": (8, int),
+    "tasks": (16, int),
+    "augmentations": (4, int),
+    "template_h": (None, _opt(int)),
+    "template_w": (None, _opt(int)),
+    "steps": (None, _opt(int)),
+    "checkpoint_interval": (1000, int),
+    "num_denoise_steps": (16, int),
     # corruption schedules
-    "noise.kind": ("cosine", _str),
-    "noise.sigmoid_a": (10.0, _float),
-    "sprm.beta_start": (1e-4, _float),
-    "sprm.beta_end": (0.02, _float),
-    "sprm.num_steps": (1000, _int),
+    "noise.kind": ("cosine", str.strip),
+    "noise.sigmoid_a": (10.0, float),
+    "sprm.beta_start": (1e-4, float),
+    "sprm.beta_end": (0.02, float),
+    "sprm.num_steps": (1000, int),
 }
 
 
@@ -153,12 +144,9 @@ def resolve_config(args) -> dict:
             raise ConfigError(f"--set takes key=value, got {kv!r}")
         key, raw = (part.strip() for part in kv.split("=", 1))
         cfgmap[key] = _parse_key(key, raw)
-    for flag, key in (("objective", "objective"), ("seed", "seed"),
-                      ("steps", "steps"), ("grid", "grid"),
-                      ("family", "family"), ("augmentations", "augmentations"),
-                      ("num_denoise_steps", "num_denoise_steps"),
-                      ("data", "data")):
-        value = getattr(args, flag, None)
+    for key in ("objective", "seed", "steps", "grid", "family",
+                "augmentations", "num_denoise_steps", "data"):
+        value = getattr(args, key, None)
         if value is not None:
             cfgmap[key] = value
     if cfgmap["steps"] is not None and cfgmap["steps"] < 1:
@@ -186,26 +174,10 @@ def build_desk_dataset(cfgmap: dict) -> DeskDataset:
 def make_configs(cfgmap: dict, dataset: DeskDataset):
     """Model and training configs, with the window plan resolved and the
     untied stack depth derived for the stacked baselines."""
-    tcfg = TrainConfig(objective=cfgmap["objective"], lr=cfgmap["lr"],
-                       task_embedding_lr=cfgmap["task_embedding_lr"],
-                       weight_decay=cfgmap["weight_decay"],
-                       warmup_steps=cfgmap["warmup_steps"],
-                       batch_size=cfgmap["batch_size"],
-                       ema_decay=cfgmap["ema_decay"],
-                       max_halt_steps=cfgmap["max_halt_steps"],
-                       gradient_cycles=cfgmap["gradient_cycles"],
-                       warmup_cycles=cfgmap["warmup_cycles"],
-                       epochs=cfgmap["epochs"])
-    cfg = md.ModelConfig(hidden_size=cfgmap["hidden_size"],
-                         num_heads=cfgmap["num_heads"],
-                         num_layers=cfgmap["num_layers"],
-                         expansion=cfgmap["expansion"],
-                         seq_len=dataset.seq_len,
-                         inner_steps=cfgmap["inner_steps"],
-                         cycles_per_window=cfgmap["cycles_per_window"],
-                         max_halt_steps=cfgmap["max_halt_steps"],
-                         single_z=cfgmap["single_z"],
-                         num_tasks=dataset.num_rows)
+    tcfg = TrainConfig(max_halt_steps=cfgmap["max_halt_steps"],
+                       **{k: cfgmap[k] for k in TRAIN_KEYS})
+    cfg = md.ModelConfig(seq_len=dataset.seq_len, num_tasks=dataset.num_rows,
+                         **{k: cfgmap[k] for k in MODEL_KEYS})
     warm, grad = window_plan(cfg, tcfg)
     if tcfg.objective.startswith("stacked"):
         cfg = replace(cfg, untied_depth=(warm + grad) * cfg.apps_per_cycle)
@@ -295,7 +267,7 @@ def execute_training(cfgmap: dict, out_dir: Path, progress=None):
         p.name for p in (out_dir / "checkpoints").glob("*.ltrm"))
     manifest["steps_run"] = result.steps
     _write_manifest(out_dir, manifest)
-    return result, dataset, cfg, tcfg, manifest
+    return result, tcfg, manifest
 
 
 def _load_run(run_dir: Path):
@@ -323,28 +295,43 @@ def _checkpoint_paths(run_dir: Path) -> list[Path]:
     return paths
 
 
-def _restrict_augmentations(dataset: DeskDataset, trained: int, want: int) -> DeskDataset:
+def _restrict_augmentations(dataset: DeskDataset, trained: int,
+                            want: int | None) -> DeskDataset:
+    """The eval cases of the first `want` augmentations; all without it."""
+    if want in (None, trained):
+        return dataset
+    if want < 1:
+        raise ConfigError(f"eval needs augmentations >= 1, got {want}")
     if want > trained:
         raise ConfigError(f"eval over {want} augmentations, but only {trained} "
                           "have trained task rows")
-    if want == trained:
-        return dataset
     keep = [c for c in dataset.eval_cases if c.row % trained < want]
     return DeskDataset(dataset.tasks, dataset.train_examples, keep,
                        dataset.num_rows, dataset.template)
+
+
+def _window_cycles(manifest: dict) -> int:
+    """Cycles per window the run trained with, which inference replays."""
+    return (manifest["resolved"]["warmup_cycles"]
+            + manifest["resolved"]["gradient_cycles"])
+
+
+def _denoise_steps(cfgmap: dict, flag) -> int:
+    """The --num-denoise-steps flag's value, or the run's own without it."""
+    steps = cfgmap["num_denoise_steps"] if flag is None else flag
+    if steps < 1:
+        raise ConfigError(f"num_denoise_steps must be >= 1, got {steps}")
+    return steps
 
 
 def pooled_eval(run_dir: Path, *, ks, augmentations=None, num_steps=None,
                 seed=None, batch_size=32):
     """Vote pool over every saved checkpoint x augmentation, then score."""
     manifest, cfgmap, dataset = _load_run(run_dir)
-    dataset = _restrict_augmentations(dataset, cfgmap["augmentations"],
-                                     augmentations or cfgmap["augmentations"])
+    dataset = _restrict_augmentations(dataset, cfgmap["augmentations"], augmentations)
     noise, _ = _schedules(cfgmap)
-    cycles = (manifest["resolved"]["warmup_cycles"]
-              + manifest["resolved"]["gradient_cycles"])
     seed = manifest["seed"] if seed is None else seed
-    num_steps = num_steps or cfgmap["num_denoise_steps"]
+    num_steps = _denoise_steps(cfgmap, num_steps)
 
     entries = []
     for idx, path in enumerate(_checkpoint_paths(run_dir)):
@@ -353,8 +340,8 @@ def pooled_eval(run_dir: Path, *, ks, augmentations=None, num_steps=None,
         entries.extend(collect_predictions(
             dataset, ema if ema is not None else params, ck_cfg,
             meta.get("objective", manifest["objective"]), sub_seed,
-            num_denoise_steps=num_steps, schedule=noise, cycles=cycles,
-            batch_size=batch_size))
+            num_denoise_steps=num_steps, schedule=noise,
+            cycles=_window_cycles(manifest), batch_size=batch_size))
     return pass_at_k(dataset, entries, ks), manifest
 
 
@@ -373,7 +360,7 @@ def cmd_train(args) -> None:
             print(f"step {metrics.step}: ce {metrics.ce_loss:.4f} "
                   f"acc {metrics.token_accuracy:.3f} em {metrics.exact_match_rate:.3f}")
 
-    result, _, _, tcfg, _ = execute_training(cfgmap, out_dir, progress)
+    result, tcfg, _ = execute_training(cfgmap, out_dir, progress)
     final = result.history[-1]
     print(f"{tcfg.objective}: {result.steps} steps, final ce {final.ce_loss:.4f} "
           f"token acc {final.token_accuracy:.3f} exact match "
@@ -416,16 +403,14 @@ def cmd_render(args) -> None:
                 if c.task_index == t_idx and c.test_index == 0)
 
     noise, _ = _schedules(cfgmap)
-    cycles = (manifest["resolved"]["warmup_cycles"]
-              + manifest["resolved"]["gradient_cycles"])
-    num_steps = args.num_denoise_steps or cfgmap["num_denoise_steps"]
+    num_steps = _denoise_steps(cfgmap, args.num_denoise_steps)
     seed = manifest["seed"] if args.seed is None else args.seed
 
     trace: list = []
     generate_remask(case.input_tokens, case.loss_mask, case.row,
                     ema if ema is not None else params, cfg, num_steps,
-                    rng_for(seed, "render"), schedule=noise, cycles=cycles,
-                    trace=trace)
+                    rng_for(seed, "render"), schedule=noise,
+                    cycles=_window_cycles(manifest), trace=trace)
 
     th, tw = dataset.template
     dy, dx = case.aug.offset
@@ -472,14 +457,9 @@ def cmd_ablate(args) -> None:
     for name, overrides in _suite_variants(args.suite, base):
         cfgmap = {**base, **overrides}
         print(f"[{args.suite}] {name}")
-        result, dataset, cfg, tcfg, manifest = execute_training(
-            cfgmap, out_dir / name)
-        noise, _ = _schedules(cfgmap)
-        cycles = (manifest["resolved"]["warmup_cycles"]
-                  + manifest["resolved"]["gradient_cycles"])
-        report = evaluate(dataset, result.ema, cfg, tcfg.objective,
-                          cfgmap["seed"], schedule=noise, cycles=cycles,
-                          num_denoise_steps=cfgmap["num_denoise_steps"])
+        result, tcfg, manifest = execute_training(cfgmap, out_dir / name)
+        # scored as `loopforge eval` scores the variant's run directory
+        report, _ = pooled_eval(out_dir / name, ks=(2,))
         tail = result.history[-min(50, len(result.history)):]
         rows.append((name, tcfg.objective, tcfg.gradient_cycles,
                      manifest["resolved"]["warmup_cycles"], result.steps,

@@ -332,21 +332,6 @@ def pass_at_k(dataset: DeskDataset, entries: Sequence[PoolEntry],
     )
 
 
-def evaluate(dataset: DeskDataset, params: md.Parameters, cfg: md.ModelConfig,
-             objective: str, seed: int, *,
-             num_denoise_steps: int = 16,
-             schedule: NoiseSchedule | None = None,
-             cycles: int | None = None,
-             max_steps: int | None = None,
-             batch_size: int = 32,
-             ks: Sequence[int] = (2,)) -> EvalReport:
-    entries = collect_predictions(dataset, params, cfg, objective, seed,
-                                  num_denoise_steps=num_denoise_steps,
-                                  schedule=schedule, cycles=cycles,
-                                  max_steps=max_steps, batch_size=batch_size)
-    return pass_at_k(dataset, entries, ks)
-
-
 # ---------------------------------------------------------------------------
 # permutation significance test
 

@@ -15,6 +15,7 @@ header, then the raw float32 arrays in sorted name order.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -301,21 +302,17 @@ def decode_state(pt: dict, cfg: ModelConfig, state: LatentState) -> tuple[ad.Ten
 
 
 def run_window(pt: dict, cfg: ModelConfig, x: ad.Tensor, state: LatentState,
-               warm_cycles: int, grad_cycles: int,
-               with_gradient: bool = True) -> tuple[LatentState, ad.Tensor, ad.Tensor]:
-    """warm_cycles without gradient, then grad_cycles carrying gradient,
-    then decode.  Returns (state', logits, q_logit)."""
+               warm_cycles: int, grad_cycles: int) -> tuple[LatentState, ad.Tensor, ad.Tensor]:
+    """warm_cycles without gradient, then grad_cycles carrying gradient
+    (unless the caller runs under `ad.no_grad`), then decode.  Returns
+    (state', logits, q_logit)."""
     if grad_cycles < 1:
         raise ModelError(f"need at least one gradient cycle, got {grad_cycles}")
     app = 0
     if warm_cycles > 0:
         with ad.no_grad():
             state, app = run_cycles(pt, cfg, x, state, warm_cycles, app)
-    if with_gradient:
-        state, app = run_cycles(pt, cfg, x, state, grad_cycles, app)
-    else:
-        with ad.no_grad():
-            state, app = run_cycles(pt, cfg, x, state, grad_cycles, app)
+    state, app = run_cycles(pt, cfg, x, state, grad_cycles, app)
     logits, q = decode_state(pt, cfg, state)
     return state, logits, q
 
@@ -342,7 +339,8 @@ def halting_windows(params: Parameters, cfg: ModelConfig, inputs: np.ndarray,
 
     Every item exits at the last window.  With halt_early an item also
     exits once its q logit is positive, and every window carries gradient;
-    without it only the last window does, since no item can exit earlier.
+    without it only the last window does, since no item can exit earlier,
+    and the others run wholly under `ad.no_grad`.
     Survivors carry (y, z) across a stop_gradient boundary, passed through
     perturb(y, z, w, active) when given.  Nothing carried points back at
     the window's graph, and the generator drops its logits and q before
@@ -353,13 +351,13 @@ def halting_windows(params: Parameters, cfg: ModelConfig, inputs: np.ndarray,
     active = np.arange(rows.size)
     state = None
     for w in range(windows):
-        pt = wrap_parameters(params)
-        x = embed_input(pt, cfg, inputs[active], rows[active])
-        if state is None:
-            state = first_state(pt)
         last = w == windows - 1
-        state, logits, q = run_window(pt, cfg, x, state, warm_cycles, grad_cycles,
-                                      with_gradient=halt_early or last)
+        pt = wrap_parameters(params)
+        with contextlib.nullcontext() if halt_early or last else ad.no_grad():
+            x = embed_input(pt, cfg, inputs[active], rows[active])
+            if state is None:
+                state = first_state(pt)
+            state, logits, q = run_window(pt, cfg, x, state, warm_cycles, grad_cycles)
         exiting = (q.value > 0) | last if halt_early else np.full(active.size, last)
         yield w, active, pt, logits, q, exiting
         del logits, q

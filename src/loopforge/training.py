@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -117,18 +117,8 @@ class StepMetrics:
                 raise TrainingError(f"metric {name} = {v} outside [0, 1]")
 
     def record(self) -> dict:
-        """The line-delimited JSON record; deliberately only these keys."""
-        return {
-            "step": self.step,
-            "objective": self.objective,
-            "ce_loss": self.ce_loss,
-            "q_loss": self.q_loss,
-            "token_accuracy": self.token_accuracy,
-            "exact_match_rate": self.exact_match_rate,
-            "halt_histogram": self.halt_histogram,
-            "grad_norm": self.grad_norm,
-            "skipped_updates": self.skipped_updates,
-        }
+        """The line-delimited JSON record: every field, in field order."""
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +317,9 @@ def _sprm_perturber(sched: BetaSchedule, seed: int, step_index: int) -> Callable
 def train_step(batch: Batch, params: md.Parameters, cfg: md.ModelConfig,
                tcfg: TrainConfig, opt: AdamW, seed: int, step_index: int,
                *, noise_schedule: NoiseSchedule | None = None,
-               beta_schedule: BetaSchedule | None = None,
-               audit: list | None = None) -> StepMetrics:
+               beta_schedule: BetaSchedule | None = None) -> StepMetrics:
     """Run the objective's windows over one batch, with one optimizer step
-    per supervised window.  `audit`, when given, collects each supervised
-    window's graph nodes, loss and active count; it keeps those graphs
-    alive, which plain training does not."""
+    per supervised window."""
     warm, grad_cycles = check_objective(cfg, tcfg)
     obj = tcfg.objective
     B = batch.rows.size
@@ -383,9 +370,6 @@ def train_step(batch: Batch, params: md.Parameters, cfg: md.ModelConfig,
         q_mass += active.size
         correct += int(parts.correct[exiting].sum())
         exact += int(parts.match[exiting].sum())
-        if audit is not None:
-            audit.append({"window": w, "nodes": ad.graph_nodes(loss),
-                          "loss": float(loss.value), "active": int(active.size)})
         # the generator builds the next window on resuming; holding this
         # window's graph through it would double the peak
         del loss, logits, q, pt

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
+from loopforge import autodiff as ad
 from loopforge import tasks as tk
 
 
@@ -60,3 +61,18 @@ def dihedral_compose(second: int, first: int) -> int:
 def param_count(params) -> int:
     """Number of scalars across all parameter arrays."""
     return sum(v.size for v in params.arrays.values())
+
+
+def spy_backward(monkeypatch) -> list[dict]:
+    """Record each root `ad.backward` is called on, as its graph nodes and
+    loss value, before running the real backward.  The record keeps every
+    recorded graph alive, which plain training does not."""
+    seen: list[dict] = []
+    backward = ad.backward
+
+    def spy(root):
+        seen.append({"nodes": ad.graph_nodes(root), "loss": float(root.value)})
+        backward(root)
+
+    monkeypatch.setattr(ad, "backward", spy)
+    return seen

@@ -14,7 +14,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from conftest import dihedral_compose
+from conftest import dihedral_compose, spy_backward
 import loopforge.autodiff as ad
 import loopforge.cli as cli
 import loopforge.model as md
@@ -203,8 +203,7 @@ def _guard_frozen(cfg, bindings, batch, y, z, grad):
     with ad.no_grad():
         x = md.embed_input(pt, cfg, batch.inputs, batch.rows)
         st = md.LatentState(ad.constant(y), ad.constant(z))
-        _, logits, _ = md.run_window(pt, cfg, x, st, 0, grad,
-                                     with_gradient=False)
+        _, logits, _ = md.run_window(pt, cfg, x, st, 0, grad)
     margin_guard(logits.value)
 
 
@@ -248,7 +247,7 @@ def _objective_loss_cases():
     with ad.no_grad():
         x = md.embed_input(pt2, cfg2, batch2.inputs, batch2.rows)
         st = md.init_state(pt2, cfg2, state_streams(1006, 2))
-        st, _, _ = md.run_window(pt2, cfg2, x, st, 1, 1, with_gradient=False)
+        st, _, _ = md.run_window(pt2, cfg2, x, st, 1, 1)
     cy, cz = st.y.value, st.z.value
     ncy, ncz = _frozen_state(
         {k: ad.tensor(v, op=k) for k, v in base2.arrays.items()}, cfg2, batch2,
@@ -441,7 +440,7 @@ def test_vjps_read_no_value_slot():
 # stop-gradient semantics at window boundaries
 
 
-def test_stop_gradient_blocks_adjoints_across_windows():
+def test_stop_gradient_blocks_adjoints_across_windows(monkeypatch):
     # without warm-up cycles nothing but the carry's boundary stands
     # between window 1's gradient cycle and window 0's graph
     cfg = oracle_cfg(max_halt_steps=2, num_tasks=4)
@@ -451,9 +450,8 @@ def test_stop_gradient_blocks_adjoints_across_windows():
     opt = tr.AdamW(params, params.copy(), tcfg)
     batch = oracle_batch(1101, B=3)
 
-    audit: list = []
-    tr.train_step(batch, params, cfg, tcfg, opt, seed=1102, step_index=0,
-                  audit=audit)
+    audit = spy_backward(monkeypatch)
+    tr.train_step(batch, params, cfg, tcfg, opt, seed=1102, step_index=0)
     assert len(audit) == 2
     assert audit[0]["loss"] != audit[1]["loss"]
 

@@ -92,6 +92,34 @@ class TestConfig:
         with pytest.raises(cli.ConfigError, match="key=value"):
             cli.load_config_file(cfile)
 
+    def test_every_dataclass_key_reaches_its_field(self):
+        # each value differs from its default, so a key dropped on the way
+        # to its dataclass shows as the default
+        raw = {"hidden_size": ("24", 24), "num_heads": ("2", 2),
+               "num_layers": ("3", 3), "expansion": ("2", 2),
+               "inner_steps": ("3", 3), "cycles_per_window": ("4", 4),
+               "single_z": ("true", True), "max_halt_steps": ("5", 5),
+               "objective": ("sprm", "sprm"), "lr": ("0.003", 0.003),
+               "task_embedding_lr": ("0.02", 0.02),
+               "weight_decay": ("0.05", 0.05), "warmup_steps": ("7", 7),
+               "batch_size": ("9", 9), "ema_decay": ("0.99", 0.99),
+               "gradient_cycles": ("2", 2), "warmup_cycles": ("1", 1),
+               "epochs": ("3", 3)}
+        assert set(raw) == set(cli.MODEL_KEYS) | set(cli.TRAIN_KEYS)
+        argv = ["train", "--out", "x"]
+        for key, (text, _) in raw.items():
+            argv += ["--set", f"{key}={text}"]
+        cfgmap = cli.resolve_config(cli.build_parser().parse_args(argv))
+        dataset = build_dataset(generate_synthetic("copy", 3, 2, seed=0), 1, 4, 4, seed=0)
+        cfg, tcfg, _ = cli.make_configs(cfgmap, dataset)
+        defaults = cli.default_config()
+        for keys, made in ((cli.MODEL_KEYS, cfg), (cli.TRAIN_KEYS, tcfg)):
+            for key in keys:
+                want = raw[key][1]
+                assert defaults[key] != want, key
+                assert getattr(made, key) == want, key
+        assert tcfg.max_halt_steps == 5
+
     def test_non_utf8_file_exits_config(self, tmp_path, capsys):
         cfile = tmp_path / "c.cfg"
         cfile.write_bytes("objective = drm  # caf\xe9\n".encode("latin-1"))
@@ -117,6 +145,9 @@ class TestTrain:
         assert set(json.loads(metrics[0])) == {
             "step", "objective", "ce_loss", "q_loss", "token_accuracy",
             "exact_match_rate", "halt_histogram", "grad_norm", "skipped_updates"}
+        assert list(json.loads(metrics[0])) == [
+            "step", "objective", "ce_loss", "q_loss", "token_accuracy",
+            "exact_match_rate", "halt_histogram", "grad_norm", "skipped_updates"]
 
     def test_never_overwrites(self, drm_run, capsys):
         assert run_cli(*train_args(drm_run)) == cli.EXIT_CONFIG
@@ -310,6 +341,17 @@ class TestEval:
                        "--num-denoise-steps", "1", "--out", out) == 0
         assert len(json.loads(out.read_text())) == 2
 
+    @pytest.mark.parametrize("flags", [
+        ("--augmentations", "-1"), ("--augmentations", "0"),
+        ("--num-denoise-steps", "0"), ("--num-denoise-steps", "-2"),
+    ], ids=["augmentations_-1", "augmentations_0", "denoise_steps_0",
+            "denoise_steps_-2"])
+    def test_non_positive_flag_exits_config(self, drm_run, tmp_path, capsys, flags):
+        out = tmp_path / "r.json"
+        assert run_cli("eval", drm_run, *flags, "--out", out) == cli.EXIT_CONFIG
+        assert_one_error_line(capsys)
+        assert not out.exists()
+
     def test_restrict_keeps_identity_rows(self):
         tasks = generate_synthetic("copy", 3, 2, seed=0)
         ds = build_dataset(tasks, 3, 4, 4, seed=0)
@@ -353,6 +395,13 @@ class TestRender:
     def test_trm_checkpoint_rejected_with_explanation(self, trm_run, capsys):
         assert run_cli("render", trm_run) == cli.EXIT_CONFIG
         assert "generate-and-remask" in capsys.readouterr().err
+
+    def test_zero_denoise_steps_exits_config(self, drm_run, tmp_path, capsys):
+        out = tmp_path / "frames"
+        assert run_cli("render", drm_run, "--num-denoise-steps", "0",
+                       "--out", out) == cli.EXIT_CONFIG
+        assert_one_error_line(capsys)
+        assert not out.exists()
 
     def test_unknown_task_id(self, drm_run):
         assert run_cli("render", drm_run, "--task", "ghost") == cli.EXIT_CONFIG
@@ -398,6 +447,44 @@ class TestAblate:
         assert [rows[f"trm_k{k}"][3] for k in (1, 2, 3, 4)] == ["1", "0", "0", "0"]
         for k in (1, 2, 3, 4):
             assert (out / f"drm_k{k}" / "manifest.json").exists()
+
+    def test_each_variant_is_scored_as_eval_scores_it(self, tmp_path, monkeypatch):
+        # a checkpoint every step, so each variant's run holds three; eval
+        # pools them all, and ablate must score the same pool
+        seen: list = []      # (dataset, predictions) per collect call
+        collect = cli.collect_predictions
+
+        def spy(dataset, *args, **kwargs):
+            entries = collect(dataset, *args, **kwargs)
+            seen.append((dataset, len(entries)))
+            return entries
+
+        monkeypatch.setattr(cli, "collect_predictions", spy)
+        out = tmp_path / "suite"
+        argv = ["ablate", "single_z", "--out", out, "--objective", "drm",
+                "--family", "copy", "--grid", 3, "--seed", 4, "--steps", 3]
+        for kv in ("tasks=2", "augmentations=2", "template_h=3", "template_w=3",
+                   "hidden_size=16", "num_heads=2", "num_layers=1",
+                   "inner_steps=2", "cycles_per_window=2", "batch_size=4",
+                   "warmup_steps=2", "num_denoise_steps=1",
+                   "checkpoint_interval=1"):
+            argv += ["--set", kv]
+        assert run_cli(*argv) == 0
+        # each variant's eval loads its own dataset, one per scored pool
+        pools = {id(d): d for d, _ in seen}
+        assert len(pools) == 2
+        for dataset in pools.values():
+            sizes = [n for d, n in seen if d is dataset]
+            assert len(sizes) == 3
+            assert sum(sizes) == 3 * len(dataset.eval_cases)
+
+        lines = (out / "summary.tsv").read_text().splitlines()
+        rows = {parts[0]: parts for parts in (line.split("\t") for line in lines[1:])}
+        assert sorted(rows) == ["paired_state", "single_state"]
+        for name, row in rows.items():
+            assert len(list((out / name / "checkpoints").glob("*.ltrm"))) == 3
+            report, _ = cli.pooled_eval(out / name, ks=(2,))
+            assert row[-1] == f"{report.pass2_accuracy:.4f}"
 
 
 def test_bad_subcommand_exits_two():

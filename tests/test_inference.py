@@ -393,14 +393,15 @@ class TestPassAtK:
 class TestEvaluate:
     def test_copy_drm_end_to_end(self, copy_setup, drm_copy):
         ds, cfg = copy_setup
-        report = inf.evaluate(ds, drm_copy.ema, cfg, "drm", seed=1,
-                              num_denoise_steps=4, cycles=3)
+        report = inf.pass_at_k(ds, inf.collect_predictions(
+            ds, drm_copy.ema, cfg, "drm", seed=1, num_denoise_steps=4, cycles=3))
         assert report.pass2_accuracy == 1.0
         assert report.pool_accuracy == 1.0
 
     def test_copy_trm_end_to_end(self, copy_setup, trm_copy):
         ds, cfg = copy_setup
-        report = inf.evaluate(ds, trm_copy.ema, cfg, "trm", seed=1)
+        report = inf.pass_at_k(ds, inf.collect_predictions(
+            ds, trm_copy.ema, cfg, "trm", seed=1))
         assert report.pass2_accuracy == 1.0
 
     def test_batch_size_does_not_change_predictions(self):

@@ -285,8 +285,8 @@ def test_window_without_gradient_gives_zero_grads():
         pt = dict(leaves)
         x = md.embed_input(pt, cfg, tokens, rows)
         state = md.init_state(pt, cfg, [rng_for(5, "st")])
-        _, logits, _ = md.run_window(pt, cfg, x, state, cfg.cycles_per_window - 1, 1,
-                                      with_gradient=False)
+        with ad.no_grad():
+            _, logits, _ = md.run_window(pt, cfg, x, state, cfg.cycles_per_window - 1, 1)
         return ad.mean_all(logits)
 
     grads = ad.gradient(build, dict(base.arrays), ["phi/l0/attn/wq", "phi/l0/mlp/w2"])

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import param_count
+from conftest import param_count, spy_backward
 import loopforge.autodiff as ad
 import loopforge.model as md
 import loopforge.training as tr
@@ -251,18 +251,18 @@ def test_step_trm_single_window_no_carry():
     assert m.grad_norm > 0
 
 
-def test_step_trm_two_window_detach_audit():
+def test_step_trm_two_window_detach_audit(monkeypatch):
     # no warm-up cycle, so the carried state feeds window 1's gradient
     # cycle directly and only the carry's boundary can cut the path
     cfg = tiny_cfg(max_halt_steps=2)
     tcfg = TrainConfig(objective="trm", max_halt_steps=2, warmup_steps=0,
                        warmup_cycles=0)
     params, _, opt = fresh(cfg, tcfg)
-    audit: list = []
-    m = tr.train_step(toy_batch(), params, cfg, tcfg, opt, seed=5, step_index=0,
-                      audit=audit)
-    # the q bias starts at -5, so nothing halts before the last window
-    assert [a["window"] for a in audit] == [0, 1]
+    audit = spy_backward(monkeypatch)
+    m = tr.train_step(toy_batch(), params, cfg, tcfg, opt, seed=5, step_index=0)
+    # the q bias starts at -5, so nothing halts before the last window:
+    # one backward for window 0, one for window 1
+    assert len(audit) == 2
     assert opt.t == 2
     assert m.halt_histogram == [0, 3]
     # no node of the first window's graph is reachable from the second
@@ -387,14 +387,13 @@ def test_train_step_stays_float32(objective, monkeypatch):
     grads: list = []
     apply = opt.apply
     monkeypatch.setattr(opt, "apply", lambda g: (grads.append(g), apply(g))[1])
-    audit: list = []
-    tr.train_step(toy_batch(), params, cfg, tcfg, opt, seed=4, step_index=0,
-                  audit=audit)
+    audit = spy_backward(monkeypatch)
+    tr.train_step(toy_batch(), params, cfg, tcfg, opt, seed=4, step_index=0)
     assert audit and grads
-    for entry in audit:
+    for window, entry in enumerate(audit):
         wrong = {(n.op, str(n.value.dtype)) for n in entry["nodes"]
                  if n.value.dtype != np.float32}
-        assert not wrong, f"window {entry['window']}: {sorted(wrong)}"
+        assert not wrong, f"window {window}: {sorted(wrong)}"
     for g in grads:
         assert {str(a.dtype) for a in g.values()} == {"float32"}
     assert {str(a.dtype) for a in params.arrays.values()} == {"float32"}
@@ -622,8 +621,7 @@ def _probe_logits(cfg, base, batch):
     with ad.no_grad():
         x = md.embed_input(pt, cfg, batch.inputs, batch.rows)
         state = md.init_state(pt, cfg, state_streams(80, batch.rows.size))
-        _, logits, _ = md.run_window(pt, cfg, x, state, 0, cfg.cycles_per_window,
-                                     with_gradient=False)
+        _, logits, _ = md.run_window(pt, cfg, x, state, 0, cfg.cycles_per_window)
     return logits.value
 
 
