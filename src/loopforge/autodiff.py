@@ -1,7 +1,10 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-Define-by-run: every primitive builds a graph node holding the forward
-value, the parent nodes, and a closure computing vector-Jacobian products.
+Define-by-run: every primitive computes its forward value, defines a
+closure computing vector-Jacobian products, and passes both with its
+operands to one constructor, `_node`.  That is the only place grad mode
+is decided: the node records parents and vjp when grad mode is on and
+some operand requires grad, and is a plain value node otherwise.
 The graph is rebuilt from scratch on every training step; nothing here is
 retained between steps except the raw parameter arrays owned by the caller.
 
@@ -14,8 +17,8 @@ one validates operand shapes up front and raises a structured error naming
 the op, rather than letting numpy fail somewhere downstream.
 
 Gradient flow is cut in two ways: `stop_gradient` inserts an explicit
-boundary node (forward value bit-identical to its operand), and the
-`no_grad` context skips graph construction entirely for warm-up phases.
+boundary node (forward value bit-identical to its operand), and under the
+`no_grad` context `_node` records no graph at all, for warm-up phases.
 """
 
 from __future__ import annotations
@@ -72,13 +75,16 @@ class Tensor:
     can audit what sits behind a boundary, but backward never follows it.
 
     `value` is the forward result, read by the ops that consume it later
-    in the forward pass and never by backward.  Each vjp closure captures
-    at forward time the operand arrays and shapes it needs, plus small
-    per-row factors, so an operand array lives as long as some closure
-    needs it and no longer once `release` has swapped the node's value for
-    a placeholder.  Full-size intermediates that are cheap to rebuild, such
-    as attention's scores and silu's sigmoid, are recomputed in backward
-    rather than kept for every application of the block.
+    in the forward pass and never by backward.  A node with no parents
+    has no vjp: leaves, and every primitive's result outside grad mode.
+    Each vjp closure captures at forward time the operand arrays and
+    shapes it needs, plus small per-row factors, so an operand array lives
+    as long as some closure needs it and no longer once `release` has
+    swapped the node's value for a placeholder.  Full-size intermediates
+    that are cheap to rebuild, such as attention's scores and silu's
+    sigmoid, are recomputed in backward rather than kept for every
+    application of the block; the losses' probabilities are built only
+    there, so a node that records no vjp never builds them.
     """
 
     __slots__ = ("value", "parents", "vjp", "adjoint", "requires_grad", "op", "detached")
@@ -115,8 +121,13 @@ def constant(value, op: str = "constant") -> Tensor:
     return tensor(value, requires_grad=False, op=op)
 
 
-def _needs_grad(*tensors: Tensor) -> bool:
-    return grad_enabled() and any(t.requires_grad for t in tensors)
+def _node(value: np.ndarray, parents: tuple, vjp, op: str) -> Tensor:
+    """The result node of a primitive.  It records parents and vjp only in
+    grad mode and when some operand requires grad; otherwise it is a plain
+    value node, and the vjp closure is dropped unused."""
+    if grad_enabled() and any(p.requires_grad for p in parents):
+        return Tensor(value, parents, vjp, True, op)
+    return Tensor(value, op=op)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -151,14 +162,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         value = a.value + b.value
     except ValueError:
         raise ShapeError(f"add: operands {a.shape} and {b.shape} do not broadcast")
-    if not _needs_grad(a, b):
-        return Tensor(value, op="add")
     ashape, bshape = a.shape, b.shape
 
     def vjp(g):
         return _unbroadcast(g, ashape), _unbroadcast(g, bshape)
 
-    return Tensor(value, (a, b), vjp, True, "add")
+    return _node(value, (a, b), vjp, "add")
 
 
 def multiply(a: Tensor, b: Tensor) -> Tensor:
@@ -166,23 +175,17 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
         value = a.value * b.value
     except ValueError:
         raise ShapeError(f"multiply: operands {a.shape} and {b.shape} do not broadcast")
-    if not _needs_grad(a, b):
-        return Tensor(value, op="multiply")
-
     av, bv = a.value, b.value
 
     def vjp(g):
         return _unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)
 
-    return Tensor(value, (a, b), vjp, True, "multiply")
+    return _node(value, (a, b), vjp, "multiply")
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
-    value = a.value * s
-    if not _needs_grad(a):
-        return Tensor(value, op="scale")
-    return Tensor(value, (a,), lambda g: (g * s,), True, "scale")
+    return _node(a.value * s, (a,), lambda g: (g * s,), "scale")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -194,9 +197,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         value = np.matmul(a.value, b.value)
     except ValueError:
         raise ShapeError(f"matmul: batch dims do not broadcast, {a.shape} @ {b.shape}")
-    if not _needs_grad(a, b):
-        return Tensor(value, op="matmul")
-
     av, bv = a.value, b.value
 
     def vjp(g):
@@ -204,7 +204,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         gb = _unbroadcast(np.matmul(av.swapaxes(-1, -2), g), bv.shape)
         return ga, gb
 
-    return Tensor(value, (a, b), vjp, True, "matmul")
+    return _node(value, (a, b), vjp, "matmul")
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +216,8 @@ def reshape(a: Tensor, shape) -> Tensor:
         value = a.value.reshape(shape)
     except ValueError:
         raise ShapeError(f"reshape: cannot view {a.shape} as {tuple(shape)}")
-    if not _needs_grad(a):
-        return Tensor(value, op="reshape")
     src = a.shape
-    return Tensor(value, (a,), lambda g: (g.reshape(src),), True, "reshape")
+    return _node(value, (a,), lambda g: (g.reshape(src),), "reshape")
 
 
 def slice_axis(a: Tensor, start: int, stop: int, axis: int = -1) -> Tensor:
@@ -228,9 +226,6 @@ def slice_axis(a: Tensor, start: int, stop: int, axis: int = -1) -> Tensor:
     if not (0 <= start <= stop <= size):
         raise ShapeError(f"slice_axis: [{start}:{stop}] outside axis {axis} of {a.shape}")
     index = tuple(slice(None) if i != ax else slice(start, stop) for i in range(a.value.ndim))
-    value = a.value[index]
-    if not _needs_grad(a):
-        return Tensor(value, op="slice_axis")
     src = a.shape
 
     def vjp(g):
@@ -238,7 +233,7 @@ def slice_axis(a: Tensor, start: int, stop: int, axis: int = -1) -> Tensor:
         out[index] = g
         return (out,)
 
-    return Tensor(value, (a,), vjp, True, "slice_axis")
+    return _node(a.value[index], (a,), vjp, "slice_axis")
 
 
 def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -250,14 +245,11 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
         raise ShapeError(
             "concat: shapes " + ", ".join(str(p.shape) for p in parts)
             + f" do not align on axis {axis}")
-    if not _needs_grad(*parts):
-        return Tensor(value, op="concat")
-
-    ax = axis if axis >= 0 else value.ndim + axis
-    sizes = [p.shape[ax] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    sizes = [p.shape[axis] for p in parts]
 
     def vjp(g):
+        ax = axis if axis >= 0 else g.ndim + axis
+        offsets = np.cumsum([0] + sizes)
         grads = []
         for i in range(len(sizes)):
             index = tuple(slice(None) if d != ax else slice(offsets[i], offsets[i + 1])
@@ -265,7 +257,7 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
             grads.append(g[index])
         return tuple(grads)
 
-    return Tensor(value, tuple(parts), vjp, True, "concat")
+    return _node(value, tuple(parts), vjp, "concat")
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +270,6 @@ def silu(a: Tensor) -> Tensor:
     av = a.value
     value = sigmoid(av)
     value *= av
-    if not _needs_grad(a):
-        return Tensor(value, op="silu")
 
     def vjp(g):
         s = sigmoid(av)
@@ -290,7 +280,7 @@ def silu(a: Tensor) -> Tensor:
         out *= g
         return (out,)
 
-    return Tensor(value, (a,), vjp, True, "silu")
+    return _node(value, (a,), vjp, "silu")
 
 
 RMS_NORM_EPS = 1e-6
@@ -306,8 +296,6 @@ def rms_norm(a: Tensor, gain: Tensor) -> Tensor:
     r = 1.0 / np.sqrt(np.mean(value, axis=-1, keepdims=True) + RMS_NORM_EPS)
     np.multiply(x, r, out=value)
     value *= gv
-    if not _needs_grad(a, gain):
-        return Tensor(value, op="rms_norm")
 
     def vjp(g):
         # ga = r * gg - (r ** 3 / d) * x * sum(gg * x) and ggain = sum(g * x * r),
@@ -323,7 +311,7 @@ def rms_norm(a: Tensor, gain: Tensor) -> Tensor:
         tmp *= r
         return ga, tmp.reshape(-1, d).sum(axis=0)
 
-    return Tensor(value, (a, gain), vjp, True, "rms_norm")
+    return _node(value, (a, gain), vjp, "rms_norm")
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +328,6 @@ def gather(table: Tensor, indices: np.ndarray) -> Tensor:
         raise ContractError(
             f"gather: index out of range for table with {rows} rows "
             f"(min {idx.min()}, max {idx.max()})")
-    value = table.value[idx]
-    if not _needs_grad(table):
-        return Tensor(value, op="gather")
     tshape = table.shape
 
     def vjp(g):
@@ -350,7 +335,7 @@ def gather(table: Tensor, indices: np.ndarray) -> Tensor:
         np.add.at(out, idx, g)
         return (out,)
 
-    return Tensor(value, (table,), vjp, True, "gather")
+    return _node(table.value[idx], (table,), vjp, "gather")
 
 
 _ROPE_CACHE: dict = {}
@@ -384,36 +369,23 @@ def rope(a: Tensor, num_heads: int) -> Tensor:
     cos = cos[:, None, :]   # (M, 1, half): broadcasts over the heads axis
     sin = sin[:, None, :]
 
-    xh = a.value.reshape(*lead, M, num_heads, hd)
-    x1, x2 = xh[..., :half], xh[..., half:]
-    out = np.empty_like(xh)
-    o1, o2 = out[..., :half], out[..., half:]
-    np.multiply(x1, cos, out=o1)        # o1 = x1 * cos - x2 * sin
-    tmp = x2 * sin
-    o1 -= tmp
-    np.multiply(x1, sin, out=o2)        # o2 = x1 * sin + x2 * cos
-    np.multiply(x2, cos, out=tmp)
-    o2 += tmp
-    value = out.reshape(a.shape)
-    if not _needs_grad(a):
-        return Tensor(value, op="rope")
-    src = a.shape
+    def rotate(x, sin):
+        # each head's halves (x1, x2) -> (x1 * cos - x2 * sin, x1 * sin + x2 * cos)
+        xh = x.reshape(*lead, M, num_heads, hd)
+        x1, x2 = xh[..., :half], xh[..., half:]
+        out = np.empty_like(xh)
+        o1, o2 = out[..., :half], out[..., half:]
+        np.multiply(x1, cos, out=o1)
+        tmp = x2 * sin
+        o1 -= tmp
+        np.multiply(x1, sin, out=o2)
+        np.multiply(x2, cos, out=tmp)
+        o2 += tmp
+        return out.reshape(x.shape)
 
-    def vjp(g):
-        gh = g.reshape(*lead, M, num_heads, hd)
-        g1, g2 = gh[..., :half], gh[..., half:]
-        back = np.empty_like(gh)
-        b1, b2 = back[..., :half], back[..., half:]
-        np.multiply(g1, cos, out=b1)    # b1 = g1 * cos + g2 * sin
-        tmp = g2 * sin
-        b1 += tmp
-        np.negative(g1, out=b2)         # b2 = -g1 * sin + g2 * cos
-        b2 *= sin
-        np.multiply(g2, cos, out=tmp)
-        b2 += tmp
-        return (back.reshape(src),)
-
-    return Tensor(value, (a,), vjp, True, "rope")
+    # the transpose of a rotation is the rotation by the negated angle, and
+    # negating sin is exact, so backward reuses the forward's own kernel
+    return _node(rotate(a.value, sin), (a,), lambda g: (rotate(g, -sin),), "rope")
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +431,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
     _, _, p = softmax_scores()
     vh = heads(v.value)
     value = merge(np.matmul(p, vh))
-    if not _needs_grad(q, k, v):
-        return Tensor(value, op="attention")
 
     def vjp(g):
         qs, kh, p = softmax_scores()
@@ -477,7 +447,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
         gk = np.matmul(gp.swapaxes(-1, -2), qs)
         return merge(gq), merge(gk), merge(gv)
 
-    return Tensor(value, (q, k, v), vjp, True, "attention")
+    return _node(value, (q, k, v), vjp, "attention")
 
 
 # ---------------------------------------------------------------------------
@@ -498,17 +468,14 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     lse = m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True))
     idx = t[..., None]
     value = (lse - np.take_along_axis(x, idx, axis=-1))[..., 0]
-    if not _needs_grad(logits):
-        return Tensor(value, op="softmax_cross_entropy")
-    probs = np.exp(x - lse)
 
     def vjp(g):
-        gl = probs * g[..., None]
+        gl = np.exp(x - lse) * g[..., None]   # softmax probabilities times g
         cur = np.take_along_axis(gl, idx, axis=-1)
         np.put_along_axis(gl, idx, cur - g[..., None], axis=-1)
         return (gl,)
 
-    return Tensor(value, (logits,), vjp, True, "softmax_cross_entropy")
+    return _node(value, (logits,), vjp, "softmax_cross_entropy")
 
 
 def sigmoid_bce(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -518,10 +485,7 @@ def sigmoid_bce(logits: Tensor, targets: np.ndarray) -> Tensor:
         raise ShapeError(f"sigmoid_bce: targets {t.shape} do not match logits {logits.shape}")
     x = logits.value
     value = np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))
-    if not _needs_grad(logits):
-        return Tensor(value, op="sigmoid_bce")
-    s = sigmoid(x)
-    return Tensor(value, (logits,), lambda g: (g * (s - t),), True, "sigmoid_bce")
+    return _node(value, (logits,), lambda g: (g * (sigmoid(x) - t),), "sigmoid_bce")
 
 
 def masked_mean(a: Tensor, mask: np.ndarray) -> Tensor:
@@ -531,14 +495,12 @@ def masked_mean(a: Tensor, mask: np.ndarray) -> Tensor:
     if n == 0:
         raise ContractError("masked_mean: mask selects no positions")
     value = np.asarray((a.value * m).sum() / n, dtype=a.value.dtype)
-    if not _needs_grad(a):
-        return Tensor(value, op="masked_mean")
     dtype = a.value.dtype
 
     def vjp(g):
         return ((np.asarray(g) / n) * m.astype(dtype),)
 
-    return Tensor(value, (a,), vjp, True, "masked_mean")
+    return _node(value, (a,), vjp, "masked_mean")
 
 
 def mean_all(a: Tensor) -> Tensor:

@@ -24,8 +24,8 @@ from .inference import (InferenceError, collect_predictions, generate_remask,
                         pass_at_k)
 from .render import RenderError, StepFrame, render_trajectory
 from .seeding import rng_for
-from .tasks import (DeskDataset, TaskError, build_dataset, dataset_hash,
-                    generate_synthetic, load_arc_json)
+from .tasks import (SYNTHETIC_FAMILIES, DeskDataset, TaskError, build_dataset,
+                    dataset_hash, generate_synthetic, load_arc_json)
 from .training import (DENOISE_OBJECTIVES, DivergenceError, TrainConfig,
                        TrainingError, run_training, window_plan)
 
@@ -58,6 +58,21 @@ def _opt(parse):
     return lambda s: None if s.strip().lower() in ("none", "null", "") else parse(s)
 
 
+def _positive(s):
+    n = int(s)
+    if n < 1:
+        raise ValueError(f"must be >= 1, got {n}")
+    return n
+
+
+def _family(s):
+    name = s.strip()
+    if name not in SYNTHETIC_FAMILIES:
+        raise ValueError(f"unknown family {name!r}; choose from "
+                         + ", ".join(SYNTHETIC_FAMILIES))
+    return name
+
+
 def _defaults(instance, parsers: dict) -> dict:
     return {k: (getattr(instance, k), parse) for k, parse in parsers.items()}
 
@@ -82,15 +97,15 @@ CONFIG_KEYS = {
     # data and run shape
     "seed": (0, int),
     "data": (None, _opt(str.strip)),
-    "family": ("recolor_map", str.strip),
+    "family": ("recolor_map", _family),
     "grid": (8, int),
     "tasks": (16, int),
-    "augmentations": (4, int),
+    "augmentations": (4, _positive),
     "template_h": (None, _opt(int)),
     "template_w": (None, _opt(int)),
-    "steps": (None, _opt(int)),
+    "steps": (None, _opt(_positive)),
     "checkpoint_interval": (1000, int),
-    "num_denoise_steps": (16, int),
+    "num_denoise_steps": (16, _positive),
     # corruption schedules
     "noise.kind": ("cosine", str.strip),
     "noise.sigmoid_a": (10.0, float),
@@ -148,9 +163,7 @@ def resolve_config(args) -> dict:
                 "augmentations", "num_denoise_steps", "data"):
         value = getattr(args, key, None)
         if value is not None:
-            cfgmap[key] = value
-    if cfgmap["steps"] is not None and cfgmap["steps"] < 1:
-        raise ConfigError(f"steps must be >= 1, got {cfgmap['steps']}")
+            cfgmap[key] = _parse_key(key, value)
     return cfgmap
 
 
@@ -300,8 +313,6 @@ def _restrict_augmentations(dataset: DeskDataset, trained: int,
     """The eval cases of the first `want` augmentations; all without it."""
     if want in (None, trained):
         return dataset
-    if want < 1:
-        raise ConfigError(f"eval needs augmentations >= 1, got {want}")
     if want > trained:
         raise ConfigError(f"eval over {want} augmentations, but only {trained} "
                           "have trained task rows")
@@ -316,22 +327,21 @@ def _window_cycles(manifest: dict) -> int:
             + manifest["resolved"]["gradient_cycles"])
 
 
-def _denoise_steps(cfgmap: dict, flag) -> int:
-    """The --num-denoise-steps flag's value, or the run's own without it."""
-    steps = cfgmap["num_denoise_steps"] if flag is None else flag
-    if steps < 1:
-        raise ConfigError(f"num_denoise_steps must be >= 1, got {steps}")
-    return steps
+def _flag_or_run(cfgmap: dict, key: str, flag):
+    """A flag's value, parsed as its config key is, or the run's own."""
+    return cfgmap[key] if flag is None else _parse_key(key, flag)
 
 
 def pooled_eval(run_dir: Path, *, ks, augmentations=None, num_steps=None,
-                seed=None, batch_size=32):
+                seed=None):
     """Vote pool over every saved checkpoint x augmentation, then score."""
     manifest, cfgmap, dataset = _load_run(run_dir)
-    dataset = _restrict_augmentations(dataset, cfgmap["augmentations"], augmentations)
+    dataset = _restrict_augmentations(
+        dataset, cfgmap["augmentations"],
+        _flag_or_run(cfgmap, "augmentations", augmentations))
     noise, _ = _schedules(cfgmap)
     seed = manifest["seed"] if seed is None else seed
-    num_steps = _denoise_steps(cfgmap, num_steps)
+    num_steps = _flag_or_run(cfgmap, "num_denoise_steps", num_steps)
 
     entries = []
     for idx, path in enumerate(_checkpoint_paths(run_dir)):
@@ -341,7 +351,7 @@ def pooled_eval(run_dir: Path, *, ks, augmentations=None, num_steps=None,
             dataset, ema if ema is not None else params, ck_cfg,
             meta.get("objective", manifest["objective"]), sub_seed,
             num_denoise_steps=num_steps, schedule=noise,
-            cycles=_window_cycles(manifest), batch_size=batch_size))
+            cycles=_window_cycles(manifest)))
     return pass_at_k(dataset, entries, ks), manifest
 
 
@@ -403,7 +413,7 @@ def cmd_render(args) -> None:
                 if c.task_index == t_idx and c.test_index == 0)
 
     noise, _ = _schedules(cfgmap)
-    num_steps = _denoise_steps(cfgmap, args.num_denoise_steps)
+    num_steps = _flag_or_run(cfgmap, "num_denoise_steps", args.num_denoise_steps)
     seed = manifest["seed"] if args.seed is None else args.seed
 
     trace: list = []

@@ -305,22 +305,21 @@ def pass_at_k(dataset: DeskDataset, entries: Sequence[PoolEntry],
 
     results: dict[str, TaskResult] = {}
     for t_idx in sorted(per_task):
-        solved_k = {k: True for k in ks}
-        solved_2 = True
+        solved = {k: True for k in set(ks) | {2}}
         solved_pool = True
         top2: list[np.ndarray] = []
         for key in sorted(per_task[t_idx]):
             ranked = per_task[t_idx][key]
             want = truth[key]
             hits = [np.array_equal(c.canonical_grid, want) for c in ranked]
-            for k in ks:
-                solved_k[k] &= any(hits[:k])
-            solved_2 &= any(hits[:2])
+            for k in solved:
+                solved[k] &= any(hits[:k])
             solved_pool &= any(hits)
             if not top2:
                 top2 = [c.canonical_grid for c in ranked[:2]]
         results[dataset.tasks[t_idx].task_id] = TaskResult(
-            pass2=solved_2, passk=solved_k, pool=solved_pool, top2=top2)
+            pass2=solved[2], passk={k: solved[k] for k in ks}, pool=solved_pool,
+            top2=top2)
 
     n = max(1, len(results))
     return EvalReport(

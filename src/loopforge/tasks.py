@@ -336,15 +336,15 @@ def undo_augmentation(grid: np.ndarray, aug: Augmentation) -> np.ndarray:
 
 def random_augmentation(rng, max_h: int, max_w: int, template_h: int,
                         template_w: int) -> Augmentation:
-    """Sample (perm, dihedral, offset) such that max_h x max_w still fits."""
+    """Sample (perm, dihedral) such that max_h x max_w still fits the
+    template.  The offset is (0, 0): `build_dataset` places each pair at
+    an offset of its own."""
     perm = tuple(int(v) for v in rng.permutation(NUM_COLOURS))
     element = int(rng.integers(8))
     h, w = (max_w, max_h) if element % 2 == 1 else (max_h, max_w)
     if h > template_h or w > template_w:
         raise TaskError(f"grid {h}x{w} cannot fit template {template_h}x{template_w}")
-    dy = int(rng.integers(template_h - h + 1))
-    dx = int(rng.integers(template_w - w + 1))
-    return Augmentation(perm, element, (dy, dx))
+    return Augmentation(perm, element, (0, 0))
 
 
 # ---------------------------------------------------------------------------

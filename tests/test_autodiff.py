@@ -419,6 +419,27 @@ def test_primitive_keeps_operand_dtype(op, dtype):
     assert [g.dtype for g in grads] == [np.dtype(dtype)] * len(grads)
 
 
+@pytest.mark.parametrize("op", sorted(DTYPE_CASES))
+def test_primitive_records_backward_only_in_grad_mode(op):
+    build, shapes = DTYPE_CASES[op]
+    r = rng(41)
+    arrays = {name: r.normal(size=s).astype(np.float32) for name, s in shapes.items()}
+
+    def run(requires_grad):
+        return build({name: ad.tensor(a, requires_grad=requires_grad)
+                      for name, a in arrays.items()})
+
+    recorded = run(True)
+    assert recorded.parents and recorded.vjp is not None
+    with ad.no_grad():
+        under_no_grad = run(True)
+    for out in (under_no_grad, run(False)):
+        assert out.op == op and not out.requires_grad
+        assert out.parents == () and out.vjp is None
+        assert out.value.dtype == recorded.value.dtype
+        assert out.value.tobytes() == recorded.value.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # kernels that rebuild state in backward, pinned to the plain formulas
 # byte for byte; a vjp closure keeps no array that backward can recompute

@@ -189,6 +189,24 @@ class TestTrain:
         assert_one_error_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ("--augmentations", 0), ("--augmentations", -1), ("--family", "nope"),
+        ("--set", "num_denoise_steps=0"),
+    ], ids=["augmentations_0", "augmentations_-1", "family_nope", "denoise_steps_0"])
+    def test_rejected_value_exits_config(self, tmp_path, capsys, flags):
+        # the later flag or --set wins over the one train_args gives
+        out = tmp_path / "x"
+        assert run_cli(*train_args(out), *flags) == cli.EXIT_CONFIG
+        assert_one_error_line(capsys)
+        assert not out.exists()
+
+    def test_rejected_value_exits_config_before_any_variant(self, tmp_path, capsys):
+        out = tmp_path / "suite"
+        assert run_cli("ablate", "warmup_sweep", "--out", out,
+                       "--set", "num_denoise_steps=0") == cli.EXIT_CONFIG
+        assert_one_error_line(capsys)
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_numeric(self, tmp_path):
         code = run_cli(*train_args(tmp_path / "x", objective="trm",
@@ -240,6 +258,7 @@ BAD_MANIFESTS = {
     "no_resolved": _edit_manifest("resolved"),
     **{f"no_{key}": _edit_manifest(key) for key in cli.MANIFEST_KEYS},
     "grid_not_an_int": _edit_manifest("config.grid", "x"),
+    "augmentations_zero": _edit_manifest("config.augmentations", 0),
     "seed_not_an_int": _edit_manifest("seed", "abc"),
     "unknown_config_key": _edit_manifest("config.nope", 1),
 }
