@@ -16,15 +16,16 @@ Only the primitives the looped-transformer stack needs are provided.  Each
 one validates operand shapes up front and raises a structured error naming
 the op, rather than letting numpy fail somewhere downstream.
 
-Gradient flow is cut in two ways: `stop_gradient` inserts an explicit
-boundary node (forward value bit-identical to its operand), and under the
-`no_grad` context `_node` records no graph at all, for warm-up phases.
+Gradient flow is cut in two places only: under the `no_grad` context
+`_node` records no graph at all, for warm-up phases, and the window carry,
+`model._carry`, hands the next window a fresh leaf holding the previous
+window's state value, with no edge back into the graph that made it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -70,9 +71,11 @@ class Tensor:
     `adjoint` stays None until `backward` reaches the node; an untouched
     node therefore has an exactly-zero gradient by construction.  Only a
     leaf keeps its adjoint after backward: an interior node's adjoint is
-    transient, dropped as soon as its vjp has consumed it.  Nodes made by
-    `stop_gradient` keep a `detached` reference to their operand so tests
-    can audit what sits behind a boundary, but backward never follows it.
+    transient, dropped as soon as its vjp has consumed it.  `detached` is
+    always None for nodes built in this package; the slot is kept for
+    outside audits, which may point it at the graph behind a boundary and
+    walk it with `graph_nodes(follow_detached=True)`.  Backward never
+    follows it.
 
     `value` is the forward result, read by the ops that consume it later
     in the forward pass and never by backward.  A node with no parents
@@ -168,19 +171,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return _unbroadcast(g, ashape), _unbroadcast(g, bshape)
 
     return _node(value, (a, b), vjp, "add")
-
-
-def multiply(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        value = a.value * b.value
-    except ValueError:
-        raise ShapeError(f"multiply: operands {a.shape} and {b.shape} do not broadcast")
-    av, bv = a.value, b.value
-
-    def vjp(g):
-        return _unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)
-
-    return _node(value, (a, b), vjp, "multiply")
 
 
 def scale(a: Tensor, s: float) -> Tensor:
@@ -507,18 +497,6 @@ def mean_all(a: Tensor) -> Tensor:
     return masked_mean(a, np.ones(a.shape, dtype=bool))
 
 
-# ---------------------------------------------------------------------------
-# gradient boundary
-
-
-def stop_gradient(a: Tensor) -> Tensor:
-    """Identity forward, zero backward.  The result is a leaf; the operand
-    stays reachable through `.detached` for inspection only, which keeps
-    the operand's whole graph alive for as long as the result lives."""
-    return Tensor(a.value, parents=(), vjp=None, requires_grad=False,
-                  op="stop_gradient", detached=a)
-
-
 def release(out: Tensor, stop: Sequence[Tensor], keep: Sequence[Tensor]) -> None:
     """Drop the values of the nodes `out` was computed from, back to `stop`.
 
@@ -593,7 +571,7 @@ def backward(root: Tensor) -> None:
 
 
 def graph_nodes(root: Tensor, follow_detached: bool = False) -> list[Tensor]:
-    """All nodes reachable from root, optionally crossing stop_gradient."""
+    """All nodes reachable from root, optionally also through `.detached`."""
     out, seen, stack = [], set(), [root]
     while stack:
         node = stack.pop()
@@ -606,65 +584,3 @@ def graph_nodes(root: Tensor, follow_detached: bool = False) -> list[Tensor]:
             stack.append(node.detached)
     return out
 
-
-# ---------------------------------------------------------------------------
-# functional surface
-
-BuildFn = Callable[[dict], Tensor]
-
-
-def evaluate(build: BuildFn, bindings: dict[str, np.ndarray]) -> np.ndarray:
-    """Run a graph-building function on plain arrays; return the root value.
-
-    Pure: identical bindings give byte-identical results.
-    """
-    leaves = {name: tensor(arr, op=name) for name, arr in bindings.items()}
-    root = build(leaves)
-    if not np.all(np.isfinite(root.value)):
-        raise NonFiniteError("evaluate: result is not finite")
-    return root.value
-
-
-def gradient(build: BuildFn, bindings: dict[str, np.ndarray],
-             wrt: Sequence[str]) -> dict[str, np.ndarray]:
-    """Gradients of a scalar-valued build function with respect to `wrt` leaves.
-
-    Leaves not reached by backward get exact zeros.
-    """
-    wanted = set(wrt)
-    missing = wanted - set(bindings)
-    if missing:
-        raise ContractError(f"gradient: unknown leaves {sorted(missing)}")
-    leaves = {name: tensor(arr, requires_grad=(name in wanted), op=name)
-              for name, arr in bindings.items()}
-    root = build(leaves)
-    if root.value.size != 1:
-        raise ContractError(f"gradient: build function must return a scalar, got {root.shape}")
-    backward(root)
-    out = {}
-    for name in sorted(wanted):
-        leaf = leaves[name]
-        out[name] = leaf.adjoint if leaf.adjoint is not None else np.zeros_like(leaf.value)
-    return out
-
-
-def finite_difference_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
-                               h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function, one coordinate at a time.
-
-    Meant as an oracle for testing, so it runs in float64 and makes no
-    attempt to be fast.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = float(f(x))
-        flat[i] = orig - h
-        fm = float(f(x))
-        flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * h)
-    return grad

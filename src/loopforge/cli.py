@@ -239,6 +239,9 @@ def read_manifest(run_dir: Path) -> dict:
             node = node[part]
     if not isinstance(manifest["config"], dict):
         raise TaskError(f"{path}: manifest config is not a JSON object")
+    if "steps_run" not in manifest:
+        raise TaskError(f"{run_dir}: the run did not finish (its manifest has "
+                        "no steps_run)")
     return manifest
 
 

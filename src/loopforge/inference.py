@@ -205,12 +205,6 @@ def ranked_candidates(predictions: Sequence[tuple[np.ndarray, float, Augmentatio
                                  c.canonical_grid.tobytes()))
 
 
-def vote(predictions: Sequence[tuple[np.ndarray, float, Augmentation]]
-         ) -> list[VoteCandidate]:
-    """Top two candidates; a pool with one distinct grid yields one."""
-    return ranked_candidates(predictions)[:2]
-
-
 # ---------------------------------------------------------------------------
 # evaluation reports
 

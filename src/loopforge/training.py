@@ -434,7 +434,8 @@ def run_training(dataset: DeskDataset, cfg: md.ModelConfig, tcfg: TrainConfig,
               for epoch in range(tcfg.epochs))
     batches = (order[lo:lo + tcfg.batch_size] for order in orders
                for lo in range(0, len(order), tcfg.batch_size))
-    out = open(metrics_path, "w", encoding="utf-8") if metrics_path else None
+    # line-buffered, so a killed run keeps every step it finished
+    out = open(metrics_path, "w", encoding="utf-8", buffering=1) if metrics_path else None
     step = 0
     try:
         for picked in batches:

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 
 from loopforge import autodiff as ad
+from loopforge import inference as inf
 from loopforge import tasks as tk
 
 
@@ -76,3 +78,115 @@ def spy_backward(monkeypatch) -> list[dict]:
 
     monkeypatch.setattr(ad, "backward", spy)
     return seen
+
+
+def vote(predictions) -> list[inf.VoteCandidate]:
+    """Top two candidates; a pool with one distinct grid yields one."""
+    return inf.ranked_candidates(predictions)[:2]
+
+
+# ---------------------------------------------------------------------------
+# the gradient oracle: analytic gradients from the engine, central finite
+# differences in float64 as the reference
+
+BuildFn = Callable[[dict], ad.Tensor]
+
+
+def evaluate(build: BuildFn, bindings: dict[str, np.ndarray]) -> np.ndarray:
+    """Run a graph-building function on plain arrays; return the root value.
+
+    Pure: identical bindings give byte-identical results.
+    """
+    leaves = {name: ad.tensor(arr, op=name) for name, arr in bindings.items()}
+    root = build(leaves)
+    if not np.all(np.isfinite(root.value)):
+        raise ad.NonFiniteError("evaluate: result is not finite")
+    return root.value
+
+
+def gradient(build: BuildFn, bindings: dict[str, np.ndarray],
+             wrt: Sequence[str]) -> dict[str, np.ndarray]:
+    """Gradients of a scalar-valued build function with respect to `wrt` leaves.
+
+    Leaves not reached by backward get exact zeros.
+    """
+    wanted = set(wrt)
+    missing = wanted - set(bindings)
+    if missing:
+        raise ad.ContractError(f"gradient: unknown leaves {sorted(missing)}")
+    leaves = {name: ad.tensor(arr, requires_grad=(name in wanted), op=name)
+              for name, arr in bindings.items()}
+    root = build(leaves)
+    if root.value.size != 1:
+        raise ad.ContractError(f"gradient: build function must return a scalar, got {root.shape}")
+    ad.backward(root)
+    out = {}
+    for name in sorted(wanted):
+        leaf = leaves[name]
+        out[name] = leaf.adjoint if leaf.adjoint is not None else np.zeros_like(leaf.value)
+    return out
+
+
+def finite_difference_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
+                               h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of a scalar function, one coordinate at a
+    time, in float64 and with no attempt to be fast."""
+    x = np.asarray(x, dtype=np.float64)
+    grad = np.zeros_like(x)
+    flat = x.reshape(-1)
+    gflat = grad.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        fp = float(f(x))
+        flat[i] = orig - h
+        fm = float(f(x))
+        flat[i] = orig
+        gflat[i] = (fp - fm) / (2.0 * h)
+    return grad
+
+
+def rel_err(got: np.ndarray, want: np.ndarray) -> float:
+    """Largest absolute difference over the larger of the two peak magnitudes."""
+    denom = max(np.abs(got).max(initial=0.0), np.abs(want).max(initial=0.0), 1e-12)
+    return float(np.abs(got - want).max(initial=0.0) / denom)
+
+
+def check_gradients(build: BuildFn, bindings: dict, wrt=None, tol: float = 1e-6,
+                    h: float = 1e-5) -> dict[str, np.ndarray]:
+    """Assert that the engine's gradient of each `wrt` leaf (all leaves by
+    default) is within relative error `tol` of central finite differences
+    in float64; return the engine's gradients."""
+    bindings = {k: np.asarray(v, dtype=np.float64) for k, v in bindings.items()}
+    names = sorted(bindings) if wrt is None else list(wrt)
+    got = gradient(build, bindings, names)
+    for name in names:
+        def f(arr, name=name):
+            return float(evaluate(build, {**bindings, name: arr}))
+
+        err = rel_err(got[name], finite_difference_gradient(f, bindings[name], h=h))
+        assert err <= tol, f"gradient of {name!r} off by {err:.3e} (tol {tol:.0e})"
+    return got
+
+
+def multiply(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+    """Elementwise product, the tests' weighting op, built on the engine's
+    own node constructor like every shipped primitive."""
+    try:
+        value = a.value * b.value
+    except ValueError:
+        raise ad.ShapeError(f"multiply: operands {a.shape} and {b.shape} do not broadcast")
+    av, bv = a.value, b.value
+
+    def vjp(g):
+        return ad._unbroadcast(g * bv, av.shape), ad._unbroadcast(g * av, bv.shape)
+
+    return ad._node(value, (a, b), vjp, "multiply")
+
+
+def stop_gradient(a: ad.Tensor) -> ad.Tensor:
+    """Identity forward, zero backward.  The result is a leaf; the operand
+    stays reachable through `.detached` for inspection only, which keeps
+    the operand's whole graph alive for as long as the result lives."""
+    return ad.Tensor(a.value, parents=(), vjp=None, requires_grad=False,
+                     op="stop_gradient", detached=a)

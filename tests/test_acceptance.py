@@ -14,7 +14,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from conftest import dihedral_compose, spy_backward
+from conftest import (check_gradients, dihedral_compose, evaluate, gradient,
+                      multiply, spy_backward, stop_gradient, vote)
 import loopforge.autodiff as ad
 import loopforge.cli as cli
 import loopforge.model as md
@@ -24,7 +25,7 @@ from loopforge.corruption import (BetaSchedule, NoiseSchedule, corrupt_target,
                                   sample_timesteps)
 from loopforge.inference import (generate_remask, halting_batch,
                                  permutation_test, permutation_test_exhaustive,
-                                 ranked_candidates, remask_batch, vote)
+                                 ranked_candidates, remask_batch)
 from loopforge.seeding import rng_for
 from loopforge.tasks import (MASK, NUM_COLOURS, PAD, Augmentation, TokenSeq,
                              apply_augmentation, apply_dihedral, build_dataset,
@@ -33,11 +34,6 @@ from loopforge.tasks import (MASK, NUM_COLOURS, PAD, Augmentation, TokenSeq,
 from loopforge.training import Batch, TrainConfig, combined_loss
 
 IDENT = identity_augmentation()
-
-
-def rel_err(got, want):
-    denom = max(np.abs(got).max(), np.abs(want).max(), 1e-12)
-    return np.abs(got - want).max() / denom
 
 
 # ---------------------------------------------------------------------------
@@ -49,23 +45,12 @@ FD_TOL = 1e-6
 INSTANCES = 20
 
 
-def check_grads(build, bindings, wrt):
-    grads = ad.gradient(build, bindings, wrt)
-    for name in wrt:
-        def f(arr, name=name):
-            b = dict(bindings)
-            b[name] = arr
-            return float(ad.evaluate(build, b))
-        want = ad.finite_difference_gradient(f, bindings[name])
-        assert rel_err(grads[name], want) <= FD_TOL, name
-
-
 def _weighted(out, i, op, slot=0):
     # a fixed random cotangent so a vjp that mangles per-element structure
     # cannot hide behind a uniform mean; re-derived from the case id, so
     # every finite-difference evaluation sees the same weights
     w = rng_for(1999, "w", i, op, slot).standard_normal(out.shape)
-    return ad.mean_all(ad.multiply(out, ad.constant(w)))
+    return ad.mean_all(multiply(out, ad.constant(w)))
 
 
 def _primitive_cases(i):
@@ -83,7 +68,7 @@ def _primitive_cases(i):
         lambda t: _weighted(ad.add(t["a"], t["b"]), i, "addb"),
         ("a", "b"), a=n(m, 1, k), b=n(p, k))
     yield "multiply", case(
-        lambda t: _weighted(ad.multiply(t["a"], t["b"]), i, "mul"),
+        lambda t: _weighted(multiply(t["a"], t["b"]), i, "mul"),
         ("a", "b"), a=n(m, k), b=n(k))
     s = float(rng.uniform(0.3, 2.0))
     yield "scale", case(lambda t: _weighted(ad.scale(t["a"], s), i, "scale"),
@@ -368,32 +353,25 @@ def test_gradient_oracle_primitives_and_objective_losses():
 
     for i in range(INSTANCES):
         for name, (build, bindings, wrt) in _primitive_cases(i):
-            check_grads(build, bindings, wrt)
+            check_gradients(build, bindings, wrt, tol=FD_TOL)
 
     # stop_gradient: the contract IS the zero gradient, so the oracle is
     # analytic rather than numeric; the forward value must pass through
     rng = rng_for(1000, "sg")
     a = rng.standard_normal((3, 4))
     w = rng.standard_normal((3, 4))
-    build = lambda t: ad.mean_all(ad.multiply(ad.stop_gradient(t["a"]),
-                                              ad.constant(w)))
-    g = ad.gradient(build, {"a": a}, ["a"])
+    build = lambda t: ad.mean_all(multiply(stop_gradient(t["a"]), ad.constant(w)))
+    g = gradient(build, {"a": a}, ["a"])
     assert np.array_equal(g["a"], np.zeros_like(a))
-    assert float(ad.evaluate(build, {"a": a})) == pytest.approx(float((a * w).mean()))
+    assert float(evaluate(build, {"a": a})) == pytest.approx(float((a * w).mean()))
 
     seen = []
     for name, build_full, build_frozen, bindings, wrt in _objective_loss_cases():
         seen.append(name)
-        full = ad.gradient(build_full, bindings, wrt)
-        frozen = ad.gradient(build_frozen, bindings, wrt)
+        full = gradient(build_full, bindings, wrt)
+        frozen = check_gradients(build_frozen, bindings, wrt, tol=FD_TOL)
         for p in wrt:
             assert np.array_equal(full[p], frozen[p]), (name, p)
-            def f(arr, p=p):
-                b = dict(bindings)
-                b[p] = arr
-                return float(ad.evaluate(build_frozen, b))
-            want = ad.finite_difference_gradient(f, bindings[p])
-            assert rel_err(frozen[p], want) <= FD_TOL, (name, p)
         if name == "diffusion":
             # with no warm-up, every probed parameter reaches the loss
             assert all(np.any(frozen[p]) for p in wrt)

