@@ -332,12 +332,15 @@ _ROPE_CACHE: dict = {}
 
 
 def _rope_tables(M: int, half: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Full head-width tables (M, 2 * half): [cos, cos] and [-sin, sin]."""
     key = (M, half, np.dtype(dtype).str)
     hit = _ROPE_CACHE.get(key)
     if hit is None:
         inv = 10000.0 ** (-np.arange(half, dtype=np.float64) / half)
         ang = np.arange(M, dtype=np.float64)[:, None] * inv[None, :]
-        hit = (np.cos(ang).astype(dtype), np.sin(ang).astype(dtype))
+        cos, sin = np.cos(ang), np.sin(ang)
+        hit = (np.concatenate([cos, cos], axis=1).astype(dtype),
+               np.concatenate([-sin, sin], axis=1).astype(dtype))
         _ROPE_CACHE[key] = hit
     return hit
 
@@ -356,21 +359,19 @@ def rope(a: Tensor, num_heads: int) -> Tensor:
         raise ShapeError(f"rope: head dim {hd} must be even")
     half = hd // 2
     cos, sin = _rope_tables(M, half, a.value.dtype)
-    cos = cos[:, None, :]   # (M, 1, half): broadcasts over the heads axis
+    cos = cos[:, None, :]   # (M, 1, hd): broadcasts over the heads axis
     sin = sin[:, None, :]
 
     def rotate(x, sin):
-        # each head's halves (x1, x2) -> (x1 * cos - x2 * sin, x1 * sin + x2 * cos)
+        # each head's halves (x1, x2) -> swap(x) * [-sin, sin] + x * [cos, cos]
+        # = (x1 * cos - x2 * sin, x1 * sin + x2 * cos), with the two-half
+        # formula's bytes: negation is exact and the sums hold the same terms
         xh = x.reshape(*lead, M, num_heads, hd)
-        x1, x2 = xh[..., :half], xh[..., half:]
         out = np.empty_like(xh)
-        o1, o2 = out[..., :half], out[..., half:]
-        np.multiply(x1, cos, out=o1)
-        tmp = x2 * sin
-        o1 -= tmp
-        np.multiply(x1, sin, out=o2)
-        np.multiply(x2, cos, out=tmp)
-        o2 += tmp
+        out[..., :half] = xh[..., half:]
+        out[..., half:] = xh[..., :half]
+        out *= sin
+        out += xh * cos
         return out.reshape(x.shape)
 
     # the transpose of a rotation is the rotation by the negated angle, and

@@ -25,7 +25,8 @@ from .inference import (InferenceError, collect_predictions, generate_remask,
 from .render import RenderError, StepFrame, render_trajectory
 from .seeding import rng_for
 from .tasks import (SYNTHETIC_FAMILIES, DeskDataset, TaskError, build_dataset,
-                    dataset_hash, generate_synthetic, load_arc_json)
+                    dataset_hash, from_template, generate_synthetic,
+                    load_arc_json)
 from .training import (DENOISE_OBJECTIVES, DivergenceError, TrainConfig,
                        TrainingError, run_training, window_plan)
 
@@ -185,13 +186,16 @@ def build_desk_dataset(cfgmap: dict) -> DeskDataset:
 
 
 def make_configs(cfgmap: dict, dataset: DeskDataset):
-    """Model and training configs, with the window plan resolved and the
-    untied stack depth derived for the stacked baselines."""
+    """Model and training configs.  The model config's cycles_per_window
+    is the window training runs, which window_plan maps to itself, so a
+    checkpoint carries the window that inference replays; the stacked
+    baselines get one weight set per application of it."""
     tcfg = TrainConfig(max_halt_steps=cfgmap["max_halt_steps"],
                        **{k: cfgmap[k] for k in TRAIN_KEYS})
     cfg = md.ModelConfig(seq_len=dataset.seq_len, num_tasks=dataset.num_rows,
                          **{k: cfgmap[k] for k in MODEL_KEYS})
     warm, grad = window_plan(cfg, tcfg)
+    cfg = replace(cfg, cycles_per_window=warm + grad)
     if tcfg.objective.startswith("stacked"):
         cfg = replace(cfg, untied_depth=(warm + grad) * cfg.apps_per_cycle)
     return cfg, tcfg, (warm, grad)
@@ -219,8 +223,7 @@ def _write_manifest(out_dir: Path, payload: dict) -> None:
 
 
 # what eval and render read from a manifest
-MANIFEST_KEYS = ("config", "seed", "objective", "dataset_hash",
-                 "resolved.warmup_cycles", "resolved.gradient_cycles")
+MANIFEST_KEYS = ("config", "seed", "objective", "dataset_hash")
 
 
 def read_manifest(run_dir: Path) -> dict:
@@ -232,11 +235,8 @@ def read_manifest(run_dir: Path) -> dict:
     except ValueError as e:
         raise TaskError(f"{path}: unreadable manifest ({e})") from e
     for key in MANIFEST_KEYS:
-        node = manifest
-        for part in key.split("."):
-            if not isinstance(node, dict) or part not in node:
-                raise TaskError(f"{path}: manifest has no {key}")
-            node = node[part]
+        if not isinstance(manifest, dict) or key not in manifest:
+            raise TaskError(f"{path}: manifest has no {key}")
     if not isinstance(manifest["config"], dict):
         raise TaskError(f"{path}: manifest config is not a JSON object")
     if "steps_run" not in manifest:
@@ -288,20 +288,24 @@ def execute_training(cfgmap: dict, out_dir: Path, progress=None):
 
 def _load_run(run_dir: Path):
     """The manifest, with its config and seed parsed as config-file lines
-    are, and the regenerated dataset it was trained on."""
+    are; the regenerated dataset it was trained on; and the model config
+    and noise schedule that training built from them.  A manifest whose
+    values cannot build these is data, like any other bad manifest."""
     manifest = read_manifest(run_dir)
     cfgmap = default_config()
     try:
         for key, value in manifest["config"].items():
             cfgmap[key] = _parse_key(key, value)
         manifest["seed"] = _parse_key("seed", manifest["seed"])
-    except ConfigError as e:
+        dataset = build_desk_dataset(cfgmap)
+        cfg, _, _ = make_configs(cfgmap, dataset)
+        noise, _ = _schedules(cfgmap)
+    except (ConfigError, TrainingError, md.ModelError, CorruptionError) as e:
         raise TaskError(f"{run_dir}: manifest {e}") from e
-    dataset = build_desk_dataset(cfgmap)
     if dataset_hash(dataset.tasks) != manifest["dataset_hash"]:
         raise TaskError(f"{run_dir}: regenerated dataset does not match the "
                         "manifest hash")
-    return manifest, cfgmap, dataset
+    return manifest, cfgmap, dataset, cfg, noise
 
 
 def _checkpoint_paths(run_dir: Path) -> list[Path]:
@@ -309,6 +313,19 @@ def _checkpoint_paths(run_dir: Path) -> list[Path]:
     if not paths:
         raise TaskError(f"{run_dir} holds no checkpoints")
     return paths
+
+
+def _load_weights(path: Path, cfg: md.ModelConfig, objective: str):
+    """A run's checkpoint as (inference weights, objective): the EMA
+    weights when it holds them, and its own objective, else the run's.
+    A checkpoint whose config is not the run's is refused."""
+    ck_cfg, params, ema, meta = md.load_checkpoint(path)
+    want, got = cfg.to_dict(), ck_cfg.to_dict()
+    diff = [f"{k} {got[k]} (run: {want[k]})" for k in want if got[k] != want[k]]
+    if diff:
+        raise TaskError(f"{path}: checkpoint config differs from the run's: "
+                        + ", ".join(diff))
+    return (ema if ema is not None else params), meta.get("objective", objective)
 
 
 def _restrict_augmentations(dataset: DeskDataset, trained: int,
@@ -324,12 +341,6 @@ def _restrict_augmentations(dataset: DeskDataset, trained: int,
                        dataset.num_rows, dataset.template)
 
 
-def _window_cycles(manifest: dict) -> int:
-    """Cycles per window the run trained with, which inference replays."""
-    return (manifest["resolved"]["warmup_cycles"]
-            + manifest["resolved"]["gradient_cycles"])
-
-
 def _flag_or_run(cfgmap: dict, key: str, flag):
     """A flag's value, parsed as its config key is, or the run's own."""
     return cfgmap[key] if flag is None else _parse_key(key, flag)
@@ -338,23 +349,20 @@ def _flag_or_run(cfgmap: dict, key: str, flag):
 def pooled_eval(run_dir: Path, *, ks, augmentations=None, num_steps=None,
                 seed=None):
     """Vote pool over every saved checkpoint x augmentation, then score."""
-    manifest, cfgmap, dataset = _load_run(run_dir)
+    manifest, cfgmap, dataset, cfg, noise = _load_run(run_dir)
     dataset = _restrict_augmentations(
         dataset, cfgmap["augmentations"],
         _flag_or_run(cfgmap, "augmentations", augmentations))
-    noise, _ = _schedules(cfgmap)
     seed = manifest["seed"] if seed is None else seed
     num_steps = _flag_or_run(cfgmap, "num_denoise_steps", num_steps)
 
     entries = []
     for idx, path in enumerate(_checkpoint_paths(run_dir)):
-        ck_cfg, params, ema, meta = md.load_checkpoint(path)
+        weights, objective = _load_weights(path, cfg, manifest["objective"])
         sub_seed = int(rng_for(seed, "ckpt", idx).integers(2 ** 31))
         entries.extend(collect_predictions(
-            dataset, ema if ema is not None else params, ck_cfg,
-            meta.get("objective", manifest["objective"]), sub_seed,
-            num_denoise_steps=num_steps, schedule=noise,
-            cycles=_window_cycles(manifest)))
+            dataset, weights, cfg, objective, sub_seed,
+            num_denoise_steps=num_steps, schedule=noise))
     return pass_at_k(dataset, entries, ks), manifest
 
 
@@ -397,10 +405,9 @@ def cmd_eval(args) -> None:
 
 def cmd_render(args) -> None:
     run_dir = Path(args.run_dir)
-    manifest, cfgmap, dataset = _load_run(run_dir)
-    path = _checkpoint_paths(run_dir)[-1]
-    cfg, params, ema, meta = md.load_checkpoint(path)
-    objective = meta.get("objective", manifest["objective"])
+    manifest, cfgmap, dataset, cfg, noise = _load_run(run_dir)
+    weights, objective = _load_weights(_checkpoint_paths(run_dir)[-1], cfg,
+                                       manifest["objective"])
     if objective not in DENOISE_OBJECTIVES:
         raise ConfigError(
             f"checkpoint was trained with {objective!r}; the renderer "
@@ -415,22 +422,19 @@ def cmd_render(args) -> None:
     case = next(c for c in dataset.eval_cases
                 if c.task_index == t_idx and c.test_index == 0)
 
-    noise, _ = _schedules(cfgmap)
     num_steps = _flag_or_run(cfgmap, "num_denoise_steps", args.num_denoise_steps)
     seed = manifest["seed"] if args.seed is None else args.seed
 
     trace: list = []
-    generate_remask(case.input_tokens, case.loss_mask, case.row,
-                    ema if ema is not None else params, cfg, num_steps,
-                    rng_for(seed, "render"), schedule=noise,
-                    cycles=_window_cycles(manifest), trace=trace)
+    generate_remask(case.input_tokens, case.loss_mask, case.row, weights, cfg,
+                    num_steps, rng_for(seed, "render"), schedule=noise,
+                    trace=trace)
 
     th, tw = dataset.template
     dy, dx = case.aug.offset
-    h, w = case.shape
     frames = []
     for f in trace:
-        grid = f["prediction"].reshape(th, tw)[dy:dy + h, dx:dx + w]
+        grid = from_template(f["prediction"], *case.shape, th, tw, case.aug.offset)
         cells = [(i // tw - dy, i % tw - dx) for i in f["remasked"]]
         frames.append(StepFrame(grid=grid, remasked=cells, q=f["q"],
                                 timestep=f["timestep"]))

@@ -1,7 +1,8 @@
 """Test-time generation, voting, and scoring.
 
 Two generators, one per kind of objective, both replaying the training
-loop (`md.halting_windows`) without gradient.  Generate-and-remask, for
+loop (`md.halting_windows`) without gradient, in windows of
+`cfg.cycles_per_window` cycles.  Generate-and-remask, for
 the denoising objectives, starts from a fully masked answer; each
 iteration is one drm training window from the label state of the current
 answer, whose full-grid prediction is then partly remasked along a
@@ -53,7 +54,6 @@ def remask_batch(inputs: np.ndarray, masks: np.ndarray, rows: np.ndarray,
                  params: md.Parameters, cfg: md.ModelConfig,
                  num_steps: int, schedule: NoiseSchedule,
                  streams: Sequence[np.random.Generator], *,
-                 cycles: int | None = None,
                  trace: list | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Denoise a batch; returns (tokens (B, M), final sigmoid q (B,)).
 
@@ -61,9 +61,6 @@ def remask_batch(inputs: np.ndarray, masks: np.ndarray, rows: np.ndarray,
     the full prediction, the remasked indices, and the q value.
     """
     B, M = np.asarray(inputs).shape
-    cycles = cfg.cycles_per_window if cycles is None else cycles
-    if cycles < 1:
-        raise InferenceError(f"remask needs cycles >= 1, got {cycles}")
     masks = np.asarray(masks, dtype=bool)
     valid = [np.flatnonzero(masks[i]) for i in range(B)]
 
@@ -75,12 +72,12 @@ def remask_batch(inputs: np.ndarray, masks: np.ndarray, rows: np.ndarray,
     q_out = np.zeros(B)
     with ad.no_grad():
         for it in range(num_steps):
-            # the drm training window: one window, cycles - 1 warm-up cycles
+            # the drm training window, cycles_per_window - 1 warm-up cycles
             # and one more, from the label state of the current answer
             [(_, _, _, logits, q_logit, _)] = md.halting_windows(
                 params, cfg, inputs, rows,
                 lambda pt: md.label_state(pt, cfg, current, streams),
-                1, cycles - 1, 1)
+                1, cfg.cycles_per_window - 1, 1)
             pred = _colour_argmax(logits.value)
             q_out = ad.sigmoid(q_logit.value)
             remasked = []
@@ -108,15 +105,13 @@ def generate_remask(tokens: np.ndarray, loss_mask: np.ndarray, row: int,
                     params: md.Parameters, cfg: md.ModelConfig,
                     num_steps: int, rng: np.random.Generator, *,
                     schedule: NoiseSchedule | None = None,
-                    cycles: int | None = None,
                     trace: list | None = None) -> tuple[np.ndarray, float]:
     """Single-case generate-and-remask; all randomness from `rng`."""
     sched = schedule if schedule is not None else NoiseSchedule()
     out, q = remask_batch(np.asarray(tokens)[None, :],
                           np.asarray(loss_mask)[None, :],
                           np.array([row], dtype=np.int64),
-                          params, cfg, num_steps, sched, [rng],
-                          cycles=cycles, trace=trace)
+                          params, cfg, num_steps, sched, [rng], trace=trace)
     return out[0], float(q[0])
 
 
@@ -127,7 +122,6 @@ def generate_remask(tokens: np.ndarray, loss_mask: np.ndarray, row: int,
 def halting_batch(inputs: np.ndarray, masks: np.ndarray, rows: np.ndarray,
                   params: md.Parameters, cfg: md.ModelConfig,
                   streams: Sequence[np.random.Generator], *,
-                  cycles: int | None = None,
                   max_steps: int | None = None
                   ) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
     """Replay the training recursion (`md.halting_windows`) until each
@@ -135,11 +129,9 @@ def halting_batch(inputs: np.ndarray, masks: np.ndarray, rows: np.ndarray,
 
     Returns (tokens (B, M), final sigmoid q (B,), per-item q traces).
     """
-    cycles = cfg.cycles_per_window if cycles is None else cycles
     budget = cfg.max_halt_steps if max_steps is None else max_steps
-    if budget < 1 or cycles < 1:
-        raise InferenceError(f"halting needs a budget and cycles >= 1, got "
-                             f"{budget} and {cycles}")
+    if budget < 1:
+        raise InferenceError(f"halting needs a budget >= 1, got {budget}")
     masks = np.asarray(masks, dtype=bool)
 
     out = np.zeros(masks.shape, dtype=np.int64)
@@ -147,7 +139,7 @@ def halting_batch(inputs: np.ndarray, masks: np.ndarray, rows: np.ndarray,
     with ad.no_grad():
         for _, active, _, logits, q_logit, halted in md.halting_windows(
                 params, cfg, inputs, rows, lambda pt: md.init_state(pt, cfg, streams),
-                budget, cycles - 1, 1):
+                budget, cfg.cycles_per_window - 1, 1):
             for item, sq in zip(active, ad.sigmoid(q_logit.value)):
                 traces[item].append(float(sq))
             done = active[halted]
@@ -158,14 +150,12 @@ def halting_batch(inputs: np.ndarray, masks: np.ndarray, rows: np.ndarray,
 def generate_halting(tokens: np.ndarray, loss_mask: np.ndarray, row: int,
                      params: md.Parameters, cfg: md.ModelConfig,
                      rng: np.random.Generator, *,
-                     cycles: int | None = None,
                      max_steps: int | None = None
                      ) -> tuple[np.ndarray, list[float]]:
     out, _, traces = halting_batch(np.asarray(tokens)[None, :],
                                    np.asarray(loss_mask)[None, :],
                                    np.array([row], dtype=np.int64),
-                                   params, cfg, [rng],
-                                   cycles=cycles, max_steps=max_steps)
+                                   params, cfg, [rng], max_steps=max_steps)
     return out[0], traces[0]
 
 
@@ -244,7 +234,6 @@ def collect_predictions(dataset: DeskDataset, params: md.Parameters,
                         cfg: md.ModelConfig, objective: str, seed: int, *,
                         num_denoise_steps: int = 16,
                         schedule: NoiseSchedule | None = None,
-                        cycles: int | None = None,
                         max_steps: int | None = None,
                         batch_size: int = 32) -> list[PoolEntry]:
     """Run the right generator over every eval case, in batches."""
@@ -260,12 +249,10 @@ def collect_predictions(dataset: DeskDataset, params: md.Parameters,
         streams = [rng_for(seed, "eval", lo + i) for i in range(len(chunk))]
         if objective in DENOISE_OBJECTIVES:
             tokens, q = remask_batch(inputs, masks, rows, params, cfg,
-                                     num_denoise_steps, sched, streams,
-                                     cycles=cycles)
+                                     num_denoise_steps, sched, streams)
         else:
             tokens, q, _ = halting_batch(inputs, masks, rows, params, cfg,
-                                         streams, cycles=cycles,
-                                         max_steps=max_steps)
+                                         streams, max_steps=max_steps)
         for i, case in enumerate(chunk):
             h, w = case.shape
             grid = from_template(tokens[i], h, w, th, tw, case.aug.offset)

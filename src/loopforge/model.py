@@ -54,7 +54,9 @@ class ModelConfig:
     vocab_size: int = VOCAB_SIZE
     seq_len: int = 64
     inner_steps: int = 6         # latent steps per cycle (n)
-    cycles_per_window: int = 3   # cycles per recursion window (T)
+    # cycles per recursion window (T); `make_configs` stores the window
+    # training runs (warm-up + gradient cycles), which inference replays
+    cycles_per_window: int = 3
     max_halt_steps: int = 16
     single_z: bool = False
     num_tasks: int = 1

@@ -548,10 +548,10 @@ def trained_drm_run(tmp_path_factory):
 
 
 def _run_params(run_dir):
-    manifest, cfgmap, dataset = cli._load_run(run_dir)
+    manifest, _, dataset, cfg, _ = cli._load_run(run_dir)
     path = sorted((run_dir / "checkpoints").glob("*.ltrm"))[-1]
-    cfg, params, ema, meta = md.load_checkpoint(path)
-    return dataset, cfg, (ema if ema is not None else params)
+    params, _ = cli._load_weights(path, cfg, manifest["objective"])
+    return dataset, cfg, params
 
 
 def test_remask_inference_contract(trained_drm_run):
@@ -580,7 +580,7 @@ def test_remask_inference_contract(trained_drm_run):
                 np.tile(case.input_tokens, (B, 1)),
                 np.tile(case.loss_mask, (B, 1)),
                 np.full(B, case.row, dtype=np.int64),
-                params, cfg, ns, NoiseSchedule(), streams, cycles=3)
+                params, cfg, ns, NoiseSchedule(), streams)
             assert not np.any(tokens == MASK)
             assert np.all(tokens[:, ~case.loss_mask] == PAD)
             assert np.all(tokens[:, case.loss_mask] >= 0)
@@ -590,7 +590,7 @@ def test_remask_inference_contract(trained_drm_run):
 
     # the single-case entry point obeys the same contract
     out, q = generate_remask(case.input_tokens, case.loss_mask, case.row,
-                             params, cfg, 16, rng_for(1402), cycles=3)
+                             params, cfg, 16, rng_for(1402))
     assert not np.any(out == MASK)
     assert np.all(out[~case.loss_mask] == PAD)
     assert 0.0 <= q <= 1.0

@@ -3,12 +3,14 @@
 import json
 import shutil
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from loopforge import cli
 from loopforge import model as md
+from loopforge.seeding import rng_for
 from loopforge.tasks import build_dataset, generate_synthetic
 from loopforge.training import DivergenceError
 
@@ -118,8 +120,15 @@ class TestConfig:
             for key in keys:
                 want = raw[key][1]
                 assert defaults[key] != want, key
-                assert getattr(made, key) == want, key
+                if key != "cycles_per_window":
+                    assert getattr(made, key) == want, key
         assert tcfg.max_halt_steps == 5
+        # the model config holds the window training runs: the explicit
+        # warm-up cycles plus the gradient cycles; without warmup_cycles,
+        # sprm warms cycles_per_window - gradient_cycles: the window is the key
+        assert cfg.cycles_per_window == 1 + 2
+        cfg, _, _ = cli.make_configs({**cfgmap, "warmup_cycles": None}, dataset)
+        assert cfg.cycles_per_window == 4
 
     def test_non_utf8_file_exits_config(self, tmp_path, capsys):
         cfile = tmp_path / "c.cfg"
@@ -149,6 +158,16 @@ class TestTrain:
         assert list(json.loads(metrics[0])) == [
             "step", "objective", "ce_loss", "q_loss", "token_accuracy",
             "exact_match_rate", "halt_histogram", "grad_norm", "skipped_updates"]
+
+    def test_checkpoints_carry_the_trained_window(self, tmp_path):
+        # drm warms two cycles ahead of its gradient cycles, whatever
+        # cycles_per_window says, and inference replays what training ran
+        run = tmp_path / "run"
+        assert run_cli(*train_args(run, steps=6, gradient_cycles=2)) == 0
+        paths = list((run / "checkpoints").glob("*.ltrm"))
+        assert paths
+        for path in paths:
+            assert md.load_checkpoint(path)[0].cycles_per_window == 2 + 2
 
     def test_never_overwrites(self, drm_run, capsys):
         assert run_cli(*train_args(drm_run)) == cli.EXIT_CONFIG
@@ -251,17 +270,27 @@ def _edit_manifest(key, *value):
     return edit
 
 
+def _edit_config(key, value):
+    """Set one config key of the manifest; its name may hold dots."""
+    def edit(path):
+        doc = json.loads(path.read_text())
+        doc["config"][key] = value
+        path.write_text(json.dumps(doc))
+    return edit
+
+
 BAD_MANIFESTS = {
     "truncated": lambda p: p.write_text(p.read_text()[:40]),
     "not_an_object": lambda p: p.write_text("[]"),
     "config_not_an_object": lambda p: p.write_text(
         json.dumps({**json.loads(p.read_text()), "config": 5})),
-    "no_resolved": _edit_manifest("resolved"),
     **{f"no_{key}": _edit_manifest(key) for key in cli.MANIFEST_KEYS},
     "grid_not_an_int": _edit_manifest("config.grid", "x"),
     "augmentations_zero": _edit_manifest("config.augmentations", 0),
     "seed_not_an_int": _edit_manifest("seed", "abc"),
     "unknown_config_key": _edit_manifest("config.nope", 1),
+    "unknown_noise_kind": _edit_config("noise.kind", "bogus"),
+    "beta_start_above_beta_end": _edit_config("sprm.beta_start", 0.5),
 }
 
 
@@ -334,6 +363,53 @@ def test_failed_writes_leave_earlier_files_intact(drm_run, tmp_path, monkeypatch
         cli._write_manifest(run, {**manifest, "steps_run": 18})
     monkeypatch.undo()
     assert snapshot() == before
+
+
+def _add_foreign_checkpoint(**change):
+    """Add a last checkpoint, fresh weights included, whose config is the
+    run's with `change` applied."""
+    def add(run):
+        ck_dir = run / "checkpoints"
+        cfg, _, _, meta = md.load_checkpoint(sorted(ck_dir.glob("*.ltrm"))[-1])
+        cfg = replace(cfg, **change)
+        md.save_checkpoint(ck_dir / "step_999999.ltrm", cfg,
+                           md.Parameters.init(cfg, rng_for(0, "foreign")), None, meta)
+    return add
+
+
+def _rewrite_window(cycles):
+    """Rewrite every checkpoint with another cycles_per_window and the same
+    weights, as runs trained before checkpoints carried their window were."""
+    def rewrite(run):
+        for ck in (run / "checkpoints").glob("*.ltrm"):
+            cfg, params, ema, meta = md.load_checkpoint(ck)
+            md.save_checkpoint(ck, replace(cfg, cycles_per_window=cycles),
+                               params, ema, meta)
+    return rewrite
+
+
+# drm_run has 2 tasks x 2 augmentations = 4 task rows and a 4x4 template,
+# and trains 2 warm-up cycles + 1 gradient cycle with cycles_per_window=2
+FOREIGN_CHECKPOINTS = {
+    "fewer_task_rows": _add_foreign_checkpoint(num_tasks=2),
+    "other_template": _add_foreign_checkpoint(
+        seq_len=build_dataset(generate_synthetic("copy", 3, 2, seed=5),
+                              2, 5, 5, seed=5).seq_len),
+    "window_from_the_key": _rewrite_window(2),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "render"])
+@pytest.mark.parametrize("foreign", sorted(FOREIGN_CHECKPOINTS))
+def test_checkpoint_config_not_the_runs_is_data_error(drm_run, tmp_path, capsys,
+                                                      command, foreign):
+    run = tmp_path / "run"
+    shutil.copytree(drm_run, run)
+    FOREIGN_CHECKPOINTS[foreign](run)
+    assert run_cli(command, run) == cli.EXIT_DATA
+    assert_one_error_line(capsys)
+    assert not (run / "eval_report.json").exists()
+    assert not (run / "render").exists()
 
 
 @pytest.mark.parametrize("command", ["eval", "render"])

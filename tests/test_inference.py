@@ -1,5 +1,7 @@
 """Generation, voting, scoring, and the permutation test."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -220,21 +222,22 @@ class TestRemask:
         assert seen[0][1].tobytes() == want.z.value.tobytes()
 
     def test_zero_cycles_rejected(self):
-        # a remask iteration is a drm training window, which needs a cycle
-        ds, cfg, params = tiny_setup()
-        case = ds.eval_cases[0]
-        with pytest.raises(inf.InferenceError, match="cycles"):
-            inf.generate_remask(case.input_tokens, case.loss_mask, case.row,
-                                params, cfg, 2, rng_for(0, "r"), cycles=0)
+        # a remask iteration is a drm training window, which needs a cycle;
+        # the window comes from the config, so a zero-cycle one is refused
+        # before any generator can run it
+        _, cfg, _ = tiny_setup()
+        with pytest.raises(md.ModelError, match="cycles"):
+            replace(cfg, cycles_per_window=0)
 
     def test_copy_model_returns_input(self, copy_setup, drm_copy):
         ds, cfg = copy_setup
+        cfg = replace(cfg, cycles_per_window=3)   # the window drm_copy trained
         case = ds.eval_cases[0]
         want = case.target_grid
         for steps in (1, 2, 4):
             out, _ = inf.generate_remask(case.input_tokens, case.loss_mask,
                                          case.row, drm_copy.ema, cfg, steps,
-                                         rng_for(steps, "copy"), cycles=3)
+                                         rng_for(steps, "copy"))
             got = out.reshape(ds.template)[:want.shape[0], :want.shape[1]]
             assert np.array_equal(got, want)
 
@@ -395,7 +398,8 @@ class TestEvaluate:
     def test_copy_drm_end_to_end(self, copy_setup, drm_copy):
         ds, cfg = copy_setup
         report = inf.pass_at_k(ds, inf.collect_predictions(
-            ds, drm_copy.ema, cfg, "drm", seed=1, num_denoise_steps=4, cycles=3))
+            ds, drm_copy.ema, replace(cfg, cycles_per_window=3), "drm", seed=1,
+            num_denoise_steps=4))
         assert report.pass2_accuracy == 1.0
         assert report.pool_accuracy == 1.0
 

@@ -50,6 +50,8 @@ def test_config_validation():
         tiny_cfg(vocab_size=12)
     with pytest.raises(md.ModelError):
         tiny_cfg(inner_steps=0)
+    with pytest.raises(md.ModelError):
+        tiny_cfg(cycles_per_window=0)  # a window, remask's included, needs a cycle
 
 
 def test_parameter_count_near_seven_million():
