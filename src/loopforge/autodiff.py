@@ -10,7 +10,8 @@ retained between steps except the raw parameter arrays owned by the caller.
 
 A vjp reads only what its closure captured at forward time, never a
 node's value slot, so `release` can drop the values that no vjp needs
-while the graph waits for backward.
+while the graph waits for backward.  `recompute` makes a whole sub-graph
+one node that keeps only its inputs and rebuilds the rest in backward.
 
 Only the primitives the looped-transformer stack needs are provided.  Each
 one validates operand shapes up front and raises a structured error naming
@@ -68,26 +69,25 @@ def grad_enabled() -> bool:
 class Tensor:
     """One graph node: forward value plus enough to run backward through it.
 
-    `adjoint` stays None until `backward` reaches the node; an untouched
-    node therefore has an exactly-zero gradient by construction.  Only a
-    leaf keeps its adjoint after backward: an interior node's adjoint is
-    transient, dropped as soon as its vjp has consumed it.  `detached` is
-    always None for nodes built in this package; the slot is kept for
-    outside audits, which may point it at the graph behind a boundary and
-    walk it with `graph_nodes(follow_detached=True)`.  Backward never
-    follows it.
+    `adjoint` stays None until `backward` reaches the node, so an untouched
+    node has an exactly-zero gradient; only leaves keep theirs after
+    backward, an interior adjoint being dropped once its vjp has run.
+    `detached` is always None for nodes built in this package; outside
+    audits may point it at the graph behind a boundary and walk it with
+    `graph_nodes(follow_detached=True)`.  Backward never follows it.
 
-    `value` is the forward result, read by the ops that consume it later
-    in the forward pass and never by backward.  A node with no parents
-    has no vjp: leaves, and every primitive's result outside grad mode.
-    Each vjp closure captures at forward time the operand arrays and
-    shapes it needs, plus small per-row factors, so an operand array lives
-    as long as some closure needs it and no longer once `release` has
-    swapped the node's value for a placeholder.  Full-size intermediates
-    that are cheap to rebuild, such as attention's scores and silu's
-    sigmoid, are recomputed in backward rather than kept for every
-    application of the block; the losses' probabilities are built only
-    there, so a node that records no vjp never builds them.
+    `value` is the forward result, read by later forward ops and never by
+    backward.  Leaves, and every primitive's result outside grad mode,
+    have no parents and no vjp.  A vjp closure captures at forward time
+    the operand arrays and shapes it needs, plus small per-row factors, so
+    an operand array lives as long as some closure needs it and no longer
+    once `release` has swapped the node's value for a placeholder.
+    Full-size intermediates that are cheap to rebuild are recomputed in
+    backward rather than kept for every application of the block:
+    attention's scores, silu's sigmoid, and the MLP's two hidden arrays,
+    which its `recompute` node rebuilds from the MLP's input.  The losses'
+    probabilities are built only there, so a node with no vjp never
+    builds them.
     """
 
     __slots__ = ("value", "parents", "vjp", "adjoint", "requires_grad", "op", "detached")
@@ -179,18 +179,28 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """A stack times one matrix runs as one 2-D GEMM over all its rows,
+    forward and for a's gradient; each row's bytes are the per-item
+    product's.  A (..., 1, K) stack and b's gradient stay batched: as one
+    GEMV or one GEMM, their sums would run in another order."""
     if a.value.ndim < 2 or b.value.ndim < 2:
         raise ShapeError(f"matmul: operands must be at least 2-d, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dims disagree, {a.shape} @ {b.shape}")
+    av, bv = a.value, b.value
+    rows = bv.ndim == 2 and av.ndim > 2 and av.shape[-2] > 1
+
+    def mm(x, w):
+        return (np.matmul(x.reshape(-1, x.shape[-1]), w).reshape(x.shape[:-1] + w.shape[-1:])
+                if rows else np.matmul(x, w))
+
     try:
-        value = np.matmul(a.value, b.value)
+        value = mm(av, bv)
     except ValueError:
         raise ShapeError(f"matmul: batch dims do not broadcast, {a.shape} @ {b.shape}")
-    av, bv = a.value, b.value
 
     def vjp(g):
-        ga = _unbroadcast(np.matmul(g, bv.swapaxes(-1, -2)), av.shape)
+        ga = _unbroadcast(mm(g, bv.swapaxes(-1, -2)), av.shape)
         gb = _unbroadcast(np.matmul(av.swapaxes(-1, -2), g), bv.shape)
         return ga, gb
 
@@ -237,17 +247,8 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
             + f" do not align on axis {axis}")
     sizes = [p.shape[axis] for p in parts]
 
-    def vjp(g):
-        ax = axis if axis >= 0 else g.ndim + axis
-        offsets = np.cumsum([0] + sizes)
-        grads = []
-        for i in range(len(sizes)):
-            index = tuple(slice(None) if d != ax else slice(offsets[i], offsets[i + 1])
-                          for d in range(g.ndim))
-            grads.append(g[index])
-        return tuple(grads)
-
-    return _node(value, tuple(parts), vjp, "concat")
+    return _node(value, tuple(parts),
+                 lambda g: tuple(np.split(g, np.cumsum(sizes[:-1]), axis=axis)), "concat")
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +499,28 @@ def mean_all(a: Tensor) -> Tensor:
     return masked_mean(a, np.ones(a.shape, dtype=bool))
 
 
+def recompute(fn, *inputs: Tensor) -> Tensor:
+    """fn(*inputs) as one node that keeps only its inputs' arrays.  fn runs
+    under `no_grad`; the vjp reruns it over fresh leaves in grad mode, even
+    under `no_grad`, and backpropagates g through that graph: the same ops
+    on the same bytes, so fn's own gradients, bit for bit."""
+    with no_grad():
+        value = fn(*inputs).value
+    arrays = [t.value for t in inputs]
+
+    def vjp(g):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        _GRAD_STACK.append(True)
+        try:
+            out = fn(*leaves)
+        finally:
+            _GRAD_STACK.pop()
+        _backprop(out, g)
+        return tuple(leaf.adjoint for leaf in leaves)
+
+    return _node(value, inputs, vjp, "recompute")
+
+
 def release(out: Tensor, stop: Sequence[Tensor], keep: Sequence[Tensor]) -> None:
     """Drop the values of the nodes `out` was computed from, back to `stop`.
 
@@ -556,10 +579,13 @@ def backward(root: Tensor) -> None:
         raise ContractError(f"backward: root must be scalar, got shape {root.shape}")
     if not np.all(np.isfinite(root.value)):
         raise NonFiniteError("backward: loss is not finite")
-    if not root.requires_grad:
-        return
+    if root.requires_grad:
+        _backprop(root, np.ones_like(root.value))
+
+
+def _backprop(root: Tensor, seed: np.ndarray) -> None:
     order = _toposort(root)
-    root.adjoint = np.ones_like(root.value)
+    root.adjoint = seed
     for node in reversed(order):
         if node.vjp is None:
             continue

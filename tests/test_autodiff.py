@@ -7,6 +7,8 @@ and compares against finite_difference_gradient in float64.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,73 @@ def test_transformer_block_composition():
     })
 
 
+def _mlp(h, w1, w2):
+    return ad.matmul(ad.silu(ad.matmul(h, w1)), w2)
+
+
+def test_recompute_through_tied_residual_mlp():
+    # two tied applications of h <- rms_norm(h + mlp(h)), each MLP one
+    # recompute node: h feeds both the residual and the rebuilt graph
+    r = rng(44)
+    d = 6
+    w = r.normal(size=(2, 3, d))
+
+    def build(t):
+        h = t["x"]
+        for _ in range(2):
+            h = ad.rms_norm(ad.add(h, ad.recompute(_mlp, h, t["w1"], t["w2"])), t["g"])
+        return ad.mean_all(multiply(h, ad.constant(w)))
+
+    check_gradients(build, {"x": r.normal(size=(2, 3, d)),
+                            "w1": r.normal(size=(d, 2 * d)) / np.sqrt(d),
+                            "w2": r.normal(size=(2 * d, d)) / np.sqrt(2 * d),
+                            "g": r.normal(size=(d,)) + 1.0})
+
+
+def test_recompute_vjp_keeps_only_its_inputs():
+    r = rng(45)
+    h, w1, w2 = (ad.tensor(r.normal(size=s), requires_grad=True)
+                 for s in ((2, 3, 4), (4, 8), (8, 4)))
+    node = ad.recompute(_mlp, h, w1, w2)
+    assert node.op == "recompute" and node.parents == (h, w1, w2)
+    assert node.value.tobytes() == _mlp(h, w1, w2).value.tobytes()
+    kept = _closure_arrays(node.vjp)
+    assert sorted(map(id, kept)) == sorted(id(t.value) for t in (h, w1, w2))
+
+
+def test_recompute_backward_under_no_grad():
+    # backward rebuilds fn in grad mode whatever the ambient mode
+    r = rng(46)
+    arrays = [r.normal(size=s).astype(np.float32) for s in ((2, 3, 4), (4, 8), (8, 4))]
+
+    def grads(quiet):
+        leaves = [ad.tensor(a, requires_grad=True) for a in arrays]
+        loss = ad.mean_all(ad.recompute(_mlp, *leaves))
+        with ad.no_grad() if quiet else contextlib.nullcontext():
+            ad.backward(loss)
+        return [t.adjoint for t in leaves]
+
+    want = grads(False)
+    assert all(g is not None for g in want)
+    assert [g.tobytes() for g in grads(True)] == [g.tobytes() for g in want]
+
+
+def test_matmul_stack_rows_match_per_item_products():
+    # a stack times one matrix is one 2-D GEMM; every item's rows come out
+    # as they do alone, and a (B, 1, K) read-out stays per item
+    r = rng(47)
+    for B, M, K, N in ((32, 145, 128, 512), (32, 145, 512, 128), (32, 1, 128, 1)):
+        a = r.normal(size=(B, M, K)).astype(np.float32)
+        b = r.normal(size=(K, N)).astype(np.float32)
+        g = r.normal(size=(B, M, N)).astype(np.float32)
+        node = ad.matmul(ad.tensor(a, requires_grad=True), ad.tensor(b))
+        ga, _ = node.vjp(g)
+        for i in (0, B - 1):
+            one = ad.matmul(ad.tensor(a[i:i + 1], requires_grad=True), ad.tensor(b))
+            assert node.value[i].tobytes() == one.value[0].tobytes(), (M, K, N)
+            assert ga[i].tobytes() == one.vjp(g[i:i + 1])[0][0].tobytes(), (M, K, N)
+
+
 def test_backward_keeps_only_leaf_adjoints():
     # interior adjoints are dropped once their vjp has run; the leaves,
     # which gradient() and the optimizer read, keep theirs
@@ -387,6 +456,8 @@ DTYPE_CASES = {
                               {"a": (2, 3, 4)}),
     "sigmoid_bce": (lambda t: ad.sigmoid_bce(t["a"], MASK), {"a": (2, 3)}),
     "masked_mean": (lambda t: ad.masked_mean(t["a"], MASK), {"a": (2, 3)}),
+    "recompute": (lambda t: ad.recompute(_mlp, t["h"], t["w1"], t["w2"]),
+                  {"h": (2, 3, 4), "w1": (4, 6), "w2": (6, 4)}),
 }
 
 
@@ -507,17 +578,21 @@ def test_rewritten_kernels_match_reference_formulas():
 
 
 def _closure_arrays(fn):
-    """Every ndarray a function's closure reaches, through nested closures."""
+    """Every ndarray a function's closure reaches, through nested closures
+    and the lists and tuples they hold."""
     found, stack, seen = [], [fn], set()
     while stack:
         f = stack.pop()
         if id(f) in seen:
             continue
         seen.add(id(f))
-        for cell in f.__closure__ or ():
-            obj = cell.cell_contents
+        objs = [cell.cell_contents for cell in f.__closure__ or ()]
+        while objs:
+            obj = objs.pop()
             if isinstance(obj, np.ndarray):
                 found.append(obj)
+            elif isinstance(obj, (list, tuple)):
+                objs.extend(obj)
             elif callable(obj) and hasattr(obj, "__closure__"):
                 stack.append(obj)
     return found

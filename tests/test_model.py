@@ -173,16 +173,23 @@ def test_gradients_reach_all_step_inputs():
 
 
 def test_run_cycles_releases_values_no_vjp_reads(monkeypatch):
-    # weakrefs to forward arrays, taken as ad.rope and ad.add see them
+    # weakrefs to forward arrays, taken as ad.rope, ad.silu and ad.add see them
     def run(release):
         cfg, pt, x, state = cycle_setup()
-        refs = {k: [] for k in ("pre_rope", "rope", "wo", "w2", "silu_in", "xy", "z", "y")}
-        rope, add = ad.rope, ad.add
+        refs = {k: [] for k in ("pre_rope", "rope", "wo", "w2", "silu_in", "silu_out",
+                                "xy", "z", "y")}
+        rope, silu, add = ad.rope, ad.silu, ad.add
 
         def rope_spy(a, num_heads):
             out = rope(a, num_heads)
             refs["pre_rope"].append(weakref.ref(a.value))
             refs["rope"].append(weakref.ref(out.value))
+            return out
+
+        def silu_spy(a):
+            out = silu(a)
+            refs["silu_in"].append(weakref.ref(a.value))
+            refs["silu_out"].append(weakref.ref(out.value))   # w2's input
             return out
 
         def add_spy(a, b):
@@ -191,17 +198,18 @@ def test_run_cycles_releases_values_no_vjp_reads(monkeypatch):
                 refs["xy"].append(weakref.ref(out.value))
             elif a.op == "add" and a.parents[0] is x:   # (x + y) + z
                 refs["z"].append(weakref.ref(b.value))
-            elif b.op != "matmul":                      # y + z
+            elif b.op not in ("matmul", "recompute"):   # y + z
                 refs["y"].append(weakref.ref(a.value))
-            elif b.parents[0].op == "attention":        # h + wo output
+            elif b.op == "matmul":                      # h + wo output
+                assert b.parents[0].op == "attention"
                 refs["wo"].append(weakref.ref(b.value))
-            else:                                       # h + w2 output
+            else:                                       # h + MLP (w2) output
                 refs["w2"].append(weakref.ref(b.value))
-                refs["silu_in"].append(weakref.ref(b.parents[0].parents[0].value))
             return out
 
         with monkeypatch.context() as m:
             m.setattr(ad, "rope", rope_spy)
+            m.setattr(ad, "silu", silu_spy)
             m.setattr(ad, "add", add_spy)
             m.setattr(ad, "release", release)
             out, _ = md.run_cycles(pt, cfg, x, state, 2)
@@ -215,10 +223,16 @@ def test_run_cycles_releases_values_no_vjp_reads(monkeypatch):
     cfg = tiny_cfg()
     blocks = 2 * cfg.apps_per_cycle * cfg.num_layers
     assert [len(alive[k]) for k in ("pre_rope", "wo", "w2")] == [2 * blocks, blocks, blocks]
-    assert all(all(v) for v in kept.values())
+    # the MLP's hidden arrays die with its forward, released or not:
+    # backward rebuilds them from the MLP's input
+    mlp_hidden = ("silu_in", "silu_out")
+    for run_alive in (alive, kept):
+        for key in mlp_hidden:
+            assert run_alive[key] == [False] * blocks, key
+    assert all(all(v) for k, v in kept.items() if k not in mlp_hidden)
     for key in ("pre_rope", "wo", "w2", "xy"):
         assert not any(alive[key]), key
-    assert all(alive["rope"]) and all(alive["silu_in"])
+    assert all(alive["rope"])
     # a replaced z or y is released too; run_cycles' own inputs are not
     assert alive["z"] == [True] + [False] * (2 * cfg.inner_steps - 1)
     assert alive["y"] == [True, False]
@@ -226,6 +240,34 @@ def test_run_cycles_releases_values_no_vjp_reads(monkeypatch):
         w = want[name]
         assert (g is None) == (w is None), name
         assert g is None or g.tobytes() == w.tobytes(), name
+
+
+def test_mlp_recompute_gradients_match_stored_graph_bitwise(monkeypatch):
+    # float32 gradients of one phi_apply, and of a whole cycle's tied
+    # applications, equal the ones the MLP's stored three-node graph gives
+    def grads(build, recompute):
+        cfg, pt, x, state = cycle_setup(num_layers=2)
+        with monkeypatch.context() as m:
+            if not recompute:
+                m.setattr(ad, "recompute", lambda fn, *inputs: fn(*inputs))
+            out = build(cfg, pt, x, state)
+        ad.backward(ad.mean_all(multiply(out, out)))
+        return {k: t.adjoint for k, t in pt.items()}
+
+    def one_apply(cfg, pt, x, state):
+        return md.phi_apply(pt, cfg, ad.add(ad.add(x, state.y), state.z))
+
+    def one_cycle(cfg, pt, x, state):
+        return md.run_cycles(pt, cfg, x, state, 1)[0].y
+
+    for build in (one_apply, one_cycle):
+        got, want = grads(build, True), grads(build, False)
+        assert got.keys() == want.keys()
+        assert got["phi/l1/mlp/w1"] is not None and got["phi/l1/mlp/w1"].dtype == np.float32
+        for name, g in got.items():
+            w = want[name]
+            assert (g is None) == (w is None), name
+            assert g is None or g.tobytes() == w.tobytes(), (build.__name__, name)
 
 
 def test_answer_step_single_z_identity():
