@@ -3,15 +3,17 @@
 Define-by-run: every primitive computes its forward value, defines a
 closure computing vector-Jacobian products, and passes both with its
 operands to one constructor, `_node`.  That is the only place grad mode
-is decided: the node records parents and vjp when grad mode is on and
-some operand requires grad, and is a plain value node otherwise.
+is decided: the result's node records parents and vjp when grad mode is
+on and some operand requires grad, and is a plain leaf otherwise.
 The graph is rebuilt from scratch on every training step; nothing here is
 retained between steps except the raw parameter arrays owned by the caller.
 
-A vjp reads only what its closure captured at forward time, never a
-node's value slot, so `release` can drop the values that no vjp needs
-while the graph waits for backward.  `recompute` makes a whole sub-graph
-one node that keeps only its inputs and rebuilds the rest in backward.
+The graph is kept apart from the values: a `Tensor` pairs a forward
+value with its `Node`, and nodes link only to their parents' nodes.  A
+vjp reads only what its closure captured at forward time, so a value
+lives exactly while forward code holds its Tensor or some vjp closure
+holds the array.  `recompute` makes a whole sub-graph one node that keeps
+only its inputs and rebuilds the rest in backward.
 
 Only the primitives the looped-transformer stack needs are provided.  Each
 one validates operand shapes up front and raises a structured error naming
@@ -66,41 +68,45 @@ def grad_enabled() -> bool:
     return _GRAD_STACK[-1]
 
 
-class Tensor:
-    """One graph node: forward value plus enough to run backward through it.
+class Node:
+    """One vertex of the backward graph.  Its parents are the operands'
+    nodes, and it holds no forward value (`value` reads None), so the graph
+    keeps no array alive.
 
     `adjoint` stays None until `backward` reaches the node, so an untouched
     node has an exactly-zero gradient; only leaves keep theirs after
-    backward, an interior adjoint being dropped once its vjp has run.
-    `detached` is always None for nodes built in this package; outside
-    audits may point it at the graph behind a boundary and walk it with
-    `graph_nodes(follow_detached=True)`.  Backward never follows it.
-
-    `value` is the forward result, read by later forward ops and never by
-    backward.  Leaves, and every primitive's result outside grad mode,
-    have no parents and no vjp.  A vjp closure captures at forward time
-    the operand arrays and shapes it needs, plus small per-row factors, so
-    an operand array lives as long as some closure needs it and no longer
-    once `release` has swapped the node's value for a placeholder.
-    Full-size intermediates that are cheap to rebuild are recomputed in
-    backward rather than kept for every application of the block:
-    attention's scores, silu's sigmoid, and the MLP's two hidden arrays,
-    which its `recompute` node rebuilds from the MLP's input.  The losses'
-    probabilities are built only there, so a node with no vjp never
-    builds them.
+    backward.  `detached` is always None for nodes built in this package;
+    outside audits may point it at the Tensor behind a boundary and walk
+    its graph with `graph_nodes(follow_detached=True)`.  Backward never
+    follows it.
     """
 
-    __slots__ = ("value", "parents", "vjp", "adjoint", "requires_grad", "op", "detached")
+    __slots__ = ("parents", "vjp", "adjoint", "requires_grad", "op", "detached")
+    value = None
+
+    def __init__(self, parents, vjp, requires_grad, op, detached):
+        self.parents, self.vjp, self.adjoint = parents, vjp, None
+        self.requires_grad, self.op, self.detached = requires_grad, op, detached
+
+
+class Tensor:
+    """A forward value and the node that made it.
+
+    `value` is read by later forward ops, never by backward: a vjp closure
+    captures at forward time the operand arrays and shapes it needs, so an
+    array lives while forward code holds its Tensor or a closure holds the
+    array.  Full-size intermediates that are cheap to rebuild are
+    recomputed in backward instead: attention's scores, silu's sigmoid, and
+    the MLP's two hidden arrays, which its `recompute` node rebuilds from
+    the MLP's input.  The losses' probabilities are built only there.
+    """
+
+    __slots__ = ("value", "node")
 
     def __init__(self, value, parents=(), vjp=None, requires_grad=False, op="input",
                  detached=None):
         self.value = value
-        self.parents = parents
-        self.vjp = vjp
-        self.adjoint = None
-        self.requires_grad = requires_grad
-        self.op = op
-        self.detached = detached
+        self.node = Node(tuple(p.node for p in parents), vjp, requires_grad, op, detached)
 
     @property
     def shape(self):
@@ -108,6 +114,13 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.value.shape}, grad={self.requires_grad})"
+
+
+# every node slot reads and writes through the Tensor, so code that sets
+# `t.vjp` on a primitive's result reaches the node that backward calls
+for _slot in Node.__slots__:
+    setattr(Tensor, _slot, property(lambda t, s=_slot: getattr(t.node, s),
+                                    lambda t, v, s=_slot: setattr(t.node, s, v)))
 
 
 def tensor(value, requires_grad: bool = False, op: str = "input") -> Tensor:
@@ -125,9 +138,9 @@ def constant(value, op: str = "constant") -> Tensor:
 
 
 def _node(value: np.ndarray, parents: tuple, vjp, op: str) -> Tensor:
-    """The result node of a primitive.  It records parents and vjp only in
+    """The result of a primitive.  Its node records parents and vjp only in
     grad mode and when some operand requires grad; otherwise it is a plain
-    value node, and the vjp closure is dropped unused."""
+    leaf, and the vjp closure is dropped unused."""
     if grad_enabled() and any(p.requires_grad for p in parents):
         return Tensor(value, parents, vjp, True, op)
     return Tensor(value, op=op)
@@ -521,39 +534,14 @@ def recompute(fn, *inputs: Tensor) -> Tensor:
     return _node(value, inputs, vjp, "recompute")
 
 
-def release(out: Tensor, stop: Sequence[Tensor], keep: Sequence[Tensor]) -> None:
-    """Drop the values of the nodes `out` was computed from, back to `stop`.
-
-    Walks back from out; the nodes in `stop` are visited but not crossed.
-    Every grad-mode node on the way, that is one with parents, gets a
-    zero-stride NaN placeholder of the same shape and dtype in place of its
-    value, except out and the nodes in `keep`.  Leaves and everything built
-    under `no_grad` have no parents and are never touched.  Backward gives
-    the same gradients, since vjps read only what their closures captured;
-    a stray forward read of a released value shows up as non-finite."""
-    stop_ids = {id(t) for t in stop}
-    keep_ids = {id(t) for t in keep} | {id(out)}
-    seen, stack = set(), [out]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if node.parents and id(node) not in keep_ids:
-            v = node.value
-            node.value = np.broadcast_to(np.full((), np.nan, dtype=v.dtype), v.shape)
-        if id(node) not in stop_ids:
-            stack.extend(node.parents)
-
-
 # ---------------------------------------------------------------------------
 # backward pass
 
 
-def _toposort(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
+def _toposort(root: Node) -> list[Node]:
+    order: list[Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -584,7 +572,7 @@ def backward(root: Tensor) -> None:
 
 
 def _backprop(root: Tensor, seed: np.ndarray) -> None:
-    order = _toposort(root)
+    order = _toposort(root.node)
     root.adjoint = seed
     for node in reversed(order):
         if node.vjp is None:
@@ -597,9 +585,9 @@ def _backprop(root: Tensor, seed: np.ndarray) -> None:
             parent.adjoint = g if parent.adjoint is None else parent.adjoint + g
 
 
-def graph_nodes(root: Tensor, follow_detached: bool = False) -> list[Tensor]:
-    """All nodes reachable from root, optionally also through `.detached`."""
-    out, seen, stack = [], set(), [root]
+def graph_nodes(root: Tensor, follow_detached: bool = False) -> list[Node]:
+    """All nodes reachable from root's node, optionally also through `.detached`."""
+    out, seen, stack = [], set(), [root.node]
     while stack:
         node = stack.pop()
         if id(node) in seen:
@@ -608,6 +596,5 @@ def graph_nodes(root: Tensor, follow_detached: bool = False) -> list[Tensor]:
         out.append(node)
         stack.extend(node.parents)
         if follow_detached and node.detached is not None:
-            stack.append(node.detached)
+            stack.append(node.detached.node)
     return out
-

@@ -29,9 +29,9 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as md
-from .corruption import NoiseSchedule, num_masked, sample_timesteps
+from .corruption import NoiseSchedule, corrupt_target, sample_timesteps
 from .seeding import rng_for
-from .tasks import (MASK, NUM_COLOURS, PAD, Augmentation, DeskDataset,
+from .tasks import (MASK, NUM_COLOURS, PAD, Augmentation, DeskDataset, TokenSeq,
                     from_template, undo_augmentation)
 from .training import DENOISE_OBJECTIVES
 
@@ -60,16 +60,12 @@ def remask_batch(inputs: np.ndarray, masks: np.ndarray, rows: np.ndarray,
     `trace`, when given, collects one frame per iteration for item 0:
     the full prediction, the remasked indices, and the q value.
     """
-    B, M = np.asarray(inputs).shape
     masks = np.asarray(masks, dtype=bool)
-    valid = [np.flatnonzero(masks[i]) for i in range(B)]
-
     steps = [sample_timesteps(num_steps, g) for g in streams]
     if any(len(s) != num_steps + 1 for s in steps):
         raise InferenceError("timestep draws collided; re-seed the run")
 
     current = np.where(masks, MASK, PAD).astype(np.int64)
-    q_out = np.zeros(B)
     with ad.no_grad():
         for it in range(num_steps):
             # the drm training window, cycles_per_window - 1 warm-up cycles
@@ -80,22 +76,15 @@ def remask_batch(inputs: np.ndarray, masks: np.ndarray, rows: np.ndarray,
                 1, cfg.cycles_per_window - 1, 1)
             pred = _colour_argmax(logits.value)
             q_out = ad.sigmoid(q_logit.value)
-            remasked = []
-            for i in range(B):
-                current[i, valid[i]] = pred[i, valid[i]]
-                s_next = float(steps[i][it + 1])
-                j = num_masked(schedule, s_next, valid[i].size)
-                if j > valid[i].size:
-                    raise InferenceError("remask count exceeds the grid")
-                if j > 0:
-                    picks = streams[i].choice(valid[i], size=j, replace=False)
-                    current[i, picks] = MASK
-                    if i == 0:
-                        remasked = picks.tolist()
+            # re-corrupt the prediction as training corrupts its targets
+            current = np.stack([
+                corrupt_target(TokenSeq(p, m), float(s[it + 1]), schedule, g).tokens
+                for p, m, s, g in zip(np.where(masks, pred, PAD), masks, steps, streams)])
             if trace is not None:
                 trace.append({"step": it, "timestep": float(steps[0][it]),
-                              "prediction": np.where(masks[0], pred[0], PAD).copy(),
-                              "remasked": remasked, "q": float(q_out[0])})
+                              "prediction": np.where(masks[0], pred[0], PAD),
+                              "remasked": np.flatnonzero(current[0] == MASK).tolist(),
+                              "q": float(q_out[0])})
     if np.any(current == MASK):
         raise InferenceError("mask tokens survived the final denoise step")
     return current, q_out

@@ -274,22 +274,16 @@ def run_cycles(pt: dict, cfg: ModelConfig, x: ad.Tensor, state: LatentState,
     exist, so z <- phi(x + z) and y passes through.  Returns the state and
     the next application index.
 
-    After each application the values of the nodes it made are released
-    (see `ad.release`), and so is the y or z it replaced: no later forward
-    reads them, and backward reads only what its closures captured.  x,
-    the live y and z, and the inputs keep theirs.  Under no_grad nothing
-    is released, since those nodes have no parents."""
+    The graph holds no values: a replaced y or z, and each array an
+    application made, outlives it only if some vjp closure captured it."""
     y, z, app = state.y, state.z, app_start
-    inputs = (x, y, z)
     for _ in range(cycles):
         for _ in range(cfg.inner_steps):
             h = ad.add(x, z) if cfg.single_z else ad.add(ad.add(x, y), z)
-            z, old = phi_apply(pt, cfg, h, app), z
-            ad.release(z, stop=(x, y, old), keep=inputs + (y,))
+            z = phi_apply(pt, cfg, h, app)
             app += 1
         if not cfg.single_z:
-            y, old = phi_apply(pt, cfg, ad.add(y, z), app), y
-            ad.release(y, stop=(old, z), keep=inputs + (z,))
+            y = phi_apply(pt, cfg, ad.add(y, z), app)
             app += 1
     return LatentState(y=y, z=z), app
 

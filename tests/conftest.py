@@ -68,7 +68,8 @@ def param_count(params) -> int:
 def spy_backward(monkeypatch) -> list[dict]:
     """Record each root `ad.backward` is called on, as its graph nodes and
     loss value, before running the real backward.  The record keeps every
-    recorded graph alive, which plain training does not."""
+    recorded graph's nodes alive, though not its values, which plain
+    training does not."""
     seen: list[dict] = []
     backward = ad.backward
 

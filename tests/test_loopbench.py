@@ -6,6 +6,12 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+
+from loopforge import (autodiff as ad, corruption, inference, model, seeding, tasks,
+                       training)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -20,3 +26,35 @@ def test_benchmark_selftest_passes():
     assert set(counters) == {"train_drm", "train_trm", "eval_vote"}, proc.stdout
     for name, exact in counters.items():
         assert exact["autodiff.non_f32_outputs"] == 0.0, (name, exact)
+
+
+def test_tracer_times_the_vjps_backward_runs(monkeypatch):
+    # the tracer sets `out.vjp` on the Tensor a primitive returns to a timed
+    # copy; that must reach the node backward calls, so each primitive's
+    # vjp span nests under autodiff.backward and its gradients are unchanged
+    monkeypatch.syspath_prepend(str(ROOT / "loopbench"))
+    from tracer import Tracer
+
+    def grads():
+        a = ad.tensor(np.linspace(-1, 1, 6, dtype=np.float32).reshape(2, 3),
+                      requires_grad=True)
+        b = ad.tensor(np.linspace(0, 1, 12, dtype=np.float32).reshape(3, 4),
+                      requires_grad=True)
+        ad.backward(ad.mean_all(ad.silu(ad.matmul(a, b))))
+        return [a.adjoint.tobytes(), b.adjoint.tobytes()]
+
+    want = grads()
+    tracer = Tracer()
+    tracer.install(SimpleNamespace(autodiff=ad, corruption=corruption, inference=inference,
+                                   model=model, seeding=seeding, tasks=tasks,
+                                   training=training))
+    try:
+        root = tracer.begin("bench.rep")
+        got = grads()
+        tracer.end(root)
+    finally:
+        tracer.restore()
+    assert got == want
+    parent_of = {name: tracer.spans[parent][0] for name, _, _, parent in tracer.spans}
+    for op in ("matmul", "silu", "masked_mean"):
+        assert parent_of.get(f"autodiff.{op}.vjp") == "autodiff.backward", op

@@ -173,69 +173,88 @@ def test_gradients_reach_all_step_inputs():
 
 
 def test_run_cycles_releases_values_no_vjp_reads(monkeypatch):
-    # weakrefs to forward arrays, taken as ad.rope, ad.silu and ad.add see them
-    def run(release):
-        cfg, pt, x, state = cycle_setup()
-        refs = {k: [] for k in ("pre_rope", "rope", "wo", "w2", "silu_in", "silu_out",
-                                "xy", "z", "y")}
-        rope, silu, add = ad.rope, ad.silu, ad.add
+    # weakrefs to forward arrays, taken as ad.rope, ad.silu and ad.add see
+    # them: the graph holds no values, so an array outlives run_cycles
+    # only if a vjp captured it or the caller holds it
+    cfg, pt, x, state = cycle_setup()
+    refs = {k: [] for k in ("pre_rope", "rope", "wo", "w2", "silu_in", "silu_out",
+                            "xy", "z", "y")}
+    rope, silu, add = ad.rope, ad.silu, ad.add
 
-        def rope_spy(a, num_heads):
-            out = rope(a, num_heads)
-            refs["pre_rope"].append(weakref.ref(a.value))
-            refs["rope"].append(weakref.ref(out.value))
-            return out
+    def rope_spy(a, num_heads):
+        out = rope(a, num_heads)
+        refs["pre_rope"].append(weakref.ref(a.value))
+        refs["rope"].append(weakref.ref(out.value))
+        return out
 
-        def silu_spy(a):
-            out = silu(a)
-            refs["silu_in"].append(weakref.ref(a.value))
-            refs["silu_out"].append(weakref.ref(out.value))   # w2's input
-            return out
+    def silu_spy(a):
+        out = silu(a)
+        refs["silu_in"].append(weakref.ref(a.value))
+        refs["silu_out"].append(weakref.ref(out.value))   # w2's input
+        return out
 
-        def add_spy(a, b):
-            out = add(a, b)
-            if a is x:                                  # x + y
-                refs["xy"].append(weakref.ref(out.value))
-            elif a.op == "add" and a.parents[0] is x:   # (x + y) + z
-                refs["z"].append(weakref.ref(b.value))
-            elif b.op not in ("matmul", "recompute"):   # y + z
-                refs["y"].append(weakref.ref(a.value))
-            elif b.op == "matmul":                      # h + wo output
-                assert b.parents[0].op == "attention"
-                refs["wo"].append(weakref.ref(b.value))
-            else:                                       # h + MLP (w2) output
-                refs["w2"].append(weakref.ref(b.value))
-            return out
+    def add_spy(a, b):
+        out = add(a, b)
+        if a is x:                                       # x + y
+            refs["xy"].append(weakref.ref(out.value))
+        elif a.op == "add" and a.parents[0] is x.node:   # (x + y) + z
+            refs["z"].append(weakref.ref(b.value))
+        elif b.op not in ("matmul", "recompute"):        # y + z
+            refs["y"].append(weakref.ref(a.value))
+        elif b.op == "matmul":                           # h + wo output
+            assert b.parents[0].op == "attention"
+            refs["wo"].append(weakref.ref(b.value))
+        else:                                            # h + MLP (w2) output
+            refs["w2"].append(weakref.ref(b.value))
+        return out
 
-        with monkeypatch.context() as m:
-            m.setattr(ad, "rope", rope_spy)
-            m.setattr(ad, "silu", silu_spy)
-            m.setattr(ad, "add", add_spy)
-            m.setattr(ad, "release", release)
-            out, _ = md.run_cycles(pt, cfg, x, state, 2)
-        alive = {k: [r() is not None for r in v] for k, v in refs.items()}
-        ad.backward(ad.add(ad.mean_all(multiply(out.y, out.y)),
-                           ad.mean_all(multiply(out.z, out.z))))
-        return alive, {k: t.adjoint for k, t in pt.items()}
-
-    alive, grads = run(ad.release)
-    kept, want = run(lambda *args, **kwargs: None)
-    cfg = tiny_cfg()
+    with monkeypatch.context() as m:
+        m.setattr(ad, "rope", rope_spy)
+        m.setattr(ad, "silu", silu_spy)
+        m.setattr(ad, "add", add_spy)
+        out, _ = md.run_cycles(pt, cfg, x, state, 2)
+    alive = {k: [r() is not None for r in v] for k, v in refs.items()}
     blocks = 2 * cfg.apps_per_cycle * cfg.num_layers
     assert [len(alive[k]) for k in ("pre_rope", "wo", "w2")] == [2 * blocks, blocks, blocks]
-    # the MLP's hidden arrays die with its forward, released or not:
-    # backward rebuilds them from the MLP's input
-    mlp_hidden = ("silu_in", "silu_out")
-    for run_alive in (alive, kept):
-        for key in mlp_hidden:
-            assert run_alive[key] == [False] * blocks, key
-    assert all(all(v) for k, v in kept.items() if k not in mlp_hidden)
-    for key in ("pre_rope", "wo", "w2", "xy"):
+    # the MLP's hidden arrays, which backward rebuilds from the MLP's
+    # input, die with its forward, and so does every array no vjp reads
+    for key in ("silu_in", "silu_out", "pre_rope", "wo", "w2", "xy"):
         assert not any(alive[key]), key
     assert all(alive["rope"])
-    # a replaced z or y is released too; run_cycles' own inputs are not
+    # a replaced z or y dies too; run_cycles' own inputs, which the caller
+    # holds, do not
     assert alive["z"] == [True] + [False] * (2 * cfg.inner_steps - 1)
     assert alive["y"] == [True, False]
+
+
+def test_embedding_values_die_once_forward_drops_them(monkeypatch):
+    # no vjp reads the gather and concat outputs of embed_input and
+    # label_state, so they die when the embedding returns, long before
+    # backward; the gradients equal those of a run that holds them
+    def run(hold):
+        cfg, params = tiny_setup()
+        pt = md.wrap_parameters(params)
+        tokens, rows = batch_inputs(cfg)
+        made: list = []
+        with monkeypatch.context() as m:
+            for op in ("gather", "concat"):
+                def spy(*args, _fn=getattr(ad, op), **kwargs):
+                    out = _fn(*args, **kwargs)
+                    made.append(out.value if hold else weakref.ref(out.value))
+                    return out
+                m.setattr(ad, op, spy)
+            x = md.embed_input(pt, cfg, tokens, rows)
+            state = md.label_state(pt, cfg, tokens, [rng_for(0, "st", i) for i in range(2)])
+        out, _ = md.run_cycles(pt, cfg, x, state, 1)
+        assert len(made) == 5
+        dead = None if hold else [r() is None for r in made]
+        ad.backward(ad.add(ad.mean_all(multiply(out.y, out.y)),
+                           ad.mean_all(multiply(out.z, out.z))))
+        return dead, {k: t.adjoint for k, t in pt.items()}
+
+    dead, grads = run(hold=False)
+    assert all(dead)
+    _, want = run(hold=True)
     for name, g in grads.items():
         w = want[name]
         assert (g is None) == (w is None), name

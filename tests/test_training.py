@@ -280,15 +280,21 @@ def test_step_trm_frees_each_window_before_the_next(monkeypatch):
     params, _, opt = fresh(cfg, tcfg)
     refs: list = []
     alive: list = []
-    run_window = md.run_window
+    last_norm_input: list = []
+    run_window, rms_norm = md.run_window, ad.rms_norm
+
+    def norm_spy(a, gain):
+        last_norm_input[:] = [weakref.ref(a.value)]
+        return rms_norm(a, gain)
 
     def spy(*args, **kwargs):
         alive.append([r() is not None for r in refs])
         state, logits, q = run_window(*args, **kwargs)
-        refs.append(weakref.ref(state.y.parents[0].value))
+        refs.extend(last_norm_input)
         return state, logits, q
 
     monkeypatch.setattr(md, "run_window", spy)
+    monkeypatch.setattr(ad, "rms_norm", norm_spy)
     m = tr.train_step(toy_batch(), params, cfg, tcfg, opt, seed=5, step_index=0)
     assert m.halt_histogram == [0, 0, 3]
     assert alive == [[], [False], [False, False]]
@@ -387,13 +393,19 @@ def test_train_step_stays_float32(objective, monkeypatch):
     grads: list = []
     apply = opt.apply
     monkeypatch.setattr(opt, "apply", lambda g: (grads.append(g), apply(g))[1])
-    audit = spy_backward(monkeypatch)
+    made: list = []
+    node = ad._node
+
+    def node_spy(*args):
+        out = node(*args)
+        made.append((out.op, str(out.value.dtype)))
+        return out
+
+    monkeypatch.setattr(ad, "_node", node_spy)
     tr.train_step(toy_batch(), params, cfg, tcfg, opt, seed=4, step_index=0)
-    assert audit and grads
-    for window, entry in enumerate(audit):
-        wrong = {(n.op, str(n.value.dtype)) for n in entry["nodes"]
-                 if n.value.dtype != np.float32}
-        assert not wrong, f"window {window}: {sorted(wrong)}"
+    assert made and grads
+    wrong = {m for m in made if m[1] != "float32"}
+    assert not wrong, sorted(wrong)
     for g in grads:
         assert {str(a.dtype) for a in g.values()} == {"float32"}
     assert {str(a.dtype) for a in params.arrays.values()} == {"float32"}
