@@ -12,8 +12,9 @@ The graph is kept apart from the values: a `Tensor` pairs a forward
 value with its `Node`, and nodes link only to their parents' nodes.  A
 vjp reads only what its closure captured at forward time, so a value
 lives exactly while forward code holds its Tensor or some vjp closure
-holds the array.  `recompute` makes a whole sub-graph one node that keeps
-only its inputs and rebuilds the rest in backward.
+holds the array.  `attention` and `mlp` run one batch item at a time, so
+their wide intermediates exist for one item at once and never outlive
+the call: backward rebuilds them from the inputs their closures keep.
 
 Only the primitives the looped-transformer stack needs are provided.  Each
 one validates operand shapes up front and raises a structured error naming
@@ -97,8 +98,8 @@ class Tensor:
     array lives while forward code holds its Tensor or a closure holds the
     array.  Full-size intermediates that are cheap to rebuild are
     recomputed in backward instead: attention's scores, silu's sigmoid, and
-    the MLP's two hidden arrays, which its `recompute` node rebuilds from
-    the MLP's input.  The losses' probabilities are built only there.
+    the MLP's two hidden arrays, which the fused `mlp` rebuilds per item
+    from the MLP's input.  The losses' probabilities are built only there.
     """
 
     __slots__ = ("value", "node")
@@ -404,9 +405,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
     scaled by head_dim ** -0.5, softmax over keys, heads merged back.
     The scale is a Python float folded into q, so the result keeps the
     operands' dtype; softmax and its backward each run in one buffer.
-    The node keeps neither the (B, H, M, M) probabilities nor the scaled
-    q: backward rebuilds both from q and k with the forward's own ops, so
-    its gradients are the ones the stored arrays would give, bit for bit.
+    Forward and vjp run one batch item at a time, so only one item's
+    (H, M, M) scores exist at once.  The node keeps neither the
+    probabilities nor the scaled q: backward rebuilds both per item from
+    q and k with the forward's own ops, so its gradients are the ones the
+    stored arrays would give, bit for bit.
     """
     if not (q.shape == k.shape == v.shape):
         raise ShapeError(f"attention: q/k/v shapes differ: {q.shape}, {k.shape}, {v.shape}")
@@ -417,42 +420,85 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
         raise ShapeError(f"attention: feature dim {d} not divisible by {num_heads} heads")
     hd = d // num_heads
     alpha = 1.0 / math.sqrt(hd)
-    qv, kv = q.value, k.value
+    qv, kv, vv = q.value, k.value, v.value
 
     def heads(x):
-        return x.reshape(B, M, num_heads, hd).transpose(0, 2, 1, 3)
+        # one item's (M, d) as an (H, M, hd) view; writing to it merges heads
+        return x.reshape(M, num_heads, hd).transpose(1, 0, 2)
 
-    def merge(x):
-        return x.transpose(0, 2, 1, 3).reshape(B, M, d)
-
-    def softmax_scores():
-        qs, kh = heads(qv) * alpha, heads(kv)
+    def softmax_scores(b):
+        qs, kh = heads(qv[b]) * alpha, heads(kv[b])
         p = np.matmul(qs, kh.swapaxes(-1, -2))
         p -= p.max(axis=-1, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=-1, keepdims=True)
         return qs, kh, p
 
-    _, _, p = softmax_scores()
-    vh = heads(v.value)
-    value = merge(np.matmul(p, vh))
+    value = np.empty_like(qv)
+    for b in range(B):
+        heads(value[b])[...] = np.matmul(softmax_scores(b)[2], heads(vv[b]))
 
     def vjp(g):
-        qs, kh, p = softmax_scores()
-        gh = heads(g)
-        gv = np.matmul(p.swapaxes(-1, -2), gh)
-        gp = np.matmul(gh, vh.swapaxes(-1, -2))
-        # softmax backward in place on gp; rowsum(gp * p) is rowsum(g * out)
-        # per head, which costs a (B, M, d) product instead of (B, H, M, M)
-        inner = (g * value).reshape(B, M, num_heads, hd).sum(axis=-1)
-        gp -= inner.transpose(0, 2, 1)[..., None]
-        gp *= p
-        gq = np.matmul(gp, kh)
-        gq *= alpha
-        gk = np.matmul(gp.swapaxes(-1, -2), qs)
-        return merge(gq), merge(gk), merge(gv)
+        gq, gk, gv = np.empty_like(qv), np.empty_like(kv), np.empty_like(vv)
+        for b in range(B):
+            qs, kh, p = softmax_scores(b)
+            gh = heads(g[b])
+            heads(gv[b])[...] = np.matmul(p.swapaxes(-1, -2), gh)
+            gp = np.matmul(gh, heads(vv[b]).swapaxes(-1, -2))
+            # softmax backward in place on gp; rowsum(gp * p) is rowsum(g * out)
+            # per head, which costs an (M, d) product instead of (H, M, M)
+            inner = (g[b] * value[b]).reshape(M, num_heads, hd).sum(axis=-1)
+            gp -= inner.T[..., None]
+            gp *= p
+            heads(gq[b])[...] = np.matmul(gp, kh) * alpha
+            heads(gk[b])[...] = np.matmul(gp.swapaxes(-1, -2), qs)
+        return gq, gk, gv
 
     return _node(value, (q, k, v), vjp, "attention")
+
+
+def mlp(h: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
+    """silu(h · w1) · w2 for h (B, M, d), one batch item at a time.
+
+    The node keeps only h, w1 and w2: the two wide hidden arrays, h·w1 and
+    its sigmoid, exist for one item at a time, and the vjp rebuilds them.
+    Per item these are the ops of `matmul(silu(matmul(h, w1)), w2)`, and
+    the weight gradients are summed in item order, as `_unbroadcast` sums
+    the batched products; so value and gradients are that graph's, bit for
+    bit, wherever BLAS gives a stack's rows the bytes of each item's own
+    product, as at the model's sizes.
+    """
+    if (h.value.ndim != 3 or w1.value.ndim != 2 or w2.value.ndim != 2
+            or h.shape[-1] != w1.shape[0] or w1.shape[1] != w2.shape[0]):
+        raise ShapeError(f"mlp: expected (batch, seq, d) @ (d, e) @ (e, n), inner dims "
+                         f"agreeing, got {h.shape} @ {w1.shape} @ {w2.shape}")
+    hv, w1v, w2v = h.value, w1.value, w2.value
+
+    def hidden(b):
+        a = np.matmul(hv[b], w1v)
+        return a, sigmoid(a)
+
+    value = np.empty(hv.shape[:-1] + w2v.shape[-1:], np.result_type(hv, w1v, w2v))
+    for b in range(len(hv)):
+        a, s = hidden(b)
+        s *= a
+        np.matmul(s, w2v, out=value[b])
+
+    def vjp(g):
+        gh = np.empty_like(hv)
+        for b in range(len(hv)):
+            a, s = hidden(b)
+            ga = np.subtract(1.0, s)   # silu's vjp: gs * (s * (1 + a * (1 - s)))
+            ga *= a
+            ga += 1.0
+            ga *= s
+            ga *= np.matmul(g[b], w2v.T)
+            np.matmul(ga, w1v.T, out=gh[b])
+            gw = np.matmul(hv[b].T, ga), np.matmul((s * a).T, g[b])
+            gw1, gw2 = gw if b == 0 else (gw1 + gw[0], gw2 + gw[1])
+        return gh, gw1, gw2
+
+    return _node(value, (h, w1, w2), vjp, "mlp")
 
 
 # ---------------------------------------------------------------------------
@@ -510,28 +556,6 @@ def masked_mean(a: Tensor, mask: np.ndarray) -> Tensor:
 
 def mean_all(a: Tensor) -> Tensor:
     return masked_mean(a, np.ones(a.shape, dtype=bool))
-
-
-def recompute(fn, *inputs: Tensor) -> Tensor:
-    """fn(*inputs) as one node that keeps only its inputs' arrays.  fn runs
-    under `no_grad`; the vjp reruns it over fresh leaves in grad mode, even
-    under `no_grad`, and backpropagates g through that graph: the same ops
-    on the same bytes, so fn's own gradients, bit for bit."""
-    with no_grad():
-        value = fn(*inputs).value
-    arrays = [t.value for t in inputs]
-
-    def vjp(g):
-        leaves = [Tensor(a, requires_grad=True) for a in arrays]
-        _GRAD_STACK.append(True)
-        try:
-            out = fn(*leaves)
-        finally:
-            _GRAD_STACK.pop()
-        _backprop(out, g)
-        return tuple(leaf.adjoint for leaf in leaves)
-
-    return _node(value, inputs, vjp, "recompute")
 
 
 # ---------------------------------------------------------------------------

@@ -177,10 +177,6 @@ def _phi_prefix(cfg: ModelConfig, app_index: int) -> str:
     return f"phi{app_index}"
 
 
-def _mlp(h: ad.Tensor, w1: ad.Tensor, w2: ad.Tensor) -> ad.Tensor:
-    return ad.matmul(ad.silu(ad.matmul(h, w1)), w2)
-
-
 def phi_apply(pt: dict, cfg: ModelConfig, h: ad.Tensor, app_index: int = 0) -> ad.Tensor:
     """One application of the transition operator: num_layers post-norm blocks."""
     p = _phi_prefix(cfg, app_index)
@@ -191,7 +187,7 @@ def phi_apply(pt: dict, cfg: ModelConfig, h: ad.Tensor, app_index: int = 0) -> a
         v = ad.matmul(h, pt[f"{base}/attn/wv"])
         att = ad.matmul(ad.attention(q, k, v, cfg.num_heads), pt[f"{base}/attn/wo"])
         h = ad.rms_norm(ad.add(h, att), pt[f"{base}/attn/gain"])
-        mlp = ad.recompute(_mlp, h, pt[f"{base}/mlp/w1"], pt[f"{base}/mlp/w2"])
+        mlp = ad.mlp(h, pt[f"{base}/mlp/w1"], pt[f"{base}/mlp/w2"])
         h = ad.rms_norm(ad.add(h, mlp), pt[f"{base}/mlp/gain"])
     return h
 

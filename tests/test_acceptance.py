@@ -90,6 +90,9 @@ def _primitive_cases(i):
         ("a", "b"), a=n(m, k), b=n(p, k))
     yield "silu", case(lambda t: _weighted(ad.silu(t["a"]), i, "silu"),
                        a=n(m, k))
+    yield "mlp", case(
+        lambda t: _weighted(ad.mlp(t["a"], t["w1"], t["w2"]), i, "mlp"),
+        ("a", "w1", "w2"), a=n(2, m, k), w1=n(k, p), w2=n(p, k))
     yield "rms_norm", case(
         lambda t: _weighted(ad.rms_norm(t["a"], t["g"]), i, "rms"),
         ("a", "g"), a=n(m, 2, 6), g=n(6))

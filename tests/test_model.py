@@ -173,13 +173,12 @@ def test_gradients_reach_all_step_inputs():
 
 
 def test_run_cycles_releases_values_no_vjp_reads(monkeypatch):
-    # weakrefs to forward arrays, taken as ad.rope, ad.silu and ad.add see
+    # weakrefs to forward arrays, taken as ad.rope, ad.mlp and ad.add see
     # them: the graph holds no values, so an array outlives run_cycles
     # only if a vjp captured it or the caller holds it
     cfg, pt, x, state = cycle_setup()
-    refs = {k: [] for k in ("pre_rope", "rope", "wo", "w2", "silu_in", "silu_out",
-                            "xy", "z", "y")}
-    rope, silu, add = ad.rope, ad.silu, ad.add
+    refs = {k: [] for k in ("pre_rope", "rope", "wo", "w2", "mlp_in", "silu", "xy", "z", "y")}
+    rope, mlp, add = ad.rope, ad.mlp, ad.add
 
     def rope_spy(a, num_heads):
         out = rope(a, num_heads)
@@ -187,10 +186,9 @@ def test_run_cycles_releases_values_no_vjp_reads(monkeypatch):
         refs["rope"].append(weakref.ref(out.value))
         return out
 
-    def silu_spy(a):
-        out = silu(a)
-        refs["silu_in"].append(weakref.ref(a.value))
-        refs["silu_out"].append(weakref.ref(out.value))   # w2's input
+    def mlp_spy(h, w1, w2):
+        out = mlp(h, w1, w2)
+        refs["mlp_in"].append(weakref.ref(h.value))
         return out
 
     def add_spy(a, b):
@@ -199,7 +197,7 @@ def test_run_cycles_releases_values_no_vjp_reads(monkeypatch):
             refs["xy"].append(weakref.ref(out.value))
         elif a.op == "add" and a.parents[0] is x.node:   # (x + y) + z
             refs["z"].append(weakref.ref(b.value))
-        elif b.op not in ("matmul", "recompute"):        # y + z
+        elif b.op not in ("matmul", "mlp"):              # y + z
             refs["y"].append(weakref.ref(a.value))
         elif b.op == "matmul":                           # h + wo output
             assert b.parents[0].op == "attention"
@@ -210,15 +208,18 @@ def test_run_cycles_releases_values_no_vjp_reads(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(ad, "rope", rope_spy)
-        m.setattr(ad, "silu", silu_spy)
+        m.setattr(ad, "mlp", mlp_spy)
+        m.setattr(ad, "silu", lambda a: refs["silu"].append(a))
         m.setattr(ad, "add", add_spy)
         out, _ = md.run_cycles(pt, cfg, x, state, 2)
     alive = {k: [r() is not None for r in v] for k, v in refs.items()}
     blocks = 2 * cfg.apps_per_cycle * cfg.num_layers
     assert [len(alive[k]) for k in ("pre_rope", "wo", "w2")] == [2 * blocks, blocks, blocks]
-    # the MLP's hidden arrays, which backward rebuilds from the MLP's
-    # input, die with its forward, and so does every array no vjp reads
-    for key in ("silu_in", "silu_out", "pre_rope", "wo", "w2", "xy"):
+    # the MLP's hidden arrays never leave ad.mlp, which builds no silu
+    # node; its vjp rebuilds them from the MLP's input, which it keeps
+    assert refs["silu"] == [] and all(alive["mlp_in"])
+    # every array no vjp reads dies with its forward
+    for key in ("pre_rope", "wo", "w2", "xy"):
         assert not any(alive[key]), key
     assert all(alive["rope"])
     # a replaced z or y dies too; run_cycles' own inputs, which the caller
@@ -264,14 +265,14 @@ def test_embedding_values_die_once_forward_drops_them(monkeypatch):
 def test_mlp_recompute_gradients_match_stored_graph_bitwise(monkeypatch):
     # float32 gradients of one phi_apply, and of a whole cycle's tied
     # applications, equal the ones the MLP's stored three-node graph gives
-    def grads(build, recompute):
+    def grads(build, fused):
         cfg, pt, x, state = cycle_setup(num_layers=2)
         with monkeypatch.context() as m:
-            if not recompute:
-                m.setattr(ad, "recompute", lambda fn, *inputs: fn(*inputs))
+            if not fused:
+                m.setattr(ad, "mlp", lambda h, w1, w2: ad.matmul(ad.silu(ad.matmul(h, w1)), w2))
             out = build(cfg, pt, x, state)
         ad.backward(ad.mean_all(multiply(out, out)))
-        return {k: t.adjoint for k, t in pt.items()}
+        return out.value, {k: t.adjoint for k, t in pt.items()}
 
     def one_apply(cfg, pt, x, state):
         return md.phi_apply(pt, cfg, ad.add(ad.add(x, state.y), state.z))
@@ -280,7 +281,8 @@ def test_mlp_recompute_gradients_match_stored_graph_bitwise(monkeypatch):
         return md.run_cycles(pt, cfg, x, state, 1)[0].y
 
     for build in (one_apply, one_cycle):
-        got, want = grads(build, True), grads(build, False)
+        (value, got), (want_value, want) = grads(build, True), grads(build, False)
+        assert value.tobytes() == want_value.tobytes()
         assert got.keys() == want.keys()
         assert got["phi/l1/mlp/w1"] is not None and got["phi/l1/mlp/w1"].dtype == np.float32
         for name, g in got.items():
