@@ -12,9 +12,10 @@ The graph is kept apart from the values: a `Tensor` pairs a forward
 value with its `Node`, and nodes link only to their parents' nodes.  A
 vjp reads only what its closure captured at forward time, so a value
 lives exactly while forward code holds its Tensor or some vjp closure
-holds the array.  `attention` and `mlp` run one batch item at a time, so
-their wide intermediates exist for one item at once and never outlive
-the call: backward rebuilds them from the inputs their closures keep.
+holds the array.  `attention` and `mlp` are whole sublayers run one batch
+item at a time that keep only their input and weights: q, k, v, the
+scores and the MLP's hidden arrays exist for one item at once and never
+outlive the call, and backward rebuilds them.
 
 Only the primitives the looped-transformer stack needs are provided.  Each
 one validates operand shapes up front and raises a structured error naming
@@ -96,10 +97,10 @@ class Tensor:
     `value` is read by later forward ops, never by backward: a vjp closure
     captures at forward time the operand arrays and shapes it needs, so an
     array lives while forward code holds its Tensor or a closure holds the
-    array.  Full-size intermediates that are cheap to rebuild are
-    recomputed in backward instead: attention's scores, silu's sigmoid, and
-    the MLP's two hidden arrays, which the fused `mlp` rebuilds per item
-    from the MLP's input.  The losses' probabilities are built only there.
+    array.  Intermediates that are cheap to rebuild are recomputed in
+    backward instead: silu's sigmoid, and everything inside the `attention`
+    and `mlp` sublayers, rebuilt from the sublayer's input.  The losses'
+    probabilities are built only there.
     """
 
     __slots__ = ("value", "node")
@@ -193,10 +194,12 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """A stack times one matrix runs as one 2-D GEMM over all its rows,
-    forward and for a's gradient; each row's bytes are the per-item
-    product's.  A (..., 1, K) stack and b's gradient stay batched: as one
-    GEMV or one GEMM, their sums would run in another order."""
+    """A stack times one matrix is one 2-D GEMM over all its rows, forward
+    and for a's gradient.  Each row gets its item's own product's bytes
+    only above OpenBLAS 0.3.31's small-matrix thresholds: at the desk
+    config (32 × 146 rows), not at toy sizes such as (37, 128)·(128, 32)ᵀ.
+    A (..., 1, K) stack and b's gradient stay batched: as one GEMV or one
+    GEMM, their sums would run in another order."""
     if a.value.ndim < 2 or b.value.ndim < 2:
         raise ShapeError(f"matmul: operands must be at least 2-d, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -360,101 +363,129 @@ def _rope_tables(M: int, half: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     return hit
 
 
+def _check_heads(op: str, d: int, num_heads: int) -> int:
+    """The head dim of d features over num_heads heads; rope needs it even."""
+    if d % num_heads != 0:
+        raise ShapeError(f"{op}: feature dim {d} not divisible by {num_heads} heads")
+    hd = d // num_heads
+    if hd % 2 != 0:
+        raise ShapeError(f"{op}: head dim {hd} must be even")
+    return hd
+
+
+def _rotate(x: np.ndarray, num_heads: int, inverse: bool = False) -> np.ndarray:
+    """Each head's halves (x1, x2) of x (..., M, d) -> swap(x) * [-sin, sin]
+    + x * [cos, cos] = (x1 cos - x2 sin, x1 sin + x2 cos), with the two-half
+    formula's bytes.  `inverse` negates the angle (exactly, via sin): the
+    transpose of a rotation, so rope's vjp."""
+    *lead, M, d = x.shape
+    hd = d // num_heads
+    half = hd // 2
+    cos, sin = _rope_tables(M, half, x.dtype)
+    xh = x.reshape(*lead, M, num_heads, hd)
+    out = np.empty_like(xh)
+    out[..., :half] = xh[..., half:]
+    out[..., half:] = xh[..., :half]
+    out *= (-sin if inverse else sin)[:, None, :]   # (M, 1, hd): broadcasts over heads
+    out += xh * cos[:, None, :]
+    return out.reshape(x.shape)
+
+
 def rope(a: Tensor, num_heads: int) -> Tensor:
     """Rotary position rotation applied per head over the sequence axis.
 
     Expects (..., M, d) with d divisible by num_heads and an even head dim;
     each head's features are split in halves and rotated by position.
+    No code in this package calls it (`attention` rotates with `_rotate`
+    per item); it stays because loopbench's tracer patches it by name.
     """
-    *lead, M, d = a.shape
-    if d % num_heads != 0:
-        raise ShapeError(f"rope: feature dim {d} not divisible by {num_heads} heads")
-    hd = d // num_heads
-    if hd % 2 != 0:
-        raise ShapeError(f"rope: head dim {hd} must be even")
-    half = hd // 2
-    cos, sin = _rope_tables(M, half, a.value.dtype)
-    cos = cos[:, None, :]   # (M, 1, hd): broadcasts over the heads axis
-    sin = sin[:, None, :]
-
-    def rotate(x, sin):
-        # each head's halves (x1, x2) -> swap(x) * [-sin, sin] + x * [cos, cos]
-        # = (x1 * cos - x2 * sin, x1 * sin + x2 * cos), with the two-half
-        # formula's bytes: negation is exact and the sums hold the same terms
-        xh = x.reshape(*lead, M, num_heads, hd)
-        out = np.empty_like(xh)
-        out[..., :half] = xh[..., half:]
-        out[..., half:] = xh[..., :half]
-        out *= sin
-        out += xh * cos
-        return out.reshape(x.shape)
-
-    # the transpose of a rotation is the rotation by the negated angle, and
-    # negating sin is exact, so backward reuses the forward's own kernel
-    return _node(rotate(a.value, sin), (a,), lambda g: (rotate(g, -sin),), "rope")
+    _check_heads("rope", a.shape[-1], num_heads)
+    return _node(_rotate(a.value, num_heads), (a,),
+                 lambda g: (_rotate(g, num_heads, inverse=True),), "rope")
 
 
 # ---------------------------------------------------------------------------
 # attention
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
-    """Full (unmasked) multi-head self-attention.
+def _heads(x: np.ndarray, num_heads: int) -> np.ndarray:
+    """One item's (M, d) as an (H, M, hd) view; writing to it merges heads."""
+    M, d = x.shape
+    return x.reshape(M, num_heads, d // num_heads).transpose(1, 0, 2)
 
-    q, k, v: (B, M, d).  Heads are carved out of the feature axis, scores
-    scaled by head_dim ** -0.5, softmax over keys, heads merged back.
-    The scale is a Python float folded into q, so the result keeps the
-    operands' dtype; softmax and its backward each run in one buffer.
-    Forward and vjp run one batch item at a time, so only one item's
-    (H, M, M) scores exist at once.  The node keeps neither the
-    probabilities nor the scaled q: backward rebuilds both per item from
-    q and k with the forward's own ops, so its gradients are the ones the
-    stored arrays would give, bit for bit.
+
+def _attend(x, wq, wk, wv, num_heads: int, alpha: float) -> tuple:
+    """One item's attention core from its sublayer input x (M, d): the
+    scaled q heads, the k heads, v, the probabilities p and the merged p · v."""
+    q, k = _rotate(np.matmul(x, wq), num_heads), _rotate(np.matmul(x, wk), num_heads)
+    v = np.matmul(x, wv)
+    qs, kh = _heads(q, num_heads) * alpha, _heads(k, num_heads)
+    p = np.matmul(qs, kh.swapaxes(-1, -2))
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    o = np.empty_like(v)
+    _heads(o, num_heads)[...] = np.matmul(p, _heads(v, num_heads))
+    return qs, kh, v, p, o
+
+
+def attention(h: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
+              num_heads: int) -> Tensor:
+    """The attention sublayer with its residual, h + MHA(q, k, v) · wo for
+    h (B, M, d), q = rope(h · wq), k = rope(h · wk) and v = h · wv.
+
+    Unmasked multi-head self-attention: heads are carved out of the feature
+    axis, scores scaled by head_dim ** -0.5 (a Python float folded into q,
+    so the operands' dtype is kept) and softmaxed over keys.  The whole
+    sublayer runs one batch item at a time, so one item's q, k, v, (H, M, M)
+    scores and output exist at once, in cache.  The node keeps only h and
+    the four weights, and its vjp rebuilds each item's q, k, v, p and p · v.
+    Per item these are the ops of the nine-node graph h + matmul(attention
+    core, wo) over rope and matmul nodes, the weight gradients are summed in
+    item order and h's as ((g + c_q) + c_k) + c_v, the orders backward sums
+    that graph's; so value and gradients are its, bit for bit, wherever BLAS
+    gives a stack's rows each item's own product's bytes, as at the desk
+    config.
     """
-    if not (q.shape == k.shape == v.shape):
-        raise ShapeError(f"attention: q/k/v shapes differ: {q.shape}, {k.shape}, {v.shape}")
-    if q.value.ndim != 3:
-        raise ShapeError(f"attention: expected (batch, seq, features), got {q.shape}")
-    B, M, d = q.shape
-    if d % num_heads != 0:
-        raise ShapeError(f"attention: feature dim {d} not divisible by {num_heads} heads")
-    hd = d // num_heads
+    if h.value.ndim != 3 or any(w.shape != (h.shape[-1],) * 2 for w in (wq, wk, wv, wo)):
+        raise ShapeError(f"attention: expected h (batch, seq, d) and four (d, d) weights, got "
+                         f"{h.shape}, {wq.shape}, {wk.shape}, {wv.shape}, {wo.shape}")
+    hd = _check_heads("attention", h.shape[-1], num_heads)
     alpha = 1.0 / math.sqrt(hd)
-    qv, kv, vv = q.value, k.value, v.value
+    hv, wqv, wkv, wvv, wov = (t.value for t in (h, wq, wk, wv, wo))
 
-    def heads(x):
-        # one item's (M, d) as an (H, M, hd) view; writing to it merges heads
-        return x.reshape(M, num_heads, hd).transpose(1, 0, 2)
-
-    def softmax_scores(b):
-        qs, kh = heads(qv[b]) * alpha, heads(kv[b])
-        p = np.matmul(qs, kh.swapaxes(-1, -2))
-        p -= p.max(axis=-1, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-        return qs, kh, p
-
-    value = np.empty_like(qv)
-    for b in range(B):
-        heads(value[b])[...] = np.matmul(softmax_scores(b)[2], heads(vv[b]))
+    value = np.empty(hv.shape, np.result_type(hv, wqv, wkv, wvv, wov))
+    for b in range(len(hv)):
+        np.matmul(_attend(hv[b], wqv, wkv, wvv, num_heads, alpha)[-1], wov, out=value[b])
+        value[b] += hv[b]
 
     def vjp(g):
-        gq, gk, gv = np.empty_like(qv), np.empty_like(kv), np.empty_like(vv)
-        for b in range(B):
-            qs, kh, p = softmax_scores(b)
-            gh = heads(g[b])
-            heads(gv[b])[...] = np.matmul(p.swapaxes(-1, -2), gh)
-            gp = np.matmul(gh, heads(vv[b]).swapaxes(-1, -2))
-            # softmax backward in place on gp; rowsum(gp * p) is rowsum(g * out)
+        gh = np.empty_like(hv)
+        for b in range(len(hv)):
+            qs, kh, v, p, o = _attend(hv[b], wqv, wkv, wvv, num_heads, alpha)
+            ga = np.matmul(g[b], wov.T)
+            gq, gk, gv = np.empty_like(ga), np.empty_like(ga), np.empty_like(ga)
+            gah = _heads(ga, num_heads)
+            _heads(gv, num_heads)[...] = np.matmul(p.swapaxes(-1, -2), gah)
+            gp = np.matmul(gah, _heads(v, num_heads).swapaxes(-1, -2))
+            # softmax backward in place on gp; rowsum(gp * p) is rowsum(ga * o)
             # per head, which costs an (M, d) product instead of (H, M, M)
-            inner = (g[b] * value[b]).reshape(M, num_heads, hd).sum(axis=-1)
+            inner = (ga * o).reshape(len(o), num_heads, hd).sum(axis=-1)
             gp -= inner.T[..., None]
             gp *= p
-            heads(gq[b])[...] = np.matmul(gp, kh) * alpha
-            heads(gk[b])[...] = np.matmul(gp.swapaxes(-1, -2), qs)
-        return gq, gk, gv
+            _heads(gq, num_heads)[...] = np.matmul(gp, kh) * alpha
+            _heads(gk, num_heads)[...] = np.matmul(gp.swapaxes(-1, -2), qs)
+            gq, gk = _rotate(gq, num_heads, inverse=True), _rotate(gk, num_heads, inverse=True)
+            np.matmul(gq, wqv.T, out=gh[b])
+            gh[b] += g[b]
+            gh[b] += np.matmul(gk, wkv.T)
+            gh[b] += np.matmul(gv, wvv.T)
+            x = hv[b].T
+            gw = np.matmul(x, gq), np.matmul(x, gk), np.matmul(x, gv), np.matmul(o.T, g[b])
+            gws = gw if b == 0 else tuple(s + w for s, w in zip(gws, gw))
+        return (gh, *gws)
 
-    return _node(value, (q, k, v), vjp, "attention")
+    return _node(value, (h, wq, wk, wv, wo), vjp, "attention")
 
 
 def mlp(h: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
@@ -591,13 +622,10 @@ def backward(root: Tensor) -> None:
         raise ContractError(f"backward: root must be scalar, got shape {root.shape}")
     if not np.all(np.isfinite(root.value)):
         raise NonFiniteError("backward: loss is not finite")
-    if root.requires_grad:
-        _backprop(root, np.ones_like(root.value))
-
-
-def _backprop(root: Tensor, seed: np.ndarray) -> None:
+    if not root.requires_grad:
+        return
     order = _toposort(root.node)
-    root.adjoint = seed
+    root.adjoint = np.ones_like(root.value)
     for node in reversed(order):
         if node.vjp is None:
             continue

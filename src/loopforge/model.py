@@ -182,11 +182,8 @@ def phi_apply(pt: dict, cfg: ModelConfig, h: ad.Tensor, app_index: int = 0) -> a
     p = _phi_prefix(cfg, app_index)
     for i in range(cfg.num_layers):
         base = f"{p}/l{i}"
-        q = ad.rope(ad.matmul(h, pt[f"{base}/attn/wq"]), cfg.num_heads)
-        k = ad.rope(ad.matmul(h, pt[f"{base}/attn/wk"]), cfg.num_heads)
-        v = ad.matmul(h, pt[f"{base}/attn/wv"])
-        att = ad.matmul(ad.attention(q, k, v, cfg.num_heads), pt[f"{base}/attn/wo"])
-        h = ad.rms_norm(ad.add(h, att), pt[f"{base}/attn/gain"])
+        attn = [pt[f"{base}/attn/{w}"] for w in ("wq", "wk", "wv", "wo")]
+        h = ad.rms_norm(ad.attention(h, *attn, cfg.num_heads), pt[f"{base}/attn/gain"])
         mlp = ad.mlp(h, pt[f"{base}/mlp/w1"], pt[f"{base}/mlp/w2"])
         h = ad.rms_norm(ad.add(h, mlp), pt[f"{base}/mlp/gain"])
     return h

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -191,3 +192,57 @@ def stop_gradient(a: ad.Tensor) -> ad.Tensor:
     the operand's whole graph alive for as long as the result lives."""
     return ad.Tensor(a.value, parents=(), vjp=None, requires_grad=False,
                      op="stop_gradient", detached=a)
+
+
+def ref_attention(q: ad.Tensor, k: ad.Tensor, v: ad.Tensor, num_heads: int) -> ad.Tensor:
+    """Multi-head self-attention over given q, k, v (B, M, d), one batch
+    item at a time: the softmax core that `ad.attention` runs between its
+    projections, as a node of its own.  The reference the fused sublayer
+    is pinned to."""
+    if not (q.shape == k.shape == v.shape) or q.value.ndim != 3:
+        raise ad.ShapeError(f"ref_attention: q/k/v shapes {q.shape}, {k.shape}, {v.shape}")
+    B, M, d = q.shape
+    hd = d // num_heads
+    alpha = 1.0 / math.sqrt(hd)
+    qv, kv, vv = q.value, k.value, v.value
+
+    def heads(x):
+        return x.reshape(M, num_heads, hd).transpose(1, 0, 2)
+
+    def softmax_scores(b):
+        qs, kh = heads(qv[b]) * alpha, heads(kv[b])
+        p = np.matmul(qs, kh.swapaxes(-1, -2))
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        return qs, kh, p
+
+    value = np.empty_like(qv)
+    for b in range(B):
+        heads(value[b])[...] = np.matmul(softmax_scores(b)[2], heads(vv[b]))
+
+    def vjp(g):
+        gq, gk, gv = np.empty_like(qv), np.empty_like(kv), np.empty_like(vv)
+        for b in range(B):
+            qs, kh, p = softmax_scores(b)
+            gh = heads(g[b])
+            heads(gv[b])[...] = np.matmul(p.swapaxes(-1, -2), gh)
+            gp = np.matmul(gh, heads(vv[b]).swapaxes(-1, -2))
+            inner = (g[b] * value[b]).reshape(M, num_heads, hd).sum(axis=-1)
+            gp -= inner.T[..., None]
+            gp *= p
+            heads(gq[b])[...] = np.matmul(gp, kh) * alpha
+            heads(gk[b])[...] = np.matmul(gp.swapaxes(-1, -2), qs)
+        return gq, gk, gv
+
+    return ad._node(value, (q, k, v), vjp, "ref_attention")
+
+
+def ref_sublayer(h: ad.Tensor, wq: ad.Tensor, wk: ad.Tensor, wv: ad.Tensor, wo: ad.Tensor,
+                 num_heads: int) -> ad.Tensor:
+    """The attention sublayer as separate nodes:
+    h + ref_attention(rope(h wq), rope(h wk), h wv) wo."""
+    q = ad.rope(ad.matmul(h, wq), num_heads)
+    k = ad.rope(ad.matmul(h, wk), num_heads)
+    att = ref_attention(q, k, ad.matmul(h, wv), num_heads)
+    return ad.add(h, ad.matmul(att, wo))

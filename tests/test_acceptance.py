@@ -103,8 +103,10 @@ def _primitive_cases(i):
     yield "rope", case(lambda t: _weighted(ad.rope(t["a"], 2), i, "rope"),
                        a=n(2, m + 1, 8))
     yield "attention", case(
-        lambda t: _weighted(ad.attention(t["q"], t["k"], t["v"], 2), i, "att"),
-        ("q", "k", "v"), q=n(2, m + 1, 8), k=n(2, m + 1, 8), v=n(2, m + 1, 8))
+        lambda t: _weighted(ad.attention(t["a"], t["wq"], t["wk"], t["wv"], t["wo"], 2),
+                            i, "att"),
+        ("a", "wq", "wk", "wv", "wo"), a=n(2, m + 1, 8),
+        **{w: n(8, 8) / np.sqrt(8) for w in ("wq", "wk", "wv", "wo")})
 
     tgt = rng.integers(0, 5, size=(m, k))
     yield "softmax_cross_entropy", case(

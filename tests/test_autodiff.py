@@ -13,9 +13,10 @@ import functools
 import numpy as np
 import pytest
 
-from conftest import (check_gradients, evaluate, finite_difference_gradient,
-                      gradient, multiply, rel_err, stop_gradient)
+from conftest import (check_gradients, evaluate, finite_difference_gradient, gradient,
+                      multiply, ref_attention, ref_sublayer, rel_err, stop_gradient)
 from loopforge import autodiff as ad
+from loopforge import model as md
 
 
 def rng(seed=0):
@@ -129,22 +130,25 @@ def test_reshape():
                     {"a": r.normal(size=(3, 4))})
 
 
+def _attention_weights(r, d):
+    return {w: r.normal(size=(d, d)) / np.sqrt(d) for w in ("wq", "wk", "wv", "wo")}
+
+
+def _attend(t, num_heads):
+    return ad.attention(t["h"], t["wq"], t["wk"], t["wv"], t["wo"], num_heads)
+
+
 def test_attention_small():
     r = rng(18)
-    check_gradients(lambda t: ad.mean_all(ad.attention(t["q"], t["k"], t["v"], 2)),
-                    {"q": r.normal(size=(2, 4, 8)),
-                     "k": r.normal(size=(2, 4, 8)),
-                     "v": r.normal(size=(2, 4, 8))})
+    check_gradients(lambda t: ad.mean_all(_attend(t, 2)),
+                    {"h": r.normal(size=(2, 4, 8)), **_attention_weights(r, 8)})
 
 
 def test_attention_single_head():
     r = rng(19)
     w = r.normal(size=(1, 5, 6))
-    check_gradients(lambda t: ad.mean_all(multiply(
-        ad.attention(t["q"], t["k"], t["v"], 1), ad.constant(w))),
-        {"q": r.normal(size=(1, 5, 6)),
-         "k": r.normal(size=(1, 5, 6)),
-         "v": r.normal(size=(1, 5, 6))})
+    check_gradients(lambda t: ad.mean_all(multiply(_attend(t, 1), ad.constant(w))),
+                    {"h": r.normal(size=(1, 5, 6)), **_attention_weights(r, 6)})
 
 
 def test_cross_entropy_masked():
@@ -191,19 +195,14 @@ def test_transformer_block_composition():
     d, H = 8, 2
 
     def build(t):
-        h = t["x"]
-        q = ad.rope(ad.matmul(h, t["wq"]), H)
-        k = ad.rope(ad.matmul(h, t["wk"]), H)
-        v = ad.matmul(h, t["wv"])
-        att = ad.matmul(ad.attention(q, k, v, H), t["wo"])
-        h = ad.rms_norm(ad.add(h, att), t["g1"])
+        h = ad.rms_norm(_attend(t, H), t["g1"])
         mlp = ad.matmul(ad.silu(ad.matmul(h, t["w1"])), t["w2"])
         h = ad.rms_norm(ad.add(h, mlp), t["g2"])
         targets = np.array([[0, 5, 2, 7], [1, 1, 3, 0]])
         return ad.mean_all(ad.softmax_cross_entropy(h, targets))
 
     check_gradients(build, {
-        "x": r.normal(size=(2, 4, d)),
+        "h": r.normal(size=(2, 4, d)),
         "wq": r.normal(size=(d, d)) / np.sqrt(d),
         "wk": r.normal(size=(d, d)) / np.sqrt(d),
         "wv": r.normal(size=(d, d)) / np.sqrt(d),
@@ -293,7 +292,7 @@ def test_backward_keeps_only_leaf_adjoints():
     gain = ad.tensor(np.ones(d), requires_grad=True, op="gain")
     q = ad.rope(ad.matmul(x, w["wq"]), H)
     k = ad.rope(ad.matmul(x, w["wk"]), H)
-    att = ad.matmul(ad.attention(q, k, ad.matmul(x, w["wv"]), H), w["wo"])
+    att = ad.matmul(ref_attention(q, k, ad.matmul(x, w["wv"]), H), w["wo"])
     h = ad.rms_norm(ad.add(att, att), gain)
     loss = ad.mean_all(ad.softmax_cross_entropy(ad.silu(h), np.zeros((2, 4), int)))
     ad.backward(loss)
@@ -407,6 +406,15 @@ def test_shape_error_names_the_op():
         ad.mlp(h, ad.tensor(np.ones((5, 8))), w2)
     with pytest.raises(ad.ShapeError, match="mlp"):
         ad.mlp(h, w1, ad.tensor(np.ones((4, 4))))
+    w = [ad.tensor(np.ones((4, 4))) for _ in range(4)]
+    with pytest.raises(ad.ShapeError, match="attention"):
+        ad.attention(ad.tensor(np.ones((3, 4))), *w, 2)
+    with pytest.raises(ad.ShapeError, match="attention"):
+        ad.attention(h, *w[:3], ad.tensor(np.ones((4, 5))), 2)
+    with pytest.raises(ad.ShapeError, match="attention.*not divisible"):
+        ad.attention(h, *w, 3)
+    with pytest.raises(ad.ShapeError, match="attention.*must be even"):
+        ad.attention(h, *w, 4)
 
 
 def test_nonfinite_leaf_rejected():
@@ -460,8 +468,8 @@ DTYPE_CASES = {
     "rms_norm": (lambda t: ad.rms_norm(t["a"], t["g"]), {"a": (2, 3, 4), "g": (4,)}),
     "gather": (lambda t: ad.gather(t["table"], IDX), {"table": (5, 4)}),
     "rope": (lambda t: ad.rope(t["a"], 2), {"a": (2, 6, 8)}),
-    "attention": (lambda t: ad.attention(t["q"], t["k"], t["v"], 2),
-                  {"q": (2, 5, 8), "k": (2, 5, 8), "v": (2, 5, 8)}),
+    "attention": (lambda t: _attend(t, 2),
+                  {"h": (2, 5, 8), "wq": (8, 8), "wk": (8, 8), "wv": (8, 8), "wo": (8, 8)}),
     "softmax_cross_entropy": (lambda t: ad.softmax_cross_entropy(t["a"], TARGETS),
                               {"a": (2, 3, 4)}),
     "sigmoid_bce": (lambda t: ad.sigmoid_bce(t["a"], MASK), {"a": (2, 3)}),
@@ -560,7 +568,7 @@ def test_rewritten_kernels_match_reference_formulas():
         want = np.concatenate([g1 * cos + g2 * sin, -g1 * sin + g2 * cos], axis=-1)
         _same_bytes(gx, want.reshape(B, M, d), f"rope vjp {dtype}")
 
-        value, (gq, gk, gv) = run(lambda a, b, c: ad.attention(a, b, c, H), q, k, v)
+        value, (gq, gk, gv) = run(lambda a, b, c: ref_attention(a, b, c, H), q, k, v)
 
         def heads(a):
             return a.reshape(B, M, H, hd).transpose(0, 2, 1, 3)
@@ -585,6 +593,27 @@ def test_rewritten_kernels_match_reference_formulas():
         _same_bytes(gq, merge(gqh), f"attention vjp q {dtype}")
         _same_bytes(gk, merge(np.matmul(gp.swapaxes(-1, -2), qs)), f"attention vjp k {dtype}")
         _same_bytes(gv, merge(np.matmul(p.swapaxes(-1, -2), ghh)), f"attention vjp v {dtype}")
+
+        # the attention sublayer against its nine-node graph run on each item
+        # alone, value and all five gradients, h's summed by backward from its
+        # four uses and the weights' in item order.  As for the MLP below,
+        # the reference runs per item because at sizes this small a stacked
+        # GEMM's rows need not get the bytes of each item's own GEMM
+        ws = [(r.normal(size=(d, d)) / np.sqrt(d)).astype(dtype) for _ in range(4)]
+        value, grads = run(lambda *t: ad.attention(*t, H), x, *ws)
+        items = []
+        for b in range(B):
+            leaves = [ad.tensor(a, requires_grad=True) for a in (x[b:b + 1], *ws)]
+            out = ref_sublayer(*leaves, H)
+            # a scalar root whose vjp hands back g, so exactly g reaches out
+            ad.backward(ad._node(np.zeros((), dtype), (out,), lambda _, b=b: (g[b:b + 1],),
+                                 "cotangent"))
+            items.append((out.value, *(t.adjoint for t in leaves)))
+        value_b, gx_b, *gw_b = zip(*items)
+        _same_bytes(value, np.concatenate(value_b), f"attention sublayer value {dtype}")
+        want = (np.concatenate(gx_b), *(functools.reduce(np.add, w) for w in gw_b))
+        for got, w, name in zip(grads, want, ("h", "wq", "wk", "wv", "wo")):
+            _same_bytes(got, w, f"attention sublayer vjp {name} {dtype}")
 
         # the fused MLP against the three-node composition run on each item
         # alone, value and vjp, with the weight gradients summed in item
@@ -637,15 +666,15 @@ def _closure_arrays(fn):
 def test_vjp_closures_keep_no_recomputable_arrays():
     B, M, d, H = 2, 6, 8, 2
     r = rng(43)
-    q, k, v = (ad.tensor(r.normal(size=(B, M, d)), requires_grad=True) for _ in range(3))
-    node = ad.attention(q, k, v, H)
-    kept = _closure_arrays(node.vjp)
-    assert kept and not [a.shape for a in kept if a.shape[-2:] == (M, M)]
-    # what is left is views of the operands or of the node's own value
-    for a in kept:
-        assert any(np.shares_memory(a, t) for t in (q.value, k.value, v.value, node.value))
-
+    # attention keeps h and the four weights: no q, k, v, scores or
+    # output, also after its vjp has run once
     x = ad.tensor(r.normal(size=(B, M, d)), requires_grad=True)
+    ws = [ad.tensor(r.normal(size=(d, d)), requires_grad=True) for _ in range(4)]
+    node = ad.attention(x, *ws, H)
+    node.vjp(np.ones(node.shape))
+    kept = _closure_arrays(node.vjp)
+    assert set(map(id, kept)) == {id(t.value) for t in (x, *ws)}
+
     node = ad.silu(x)
     full = [a for a in _closure_arrays(node.vjp) if a.size == x.value.size]
     assert full and all(a is x.value for a in full)
@@ -657,3 +686,23 @@ def test_vjp_closures_keep_no_recomputable_arrays():
     node.vjp(np.ones(node.shape))
     kept = _closure_arrays(node.vjp)
     assert set(map(id, kept)) == {id(t.value) for t in (x, w1, w2)}
+
+
+def test_phi_apply_closures_keep_four_activations_per_layer():
+    # per layer, backward keeps the attention input h, the two rms_norm
+    # inputs and the MLP input, and no other (B, M, d) buffer
+    cfg = md.ModelConfig(hidden_size=16, num_heads=2, num_layers=2, expansion=2, seq_len=9)
+    params = md.Parameters.init(cfg, rng(48))
+    pt = md.wrap_parameters(params)
+    shape = (3, cfg.seq_len + 1, cfg.hidden_size)
+    h = ad.tensor(rng(49).normal(size=shape).astype(np.float32), requires_grad=True)
+    out = md.phi_apply(pt, cfg, h)
+    bases = set()
+    for node in ad.graph_nodes(out):
+        for a in _closure_arrays(node.vjp) if node.vjp is not None else ():
+            if a.shape == shape:
+                while a.base is not None:
+                    a = a.base
+                bases.add(id(a))
+    assert len(bases) == 4 * cfg.num_layers
+    assert id(h.value) in bases and id(out.value) not in bases

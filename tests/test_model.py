@@ -10,7 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import check_gradients, gradient, multiply, param_count
+from conftest import check_gradients, gradient, multiply, param_count, ref_sublayer
 from loopforge import autodiff as ad
 from loopforge import model as md
 from loopforge.seeding import rng_for
@@ -173,17 +173,29 @@ def test_gradients_reach_all_step_inputs():
 
 
 def test_run_cycles_releases_values_no_vjp_reads(monkeypatch):
-    # weakrefs to forward arrays, taken as ad.rope, ad.mlp and ad.add see
-    # them: the graph holds no values, so an array outlives run_cycles
-    # only if a vjp captured it or the caller holds it
+    # weakrefs to forward arrays, taken as ad.attention and its per-item
+    # kernels, ad.mlp and ad.add see them: the graph holds no values, so an
+    # array outlives run_cycles only if a vjp captured it or the caller
+    # holds it
     cfg, pt, x, state = cycle_setup()
-    refs = {k: [] for k in ("pre_rope", "rope", "wo", "w2", "mlp_in", "silu", "xy", "z", "y")}
-    rope, mlp, add = ad.rope, ad.mlp, ad.add
+    refs = {k: [] for k in ("attn_in", "pre_rope", "rope", "v", "att", "w2", "mlp_in",
+                            "silu", "xy", "z", "y")}
+    attention, rotate, attend, mlp, add = ad.attention, ad._rotate, ad._attend, ad.mlp, ad.add
 
-    def rope_spy(a, num_heads):
-        out = rope(a, num_heads)
-        refs["pre_rope"].append(weakref.ref(a.value))
-        refs["rope"].append(weakref.ref(out.value))
+    def attention_spy(h, *args):
+        refs["attn_in"].append(weakref.ref(h.value))
+        return attention(h, *args)
+
+    def rotate_spy(a, num_heads, inverse=False):
+        out = rotate(a, num_heads, inverse)
+        refs["pre_rope"].append(weakref.ref(a))
+        refs["rope"].append(weakref.ref(out))
+        return out
+
+    def attend_spy(*args):
+        out = attend(*args)
+        refs["v"].append(weakref.ref(out[2]))
+        refs["att"].append(weakref.ref(out[-1]))        # the attention output
         return out
 
     def mlp_spy(h, w1, w2):
@@ -197,31 +209,32 @@ def test_run_cycles_releases_values_no_vjp_reads(monkeypatch):
             refs["xy"].append(weakref.ref(out.value))
         elif a.op == "add" and a.parents[0] is x.node:   # (x + y) + z
             refs["z"].append(weakref.ref(b.value))
-        elif b.op not in ("matmul", "mlp"):              # y + z
+        elif b.op != "mlp":                              # y + z
             refs["y"].append(weakref.ref(a.value))
-        elif b.op == "matmul":                           # h + wo output
-            assert b.parents[0].op == "attention"
-            refs["wo"].append(weakref.ref(b.value))
         else:                                            # h + MLP (w2) output
             refs["w2"].append(weakref.ref(b.value))
         return out
 
     with monkeypatch.context() as m:
-        m.setattr(ad, "rope", rope_spy)
+        m.setattr(ad, "attention", attention_spy)
+        m.setattr(ad, "_rotate", rotate_spy)
+        m.setattr(ad, "_attend", attend_spy)
         m.setattr(ad, "mlp", mlp_spy)
         m.setattr(ad, "silu", lambda a: refs["silu"].append(a))
         m.setattr(ad, "add", add_spy)
         out, _ = md.run_cycles(pt, cfg, x, state, 2)
     alive = {k: [r() is not None for r in v] for k, v in refs.items()}
     blocks = 2 * cfg.apps_per_cycle * cfg.num_layers
-    assert [len(alive[k]) for k in ("pre_rope", "wo", "w2")] == [2 * blocks, blocks, blocks]
+    items = blocks * len(x.value)
+    assert [len(alive[k]) for k in ("pre_rope", "v", "att", "w2")] == [2 * items, items,
+                                                                     items, blocks]
     # the MLP's hidden arrays never leave ad.mlp, which builds no silu
-    # node; its vjp rebuilds them from the MLP's input, which it keeps
-    assert refs["silu"] == [] and all(alive["mlp_in"])
+    # node; its vjp rebuilds them from the MLP's input, which it keeps.
+    # Attention's vjp rebuilds each item's q, k, v and output from its input
+    assert refs["silu"] == [] and all(alive["mlp_in"]) and all(alive["attn_in"])
     # every array no vjp reads dies with its forward
-    for key in ("pre_rope", "wo", "w2", "xy"):
+    for key in ("pre_rope", "rope", "v", "att", "w2", "xy"):
         assert not any(alive[key]), key
-    assert all(alive["rope"])
     # a replaced z or y dies too; run_cycles' own inputs, which the caller
     # holds, do not
     assert alive["z"] == [True] + [False] * (2 * cfg.inner_steps - 1)
@@ -262,14 +275,14 @@ def test_embedding_values_die_once_forward_drops_them(monkeypatch):
         assert g is None or g.tobytes() == w.tobytes(), name
 
 
-def test_mlp_recompute_gradients_match_stored_graph_bitwise(monkeypatch):
+def _fused_gradients_match_stored_graph(monkeypatch, op, stored, probe):
     # float32 gradients of one phi_apply, and of a whole cycle's tied
-    # applications, equal the ones the MLP's stored three-node graph gives
+    # applications, equal the ones the op's stored graph gives
     def grads(build, fused):
         cfg, pt, x, state = cycle_setup(num_layers=2)
         with monkeypatch.context() as m:
             if not fused:
-                m.setattr(ad, "mlp", lambda h, w1, w2: ad.matmul(ad.silu(ad.matmul(h, w1)), w2))
+                m.setattr(ad, op, stored)
             out = build(cfg, pt, x, state)
         ad.backward(ad.mean_all(multiply(out, out)))
         return out.value, {k: t.adjoint for k, t in pt.items()}
@@ -284,11 +297,22 @@ def test_mlp_recompute_gradients_match_stored_graph_bitwise(monkeypatch):
         (value, got), (want_value, want) = grads(build, True), grads(build, False)
         assert value.tobytes() == want_value.tobytes()
         assert got.keys() == want.keys()
-        assert got["phi/l1/mlp/w1"] is not None and got["phi/l1/mlp/w1"].dtype == np.float32
+        assert got[probe] is not None and got[probe].dtype == np.float32
         for name, g in got.items():
             w = want[name]
             assert (g is None) == (w is None), name
             assert g is None or g.tobytes() == w.tobytes(), (build.__name__, name)
+
+
+def test_mlp_recompute_gradients_match_stored_graph_bitwise(monkeypatch):
+    _fused_gradients_match_stored_graph(
+        monkeypatch, "mlp", lambda h, w1, w2: ad.matmul(ad.silu(ad.matmul(h, w1)), w2),
+        "phi/l1/mlp/w1")
+
+
+def test_attention_node_gradients_match_stored_graph_bitwise(monkeypatch):
+    _fused_gradients_match_stored_graph(monkeypatch, "attention", ref_sublayer,
+                                        "phi/l1/attn/wq")
 
 
 def test_answer_step_single_z_identity():
