@@ -12,10 +12,11 @@ The graph is kept apart from the values: a `Tensor` pairs a forward
 value with its `Node`, and nodes link only to their parents' nodes.  A
 vjp reads only what its closure captured at forward time, so a value
 lives exactly while forward code holds its Tensor or some vjp closure
-holds the array.  `attention` and `mlp` are whole sublayers run one batch
-item at a time that keep only their input and weights: q, k, v, the
-scores and the MLP's hidden arrays exist for one item at once and never
-outlive the call, and backward rebuilds them.
+holds the array.  `attention` and `mlp` are whole post-norm sublayers,
+each ending in its residual add and rms_norm, run one batch item at a
+time, that keep only their input, weights and gain: q, k, v, the scores,
+the MLP's hidden arrays and each residual sum exist for one item at once
+and never outlive the call, and backward rebuilds them.
 
 Only the primitives the looped-transformer stack needs are provided.  Each
 one validates operand shapes up front and raises a structured error naming
@@ -99,8 +100,8 @@ class Tensor:
     array lives while forward code holds its Tensor or a closure holds the
     array.  Intermediates that are cheap to rebuild are recomputed in
     backward instead: silu's sigmoid, and everything inside the `attention`
-    and `mlp` sublayers, rebuilt from the sublayer's input.  The losses'
-    probabilities are built only there.
+    and `mlp` sublayers, residual sums included, rebuilt from the
+    sublayer's input.  The losses' probabilities are built only there.
     """
 
     __slots__ = ("value", "node")
@@ -294,32 +295,72 @@ def silu(a: Tensor) -> Tensor:
 RMS_NORM_EPS = 1e-6
 
 
+def _inv_rms(sq: np.ndarray) -> np.ndarray:
+    """1 / sqrt(mean(sq) + eps) over the last axis of the squares sq, with
+    np.mean's bytes and without its per-call overhead."""
+    r = sq.sum(axis=-1, keepdims=True)
+    r /= sq.shape[-1]
+    r += RMS_NORM_EPS
+    np.sqrt(r, out=r)
+    return np.divide(1.0, r, out=r)
+
+
+def _rms(x: np.ndarray, gain: np.ndarray, out=None) -> np.ndarray:
+    """Each row of x scaled to unit root-mean-square, times gain; written
+    to `out` when given."""
+    value = np.square(x, out=out)
+    r = _inv_rms(value)
+    np.multiply(x, r, out=value)
+    value *= gain
+    return value
+
+
+def _rms_vjp(g: np.ndarray, x: np.ndarray, gain: np.ndarray) -> tuple:
+    """`_rms`'s vjp over rows x, with r rebuilt from x: x's gradient
+    r * gg - (r ** 3 / d) * x * sum(gg * x) for gg = g * gain, and gain's
+    per row, g * x * r, for the caller to sum over rows.  Two full-size
+    buffers."""
+    tmp = np.square(x)
+    r = _inv_rms(tmp)
+    ga = g * gain
+    np.multiply(ga, x, out=tmp)
+    dot = tmp.sum(axis=-1, keepdims=True)
+    np.multiply(r ** 3 / x.shape[-1], x, out=tmp)
+    tmp *= dot
+    ga *= r
+    ga -= tmp
+    np.multiply(g, x, out=tmp)
+    tmp *= r
+    return ga, tmp
+
+
+def _sum_rows(rows: np.ndarray, total):
+    """One item's per-row gain gradients (M, d) added to the running sum of
+    the items before it, in the order `reshape(-1, d).sum(axis=0)` adds a
+    whole batch's rows: numpy adds axis 0 one row at a time, so the running
+    sum goes into the item's first row before its own sum."""
+    if total is not None:
+        rows[0] += total
+    return rows.sum(axis=0)
+
+
 def rms_norm(a: Tensor, gain: Tensor) -> Tensor:
-    """Normalise the last axis to unit root-mean-square, then scale by gain."""
+    """Normalise the last axis to unit root-mean-square, then scale by gain.
+
+    No code in this package calls it: `attention` and `mlp` end in this
+    norm, run per item over the same helpers.  It stays as the reference
+    those nodes are pinned to, and because loopbench's tracer patches it
+    by name."""
     d = a.shape[-1]
     if gain.shape != (d,):
         raise ShapeError(f"rms_norm: gain shape {gain.shape} does not match feature dim {d}")
     x, gv = a.value, gain.value
-    value = np.square(x)
-    r = 1.0 / np.sqrt(np.mean(value, axis=-1, keepdims=True) + RMS_NORM_EPS)
-    np.multiply(x, r, out=value)
-    value *= gv
 
     def vjp(g):
-        # ga = r * gg - (r ** 3 / d) * x * sum(gg * x) and ggain = sum(g * x * r),
-        # in two full-size buffers
-        ga = g * gv
-        tmp = np.multiply(ga, x)
-        dot = tmp.sum(axis=-1, keepdims=True)
-        np.multiply(r ** 3 / d, x, out=tmp)
-        tmp *= dot
-        ga *= r
-        ga -= tmp
-        np.multiply(g, x, out=tmp)
-        tmp *= r
-        return ga, tmp.reshape(-1, d).sum(axis=0)
+        ga, gg = _rms_vjp(g, x, gv)
+        return ga, gg.reshape(-1, d).sum(axis=0)
 
-    return _node(value, (a, gain), vjp, "rms_norm")
+    return _node(_rms(x, gv), (a, gain), vjp, "rms_norm")
 
 
 # ---------------------------------------------------------------------------
@@ -349,17 +390,19 @@ def gather(table: Tensor, indices: np.ndarray) -> Tensor:
 _ROPE_CACHE: dict = {}
 
 
-def _rope_tables(M: int, half: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Full head-width tables (M, 2 * half): [cos, cos] and [-sin, sin]."""
-    key = (M, half, np.dtype(dtype).str)
+def _rope_tables(M: int, num_heads: int, hd: int, dtype) -> tuple:
+    """Tables (M, num_heads * hd), each head's [cos, cos], [-sin, sin] and
+    [sin, -sin] over its two halves."""
+    key = (M, num_heads, hd, np.dtype(dtype).str)
     hit = _ROPE_CACHE.get(key)
     if hit is None:
+        half = hd // 2
         inv = 10000.0 ** (-np.arange(half, dtype=np.float64) / half)
         ang = np.arange(M, dtype=np.float64)[:, None] * inv[None, :]
         cos, sin = np.cos(ang), np.sin(ang)
-        hit = (np.concatenate([cos, cos], axis=1).astype(dtype),
-               np.concatenate([-sin, sin], axis=1).astype(dtype))
-        _ROPE_CACHE[key] = hit
+        cos = np.tile(np.concatenate([cos, cos], axis=1), num_heads).astype(dtype)
+        sin = np.tile(np.concatenate([-sin, sin], axis=1), num_heads).astype(dtype)
+        hit = _ROPE_CACHE[key] = (cos, sin, -sin)
     return hit
 
 
@@ -373,22 +416,23 @@ def _check_heads(op: str, d: int, num_heads: int) -> int:
     return hd
 
 
-def _rotate(x: np.ndarray, num_heads: int, inverse: bool = False) -> np.ndarray:
+def _rotate(x: np.ndarray, num_heads: int, inverse: bool = False, out=None) -> np.ndarray:
     """Each head's halves (x1, x2) of x (..., M, d) -> swap(x) * [-sin, sin]
     + x * [cos, cos] = (x1 cos - x2 sin, x1 sin + x2 cos), with the two-half
-    formula's bytes.  `inverse` negates the angle (exactly, via sin): the
-    transpose of a rotation, so rope's vjp."""
+    formula's bytes, into `out` when given.  `inverse` negates the angle
+    (exactly, via sin): the transpose of a rotation, so rope's vjp."""
     *lead, M, d = x.shape
     hd = d // num_heads
     half = hd // 2
-    cos, sin = _rope_tables(M, half, x.dtype)
-    xh = x.reshape(*lead, M, num_heads, hd)
-    out = np.empty_like(xh)
-    out[..., :half] = xh[..., half:]
-    out[..., half:] = xh[..., :half]
-    out *= (-sin if inverse else sin)[:, None, :]   # (M, 1, hd): broadcasts over heads
-    out += xh * cos[:, None, :]
-    return out.reshape(x.shape)
+    cos, sin, nsin = _rope_tables(M, num_heads, hd, x.dtype)
+    if out is None:
+        out = np.empty(x.shape, x.dtype)
+    xh, oh = (a.reshape(*lead, M, num_heads, hd) for a in (x, out))
+    oh[..., :half] = xh[..., half:]
+    oh[..., half:] = xh[..., :half]
+    out *= nsin if inverse else sin
+    out += x * cos
+    return out
 
 
 def rope(a: Tensor, num_heads: int) -> Tensor:
@@ -405,7 +449,7 @@ def rope(a: Tensor, num_heads: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# attention
+# the two sublayers
 
 
 def _heads(x: np.ndarray, num_heads: int) -> np.ndarray:
@@ -414,122 +458,155 @@ def _heads(x: np.ndarray, num_heads: int) -> np.ndarray:
     return x.reshape(M, num_heads, d // num_heads).transpose(1, 0, 2)
 
 
-def _attend(x, wq, wk, wv, num_heads: int, alpha: float) -> tuple:
-    """One item's attention core from its sublayer input x (M, d): the
-    scaled q heads, the k heads, v, the probabilities p and the merged p · v."""
-    q, k = _rotate(np.matmul(x, wq), num_heads), _rotate(np.matmul(x, wk), num_heads)
-    v = np.matmul(x, wv)
-    qs, kh = _heads(q, num_heads) * alpha, _heads(k, num_heads)
+def _attend(x, wqkv, wo, num_heads: int, alpha: float) -> tuple:
+    """One item's attention from its sublayer input x (M, d) and the stacked
+    [wq | wk | wv]: the scaled q heads, the k heads, v, the probabilities p,
+    the merged p · v and the residual sum x + (p · v) · wo.  q and k rotate
+    in one call, as 2H heads."""
+    d = x.shape[-1]
+    qkv = np.matmul(x, wqkv)
+    qk = _rotate(qkv[:, :2 * d], 2 * num_heads)
+    qk[:, :d] *= alpha
+    qs, kh, v = _heads(qk[:, :d], num_heads), _heads(qk[:, d:], num_heads), qkv[:, 2 * d:]
     p = np.matmul(qs, kh.swapaxes(-1, -2))
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    o = np.empty_like(v)
-    _heads(o, num_heads)[...] = np.matmul(p, _heads(v, num_heads))
-    return qs, kh, v, p, o
+    o = np.empty(v.shape, v.dtype)
+    np.matmul(p, _heads(v, num_heads), out=_heads(o, num_heads))
+    s = np.matmul(o, wo)
+    s += x
+    return qs, kh, v, p, o, s
 
 
-def attention(h: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
+def attention(h: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, gain: Tensor,
               num_heads: int) -> Tensor:
-    """The attention sublayer with its residual, h + MHA(q, k, v) · wo for
-    h (B, M, d), q = rope(h · wq), k = rope(h · wk) and v = h · wv.
+    """The post-norm attention sublayer, rms_norm(h + MHA(q, k, v) · wo,
+    gain) for h (B, M, d), q = rope(h · wq), k = rope(h · wk), v = h · wv.
 
     Unmasked multi-head self-attention: heads are carved out of the feature
     axis, scores scaled by head_dim ** -0.5 (a Python float folded into q,
     so the operands' dtype is kept) and softmaxed over keys.  The whole
     sublayer runs one batch item at a time, so one item's q, k, v, (H, M, M)
-    scores and output exist at once, in cache.  The node keeps only h and
-    the four weights, and its vjp rebuilds each item's q, k, v, p and p · v.
-    Per item these are the ops of the nine-node graph h + matmul(attention
-    core, wo) over rope and matmul nodes, the weight gradients are summed in
-    item order and h's as ((g + c_q) + c_k) + c_v, the orders backward sums
-    that graph's; so value and gradients are its, bit for bit, wherever BLAS
-    gives a stack's rows each item's own product's bytes, as at the desk
-    config.
+    scores, output and residual sum exist at once, in cache.  The node keeps
+    only h, the four weights and the gain, and its vjp rebuilds each item's
+    q, k, v, p, p · v and residual sum.  Per item these are the ops of the
+    graph rms_norm(h + matmul(attention core, wo), gain) over rope and
+    matmul nodes; the weight gradients are summed in item order, h's as
+    ((gq wqᵀ + g_s) + gk wkᵀ) + gv wvᵀ for the residual's adjoint g_s, and
+    the gain's over all rows in order, the orders backward sums that graph's.
+    So value and gradients are its, bit for bit, wherever BLAS gives a
+    stack's rows each item's own product's bytes, as at the desk config.
     """
-    if h.value.ndim != 3 or any(w.shape != (h.shape[-1],) * 2 for w in (wq, wk, wv, wo)):
-        raise ShapeError(f"attention: expected h (batch, seq, d) and four (d, d) weights, got "
-                         f"{h.shape}, {wq.shape}, {wk.shape}, {wv.shape}, {wo.shape}")
-    hd = _check_heads("attention", h.shape[-1], num_heads)
+    d = h.shape[-1]
+    if (h.value.ndim != 3 or any(w.shape != (d, d) for w in (wq, wk, wv, wo))
+            or gain.shape != (d,)):
+        raise ShapeError(f"attention: expected h (batch, seq, d), four (d, d) weights and a "
+                         f"(d,) gain, got {h.shape}, {wq.shape}, {wk.shape}, {wv.shape}, "
+                         f"{wo.shape}, {gain.shape}")
+    hd = _check_heads("attention", d, num_heads)
     alpha = 1.0 / math.sqrt(hd)
-    hv, wqv, wkv, wvv, wov = (t.value for t in (h, wq, wk, wv, wo))
+    hv, wqv, wkv, wvv, wov, nv = (t.value for t in (h, wq, wk, wv, wo, gain))
 
-    value = np.empty(hv.shape, np.result_type(hv, wqv, wkv, wvv, wov))
+    dtype = np.result_type(hv, wqv, wkv, wvv, wov, nv)
+    value = np.empty(hv.shape, dtype)
+    wqkv = np.concatenate([wqv, wkv, wvv], axis=1)
     for b in range(len(hv)):
-        np.matmul(_attend(hv[b], wqv, wkv, wvv, num_heads, alpha)[-1], wov, out=value[b])
-        value[b] += hv[b]
+        _rms(_attend(hv[b], wqkv, wov, num_heads, alpha)[-1], nv, out=value[b])
 
     def vjp(g):
+        wqkv = np.concatenate([wqv, wkv, wvv], axis=1)
         gh = np.empty_like(hv)
+        gqk = np.empty((hv.shape[1], 2 * d), dtype)
+        gqkv = np.empty((hv.shape[1], 3 * d), dtype)
+        gq, gk, gv = (_heads(a, num_heads) for a in (gqk[:, :d], gqk[:, d:], gqkv[:, 2 * d:]))
+        ggain = None
         for b in range(len(hv)):
-            qs, kh, v, p, o = _attend(hv[b], wqv, wkv, wvv, num_heads, alpha)
-            ga = np.matmul(g[b], wov.T)
-            gq, gk, gv = np.empty_like(ga), np.empty_like(ga), np.empty_like(ga)
+            x = hv[b]
+            qs, kh, v, p, o, s = _attend(x, wqkv, wov, num_heads, alpha)
+            gs, grows = _rms_vjp(g[b], s, nv)
+            ggain = _sum_rows(grows, ggain)
+            ga = np.matmul(gs, wov.T)
             gah = _heads(ga, num_heads)
-            _heads(gv, num_heads)[...] = np.matmul(p.swapaxes(-1, -2), gah)
+            np.matmul(p.swapaxes(-1, -2), gah, out=gv)
             gp = np.matmul(gah, _heads(v, num_heads).swapaxes(-1, -2))
             # softmax backward in place on gp; rowsum(gp * p) is rowsum(ga * o)
             # per head, which costs an (M, d) product instead of (H, M, M)
             inner = (ga * o).reshape(len(o), num_heads, hd).sum(axis=-1)
             gp -= inner.T[..., None]
             gp *= p
-            _heads(gq, num_heads)[...] = np.matmul(gp, kh) * alpha
-            _heads(gk, num_heads)[...] = np.matmul(gp.swapaxes(-1, -2), qs)
-            gq, gk = _rotate(gq, num_heads, inverse=True), _rotate(gk, num_heads, inverse=True)
-            np.matmul(gq, wqv.T, out=gh[b])
-            gh[b] += g[b]
-            gh[b] += np.matmul(gk, wkv.T)
-            gh[b] += np.matmul(gv, wvv.T)
-            x = hv[b].T
-            gw = np.matmul(x, gq), np.matmul(x, gk), np.matmul(x, gv), np.matmul(o.T, g[b])
-            gws = gw if b == 0 else tuple(s + w for s, w in zip(gws, gw))
-        return (gh, *gws)
+            np.matmul(gp, kh, out=gq)
+            gq *= alpha
+            np.matmul(gp.swapaxes(-1, -2), qs, out=gk)
+            _rotate(gqk, 2 * num_heads, inverse=True, out=gqkv[:, :2 * d])
+            np.matmul(gqkv[:, :d], wqv.T, out=gh[b])
+            gh[b] += gs
+            gh[b] += np.matmul(gqkv[:, d:2 * d], wkv.T)
+            gh[b] += np.matmul(gqkv[:, 2 * d:], wvv.T)
+            gw = np.matmul(x.T, gqkv), np.matmul(o.T, gs)
+            gws = gw if b == 0 else [np.add(t, w, out=t) for t, w in zip(gws, gw)]
+        return (gh, *np.split(gws[0], 3, axis=1), gws[1], ggain)
 
-    return _node(value, (h, wq, wk, wv, wo), vjp, "attention")
+    return _node(value, (h, wq, wk, wv, wo, gain), vjp, "attention")
 
 
-def mlp(h: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
-    """silu(h · w1) · w2 for h (B, M, d), one batch item at a time.
+def mlp(h: Tensor, w1: Tensor, w2: Tensor, gain: Tensor) -> Tensor:
+    """The post-norm MLP sublayer, rms_norm(h + silu(h · w1) · w2, gain) for
+    h (B, M, d), one batch item at a time.
 
-    The node keeps only h, w1 and w2: the two wide hidden arrays, h·w1 and
-    its sigmoid, exist for one item at a time, and the vjp rebuilds them.
-    Per item these are the ops of `matmul(silu(matmul(h, w1)), w2)`, and
-    the weight gradients are summed in item order, as `_unbroadcast` sums
-    the batched products; so value and gradients are that graph's, bit for
-    bit, wherever BLAS gives a stack's rows the bytes of each item's own
-    product, as at the model's sizes.
+    The node keeps only h, w1, w2 and the gain: the two wide hidden arrays,
+    h·w1 and its sigmoid, and the residual sum exist for one item at a
+    time, and the vjp rebuilds them, which costs it the second GEMM again.
+    Per item these are the ops of the graph
+    rms_norm(add(h, matmul(silu(matmul(h, w1)), w2)), gain); h's gradient
+    is g_s + gh for the residual's adjoint g_s, the weight gradients are
+    summed in item order, as `_unbroadcast` sums the batched products, and
+    the gain's over all rows in order.  So value and gradients are that
+    graph's, bit for bit, wherever BLAS gives a stack's rows the bytes of
+    each item's own product, as at the model's sizes.
     """
     if (h.value.ndim != 3 or w1.value.ndim != 2 or w2.value.ndim != 2
-            or h.shape[-1] != w1.shape[0] or w1.shape[1] != w2.shape[0]):
-        raise ShapeError(f"mlp: expected (batch, seq, d) @ (d, e) @ (e, n), inner dims "
-                         f"agreeing, got {h.shape} @ {w1.shape} @ {w2.shape}")
-    hv, w1v, w2v = h.value, w1.value, w2.value
+            or h.shape[-1] != w1.shape[0] or w1.shape[1] != w2.shape[0]
+            or w2.shape[1] != h.shape[-1] or gain.shape != h.shape[-1:]):
+        raise ShapeError(f"mlp: expected (batch, seq, d) @ (d, e) @ (e, d) and a (d,) gain, "
+                         f"got {h.shape} @ {w1.shape} @ {w2.shape}, {gain.shape}")
+    hv, w1v, w2v, nv = h.value, w1.value, w2.value, gain.value
 
     def hidden(b):
         a = np.matmul(hv[b], w1v)
         return a, sigmoid(a)
 
-    value = np.empty(hv.shape[:-1] + w2v.shape[-1:], np.result_type(hv, w1v, w2v))
+    def residual(b, act):
+        res = np.matmul(act, w2v)
+        res += hv[b]
+        return res
+
+    value = np.empty(hv.shape, np.result_type(hv, w1v, w2v, nv))
     for b in range(len(hv)):
         a, s = hidden(b)
         s *= a
-        np.matmul(s, w2v, out=value[b])
+        _rms(residual(b, s), nv, out=value[b])
 
     def vjp(g):
         gh = np.empty_like(hv)
+        ggain = None
         for b in range(len(hv)):
             a, s = hidden(b)
+            act = s * a
+            gs, grows = _rms_vjp(g[b], residual(b, act), nv)
+            ggain = _sum_rows(grows, ggain)
             ga = np.subtract(1.0, s)   # silu's vjp: gs * (s * (1 + a * (1 - s)))
             ga *= a
             ga += 1.0
             ga *= s
-            ga *= np.matmul(g[b], w2v.T)
+            ga *= np.matmul(gs, w2v.T)
             np.matmul(ga, w1v.T, out=gh[b])
-            gw = np.matmul(hv[b].T, ga), np.matmul((s * a).T, g[b])
-            gw1, gw2 = gw if b == 0 else (gw1 + gw[0], gw2 + gw[1])
-        return gh, gw1, gw2
+            gh[b] += gs
+            gw = np.matmul(hv[b].T, ga), np.matmul(act.T, gs)
+            gws = gw if b == 0 else [np.add(t, w, out=t) for t, w in zip(gws, gw)]
+        return (gh, *gws, ggain)
 
-    return _node(value, (h, w1, w2), vjp, "mlp")
+    return _node(value, (h, w1, w2, gain), vjp, "mlp")
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -63,6 +63,15 @@ class ModelConfig:
     untied_depth: int = 0        # 0 = weight-tied; else one weight set per application
 
     def __post_init__(self):
+        # types and ranges first: the checks below divide by these sizes
+        if not isinstance(self.single_z, bool):
+            raise ModelError(f"single_z must be true or false, got {self.single_z!r}")
+        for name in (f.name for f in fields(self) if f.name != "single_z"):
+            v, least = getattr(self, name), 0 if name == "untied_depth" else 1
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ModelError(f"{name} must be an integer, got {v!r}")
+            if v < least:
+                raise ModelError(f"{name} must be >= {least}, got {v}")
         if self.hidden_size % self.num_heads != 0:
             raise ModelError(f"hidden_size {self.hidden_size} not divisible by "
                              f"{self.num_heads} heads")
@@ -70,10 +79,6 @@ class ModelConfig:
             raise ModelError("head dimension must be even for rotary positions")
         if self.vocab_size != VOCAB_SIZE:
             raise ModelError(f"vocab_size is fixed at {VOCAB_SIZE} (colours + PAD)")
-        for name in ("num_layers", "expansion", "seq_len", "inner_steps",
-                     "cycles_per_window", "max_halt_steps", "num_tasks"):
-            if getattr(self, name) < 1:
-                raise ModelError(f"{name} must be >= 1")
 
     @property
     def apps_per_cycle(self) -> int:
@@ -178,14 +183,15 @@ def _phi_prefix(cfg: ModelConfig, app_index: int) -> str:
 
 
 def phi_apply(pt: dict, cfg: ModelConfig, h: ad.Tensor, app_index: int = 0) -> ad.Tensor:
-    """One application of the transition operator: num_layers post-norm blocks."""
+    """One application of the transition operator: num_layers post-norm
+    blocks, each an attention node and an MLP node that end in their own
+    residual add and rms_norm."""
     p = _phi_prefix(cfg, app_index)
     for i in range(cfg.num_layers):
         base = f"{p}/l{i}"
-        attn = [pt[f"{base}/attn/{w}"] for w in ("wq", "wk", "wv", "wo")]
-        h = ad.rms_norm(ad.attention(h, *attn, cfg.num_heads), pt[f"{base}/attn/gain"])
-        mlp = ad.mlp(h, pt[f"{base}/mlp/w1"], pt[f"{base}/mlp/w2"])
-        h = ad.rms_norm(ad.add(h, mlp), pt[f"{base}/mlp/gain"])
+        attn = [pt[f"{base}/attn/{w}"] for w in ("wq", "wk", "wv", "wo", "gain")]
+        mlp = [pt[f"{base}/mlp/{w}"] for w in ("w1", "w2", "gain")]
+        h = ad.mlp(ad.attention(h, *attn, cfg.num_heads), *mlp)
     return h
 
 
@@ -438,6 +444,9 @@ def load_checkpoint(path) -> tuple[ModelConfig, Parameters, Parameters | None, d
         raise CheckpointError(f"{path}: metadata is not a JSON object")
     if offset != len(raw):
         raise CheckpointError(f"{path}: trailing bytes after arrays")
+    if max(1, cfg.untied_depth) * cfg.num_layers > len(plain):
+        # every layer has arrays: refuse before parameter_shapes lists them all
+        raise CheckpointError(f"{path}: config needs more layers than the file holds arrays")
     want = parameter_shapes(cfg)
     for kind, arrays in (("params", plain), ("ema", ema)):
         if kind == "ema" and not arrays:

@@ -57,6 +57,10 @@ def _primitive_cases(i):
     """One instance of every differentiable primitive, seeded by i."""
     rng = rng_for(1000, "fd", i)
     n = lambda *s: rng.standard_normal(s)
+    # the sublayer nodes' gains draw from their own stream, which leaves
+    # every other case's draws as they were
+    gains = rng_for(1000, "fd-gain", i)
+    gain = lambda d: gains.standard_normal(d)
     m, k, p = 2 + i % 3, 3 + i % 2, 2 + i % 4
 
     def case(build, wrt=("a",), **bindings):
@@ -91,8 +95,8 @@ def _primitive_cases(i):
     yield "silu", case(lambda t: _weighted(ad.silu(t["a"]), i, "silu"),
                        a=n(m, k))
     yield "mlp", case(
-        lambda t: _weighted(ad.mlp(t["a"], t["w1"], t["w2"]), i, "mlp"),
-        ("a", "w1", "w2"), a=n(2, m, k), w1=n(k, p), w2=n(p, k))
+        lambda t: _weighted(ad.mlp(t["a"], t["w1"], t["w2"], t["g"]), i, "mlp"),
+        ("a", "w1", "w2", "g"), a=n(2, m, k), w1=n(k, p), w2=n(p, k), g=gain(k))
     yield "rms_norm", case(
         lambda t: _weighted(ad.rms_norm(t["a"], t["g"]), i, "rms"),
         ("a", "g"), a=n(m, 2, 6), g=n(6))
@@ -103,10 +107,10 @@ def _primitive_cases(i):
     yield "rope", case(lambda t: _weighted(ad.rope(t["a"], 2), i, "rope"),
                        a=n(2, m + 1, 8))
     yield "attention", case(
-        lambda t: _weighted(ad.attention(t["a"], t["wq"], t["wk"], t["wv"], t["wo"], 2),
+        lambda t: _weighted(ad.attention(t["a"], t["wq"], t["wk"], t["wv"], t["wo"], t["g"], 2),
                             i, "att"),
-        ("a", "wq", "wk", "wv", "wo"), a=n(2, m + 1, 8),
-        **{w: n(8, 8) / np.sqrt(8) for w in ("wq", "wk", "wv", "wo")})
+        ("a", "wq", "wk", "wv", "wo", "g"), a=n(2, m + 1, 8),
+        **{w: n(8, 8) / np.sqrt(8) for w in ("wq", "wk", "wv", "wo")}, g=gain(8))
 
     tgt = rng.integers(0, 5, size=(m, k))
     yield "softmax_cross_entropy", case(

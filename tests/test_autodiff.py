@@ -131,11 +131,12 @@ def test_reshape():
 
 
 def _attention_weights(r, d):
-    return {w: r.normal(size=(d, d)) / np.sqrt(d) for w in ("wq", "wk", "wv", "wo")}
+    w = {w: r.normal(size=(d, d)) / np.sqrt(d) for w in ("wq", "wk", "wv", "wo")}
+    return {**w, "g": r.normal(size=d) + 1.0}
 
 
-def _attend(t, num_heads):
-    return ad.attention(t["h"], t["wq"], t["wk"], t["wv"], t["wo"], num_heads)
+def _attend(t, num_heads, gain="g"):
+    return ad.attention(t["h"], t["wq"], t["wk"], t["wv"], t["wo"], t[gain], num_heads)
 
 
 def test_attention_small():
@@ -195,9 +196,7 @@ def test_transformer_block_composition():
     d, H = 8, 2
 
     def build(t):
-        h = ad.rms_norm(_attend(t, H), t["g1"])
-        mlp = ad.matmul(ad.silu(ad.matmul(h, t["w1"])), t["w2"])
-        h = ad.rms_norm(ad.add(h, mlp), t["g2"])
+        h = ad.mlp(_attend(t, H, "g1"), t["w1"], t["w2"], t["g2"])
         targets = np.array([[0, 5, 2, 7], [1, 1, 3, 0]])
         return ad.mean_all(ad.softmax_cross_entropy(h, targets))
 
@@ -218,9 +217,9 @@ def _mlp(h, w1, w2):
 
 
 def test_recompute_through_tied_residual_mlp():
-    # two tied applications of h <- rms_norm(h + mlp(h)), each MLP one node
-    # that rebuilds its hidden arrays in backward: h feeds both the
-    # residual and the MLP
+    # two tied applications of h <- rms_norm(h + mlp(h)), each one node
+    # that rebuilds its hidden arrays and residual sum in backward: h feeds
+    # both the residual and the MLP
     r = rng(44)
     d = 6
     w = r.normal(size=(2, 3, d))
@@ -228,7 +227,7 @@ def test_recompute_through_tied_residual_mlp():
     def build(t):
         h = t["x"]
         for _ in range(2):
-            h = ad.rms_norm(ad.add(h, ad.mlp(h, t["w1"], t["w2"])), t["g"])
+            h = ad.mlp(h, t["w1"], t["w2"], t["g"])
         return ad.mean_all(multiply(h, ad.constant(w)))
 
     check_gradients(build, {"x": r.normal(size=(2, 3, d)),
@@ -239,19 +238,20 @@ def test_recompute_through_tied_residual_mlp():
 
 def test_recompute_vjp_keeps_only_its_inputs():
     r = rng(45)
-    h, w1, w2 = (ad.tensor(r.normal(size=s), requires_grad=True)
-                 for s in ((2, 3, 4), (4, 8), (8, 4)))
-    node = ad.mlp(h, w1, w2)
-    assert node.op == "mlp" and node.parents == (h.node, w1.node, w2.node)
-    assert node.value.tobytes() == _mlp(h, w1, w2).value.tobytes()
+    h, w1, w2, gain = (ad.tensor(r.normal(size=s), requires_grad=True)
+                       for s in ((2, 3, 4), (4, 8), (8, 4), (4,)))
+    node = ad.mlp(h, w1, w2, gain)
+    assert node.op == "mlp" and node.parents == (h.node, w1.node, w2.node, gain.node)
+    want = ad.rms_norm(ad.add(h, _mlp(h, w1, w2)), gain)
+    assert node.value.tobytes() == want.value.tobytes()
     kept = _closure_arrays(node.vjp)
-    assert set(map(id, kept)) == {id(t.value) for t in (h, w1, w2)}
+    assert set(map(id, kept)) == {id(t.value) for t in (h, w1, w2, gain)}
 
 
 def test_recompute_backward_under_no_grad():
     # the mlp vjp needs no graph of its own, whatever the ambient mode
     r = rng(46)
-    arrays = [r.normal(size=s).astype(np.float32) for s in ((2, 3, 4), (4, 8), (8, 4))]
+    arrays = [r.normal(size=s).astype(np.float32) for s in ((2, 3, 4), (4, 8), (8, 4), (4,))]
 
     def grads(quiet):
         leaves = [ad.tensor(a, requires_grad=True) for a in arrays]
@@ -400,21 +400,28 @@ def test_shape_error_names_the_op():
         ad.rms_norm(a, ad.tensor(np.ones(5)))
     h = ad.tensor(np.ones((2, 3, 4)))
     w1, w2 = ad.tensor(np.ones((4, 8))), ad.tensor(np.ones((8, 4)))
+    gain, bad_gain = ad.tensor(np.ones(4)), ad.tensor(np.ones(5))
     with pytest.raises(ad.ShapeError, match="mlp"):
-        ad.mlp(ad.tensor(np.ones((3, 4))), w1, w2)
+        ad.mlp(ad.tensor(np.ones((3, 4))), w1, w2, gain)
     with pytest.raises(ad.ShapeError, match="mlp"):
-        ad.mlp(h, ad.tensor(np.ones((5, 8))), w2)
+        ad.mlp(h, ad.tensor(np.ones((5, 8))), w2, gain)
     with pytest.raises(ad.ShapeError, match="mlp"):
-        ad.mlp(h, w1, ad.tensor(np.ones((4, 4))))
+        ad.mlp(h, w1, ad.tensor(np.ones((4, 4))), gain)
+    with pytest.raises(ad.ShapeError, match="mlp"):
+        ad.mlp(h, w1, ad.tensor(np.ones((8, 5))), gain)
+    with pytest.raises(ad.ShapeError, match="mlp"):
+        ad.mlp(h, w1, w2, bad_gain)
     w = [ad.tensor(np.ones((4, 4))) for _ in range(4)]
     with pytest.raises(ad.ShapeError, match="attention"):
-        ad.attention(ad.tensor(np.ones((3, 4))), *w, 2)
+        ad.attention(ad.tensor(np.ones((3, 4))), *w, gain, 2)
     with pytest.raises(ad.ShapeError, match="attention"):
-        ad.attention(h, *w[:3], ad.tensor(np.ones((4, 5))), 2)
+        ad.attention(h, *w[:3], ad.tensor(np.ones((4, 5))), gain, 2)
+    with pytest.raises(ad.ShapeError, match="attention"):
+        ad.attention(h, *w, bad_gain, 2)
     with pytest.raises(ad.ShapeError, match="attention.*not divisible"):
-        ad.attention(h, *w, 3)
+        ad.attention(h, *w, gain, 3)
     with pytest.raises(ad.ShapeError, match="attention.*must be even"):
-        ad.attention(h, *w, 4)
+        ad.attention(h, *w, gain, 4)
 
 
 def test_nonfinite_leaf_rejected():
@@ -468,14 +475,14 @@ DTYPE_CASES = {
     "rms_norm": (lambda t: ad.rms_norm(t["a"], t["g"]), {"a": (2, 3, 4), "g": (4,)}),
     "gather": (lambda t: ad.gather(t["table"], IDX), {"table": (5, 4)}),
     "rope": (lambda t: ad.rope(t["a"], 2), {"a": (2, 6, 8)}),
-    "attention": (lambda t: _attend(t, 2),
-                  {"h": (2, 5, 8), "wq": (8, 8), "wk": (8, 8), "wv": (8, 8), "wo": (8, 8)}),
+    "attention": (lambda t: _attend(t, 2), {"h": (2, 5, 8), "wq": (8, 8), "wk": (8, 8),
+                                            "wv": (8, 8), "wo": (8, 8), "g": (8,)}),
     "softmax_cross_entropy": (lambda t: ad.softmax_cross_entropy(t["a"], TARGETS),
                               {"a": (2, 3, 4)}),
     "sigmoid_bce": (lambda t: ad.sigmoid_bce(t["a"], MASK), {"a": (2, 3)}),
     "masked_mean": (lambda t: ad.masked_mean(t["a"], MASK), {"a": (2, 3)}),
-    "mlp": (lambda t: ad.mlp(t["h"], t["w1"], t["w2"]),
-            {"h": (2, 3, 4), "w1": (4, 6), "w2": (6, 4)}),
+    "mlp": (lambda t: ad.mlp(t["h"], t["w1"], t["w2"], t["g"]),
+            {"h": (2, 3, 4), "w1": (4, 6), "w2": (6, 4), "g": (4,)}),
 }
 
 
@@ -594,49 +601,45 @@ def test_rewritten_kernels_match_reference_formulas():
         _same_bytes(gk, merge(np.matmul(gp.swapaxes(-1, -2), qs)), f"attention vjp k {dtype}")
         _same_bytes(gv, merge(np.matmul(p.swapaxes(-1, -2), ghh)), f"attention vjp v {dtype}")
 
-        # the attention sublayer against its nine-node graph run on each item
-        # alone, value and all five gradients, h's summed by backward from its
-        # four uses and the weights' in item order.  As for the MLP below,
-        # the reference runs per item because at sizes this small a stacked
-        # GEMM's rows need not get the bytes of each item's own GEMM
+        # both sublayers against their graphs: the residual sum run on each
+        # item alone, then one rms_norm over the batch's sums with exactly g
+        # as its output adjoint, and each item's share of the norm's x
+        # gradient backpropagated through its own graph.  x's gradient comes
+        # out per item, the weights' summed in item order and the gain's as
+        # the batched norm sums it, over all rows in order.  The sums run
+        # per item because at sizes this small OpenBLAS's small-matrix
+        # kernels can give a stacked GEMM's rows other bytes than the item's
+        # own GEMM; at the model's sizes the batched graphs agree too
+        # (test_model's *_gradients_match_stored_graph_bitwise)
+        def post_norm_graph(residual, weights):
+            items = [[ad.tensor(a, requires_grad=True) for a in (x[b:b + 1], *weights)]
+                     for b in range(B)]
+            sums = [residual(*leaves) for leaves in items]
+            norm = ad.rms_norm(ad.tensor(np.concatenate([t.value for t in sums]),
+                                         requires_grad=True), ad.tensor(gain, requires_grad=True))
+            gs, ggain = norm.vjp(g)
+            for b, out in enumerate(sums):
+                # a scalar root whose vjp hands back the item's gs, so exactly
+                # that reaches out
+                ad.backward(ad._node(np.zeros((), dtype), (out,), lambda _, b=b: (gs[b:b + 1],),
+                                     "cotangent"))
+            gx, *gw = zip(*([t.adjoint for t in leaves] for leaves in items))
+            return norm.value, (np.concatenate(gx), *(functools.reduce(np.add, w) for w in gw),
+                                ggain)
+
         ws = [(r.normal(size=(d, d)) / np.sqrt(d)).astype(dtype) for _ in range(4)]
-        value, grads = run(lambda *t: ad.attention(*t, H), x, *ws)
-        items = []
-        for b in range(B):
-            leaves = [ad.tensor(a, requires_grad=True) for a in (x[b:b + 1], *ws)]
-            out = ref_sublayer(*leaves, H)
-            # a scalar root whose vjp hands back g, so exactly g reaches out
-            ad.backward(ad._node(np.zeros((), dtype), (out,), lambda _, b=b: (g[b:b + 1],),
-                                 "cotangent"))
-            items.append((out.value, *(t.adjoint for t in leaves)))
-        value_b, gx_b, *gw_b = zip(*items)
-        _same_bytes(value, np.concatenate(value_b), f"attention sublayer value {dtype}")
-        want = (np.concatenate(gx_b), *(functools.reduce(np.add, w) for w in gw_b))
-        for got, w, name in zip(grads, want, ("h", "wq", "wk", "wv", "wo")):
+        value, grads = run(lambda *t: ad.attention(*t, H), x, *ws, gain)
+        want_value, want = post_norm_graph(lambda *t: ref_sublayer(*t, H), ws)
+        _same_bytes(value, want_value, f"attention sublayer value {dtype}")
+        for got, w, name in zip(grads, want, ("h", "wq", "wk", "wv", "wo", "gain")):
             _same_bytes(got, w, f"attention sublayer vjp {name} {dtype}")
 
-        # the fused MLP against the three-node composition run on each item
-        # alone, value and vjp, with the weight gradients summed in item
-        # order.  The reference runs per item because at sizes this small
-        # OpenBLAS's small-matrix kernels can give a stacked GEMM's rows
-        # other bytes than the item's own GEMM; at the model's sizes the
-        # batched composition agrees too (test_model's
-        # test_mlp_recompute_gradients_match_stored_graph_bitwise)
         w1 = (r.normal(size=(d, 4 * d)) / np.sqrt(d)).astype(dtype)
         w2 = (r.normal(size=(4 * d, d)) / np.sqrt(4 * d)).astype(dtype)
-        value, grads = run(ad.mlp, x, w1, w2)
-        items = []
-        for b in range(B):
-            h1 = ad.matmul(*(ad.tensor(a, requires_grad=True) for a in (x[b:b + 1], w1)))
-            act = ad.silu(h1)
-            out = ad.matmul(act, ad.tensor(w2, requires_grad=True))
-            gact, gw2 = out.vjp(g[b:b + 1])
-            items.append((out.value, *h1.vjp(*act.vjp(gact)), gw2))
-        value_b, gx_b, gw1_b, gw2_b = zip(*items)
-        _same_bytes(value, np.concatenate(value_b), f"mlp value {dtype}")
-        want = (np.concatenate(gx_b), functools.reduce(np.add, gw1_b),
-                functools.reduce(np.add, gw2_b))
-        for got, w, name in zip(grads, want, ("h", "w1", "w2")):
+        value, grads = run(ad.mlp, x, w1, w2, gain)
+        want_value, want = post_norm_graph(lambda h, a, b: ad.add(h, _mlp(h, a, b)), (w1, w2))
+        _same_bytes(value, want_value, f"mlp value {dtype}")
+        for got, w, name in zip(grads, want, ("h", "w1", "w2", "gain")):
             _same_bytes(got, w, f"mlp vjp {name} {dtype}")
 
 
@@ -666,31 +669,33 @@ def _closure_arrays(fn):
 def test_vjp_closures_keep_no_recomputable_arrays():
     B, M, d, H = 2, 6, 8, 2
     r = rng(43)
-    # attention keeps h and the four weights: no q, k, v, scores or
-    # output, also after its vjp has run once
+    # attention keeps h, the four weights and the gain: no q, k, v, scores,
+    # output or residual sum, also after its vjp has run once
     x = ad.tensor(r.normal(size=(B, M, d)), requires_grad=True)
     ws = [ad.tensor(r.normal(size=(d, d)), requires_grad=True) for _ in range(4)]
-    node = ad.attention(x, *ws, H)
+    gain = ad.tensor(np.ones(d), requires_grad=True)
+    node = ad.attention(x, *ws, gain, H)
     node.vjp(np.ones(node.shape))
     kept = _closure_arrays(node.vjp)
-    assert set(map(id, kept)) == {id(t.value) for t in (x, *ws)}
+    assert set(map(id, kept)) == {id(t.value) for t in (x, *ws, gain)}
 
     node = ad.silu(x)
     full = [a for a in _closure_arrays(node.vjp) if a.size == x.value.size]
     assert full and all(a is x.value for a in full)
 
-    # the MLP keeps h and the two weights, and no 4d-wide activation, also
-    # after its vjp has run once
+    # the MLP keeps h, the two weights and the gain, and no 4d-wide
+    # activation or residual sum, also after its vjp has run once
     w1, w2 = (ad.tensor(r.normal(size=s), requires_grad=True) for s in ((d, 4 * d), (4 * d, d)))
-    node = ad.mlp(x, w1, w2)
+    node = ad.mlp(x, w1, w2, gain)
     node.vjp(np.ones(node.shape))
     kept = _closure_arrays(node.vjp)
-    assert set(map(id, kept)) == {id(t.value) for t in (x, w1, w2)}
+    assert set(map(id, kept)) == {id(t.value) for t in (x, w1, w2, gain)}
 
 
-def test_phi_apply_closures_keep_four_activations_per_layer():
-    # per layer, backward keeps the attention input h, the two rms_norm
-    # inputs and the MLP input, and no other (B, M, d) buffer
+def test_phi_apply_closures_keep_two_activations_per_layer():
+    # per layer, backward keeps the attention input h and the MLP input,
+    # and no other (B, M, d) buffer: each sublayer node ends in its own
+    # residual add and rms_norm and rebuilds what they need
     cfg = md.ModelConfig(hidden_size=16, num_heads=2, num_layers=2, expansion=2, seq_len=9)
     params = md.Parameters.init(cfg, rng(48))
     pt = md.wrap_parameters(params)
@@ -704,5 +709,5 @@ def test_phi_apply_closures_keep_four_activations_per_layer():
                 while a.base is not None:
                     a = a.base
                 bases.add(id(a))
-    assert len(bases) == 4 * cfg.num_layers
+    assert len(bases) == 2 * cfg.num_layers
     assert id(h.value) in bases and id(out.value) not in bases

@@ -211,8 +211,10 @@ class TestTrain:
 
     @pytest.mark.parametrize("flags", [
         ("--augmentations", 0), ("--augmentations", -1), ("--family", "nope"),
-        ("--set", "num_denoise_steps=0"),
-    ], ids=["augmentations_0", "augmentations_-1", "family_nope", "denoise_steps_0"])
+        ("--set", "num_denoise_steps=0"), ("--set", "num_heads=0"), ("--set", "num_heads=-4"),
+        ("--set", "hidden_size=0"),
+    ], ids=["augmentations_0", "augmentations_-1", "family_nope", "denoise_steps_0",
+            "num_heads_0", "num_heads_-4", "hidden_size_0"])
     def test_rejected_value_exits_config(self, tmp_path, capsys, flags):
         # the later flag or --set wins over the one train_args gives
         out = tmp_path / "x"

@@ -9,6 +9,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import check_gradients, gradient, multiply, param_count, ref_sublayer
 from loopforge import autodiff as ad
@@ -178,7 +180,7 @@ def test_run_cycles_releases_values_no_vjp_reads(monkeypatch):
     # array outlives run_cycles only if a vjp captured it or the caller
     # holds it
     cfg, pt, x, state = cycle_setup()
-    refs = {k: [] for k in ("attn_in", "pre_rope", "rope", "v", "att", "w2", "mlp_in",
+    refs = {k: [] for k in ("attn_in", "pre_rope", "rope", "v", "att", "res", "mlp_in",
                             "silu", "xy", "z", "y")}
     attention, rotate, attend, mlp, add = ad.attention, ad._rotate, ad._attend, ad.mlp, ad.add
 
@@ -188,18 +190,19 @@ def test_run_cycles_releases_values_no_vjp_reads(monkeypatch):
 
     def rotate_spy(a, num_heads, inverse=False):
         out = rotate(a, num_heads, inverse)
-        refs["pre_rope"].append(weakref.ref(a))
+        refs["pre_rope"].append(weakref.ref(a.base))    # the q|k|v projection
         refs["rope"].append(weakref.ref(out))
         return out
 
     def attend_spy(*args):
         out = attend(*args)
-        refs["v"].append(weakref.ref(out[2]))
-        refs["att"].append(weakref.ref(out[-1]))        # the attention output
+        refs["v"].append(weakref.ref(out[2].base))
+        refs["att"].append(weakref.ref(out[4]))         # the attention output
+        refs["res"].append(weakref.ref(out[-1]))        # the residual sum
         return out
 
-    def mlp_spy(h, w1, w2):
-        out = mlp(h, w1, w2)
+    def mlp_spy(h, *args):
+        out = mlp(h, *args)
         refs["mlp_in"].append(weakref.ref(h.value))
         return out
 
@@ -209,10 +212,8 @@ def test_run_cycles_releases_values_no_vjp_reads(monkeypatch):
             refs["xy"].append(weakref.ref(out.value))
         elif a.op == "add" and a.parents[0] is x.node:   # (x + y) + z
             refs["z"].append(weakref.ref(b.value))
-        elif b.op != "mlp":                              # y + z
+        else:                                            # y + z
             refs["y"].append(weakref.ref(a.value))
-        else:                                            # h + MLP (w2) output
-            refs["w2"].append(weakref.ref(b.value))
         return out
 
     with monkeypatch.context() as m:
@@ -226,14 +227,15 @@ def test_run_cycles_releases_values_no_vjp_reads(monkeypatch):
     alive = {k: [r() is not None for r in v] for k, v in refs.items()}
     blocks = 2 * cfg.apps_per_cycle * cfg.num_layers
     items = blocks * len(x.value)
-    assert [len(alive[k]) for k in ("pre_rope", "v", "att", "w2")] == [2 * items, items,
-                                                                     items, blocks]
-    # the MLP's hidden arrays never leave ad.mlp, which builds no silu
-    # node; its vjp rebuilds them from the MLP's input, which it keeps.
-    # Attention's vjp rebuilds each item's q, k, v and output from its input
+    assert [len(alive[k]) for k in ("pre_rope", "v", "att", "res", "mlp_in")] == [
+        items, items, items, items, blocks]
+    # the MLP's hidden arrays and residual sum never leave ad.mlp, which
+    # builds no silu, add or rms_norm node; its vjp rebuilds them from the
+    # MLP's input, which it keeps.  Attention's vjp rebuilds each item's
+    # q, k, v, output and residual sum from its input
     assert refs["silu"] == [] and all(alive["mlp_in"]) and all(alive["attn_in"])
     # every array no vjp reads dies with its forward
-    for key in ("pre_rope", "rope", "v", "att", "w2", "xy"):
+    for key in ("pre_rope", "rope", "v", "att", "res", "xy"):
         assert not any(alive[key]), key
     # a replaced z or y dies too; run_cycles' own inputs, which the caller
     # holds, do not
@@ -305,14 +307,17 @@ def _fused_gradients_match_stored_graph(monkeypatch, op, stored, probe):
 
 
 def test_mlp_recompute_gradients_match_stored_graph_bitwise(monkeypatch):
-    _fused_gradients_match_stored_graph(
-        monkeypatch, "mlp", lambda h, w1, w2: ad.matmul(ad.silu(ad.matmul(h, w1)), w2),
-        "phi/l1/mlp/w1")
+    def stored(h, w1, w2, gain):
+        return ad.rms_norm(ad.add(h, ad.matmul(ad.silu(ad.matmul(h, w1)), w2)), gain)
+
+    _fused_gradients_match_stored_graph(monkeypatch, "mlp", stored, "phi/l1/mlp/w1")
 
 
 def test_attention_node_gradients_match_stored_graph_bitwise(monkeypatch):
-    _fused_gradients_match_stored_graph(monkeypatch, "attention", ref_sublayer,
-                                        "phi/l1/attn/wq")
+    def stored(h, wq, wk, wv, wo, gain, num_heads):
+        return ad.rms_norm(ref_sublayer(h, wq, wk, wv, wo, num_heads), gain)
+
+    _fused_gradients_match_stored_graph(monkeypatch, "attention", stored, "phi/l1/attn/wq")
 
 
 def test_answer_step_single_z_identity():
@@ -396,7 +401,7 @@ def test_warmup_cycles_carry_zero_gradient():
     # warm-up products enter the gradient cycle as plain leaves
     nodes = ad.graph_nodes(logits)
     no_grad_leaves = [n for n in nodes if n.parents == () and not n.requires_grad
-                      and n.op in ("rms_norm", "add")]
+                      and n.op in ("mlp", "add")]
     assert no_grad_leaves, "expected warm-up outputs to enter the graph as leaves"
     for n in no_grad_leaves:
         assert n.adjoint is None
@@ -563,10 +568,11 @@ def _header(**config):
             "arrays": [{"name": "q/b", "shape": [1]}]}
 
 
-def _full_checkpoint(shapes=None, ema_value=None, metadata=None) -> bytes:
+def _full_checkpoint(shapes=None, ema_value=None, metadata=None, config=None) -> bytes:
     """Every array the tiny config builds, zero-filled, with `shapes`
     overriding some shapes, given `ema_value`, an ema copy filled with it,
-    and `metadata` in the header (default {})."""
+    `metadata` in the header (default {}) and `config` overriding some of
+    the header's config values."""
     cfg = tiny_cfg()
     named = {n: np.zeros(s) for n, s in {**md.parameter_shapes(cfg),
                                          **(shapes or {})}.items()}
@@ -574,7 +580,8 @@ def _full_checkpoint(shapes=None, ema_value=None, metadata=None) -> bytes:
         named.update({f"ema/{n}": np.full(a.shape, ema_value)
                       for n, a in list(named.items())})
     order = sorted(named)
-    header = {"config": cfg.to_dict(), "metadata": {} if metadata is None else metadata,
+    header = {"config": {**cfg.to_dict(), **(config or {})},
+              "metadata": {} if metadata is None else metadata,
               "arrays": [{"name": n, "shape": list(named[n].shape)} for n in order]}
     return _checkpoint_bytes(header) + b"".join(named[n].astype("<f4").tobytes()
                                                 for n in order)
@@ -603,11 +610,36 @@ def test_checkpoint_with_every_array_loads(tmp_path):
     _full_checkpoint(shapes={"q/w": (16, 2)}),
     _full_checkpoint(ema_value=np.nan),
     _full_checkpoint(metadata=["drm"]),
+    _checkpoint_bytes(_header(num_heads=0)),
+    _checkpoint_bytes(_header(num_layers=1e9)) + struct.pack("<f", -5.0),
+    _checkpoint_bytes(_header(num_layers=10 ** 9)) + struct.pack("<f", -5.0),
+    _full_checkpoint(config={"hidden_size": 16.0}),
+    _full_checkpoint(config={"single_z": 0}),
 ], ids=["short", "bad_json", "bad_utf8", "header_not_dict", "no_arrays",
         "no_config", "unknown_key", "invalid_config", "truncated_array",
-        "only_q_bias", "wrong_shape", "nan_value", "metadata_list"])
+        "only_q_bias", "wrong_shape", "nan_value", "metadata_list", "zero_heads",
+        "float_layers", "more_layers_than_arrays", "float_hidden_size", "int_single_z"])
 def test_checkpoint_malformed_bytes_raise_checkpoint_error(tmp_path, raw):
     p = tmp_path / "bad.ltrm"
     p.write_bytes(raw)
     with pytest.raises(md.CheckpointError):
         md.load_checkpoint(p)
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text(max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from(sorted(tiny_cfg().to_dict())), JSON_SCALARS,
+                       max_size=4))
+def test_checkpoint_config_values_load_or_raise_checkpoint_error(tmp_path_factory, config):
+    # any JSON scalar in a header's config either loads, as a config whose
+    # arrays the file holds, or raises CheckpointError; nothing else escapes
+    p = tmp_path_factory.mktemp("ck") / "m.ltrm"
+    p.write_bytes(_full_checkpoint(config=config))
+    try:
+        cfg, params, _, _ = md.load_checkpoint(p)
+    except md.CheckpointError:
+        return
+    assert params.names() == sorted(md.parameter_shapes(cfg))

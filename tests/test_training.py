@@ -272,29 +272,29 @@ def test_step_trm_two_window_detach_audit(monkeypatch):
 
 
 def test_step_trm_frees_each_window_before_the_next(monkeypatch):
-    # a weakref to an array that only a window's graph holds: the residual
-    # sum inside the last block of y; it must be gone when the next
-    # window's forward starts
+    # a weakref to an array that only a window's graph holds: the MLP
+    # node's input inside the last block of y, which its vjp keeps; it must
+    # be gone when the next window's forward starts
     cfg = tiny_cfg(max_halt_steps=3)
     tcfg = TrainConfig(objective="trm", max_halt_steps=3, warmup_steps=0)
     params, _, opt = fresh(cfg, tcfg)
     refs: list = []
     alive: list = []
-    last_norm_input: list = []
-    run_window, rms_norm = md.run_window, ad.rms_norm
+    last_mlp_input: list = []
+    run_window, mlp = md.run_window, ad.mlp
 
-    def norm_spy(a, gain):
-        last_norm_input[:] = [weakref.ref(a.value)]
-        return rms_norm(a, gain)
+    def mlp_spy(h, *args):
+        last_mlp_input[:] = [weakref.ref(h.value)]
+        return mlp(h, *args)
 
     def spy(*args, **kwargs):
         alive.append([r() is not None for r in refs])
         state, logits, q = run_window(*args, **kwargs)
-        refs.extend(last_norm_input)
+        refs.extend(last_mlp_input)
         return state, logits, q
 
     monkeypatch.setattr(md, "run_window", spy)
-    monkeypatch.setattr(ad, "rms_norm", norm_spy)
+    monkeypatch.setattr(ad, "mlp", mlp_spy)
     m = tr.train_step(toy_batch(), params, cfg, tcfg, opt, seed=5, step_index=0)
     assert m.halt_histogram == [0, 0, 3]
     assert alive == [[], [False], [False, False]]
