@@ -13,10 +13,11 @@ value with its `Node`, and nodes link only to their parents' nodes.  A
 vjp reads only what its closure captured at forward time, so a value
 lives exactly while forward code holds its Tensor or some vjp closure
 holds the array.  `attention` and `mlp` are whole post-norm sublayers,
-each ending in its residual add and rms_norm, run one batch item at a
-time, that keep only their input, weights and gain: q, k, v, the scores,
-the MLP's hidden arrays and each residual sum exist for one item at once
-and never outlive the call, and backward rebuilds them.
+each ending in its residual add and rms_norm, and one runner,
+`_post_norm`, runs both one batch item at a time and keeps only their
+input, weights and gain: q, k, v, the scores, the MLP's hidden arrays and
+each residual sum exist for one item at once and never outlive the call,
+and backward rebuilds them.
 
 Only the primitives the looped-transformer stack needs are provided.  Each
 one validates operand shapes up front and raises a structured error naming
@@ -273,23 +274,24 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
 # nonlinearities and norms
 
 
+def _silu_grad(a: np.ndarray, s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """silu's vjp at a for s = sigmoid(a), g * (s * (1 + a * (1 - s))), in
+    one buffer."""
+    out = np.subtract(1.0, s)
+    out *= a
+    out += 1.0
+    out *= s
+    out *= g
+    return out
+
+
 def silu(a: Tensor) -> Tensor:
     """x * sigmoid(x).  The node keeps only its input: backward recomputes
     the sigmoid rather than holding a full-size copy of it per application."""
     av = a.value
     value = sigmoid(av)
     value *= av
-
-    def vjp(g):
-        s = sigmoid(av)
-        out = np.subtract(1.0, s)   # g * (s * (1 + av * (1 - s))), one buffer
-        out *= av
-        out += 1.0
-        out *= s
-        out *= g
-        return (out,)
-
-    return _node(value, (a,), vjp, "silu")
+    return _node(value, (a,), lambda g: (_silu_grad(av, sigmoid(av), g),), "silu")
 
 
 RMS_NORM_EPS = 1e-6
@@ -315,11 +317,12 @@ def _rms(x: np.ndarray, gain: np.ndarray, out=None) -> np.ndarray:
     return value
 
 
-def _rms_vjp(g: np.ndarray, x: np.ndarray, gain: np.ndarray) -> tuple:
+def _rms_vjp(g: np.ndarray, x: np.ndarray, gain: np.ndarray, total=None) -> tuple:
     """`_rms`'s vjp over rows x, with r rebuilt from x: x's gradient
-    r * gg - (r ** 3 / d) * x * sum(gg * x) for gg = g * gain, and gain's
-    per row, g * x * r, for the caller to sum over rows.  Two full-size
-    buffers."""
+    r * gg - (r ** 3 / d) * x * sum(gg * x) for gg = g * gain, and gain's,
+    the rows of g * x * r summed onto `total`, the sum of earlier rows, in
+    the order `reshape(-1, d).sum(axis=0)` adds a batch's rows: one row at
+    a time, so `total` goes into the first row first.  Two full buffers."""
     tmp = np.square(x)
     r = _inv_rms(tmp)
     ga = g * gain
@@ -331,17 +334,10 @@ def _rms_vjp(g: np.ndarray, x: np.ndarray, gain: np.ndarray) -> tuple:
     ga -= tmp
     np.multiply(g, x, out=tmp)
     tmp *= r
-    return ga, tmp
-
-
-def _sum_rows(rows: np.ndarray, total):
-    """One item's per-row gain gradients (M, d) added to the running sum of
-    the items before it, in the order `reshape(-1, d).sum(axis=0)` adds a
-    whole batch's rows: numpy adds axis 0 one row at a time, so the running
-    sum goes into the item's first row before its own sum."""
+    rows = tmp.reshape(-1, x.shape[-1])
     if total is not None:
         rows[0] += total
-    return rows.sum(axis=0)
+    return ga, rows.sum(axis=0)
 
 
 def rms_norm(a: Tensor, gain: Tensor) -> Tensor:
@@ -355,12 +351,7 @@ def rms_norm(a: Tensor, gain: Tensor) -> Tensor:
     if gain.shape != (d,):
         raise ShapeError(f"rms_norm: gain shape {gain.shape} does not match feature dim {d}")
     x, gv = a.value, gain.value
-
-    def vjp(g):
-        ga, gg = _rms_vjp(g, x, gv)
-        return ga, gg.reshape(-1, d).sum(axis=0)
-
-    return _node(_rms(x, gv), (a, gain), vjp, "rms_norm")
+    return _node(_rms(x, gv), (a, gain), lambda g: _rms_vjp(g, x, gv), "rms_norm")
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +443,36 @@ def rope(a: Tensor, num_heads: int) -> Tensor:
 # the two sublayers
 
 
+def _post_norm(op: str, h: Tensor, weights, gain: Tensor, item, item_vjp, prepare) -> Tensor:
+    """The node rms_norm(h + f(h), gain) for h (B, M, d), one batch item at
+    a time: the runner of both sublayers.  `item(x, state)` returns one
+    item's residual sum x + f(x) and what its vjp reads; `item_vjp(gs, x,
+    saved, state, out)` writes x's gradient, the sum's adjoint gs included,
+    to `out` and returns the item's weight gradients.  `prepare()` builds a
+    pass's shared state, so the node keeps only h, the weights and the gain.
+    Weight gradients are summed in item order and the gain's over all rows
+    in order, as backward sums the graph of f's ops and rms_norm over the
+    batch: value and gradients are that graph's, bit for bit, wherever BLAS
+    gives a stack's rows each item's own product's bytes, as at desk sizes."""
+    hv, nv = h.value, gain.value
+    value = np.empty(hv.shape, np.result_type(hv, nv, *(w.value for w in weights)))
+    state = prepare()
+    for b, x in enumerate(hv):
+        _rms(item(x, state)[0], nv, out=value[b])
+
+    def vjp(g):
+        state = prepare()
+        gh, ggain = np.empty_like(hv), None
+        for b, x in enumerate(hv):
+            s, saved = item(x, state)
+            gs, ggain = _rms_vjp(g[b], s, nv, ggain)
+            gw = item_vjp(gs, x, saved, state, gh[b])
+            gws = gw if b == 0 else [np.add(t, w, out=t) for t, w in zip(gws, gw)]
+        return (gh, *gws, ggain)
+
+    return _node(value, (h, *weights, gain), vjp, op)
+
+
 def _heads(x: np.ndarray, num_heads: int) -> np.ndarray:
     """One item's (M, d) as an (H, M, hd) view; writing to it merges heads."""
     M, d = x.shape
@@ -459,10 +480,10 @@ def _heads(x: np.ndarray, num_heads: int) -> np.ndarray:
 
 
 def _attend(x, wqkv, wo, num_heads: int, alpha: float) -> tuple:
-    """One item's attention from its sublayer input x (M, d) and the stacked
-    [wq | wk | wv]: the scaled q heads, the k heads, v, the probabilities p,
-    the merged p · v and the residual sum x + (p · v) · wo.  q and k rotate
-    in one call, as 2H heads."""
+    """Attention's item kernel on its sublayer input x (M, d) and the
+    stacked [wq | wk | wv]: the residual sum x + (p · v) · wo, and the
+    scaled q heads, the k heads, v, the probabilities p and the merged
+    p · v that its vjp reads.  q and k rotate in one call, as 2H heads."""
     d = x.shape[-1]
     qkv = np.matmul(x, wqkv)
     qk = _rotate(qkv[:, :2 * d], 2 * num_heads)
@@ -476,27 +497,22 @@ def _attend(x, wqkv, wo, num_heads: int, alpha: float) -> tuple:
     np.matmul(p, _heads(v, num_heads), out=_heads(o, num_heads))
     s = np.matmul(o, wo)
     s += x
-    return qs, kh, v, p, o, s
+    return s, (qs, kh, v, p, o)
 
 
 def attention(h: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, gain: Tensor,
               num_heads: int) -> Tensor:
     """The post-norm attention sublayer, rms_norm(h + MHA(q, k, v) · wo,
-    gain) for h (B, M, d), q = rope(h · wq), k = rope(h · wk), v = h · wv.
+    gain) for h (B, M, d), q = rope(h · wq), k = rope(h · wk), v = h · wv,
+    run by `_post_norm`: one item's q, k, v, (H, M, M) scores, output and
+    residual sum exist at once, in cache.
 
     Unmasked multi-head self-attention: heads are carved out of the feature
     axis, scores scaled by head_dim ** -0.5 (a Python float folded into q,
-    so the operands' dtype is kept) and softmaxed over keys.  The whole
-    sublayer runs one batch item at a time, so one item's q, k, v, (H, M, M)
-    scores, output and residual sum exist at once, in cache.  The node keeps
-    only h, the four weights and the gain, and its vjp rebuilds each item's
-    q, k, v, p, p · v and residual sum.  Per item these are the ops of the
-    graph rms_norm(h + matmul(attention core, wo), gain) over rope and
-    matmul nodes; the weight gradients are summed in item order, h's as
-    ((gq wqᵀ + g_s) + gk wkᵀ) + gv wvᵀ for the residual's adjoint g_s, and
-    the gain's over all rows in order, the orders backward sums that graph's.
-    So value and gradients are its, bit for bit, wherever BLAS gives a
-    stack's rows each item's own product's bytes, as at the desk config.
+    so the operands' dtype is kept) and softmaxed over keys.  Per item
+    these are the ops of the graph rms_norm(h + matmul(attention core, wo),
+    gain) over rope and matmul nodes; h's gradient is summed as that
+    graph's, ((gq wqᵀ + g_s) + gk wkᵀ) + gv wvᵀ for the sum's adjoint g_s.
     """
     d = h.shape[-1]
     if (h.value.ndim != 3 or any(w.shape != (d, d) for w in (wq, wk, wv, wo))
@@ -506,107 +522,72 @@ def attention(h: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, gain: T
                          f"{wo.shape}, {gain.shape}")
     hd = _check_heads("attention", d, num_heads)
     alpha = 1.0 / math.sqrt(hd)
-    hv, wqv, wkv, wvv, wov, nv = (t.value for t in (h, wq, wk, wv, wo, gain))
+    wqv, wkv, wvv, wov = (w.value for w in (wq, wk, wv, wo))
+    M, dtype = h.shape[1], np.result_type(h.value, wqv, wkv, wvv, wov, gain.value)
 
-    dtype = np.result_type(hv, wqv, wkv, wvv, wov, nv)
-    value = np.empty(hv.shape, dtype)
-    wqkv = np.concatenate([wqv, wkv, wvv], axis=1)
-    for b in range(len(hv)):
-        _rms(_attend(hv[b], wqkv, wov, num_heads, alpha)[-1], nv, out=value[b])
+    def prepare():
+        gqk, gqkv = np.empty((M, 2 * d), dtype), np.empty((M, 3 * d), dtype)
+        heads = (_heads(a, num_heads) for a in (gqk[:, :d], gqk[:, d:], gqkv[:, 2 * d:]))
+        return np.concatenate([wqv, wkv, wvv], axis=1), gqk, gqkv, *heads
 
-    def vjp(g):
-        wqkv = np.concatenate([wqv, wkv, wvv], axis=1)
-        gh = np.empty_like(hv)
-        gqk = np.empty((hv.shape[1], 2 * d), dtype)
-        gqkv = np.empty((hv.shape[1], 3 * d), dtype)
-        gq, gk, gv = (_heads(a, num_heads) for a in (gqk[:, :d], gqk[:, d:], gqkv[:, 2 * d:]))
-        ggain = None
-        for b in range(len(hv)):
-            x = hv[b]
-            qs, kh, v, p, o, s = _attend(x, wqkv, wov, num_heads, alpha)
-            gs, grows = _rms_vjp(g[b], s, nv)
-            ggain = _sum_rows(grows, ggain)
-            ga = np.matmul(gs, wov.T)
-            gah = _heads(ga, num_heads)
-            np.matmul(p.swapaxes(-1, -2), gah, out=gv)
-            gp = np.matmul(gah, _heads(v, num_heads).swapaxes(-1, -2))
-            # softmax backward in place on gp; rowsum(gp * p) is rowsum(ga * o)
-            # per head, which costs an (M, d) product instead of (H, M, M)
-            inner = (ga * o).reshape(len(o), num_heads, hd).sum(axis=-1)
-            gp -= inner.T[..., None]
-            gp *= p
-            np.matmul(gp, kh, out=gq)
-            gq *= alpha
-            np.matmul(gp.swapaxes(-1, -2), qs, out=gk)
-            _rotate(gqk, 2 * num_heads, inverse=True, out=gqkv[:, :2 * d])
-            np.matmul(gqkv[:, :d], wqv.T, out=gh[b])
-            gh[b] += gs
-            gh[b] += np.matmul(gqkv[:, d:2 * d], wkv.T)
-            gh[b] += np.matmul(gqkv[:, 2 * d:], wvv.T)
-            gw = np.matmul(x.T, gqkv), np.matmul(o.T, gs)
-            gws = gw if b == 0 else [np.add(t, w, out=t) for t, w in zip(gws, gw)]
-        return (gh, *np.split(gws[0], 3, axis=1), gws[1], ggain)
+    def item_vjp(gs, x, saved, state, out):
+        qs, kh, v, p, o = saved
+        _, gqk, gqkv, gq, gk, gv = state
+        ga = np.matmul(gs, wov.T)
+        gah = _heads(ga, num_heads)
+        np.matmul(p.swapaxes(-1, -2), gah, out=gv)
+        gp = np.matmul(gah, _heads(v, num_heads).swapaxes(-1, -2))
+        # softmax backward in place on gp; rowsum(gp * p) is rowsum(ga * o)
+        # per head, which costs an (M, d) product instead of (H, M, M)
+        inner = (ga * o).reshape(len(o), num_heads, hd).sum(axis=-1)
+        gp -= inner.T[..., None]
+        gp *= p
+        np.matmul(gp, kh, out=gq)
+        gq *= alpha
+        np.matmul(gp.swapaxes(-1, -2), qs, out=gk)
+        _rotate(gqk, 2 * num_heads, inverse=True, out=gqkv[:, :2 * d])
+        np.matmul(gqkv[:, :d], wqv.T, out=out)
+        out += gs
+        out += np.matmul(gqkv[:, d:2 * d], wkv.T)
+        out += np.matmul(gqkv[:, 2 * d:], wvv.T)
+        gw = np.matmul(x.T, gqkv)
+        return gw[:, :d], gw[:, d:2 * d], gw[:, 2 * d:], np.matmul(o.T, gs)
 
-    return _node(value, (h, wq, wk, wv, wo, gain), vjp, "attention")
+    return _post_norm("attention", h, (wq, wk, wv, wo), gain,
+                      lambda x, state: _attend(x, state[0], wov, num_heads, alpha),
+                      item_vjp, prepare)
 
 
 def mlp(h: Tensor, w1: Tensor, w2: Tensor, gain: Tensor) -> Tensor:
     """The post-norm MLP sublayer, rms_norm(h + silu(h · w1) · w2, gain) for
-    h (B, M, d), one batch item at a time.
-
-    The node keeps only h, w1, w2 and the gain: the two wide hidden arrays,
-    h·w1 and its sigmoid, and the residual sum exist for one item at a
-    time, and the vjp rebuilds them, which costs it the second GEMM again.
-    Per item these are the ops of the graph
+    h (B, M, d), run by `_post_norm`: the wide hidden arrays and the
+    residual sum exist for one item at a time, and the vjp rebuilds them,
+    the second GEMM included.  Per item these are the ops of the graph
     rms_norm(add(h, matmul(silu(matmul(h, w1)), w2)), gain); h's gradient
-    is g_s + gh for the residual's adjoint g_s, the weight gradients are
-    summed in item order, as `_unbroadcast` sums the batched products, and
-    the gain's over all rows in order.  So value and gradients are that
-    graph's, bit for bit, wherever BLAS gives a stack's rows the bytes of
-    each item's own product, as at the model's sizes.
-    """
+    is g_s + gh for the sum's adjoint g_s."""
     if (h.value.ndim != 3 or w1.value.ndim != 2 or w2.value.ndim != 2
             or h.shape[-1] != w1.shape[0] or w1.shape[1] != w2.shape[0]
             or w2.shape[1] != h.shape[-1] or gain.shape != h.shape[-1:]):
         raise ShapeError(f"mlp: expected (batch, seq, d) @ (d, e) @ (e, d) and a (d,) gain, "
                          f"got {h.shape} @ {w1.shape} @ {w2.shape}, {gain.shape}")
-    hv, w1v, w2v, nv = h.value, w1.value, w2.value, gain.value
+    w1v, w2v = w1.value, w2.value
 
-    def hidden(b):
-        a = np.matmul(hv[b], w1v)
-        return a, sigmoid(a)
-
-    def residual(b, act):
+    def item(x, _):
+        a = np.matmul(x, w1v)
+        s = sigmoid(a)
+        act = s * a
         res = np.matmul(act, w2v)
-        res += hv[b]
-        return res
+        res += x
+        return res, (a, s, act)
 
-    value = np.empty(hv.shape, np.result_type(hv, w1v, w2v, nv))
-    for b in range(len(hv)):
-        a, s = hidden(b)
-        s *= a
-        _rms(residual(b, s), nv, out=value[b])
+    def item_vjp(gs, x, saved, _, out):
+        a, s, act = saved
+        ga = _silu_grad(a, s, np.matmul(gs, w2v.T))
+        np.matmul(ga, w1v.T, out=out)
+        out += gs
+        return np.matmul(x.T, ga), np.matmul(act.T, gs)
 
-    def vjp(g):
-        gh = np.empty_like(hv)
-        ggain = None
-        for b in range(len(hv)):
-            a, s = hidden(b)
-            act = s * a
-            gs, grows = _rms_vjp(g[b], residual(b, act), nv)
-            ggain = _sum_rows(grows, ggain)
-            ga = np.subtract(1.0, s)   # silu's vjp: gs * (s * (1 + a * (1 - s)))
-            ga *= a
-            ga += 1.0
-            ga *= s
-            ga *= np.matmul(gs, w2v.T)
-            np.matmul(ga, w1v.T, out=gh[b])
-            gh[b] += gs
-            gw = np.matmul(hv[b].T, ga), np.matmul(act.T, gs)
-            gws = gw if b == 0 else [np.add(t, w, out=t) for t, w in zip(gws, gw)]
-        return (gh, *gws, ggain)
-
-    return _node(value, (h, w1, w2, gain), vjp, "mlp")
+    return _post_norm("mlp", h, (w1, w2), gain, item, item_vjp, lambda: None)
 
 
 # ---------------------------------------------------------------------------

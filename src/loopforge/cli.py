@@ -59,11 +59,13 @@ def _opt(parse):
     return lambda s: None if s.strip().lower() in ("none", "null", "") else parse(s)
 
 
-def _positive(s):
-    n = int(s)
-    if n < 1:
-        raise ValueError(f"must be >= 1, got {n}")
-    return n
+def _at_least(lo):
+    def parse(s):
+        n = int(s)
+        if n < lo:
+            raise ValueError(f"must be >= {lo}, got {n}")
+        return n
+    return parse
 
 
 def _family(s):
@@ -101,12 +103,13 @@ CONFIG_KEYS = {
     "family": ("recolor_map", _family),
     "grid": (8, int),
     "tasks": (16, int),
-    "augmentations": (4, _positive),
-    "template_h": (None, _opt(int)),
-    "template_w": (None, _opt(int)),
-    "steps": (None, _opt(_positive)),
-    "checkpoint_interval": (1000, int),
-    "num_denoise_steps": (16, _positive),
+    "augmentations": (4, _at_least(1)),
+    "template_h": (None, _opt(_at_least(1))),
+    "template_w": (None, _opt(_at_least(1))),
+    "steps": (None, _opt(_at_least(1))),
+    # 0 writes only the final checkpoint
+    "checkpoint_interval": (1000, _at_least(0)),
+    "num_denoise_steps": (16, _at_least(1)),
     # corruption schedules
     "noise.kind": ("cosine", str.strip),
     "noise.sigmoid_a": (10.0, float),
@@ -445,25 +448,19 @@ def cmd_render(args) -> None:
     print(f"wrote {len(paths)} frames to {out_dir}")
 
 
-SUITES = ("k_sweep", "warmup_sweep", "schedule_sweep", "single_z")
-
-
-def _suite_variants(suite: str, base: dict) -> list[tuple[str, dict]]:
-    if suite == "k_sweep":
-        # warmup_cycles=None lets each objective's own default apply
-        return [(f"{obj}_k{k}", {"objective": obj, "gradient_cycles": k,
+# each ablation suite's variants: a name and the config keys it overrides
+SUITES = {
+    # warmup_cycles=None lets each objective's own default apply
+    "k_sweep": [(f"{obj}_k{k}", {"objective": obj, "gradient_cycles": k,
                                  "warmup_cycles": None})
-                for obj in ("drm", "trm") for k in (1, 2, 3, 4)]
-    if suite == "warmup_sweep":
-        return [(f"warm{w}", {"objective": "drm", "warmup_cycles": w})
-                for w in (0, 1, 2)]
-    if suite == "schedule_sweep":
-        return [(kind, {"objective": "drm", "noise.kind": kind})
-                for kind in ("linear", "sigmoid", "cosine")]
-    if suite == "single_z":
-        return [("paired_state", {"single_z": False}),
-                ("single_state", {"single_z": True})]
-    raise ConfigError(f"unknown suite {suite!r}; choose from {SUITES}")
+                for obj in ("drm", "trm") for k in (1, 2, 3, 4)],
+    "warmup_sweep": [(f"warm{w}", {"objective": "drm", "warmup_cycles": w})
+                     for w in (0, 1, 2)],
+    "schedule_sweep": [(kind, {"objective": "drm", "noise.kind": kind})
+                       for kind in ("linear", "sigmoid", "cosine")],
+    "single_z": [("paired_state", {"single_z": False}),
+                 ("single_state", {"single_z": True})],
+}
 
 
 def cmd_ablate(args) -> None:
@@ -471,7 +468,7 @@ def cmd_ablate(args) -> None:
     out_dir = Path(args.out)
     _claim_run_dir(out_dir)
     rows = []
-    for name, overrides in _suite_variants(args.suite, base):
+    for name, overrides in SUITES[args.suite]:
         cfgmap = {**base, **overrides}
         print(f"[{args.suite}] {name}")
         result, tcfg, manifest = execute_training(cfgmap, out_dir / name)

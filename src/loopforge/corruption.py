@@ -9,6 +9,7 @@ window boundaries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,11 @@ class NoiseSchedule:
         if self.kind not in NOISE_KINDS:
             raise CorruptionError(f"unknown schedule kind {self.kind!r}, "
                                   f"choose from {NOISE_KINDS}")
+        # a negative a gives |a|'s schedule; an a so near 0 that both ends
+        # of the sigmoid round to 1/2 gives none (0 / 0)
+        a = self.sigmoid_a
+        if not math.isfinite(a) or sigmoid(0.5 * a) == sigmoid(-0.5 * a):
+            raise CorruptionError(f"sigmoid_a must be finite and not 0, got {a}")
 
 
 def mask_fraction(schedule: NoiseSchedule, tau: float) -> float:

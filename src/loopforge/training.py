@@ -78,6 +78,9 @@ class TrainConfig:
         if self.objective not in OBJECTIVES:
             raise TrainingError(
                 f"unknown objective {self.objective!r}; pick one of {', '.join(OBJECTIVES)}")
+        for name in ("lr", "task_embedding_lr", "weight_decay", "ema_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise TrainingError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lr <= 0 or self.task_embedding_lr <= 0:
             raise TrainingError("learning rates must be positive")
         if self.gradient_cycles < 1:

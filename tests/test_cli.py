@@ -1,18 +1,22 @@
 """Command wiring: config resolution, run directories, exit codes."""
 
 import json
+import math
 import shutil
 import xml.etree.ElementTree as ET
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopforge import cli
 from loopforge import model as md
+from loopforge.corruption import CorruptionError, mask_fraction
 from loopforge.seeding import rng_for
 from loopforge.tasks import build_dataset, generate_synthetic
-from loopforge.training import DivergenceError
+from loopforge.training import DivergenceError, TrainingError
 
 
 def run_cli(*argv):
@@ -138,6 +142,35 @@ class TestConfig:
         assert_one_error_line(capsys)
 
 
+# config text: integers, floats with their edge cases, and words that some
+# keys accept
+CONFIG_TEXT = (st.integers(-3, 10 ** 6).map(str) | st.floats().map(repr)
+               | st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "1e-300", "5e-324"])
+               | st.sampled_from(["none", "true", "drm", "trm", "sigmoid", "copy", "x"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(sorted(cli.CONFIG_KEYS)), CONFIG_TEXT, max_size=3))
+def test_config_values_build_or_exit_config(drawn):
+    # a config either raises an exception that exits 2, or builds configs
+    # whose floats are all finite and a noise schedule that masks a
+    # fraction in [0, 1]
+    cfgmap = cli.default_config()
+    dataset = build_dataset(generate_synthetic("copy", 3, 2, seed=0), 1, 4, 4, seed=0)
+    try:
+        for key, raw in drawn.items():
+            cfgmap[key] = cli._parse_key(key, raw)
+        cfg, tcfg, _ = cli.make_configs(cfgmap, dataset)
+        noise, beta = cli._schedules(cfgmap)
+    except (cli.ConfigError, TrainingError, md.ModelError, CorruptionError):
+        return
+    values = (*cfgmap.values(), *asdict(tcfg).values(), *asdict(noise).values(),
+              *asdict(beta).values())
+    assert all(math.isfinite(v) for v in values if isinstance(v, float)), drawn
+    for tau in (0.0, 0.5, 1.0):
+        assert 0.0 <= mask_fraction(noise, tau) <= 1.0, (drawn, tau)
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -212,9 +245,15 @@ class TestTrain:
     @pytest.mark.parametrize("flags", [
         ("--augmentations", 0), ("--augmentations", -1), ("--family", "nope"),
         ("--set", "num_denoise_steps=0"), ("--set", "num_heads=0"), ("--set", "num_heads=-4"),
-        ("--set", "hidden_size=0"),
+        ("--set", "hidden_size=0"), ("--set", "lr=nan"), ("--set", "lr=inf"),
+        ("--set", "task_embedding_lr=nan"), ("--set", "weight_decay=nan"),
+        ("--set", "noise.sigmoid_a=0"), ("--set", "noise.sigmoid_a=nan"),
+        ("--set", "template_h=0"), ("--set", "template_w=0"), ("--set", "template_h=-4"),
+        ("--set", "checkpoint_interval=-1"),
     ], ids=["augmentations_0", "augmentations_-1", "family_nope", "denoise_steps_0",
-            "num_heads_0", "num_heads_-4", "hidden_size_0"])
+            "num_heads_0", "num_heads_-4", "hidden_size_0", "lr_nan", "lr_inf",
+            "task_embedding_lr_nan", "weight_decay_nan", "sigmoid_a_0", "sigmoid_a_nan",
+            "template_h_0", "template_w_0", "template_h_-4", "checkpoint_interval_-1"])
     def test_rejected_value_exits_config(self, tmp_path, capsys, flags):
         # the later flag or --set wins over the one train_args gives
         out = tmp_path / "x"
@@ -293,6 +332,9 @@ BAD_MANIFESTS = {
     "unknown_config_key": _edit_manifest("config.nope", 1),
     "unknown_noise_kind": _edit_config("noise.kind", "bogus"),
     "beta_start_above_beta_end": _edit_config("sprm.beta_start", 0.5),
+    "lr_nan": _edit_config("lr", math.nan),
+    "sigmoid_a_zero": _edit_config("noise.sigmoid_a", 0),
+    "checkpoint_interval_negative": _edit_config("checkpoint_interval", -1),
 }
 
 
@@ -533,17 +575,19 @@ class TestRender:
 
 class TestAblate:
     def test_suite_matrices(self):
-        base = cli.default_config()
-        k = cli._suite_variants("k_sweep", base)
+        assert list(cli.SUITES) == ["k_sweep", "warmup_sweep", "schedule_sweep", "single_z"]
+        k = cli.SUITES["k_sweep"]
         assert [n for n, _ in k] == ["drm_k1", "drm_k2", "drm_k3", "drm_k4",
                                      "trm_k1", "trm_k2", "trm_k3", "trm_k4"]
         assert all(o["warmup_cycles"] is None for _, o in k)
-        w = cli._suite_variants("warmup_sweep", base)
+        w = cli.SUITES["warmup_sweep"]
         assert [o["warmup_cycles"] for _, o in w] == [0, 1, 2]
-        s = cli._suite_variants("schedule_sweep", base)
+        s = cli.SUITES["schedule_sweep"]
         assert [o["noise.kind"] for _, o in s] == ["linear", "sigmoid", "cosine"]
-        z = cli._suite_variants("single_z", base)
+        z = cli.SUITES["single_z"]
         assert [o["single_z"] for _, o in z] == [False, True]
+        # every override names a config key
+        assert all(set(o) <= set(cli.CONFIG_KEYS) for v in cli.SUITES.values() for _, o in v)
 
     def test_k_sweep_runs_and_summarises(self, tmp_path):
         out = tmp_path / "sweep"

@@ -196,9 +196,10 @@ def test_run_cycles_releases_values_no_vjp_reads(monkeypatch):
 
     def attend_spy(*args):
         out = attend(*args)
-        refs["v"].append(weakref.ref(out[2].base))
-        refs["att"].append(weakref.ref(out[4]))         # the attention output
-        refs["res"].append(weakref.ref(out[-1]))        # the residual sum
+        s, (_, _, v, _, o) = out
+        refs["v"].append(weakref.ref(v.base))
+        refs["att"].append(weakref.ref(o))              # the attention output
+        refs["res"].append(weakref.ref(s))              # the residual sum
         return out
 
     def mlp_spy(h, *args):
