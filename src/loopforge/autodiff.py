@@ -643,10 +643,6 @@ def masked_mean(a: Tensor, mask: np.ndarray) -> Tensor:
     return _node(value, (a,), vjp, "masked_mean")
 
 
-def mean_all(a: Tensor) -> Tensor:
-    return masked_mean(a, np.ones(a.shape, dtype=bool))
-
-
 # ---------------------------------------------------------------------------
 # backward pass
 

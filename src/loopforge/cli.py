@@ -102,7 +102,7 @@ CONFIG_KEYS = {
     "data": (None, _opt(str.strip)),
     "family": ("recolor_map", _family),
     "grid": (8, int),
-    "tasks": (16, int),
+    "tasks": (16, _at_least(1)),
     "augmentations": (4, _at_least(1)),
     "template_h": (None, _opt(_at_least(1))),
     "template_w": (None, _opt(_at_least(1))),
@@ -180,8 +180,12 @@ def build_desk_dataset(cfgmap: dict) -> DeskDataset:
         tasks = load_arc_json(cfgmap["data"])
         default_template = 30
     else:
-        tasks = generate_synthetic(cfgmap["family"], cfgmap["grid"],
-                                   cfgmap["tasks"], cfgmap["seed"])
+        try:
+            tasks = generate_synthetic(cfgmap["family"], cfgmap["grid"],
+                                       cfgmap["tasks"], cfgmap["seed"])
+        except TaskError as e:
+            # grid's valid range depends on the family, so tasks checks it
+            raise ConfigError(f"bad value for grid: {e}") from e
         default_template = max(12, cfgmap["grid"])
     th = cfgmap["template_h"] or default_template
     tw = cfgmap["template_w"] or default_template
@@ -399,9 +403,8 @@ def cmd_eval(args) -> None:
                             num_steps=args.num_denoise_steps, seed=args.seed)
     out = Path(args.out) if args.out else Path(args.run_dir) / "eval_report.json"
     out.write_text(json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
-    parts = [f"pass@2 {report.pass2_accuracy:.3f}"]
-    parts += [f"pass@{k} {report.passk_accuracy[k]:.3f}" for k in ks if k != 2]
-    parts.append(f"pass@pool {report.pool_accuracy:.3f}")
+    parts = [f"pass@{k} {report.accuracy(k):.3f}" for k in dict.fromkeys([2, *ks])]
+    parts.append(f"pass@pool {report.accuracy():.3f}")
     print("  ".join(parts))
     print(f"report: {out}")
 
@@ -480,7 +483,7 @@ def cmd_ablate(args) -> None:
                      float(np.mean([m.ce_loss for m in tail])),
                      float(np.mean([m.token_accuracy for m in tail])),
                      float(np.mean([m.exact_match_rate for m in tail])),
-                     report.pass2_accuracy))
+                     report.accuracy(2)))
 
     header = ("variant", "objective", "k", "warm", "steps", "ce",
               "token_acc", "exact_match", "pass2")

@@ -16,13 +16,16 @@ picks), so results do not depend on how cases are batched.
 
 Scoring follows the augmentation-voting protocol: undo each
 prediction's augmentation, group identical grids, rank by vote count,
-then mean predicted q, then grid bytes for determinism.  pass@k marks a
-task solved when every test input has a correct grid among its top k.
+then mean predicted q, then grid bytes for determinism.  A task's solve
+rank is the smallest k at which every test input has a correct grid
+among its top k, or inf when some test input has none; pass@2, pass@k
+and pass@pool are all read off it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -198,25 +201,22 @@ class PoolEntry:
 
 
 @dataclass
-class TaskResult:
-    pass2: bool
-    passk: dict[int, bool]
-    pool: bool
-    top2: list[np.ndarray] = field(default_factory=list)
-
-
-@dataclass
 class EvalReport:
-    tasks: dict[str, TaskResult]
-    pass2_accuracy: float
-    passk_accuracy: dict[int, float]
-    pool_accuracy: float
+    ks: list[int]
+    ranks: dict[str, float]             # task id -> solve rank, inf if unsolved
+    top2: dict[str, list[np.ndarray]]   # task id -> first test input's top 2
+
+    def accuracy(self, k: int | None = None) -> float:
+        """Share of tasks solved at pass@k; k=None is pass@pool."""
+        solved = [r <= k if k is not None else math.isfinite(r)
+                  for r in self.ranks.values()]
+        return sum(solved) / max(1, len(solved))
 
     def to_json(self) -> dict:
-        return {task_id: {"pass2": r.pass2,
-                          "passk": {str(k): v for k, v in r.passk.items()},
-                          "top2": [g.tolist() for g in r.top2]}
-                for task_id, r in self.tasks.items()}
+        return {task_id: {"pass2": r <= 2,
+                          "passk": {str(k): r <= k for k in self.ks},
+                          "top2": [g.tolist() for g in self.top2[task_id]]}
+                for task_id, r in self.ranks.items()}
 
 
 def collect_predictions(dataset: DeskDataset, params: md.Parameters,
@@ -252,14 +252,13 @@ def collect_predictions(dataset: DeskDataset, params: md.Parameters,
 
 def pass_at_k(dataset: DeskDataset, entries: Sequence[PoolEntry],
               ks: Sequence[int] = (2,)) -> EvalReport:
-    """Score pooled predictions; a task is solved at k when every test
-    input has a correct grid among its top-k candidates."""
+    """Score pooled predictions by each task's solve rank: the largest,
+    over its test inputs, of the 1-based position of the first correct
+    grid among the ranked candidates (inf when none is correct)."""
     ks = sorted(set(int(k) for k in ks))
     if any(k < 1 for k in ks):
         raise InferenceError("pass@k needs k >= 1")
-    truth: dict[tuple[int, int], np.ndarray] = {}
-    for case in dataset.eval_cases:
-        truth[(case.task_index, case.test_index)] = case.target_grid
+    truth = {(c.task_index, c.test_index): c.target_grid for c in dataset.eval_cases}
     pools: dict[tuple[int, int], list] = {key: [] for key in truth}
     for e in entries:
         key = (e.task_index, e.test_index)
@@ -267,38 +266,18 @@ def pass_at_k(dataset: DeskDataset, entries: Sequence[PoolEntry],
             raise InferenceError(f"prediction for unknown case {key}")
         pools[key].append((e.grid, e.q, e.aug))
 
-    per_task: dict[int, dict[tuple[int, int], list[VoteCandidate]]] = {}
-    for key, pool in pools.items():
-        if not pool:
+    ranks: dict[str, float] = {}
+    top2: dict[str, list[np.ndarray]] = {}
+    for key in sorted(pools):
+        if not pools[key]:
             raise InferenceError(f"no predictions for case {key}")
-        per_task.setdefault(key[0], {})[key] = ranked_candidates(pool)
-
-    results: dict[str, TaskResult] = {}
-    for t_idx in sorted(per_task):
-        solved = {k: True for k in set(ks) | {2}}
-        solved_pool = True
-        top2: list[np.ndarray] = []
-        for key in sorted(per_task[t_idx]):
-            ranked = per_task[t_idx][key]
-            want = truth[key]
-            hits = [np.array_equal(c.canonical_grid, want) for c in ranked]
-            for k in solved:
-                solved[k] &= any(hits[:k])
-            solved_pool &= any(hits)
-            if not top2:
-                top2 = [c.canonical_grid for c in ranked[:2]]
-        results[dataset.tasks[t_idx].task_id] = TaskResult(
-            pass2=solved[2], passk={k: solved[k] for k in ks}, pool=solved_pool,
-            top2=top2)
-
-    n = max(1, len(results))
-    return EvalReport(
-        tasks=results,
-        pass2_accuracy=sum(r.pass2 for r in results.values()) / n,
-        passk_accuracy={k: sum(r.passk[k] for r in results.values()) / n
-                        for k in ks},
-        pool_accuracy=sum(r.pool for r in results.values()) / n,
-    )
+        ranked = ranked_candidates(pools[key])
+        hit = next((i for i, c in enumerate(ranked, 1)
+                    if np.array_equal(c.canonical_grid, truth[key])), math.inf)
+        task_id = dataset.tasks[key[0]].task_id
+        ranks[task_id] = max(ranks.get(task_id, 0), hit)
+        top2.setdefault(task_id, [c.canonical_grid for c in ranked[:2]])
+    return EvalReport(ks, ranks, top2)
 
 
 # ---------------------------------------------------------------------------

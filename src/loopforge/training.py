@@ -170,7 +170,7 @@ def combined_loss(logits: ad.Tensor, q_logit: ad.Tensor, targets: np.ndarray,
     pred = np.argmax(logits.value, axis=-1)
     hit = (pred == targets) & loss_mask
     match = (hit | ~loss_mask).all(axis=-1).astype(np.float64)
-    q = ad.mean_all(ad.sigmoid_bce(q_logit, match))
+    q = ad.masked_mean(ad.sigmoid_bce(q_logit, match), np.ones(match.shape, dtype=bool))
     loss = ad.add(ce, q)
     parts = LossParts(ce=float(ce.value), q=float(q.value), match=match,
                       correct=hit.sum(axis=-1), valid_tokens=int(loss_mask.sum()))

@@ -186,6 +186,12 @@ def multiply(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
     return ad._node(value, (a, b), vjp, "multiply")
 
 
+def mean_all(a: ad.Tensor) -> ad.Tensor:
+    """Mean of every entry, the tests' scalar loss: `masked_mean` over an
+    all-true mask, as the training loss averages its BCE."""
+    return ad.masked_mean(a, np.ones(a.shape, dtype=bool))
+
+
 def stop_gradient(a: ad.Tensor) -> ad.Tensor:
     """Identity forward, zero backward.  The result is a leaf; the operand
     stays reachable through `.detached` for inspection only, which keeps

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import (check_gradients, dihedral_compose, evaluate, gradient,
-                      multiply, spy_backward, stop_gradient, vote)
+                      mean_all, multiply, spy_backward, stop_gradient, vote)
 import loopforge.autodiff as ad
 import loopforge.cli as cli
 import loopforge.model as md
@@ -50,7 +50,7 @@ def _weighted(out, i, op, slot=0):
     # cannot hide behind a uniform mean; re-derived from the case id, so
     # every finite-difference evaluation sees the same weights
     w = rng_for(1999, "w", i, op, slot).standard_normal(out.shape)
-    return ad.mean_all(multiply(out, ad.constant(w)))
+    return mean_all(multiply(out, ad.constant(w)))
 
 
 def _primitive_cases(i):
@@ -123,7 +123,7 @@ def _primitive_cases(i):
     mask.flat[0] = True
     yield "masked_mean", case(lambda t: ad.masked_mean(t["a"], mask),
                               a=n(m, k))
-    yield "mean_all", case(lambda t: ad.mean_all(t["a"]), a=n(m, k))
+    yield "mean_all", case(lambda t: mean_all(t["a"]), a=n(m, k))
 
 
 def state_streams(seed, batch):
@@ -369,7 +369,7 @@ def test_gradient_oracle_primitives_and_objective_losses():
     rng = rng_for(1000, "sg")
     a = rng.standard_normal((3, 4))
     w = rng.standard_normal((3, 4))
-    build = lambda t: ad.mean_all(multiply(stop_gradient(t["a"]), ad.constant(w)))
+    build = lambda t: mean_all(multiply(stop_gradient(t["a"]), ad.constant(w)))
     g = gradient(build, {"a": a}, ["a"])
     assert np.array_equal(g["a"], np.zeros_like(a))
     assert float(evaluate(build, {"a": a})) == pytest.approx(float((a * w).mean()))

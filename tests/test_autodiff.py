@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from conftest import (check_gradients, evaluate, finite_difference_gradient, gradient,
-                      multiply, ref_attention, ref_sublayer, rel_err, stop_gradient)
+                      mean_all, multiply, ref_attention, ref_sublayer, rel_err,
+                      stop_gradient)
 from loopforge import autodiff as ad
 from loopforge import model as md
 
@@ -29,49 +30,49 @@ def rng(seed=0):
 
 def test_add_broadcast():
     r = rng(1)
-    check_gradients(lambda t: ad.mean_all(ad.add(t["a"], t["b"])),
+    check_gradients(lambda t: mean_all(ad.add(t["a"], t["b"])),
                     {"a": r.normal(size=(3, 4)), "b": r.normal(size=(4,))})
 
 
 def test_add_sum_to_scalar_row():
     r = rng(2)
-    check_gradients(lambda t: ad.mean_all(ad.add(t["a"], t["b"])),
+    check_gradients(lambda t: mean_all(ad.add(t["a"], t["b"])),
                     {"a": r.normal(size=(2, 3, 4)), "b": r.normal(size=(1, 1, 4))})
 
 
 def test_multiply_broadcast():
     r = rng(3)
-    check_gradients(lambda t: ad.mean_all(multiply(t["a"], t["b"])),
+    check_gradients(lambda t: mean_all(multiply(t["a"], t["b"])),
                     {"a": r.normal(size=(2, 3, 4)), "b": r.normal(size=(3, 1))})
 
 
 def test_scale():
     r = rng(4)
-    check_gradients(lambda t: ad.mean_all(ad.scale(t["a"], -2.5)),
+    check_gradients(lambda t: mean_all(ad.scale(t["a"], -2.5)),
                     {"a": r.normal(size=(5, 3))})
 
 
 def test_matmul_plain():
     r = rng(5)
-    check_gradients(lambda t: ad.mean_all(ad.matmul(t["a"], t["b"])),
+    check_gradients(lambda t: mean_all(ad.matmul(t["a"], t["b"])),
                     {"a": r.normal(size=(3, 4)), "b": r.normal(size=(4, 5))})
 
 
 def test_matmul_batched_shared_rhs():
     r = rng(6)
-    check_gradients(lambda t: ad.mean_all(ad.matmul(t["a"], t["b"])),
+    check_gradients(lambda t: mean_all(ad.matmul(t["a"], t["b"])),
                     {"a": r.normal(size=(2, 3, 4)), "b": r.normal(size=(4, 5))})
 
 
 def test_matmul_batched_both():
     r = rng(7)
-    check_gradients(lambda t: ad.mean_all(ad.matmul(t["a"], t["b"])),
+    check_gradients(lambda t: mean_all(ad.matmul(t["a"], t["b"])),
                     {"a": r.normal(size=(2, 3, 4)), "b": r.normal(size=(2, 4, 3))})
 
 
 def test_rms_norm():
     r = rng(9)
-    check_gradients(lambda t: ad.mean_all(ad.rms_norm(t["a"], t["g"])),
+    check_gradients(lambda t: mean_all(ad.rms_norm(t["a"], t["g"])),
                     {"a": r.normal(size=(2, 3, 8)), "g": r.normal(size=(8,)) + 1.0})
 
 
@@ -79,13 +80,13 @@ def test_rms_norm_batched_weighting():
     r = rng(10)
     w = r.normal(size=(4, 6))
     check_gradients(
-        lambda t: ad.mean_all(multiply(ad.rms_norm(t["a"], t["g"]), ad.constant(w))),
+        lambda t: mean_all(multiply(ad.rms_norm(t["a"], t["g"]), ad.constant(w))),
         {"a": r.normal(size=(4, 6)) * 3.0, "g": r.normal(size=(6,))})
 
 
 def test_silu():
     r = rng(11)
-    check_gradients(lambda t: ad.mean_all(ad.silu(t["a"])),
+    check_gradients(lambda t: mean_all(ad.silu(t["a"])),
                     {"a": r.normal(size=(3, 7)) * 2.0})
 
 
@@ -94,14 +95,14 @@ def test_gather_scatter_add():
     idx = np.array([[0, 2, 2], [1, 0, 3]])
     w = r.normal(size=(2, 3, 5))
     check_gradients(
-        lambda t: ad.mean_all(multiply(ad.gather(t["table"], idx), ad.constant(w))),
+        lambda t: mean_all(multiply(ad.gather(t["table"], idx), ad.constant(w))),
         {"table": r.normal(size=(4, 5))})
 
 
 def test_rope_rotation():
     r = rng(13)
     w = r.normal(size=(2, 5, 8))
-    check_gradients(lambda t: ad.mean_all(multiply(ad.rope(t["a"], 2), ad.constant(w))),
+    check_gradients(lambda t: mean_all(multiply(ad.rope(t["a"], 2), ad.constant(w))),
                     {"a": r.normal(size=(2, 5, 8))})
 
 
@@ -112,20 +113,20 @@ def test_slice_and_concat_roundtrip():
         lo = ad.slice_axis(t["a"], 0, 3, axis=-1)
         hi = ad.slice_axis(t["a"], 3, 7, axis=-1)
         back = ad.concat([ad.scale(lo, 2.0), hi], axis=-1)
-        return ad.mean_all(multiply(back, back))
+        return mean_all(multiply(back, back))
 
     check_gradients(build, {"a": r.normal(size=(2, 7))})
 
 
 def test_concat_sequence_axis():
     r = rng(16)
-    check_gradients(lambda t: ad.mean_all(ad.concat([t["a"], t["b"]], axis=1)),
+    check_gradients(lambda t: mean_all(ad.concat([t["a"], t["b"]], axis=1)),
                     {"a": r.normal(size=(2, 1, 4)), "b": r.normal(size=(2, 3, 4))})
 
 
 def test_reshape():
     r = rng(17)
-    check_gradients(lambda t: ad.mean_all(multiply(ad.reshape(t["a"], (6, 2)),
+    check_gradients(lambda t: mean_all(multiply(ad.reshape(t["a"], (6, 2)),
                                                    ad.reshape(t["a"], (6, 2)))),
                     {"a": r.normal(size=(3, 4))})
 
@@ -141,14 +142,14 @@ def _attend(t, num_heads, gain="g"):
 
 def test_attention_small():
     r = rng(18)
-    check_gradients(lambda t: ad.mean_all(_attend(t, 2)),
+    check_gradients(lambda t: mean_all(_attend(t, 2)),
                     {"h": r.normal(size=(2, 4, 8)), **_attention_weights(r, 8)})
 
 
 def test_attention_single_head():
     r = rng(19)
     w = r.normal(size=(1, 5, 6))
-    check_gradients(lambda t: ad.mean_all(multiply(_attend(t, 1), ad.constant(w))),
+    check_gradients(lambda t: mean_all(multiply(_attend(t, 1), ad.constant(w))),
                     {"h": r.normal(size=(1, 5, 6)), **_attention_weights(r, 6)})
 
 
@@ -164,14 +165,14 @@ def test_cross_entropy_masked():
 def test_sigmoid_bce_extreme_logits():
     targets = np.array([1.0, 0.0, 1.0, 0.0])
     x = np.array([30.0, -30.0, -30.0, 30.0])
-    check_gradients(lambda t: ad.mean_all(ad.sigmoid_bce(t["x"], targets)), {"x": x},
+    check_gradients(lambda t: mean_all(ad.sigmoid_bce(t["x"], targets)), {"x": x},
                     tol=5e-6)  # saturated region: fd itself loses a digit
 
 
 def test_sigmoid_bce_moderate():
     r = rng(21)
     targets = (r.uniform(size=(3, 4)) > 0.5).astype(float)
-    check_gradients(lambda t: ad.mean_all(ad.sigmoid_bce(t["x"], targets)),
+    check_gradients(lambda t: mean_all(ad.sigmoid_bce(t["x"], targets)),
                     {"x": r.normal(size=(3, 4)) * 2.0})
 
 
@@ -186,7 +187,7 @@ def test_shared_leaf_accumulates():
 
     def build(t):
         prod = ad.matmul(t["a"], t["a"])  # a used twice in one node
-        return ad.mean_all(ad.add(prod, t["a"]))
+        return mean_all(ad.add(prod, t["a"]))
 
     check_gradients(build, {"a": r.normal(size=(4, 4))})
 
@@ -198,7 +199,7 @@ def test_transformer_block_composition():
     def build(t):
         h = ad.mlp(_attend(t, H, "g1"), t["w1"], t["w2"], t["g2"])
         targets = np.array([[0, 5, 2, 7], [1, 1, 3, 0]])
-        return ad.mean_all(ad.softmax_cross_entropy(h, targets))
+        return mean_all(ad.softmax_cross_entropy(h, targets))
 
     check_gradients(build, {
         "h": r.normal(size=(2, 4, d)),
@@ -228,7 +229,7 @@ def test_recompute_through_tied_residual_mlp():
         h = t["x"]
         for _ in range(2):
             h = ad.mlp(h, t["w1"], t["w2"], t["g"])
-        return ad.mean_all(multiply(h, ad.constant(w)))
+        return mean_all(multiply(h, ad.constant(w)))
 
     check_gradients(build, {"x": r.normal(size=(2, 3, d)),
                             "w1": r.normal(size=(d, 2 * d)) / np.sqrt(d),
@@ -255,7 +256,7 @@ def test_recompute_backward_under_no_grad():
 
     def grads(quiet):
         leaves = [ad.tensor(a, requires_grad=True) for a in arrays]
-        loss = ad.mean_all(ad.mlp(*leaves))
+        loss = mean_all(ad.mlp(*leaves))
         with ad.no_grad() if quiet else contextlib.nullcontext():
             ad.backward(loss)
         return [t.adjoint for t in leaves]
@@ -294,7 +295,7 @@ def test_backward_keeps_only_leaf_adjoints():
     k = ad.rope(ad.matmul(x, w["wk"]), H)
     att = ad.matmul(ref_attention(q, k, ad.matmul(x, w["wv"]), H), w["wo"])
     h = ad.rms_norm(ad.add(att, att), gain)
-    loss = ad.mean_all(ad.softmax_cross_entropy(ad.silu(h), np.zeros((2, 4), int)))
+    loss = mean_all(ad.softmax_cross_entropy(ad.silu(h), np.zeros((2, 4), int)))
     ad.backward(loss)
     nodes = ad.graph_nodes(loss)
     interior = [n for n in nodes if n.vjp is not None]
@@ -313,7 +314,7 @@ def test_stop_gradient_blocks_branch():
     def build(t):
         blocked = stop_gradient(ad.matmul(t["a"], t["b"]))
         live = multiply(t["b"], blocked)
-        return ad.mean_all(live)
+        return mean_all(live)
 
     grads = gradient(build, {"a": a0, "b": b0}, ["a", "b"])
     assert np.array_equal(grads["a"], np.zeros_like(a0))
@@ -339,7 +340,7 @@ def test_stop_gradient_forward_is_bit_identical():
 
 def test_unreached_leaf_gets_exact_zeros():
     r = rng(26)
-    grads = gradient(lambda t: ad.mean_all(t["a"]),
+    grads = gradient(lambda t: mean_all(t["a"]),
                      {"a": r.normal(size=(2, 2)), "b": r.normal(size=(3,))},
                      ["a", "b"])
     assert grads["b"].shape == (3,)
@@ -376,7 +377,7 @@ def test_evaluate_is_pure():
     bindings = {"a": r.normal(size=(4, 4)), "g": np.ones(4)}
 
     def build(t):
-        return ad.mean_all(ad.rms_norm(ad.matmul(t["a"], t["a"]), t["g"]))
+        return mean_all(ad.rms_norm(ad.matmul(t["a"], t["a"]), t["g"]))
 
     one = evaluate(build, bindings)
     two = evaluate(build, bindings)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import shutil
 import xml.etree.ElementTree as ET
 from dataclasses import asdict, replace
@@ -23,9 +24,10 @@ def run_cli(*argv):
     return cli.main([str(a) for a in argv])
 
 
-def assert_one_error_line(capsys):
+def assert_one_error_line(capsys) -> str:
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 def train_args(out, objective="drm", steps=12, **extra):
@@ -249,16 +251,22 @@ class TestTrain:
         ("--set", "task_embedding_lr=nan"), ("--set", "weight_decay=nan"),
         ("--set", "noise.sigmoid_a=0"), ("--set", "noise.sigmoid_a=nan"),
         ("--set", "template_h=0"), ("--set", "template_w=0"), ("--set", "template_h=-4"),
-        ("--set", "checkpoint_interval=-1"),
+        ("--set", "checkpoint_interval=-1"), ("--grid", 0), ("--grid", 13),
+        ("--family", "translate_object", "--grid", 4), ("--set", "tasks=0"),
+        ("--set", "tasks=-1"),
     ], ids=["augmentations_0", "augmentations_-1", "family_nope", "denoise_steps_0",
             "num_heads_0", "num_heads_-4", "hidden_size_0", "lr_nan", "lr_inf",
             "task_embedding_lr_nan", "weight_decay_nan", "sigmoid_a_0", "sigmoid_a_nan",
-            "template_h_0", "template_w_0", "template_h_-4", "checkpoint_interval_-1"])
+            "template_h_0", "template_w_0", "template_h_-4", "checkpoint_interval_-1",
+            "grid_0", "grid_13", "translate_object_grid_4", "tasks_0", "tasks_-1"])
     def test_rejected_value_exits_config(self, tmp_path, capsys, flags):
-        # the later flag or --set wins over the one train_args gives
+        # the later flag or --set wins over the one train_args gives, and
+        # the error names the key that was set
         out = tmp_path / "x"
         assert run_cli(*train_args(out), *flags) == cli.EXIT_CONFIG
-        assert_one_error_line(capsys)
+        key = flags[-1].split("=")[0] if flags[-2] == "--set" else flags[-2][2:]
+        err = assert_one_error_line(capsys)
+        assert re.search(rf"\b{key.split('.')[-1]}\b", err), err
         assert not out.exists()
 
     def test_rejected_value_exits_config_before_any_variant(self, tmp_path, capsys):
@@ -335,6 +343,7 @@ BAD_MANIFESTS = {
     "lr_nan": _edit_config("lr", math.nan),
     "sigmoid_a_zero": _edit_config("noise.sigmoid_a", 0),
     "checkpoint_interval_negative": _edit_config("checkpoint_interval", -1),
+    "grid_outside_family_range": _edit_config("grid", 0),
 }
 
 
@@ -648,7 +657,7 @@ class TestAblate:
         for name, row in rows.items():
             assert len(list((out / name / "checkpoints").glob("*.ltrm"))) == 3
             report, _ = cli.pooled_eval(out / name, ks=(2,))
-            assert row[-1] == f"{report.pass2_accuracy:.4f}"
+            assert row[-1] == f"{report.accuracy(2):.4f}"
 
 
 def test_bad_subcommand_exits_two():

@@ -1,9 +1,12 @@
 """Generation, voting, scoring, and the permutation test."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import vote
 from loopforge import autodiff as ad
@@ -348,13 +351,10 @@ class TestPassAtK:
         entries = self.build_entries(ds, [(wrong1, 3, 0.9), (wrong2, 2, 0.8),
                                           (truth, 1, 0.7)])
         report = inf.pass_at_k(ds, entries, ks=(1, 2, 3))
-        task = next(iter(report.tasks.values()))
-        assert not task.pass2
-        assert not task.passk[1] and not task.passk[2]
-        assert task.passk[3] and task.pool
-        assert report.pass2_accuracy == 0.0
-        assert report.passk_accuracy[3] == 1.0
-        assert report.pool_accuracy == 1.0
+        assert list(report.ranks.values()) == [3]
+        assert report.accuracy(1) == report.accuracy(2) == 0.0
+        assert report.accuracy(3) == 1.0
+        assert report.accuracy() == 1.0
 
     def test_top2_hit_counts_for_pass2(self):
         ds, _, _ = tiny_setup(num_tasks=1)
@@ -362,7 +362,7 @@ class TestPassAtK:
         wrong = (truth + 1) % 10
         entries = self.build_entries(ds, [(wrong, 3, 0.9), (truth, 2, 0.5)])
         report = inf.pass_at_k(ds, entries, ks=(2,))
-        assert report.pass2_accuracy == 1.0
+        assert report.accuracy(2) == 1.0
 
     def test_missing_case_rejected(self):
         ds, _, _ = tiny_setup(num_tasks=2)
@@ -371,14 +371,28 @@ class TestPassAtK:
         with pytest.raises(inf.InferenceError):
             inf.pass_at_k(ds, entries)
 
+    def test_unsolved_task_counts_for_no_k(self):
+        ds, _, _ = tiny_setup(num_tasks=1)
+        truth = ds.eval_cases[0].target_grid
+        entries = self.build_entries(ds, [((truth + 1) % 10, 3, 0.9),
+                                          ((truth + 2) % 10, 1, 0.5)])
+        report = inf.pass_at_k(ds, entries, ks=(1, 2, 3))
+        task_id = ds.tasks[0].task_id
+        assert report.ranks == {task_id: math.inf}
+        assert [report.accuracy(k) for k in (1, 2, 3, 100)] == [0.0] * 4
+        assert report.accuracy() == 0.0
+        body = report.to_json()[task_id]
+        assert body["pass2"] is False
+        assert body["passk"] == {"1": False, "2": False, "3": False}
+
     def test_pooling_snapshots_never_hurts(self):
         ds, _, _ = tiny_setup(num_tasks=1)
         truth = ds.eval_cases[0].target_grid
         wrong = (truth + 1) % 10
         weak = self.build_entries(ds, [(wrong, 4, 0.9)])
         strong = self.build_entries(ds, [(truth, 1, 0.2)])
-        before = inf.pass_at_k(ds, weak).pool_accuracy
-        after = inf.pass_at_k(ds, weak + strong).pool_accuracy
+        before = inf.pass_at_k(ds, weak).accuracy()
+        after = inf.pass_at_k(ds, weak + strong).accuracy()
         assert after >= before
         assert before == 0.0 and after == 1.0
 
@@ -394,20 +408,68 @@ class TestPassAtK:
         assert body["top2"] == [truth.tolist()]
 
 
+# one pool per test input: its true grid and three wrong ones, each drawn
+# with 0-3 votes and a q per vote; q values repeat, so ties fall to bytes
+GRID_VOTES = st.lists(st.lists(st.sampled_from([0.1, 0.5, 0.9]), max_size=3),
+                      min_size=4, max_size=4).filter(any)
+
+
+@st.composite
+def scored_tasks(draw):
+    """1-3 tasks of 1-3 test inputs, with the pool of each (task, test)."""
+    tasks, pools = [], {}
+    for t in range(draw(st.integers(1, 3))):
+        pairs = []
+        for s in range(draw(st.integers(1, 3))):
+            truth = np.array(draw(st.lists(st.integers(0, 9), min_size=4, max_size=4)),
+                             dtype=np.int8).reshape(2, 2)
+            pairs.append((truth, truth))
+            pools[(t, s)] = [((truth + j) % 10, q, IDENT)
+                             for j, qs in enumerate(draw(GRID_VOTES)) for q in qs]
+        tasks.append(Task(f"task_{t}", pairs[:1], pairs))
+    return tasks, pools
+
+
+@settings(max_examples=200, deadline=None)
+@given(scored_tasks())
+def test_solve_rank_reads_every_pass_at_k(drawn):
+    # rank <= k exactly when every test input has its truth among its top
+    # k candidates; k=None is the whole pool
+    tasks, pools = drawn
+    ds = build_dataset(tasks, 1, 2, 2, seed=0)
+    entries = [inf.PoolEntry(t, s, g, q, aug)
+               for (t, s), pool in pools.items() for g, q, aug in pool]
+    report = inf.pass_at_k(ds, entries, ks=(1, 2, 3, 4))
+    doc = report.to_json()
+    for k in (1, 2, 3, 4, None):
+        flags = []
+        for t, task in enumerate(tasks):
+            solved = all(
+                any(np.array_equal(c.canonical_grid, truth)
+                    for c in inf.ranked_candidates(pools[(t, s)])[:k])
+                for s, (_, truth) in enumerate(task.test_pairs))
+            rank = report.ranks[task.task_id]
+            assert (math.isfinite(rank) if k is None else rank <= k) == solved
+            if k is not None:
+                assert doc[task.task_id]["passk"][str(k)] == solved
+            flags.append(solved)
+        assert report.accuracy(k) == sum(flags) / len(flags)
+
+
 class TestEvaluate:
     def test_copy_drm_end_to_end(self, copy_setup, drm_copy):
         ds, cfg = copy_setup
         report = inf.pass_at_k(ds, inf.collect_predictions(
             ds, drm_copy.ema, replace(cfg, cycles_per_window=3), "drm", seed=1,
             num_denoise_steps=4))
-        assert report.pass2_accuracy == 1.0
-        assert report.pool_accuracy == 1.0
+        assert report.accuracy(2) == 1.0
+        assert report.accuracy() == 1.0
 
     def test_copy_trm_end_to_end(self, copy_setup, trm_copy):
         ds, cfg = copy_setup
         report = inf.pass_at_k(ds, inf.collect_predictions(
             ds, trm_copy.ema, cfg, "trm", seed=1))
-        assert report.pass2_accuracy == 1.0
+        assert report.accuracy(2) == 1.0
 
     def test_batch_size_does_not_change_predictions(self):
         ds, cfg, params = tiny_setup()

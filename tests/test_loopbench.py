@@ -10,6 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from conftest import mean_all
 from loopforge import (autodiff as ad, corruption, inference, model, seeding, tasks,
                        training)
 
@@ -40,7 +41,7 @@ def test_tracer_times_the_vjps_backward_runs(monkeypatch):
                       requires_grad=True)
         b = ad.tensor(np.linspace(0, 1, 12, dtype=np.float32).reshape(3, 4),
                       requires_grad=True)
-        ad.backward(ad.mean_all(ad.silu(ad.matmul(a, b))))
+        ad.backward(mean_all(ad.silu(ad.matmul(a, b))))
         return [a.adjoint.tobytes(), b.adjoint.tobytes()]
 
     want = grads()

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import check_gradients, gradient, multiply, param_count, ref_sublayer
+from conftest import (check_gradients, gradient, mean_all, multiply, param_count,
+                      ref_sublayer)
 from loopforge import autodiff as ad
 from loopforge import model as md
 from loopforge.seeding import rng_for
@@ -165,8 +166,8 @@ def test_latent_step_deterministic_and_tied():
 def test_gradients_reach_all_step_inputs():
     cfg, pt, x, state = cycle_setup(dtype=np.float64)
     out, _ = md.run_cycles(pt, cfg, x, state, 1)
-    loss = ad.add(ad.mean_all(multiply(out.y, out.y)),
-                  ad.mean_all(multiply(out.z, out.z)))
+    loss = ad.add(mean_all(multiply(out.y, out.y)),
+                  mean_all(multiply(out.z, out.z)))
     ad.backward(loss)
     for name in ("phi/l0/attn/wq", "phi/l0/mlp/w1", "embed/input", "embed/task",
                  "state/y0", "state/z0"):
@@ -265,8 +266,8 @@ def test_embedding_values_die_once_forward_drops_them(monkeypatch):
         out, _ = md.run_cycles(pt, cfg, x, state, 1)
         assert len(made) == 5
         dead = None if hold else [r() is None for r in made]
-        ad.backward(ad.add(ad.mean_all(multiply(out.y, out.y)),
-                           ad.mean_all(multiply(out.z, out.z))))
+        ad.backward(ad.add(mean_all(multiply(out.y, out.y)),
+                           mean_all(multiply(out.z, out.z))))
         return dead, {k: t.adjoint for k, t in pt.items()}
 
     dead, grads = run(hold=False)
@@ -287,7 +288,7 @@ def _fused_gradients_match_stored_graph(monkeypatch, op, stored, probe):
             if not fused:
                 m.setattr(ad, op, stored)
             out = build(cfg, pt, x, state)
-        ad.backward(ad.mean_all(multiply(out, out)))
+        ad.backward(mean_all(multiply(out, out)))
         return out.value, {k: t.adjoint for k, t in pt.items()}
 
     def one_apply(cfg, pt, x, state):
@@ -348,7 +349,7 @@ def test_single_z_window_ignores_y_pathway():
         x = md.embed_input(pt, cfg, tokens, rows)
         state = md.init_state(pt, cfg, [rng_for(3, "st")])
         _, logits, q = md.run_window(pt, cfg, x, state, warm_cycles=0, grad_cycles=1)
-        return ad.add(ad.mean_all(logits), ad.mean_all(q))
+        return ad.add(mean_all(logits), mean_all(q))
 
     grads = gradient(build, dict(params.arrays), ["state/y0", "state/z0"])
     assert np.all(grads["state/y0"] == 0.0)
@@ -382,7 +383,7 @@ def test_window_without_gradient_gives_zero_grads():
         state = md.init_state(pt, cfg, [rng_for(5, "st")])
         with ad.no_grad():
             _, logits, _ = md.run_window(pt, cfg, x, state, cfg.cycles_per_window - 1, 1)
-        return ad.mean_all(logits)
+        return mean_all(logits)
 
     grads = gradient(build, dict(base.arrays), ["phi/l0/attn/wq", "phi/l0/mlp/w2"])
     assert np.all(grads["phi/l0/attn/wq"] == 0.0)
@@ -398,7 +399,7 @@ def test_warmup_cycles_carry_zero_gradient():
     x = md.embed_input(pt, cfg, tokens, rows)
     state = md.init_state(pt, cfg, [rng_for(2, "st")])
     out, logits, q = md.run_window(pt, cfg, x, state, cfg.cycles_per_window - 1, 1)
-    ad.backward(ad.mean_all(logits))
+    ad.backward(mean_all(logits))
     # warm-up products enter the gradient cycle as plain leaves
     nodes = ad.graph_nodes(logits)
     no_grad_leaves = [n for n in nodes if n.parents == () and not n.requires_grad
@@ -484,7 +485,7 @@ def test_window_loss_matches_finite_differences():
         _, logits, q = md.run_window(pt, cfg, x, state, warm_cycles, 1)
         ce = ad.masked_mean(ad.softmax_cross_entropy(logits, targets),
                             np.ones((1, 4), dtype=bool))
-        return ad.add(ce, ad.mean_all(ad.sigmoid_bce(q, np.ones(1))))
+        return ad.add(ce, mean_all(ad.sigmoid_bce(q, np.ones(1))))
 
     def build_full(leaves):
         pt = dict(leaves)
