@@ -22,7 +22,7 @@ from . import model as md
 from .corruption import BetaSchedule, CorruptionError, NoiseSchedule
 from .inference import (InferenceError, collect_predictions, generate_remask,
                         pass_at_k)
-from .render import RenderError, StepFrame, render_trajectory
+from .render import render_trajectory
 from .seeding import rng_for
 from .tasks import (SYNTHETIC_FAMILIES, DeskDataset, TaskError, build_dataset,
                     dataset_hash, from_template, generate_synthetic,
@@ -189,6 +189,11 @@ def build_desk_dataset(cfgmap: dict) -> DeskDataset:
         default_template = max(12, cfgmap["grid"])
     th = cfgmap["template_h"] or default_template
     tw = cfgmap["template_w"] or default_template
+    side = 4 if cfgmap["family"] == "mini_sudoku4" else cfgmap["grid"]
+    for key, size in (("template_h", th), ("template_w", tw)):
+        if not cfgmap["data"] and size < side:
+            raise ConfigError(f"bad value for {key}: {size} is smaller than "
+                              f"the {side}x{side} synthetic grid")
     return build_dataset(tasks, cfgmap["augmentations"], th, tw, cfgmap["seed"])
 
 
@@ -252,17 +257,22 @@ def read_manifest(run_dir: Path) -> dict:
     return manifest
 
 
-def execute_training(cfgmap: dict, out_dir: Path, progress=None):
-    """Shared train core for cmd_train and the ablation suites."""
+def build_run(cfgmap: dict):
+    """The dataset, configs, window and schedules a run of cfgmap trains
+    with: a config value that any of them rejects raises here."""
     dataset = build_desk_dataset(cfgmap)
-    cfg, tcfg, (warm, grad) = make_configs(cfgmap, dataset)
+    cfg, tcfg, window = make_configs(cfgmap, dataset)
     noise, beta = _schedules(cfgmap)
-
     steps = cfgmap["steps"]
     if steps is not None:
         per_epoch = math.ceil(len(dataset.train_examples) / tcfg.batch_size)
         tcfg = replace(tcfg, epochs=max(tcfg.epochs, math.ceil(steps / per_epoch)))
+    return dataset, cfg, tcfg, window, noise, beta
 
+
+def execute_training(cfgmap: dict, built, out_dir: Path, progress=None):
+    """Shared train core for cmd_train and ablate; built = build_run(cfgmap)."""
+    dataset, cfg, tcfg, (warm, grad), noise, beta = built
     _claim_run_dir(out_dir)
     (out_dir / "checkpoints").mkdir()
     manifest = {
@@ -284,7 +294,7 @@ def execute_training(cfgmap: dict, out_dir: Path, progress=None):
         metrics_path=out_dir / "metrics.jsonl",
         checkpoint_path=out_dir / "checkpoints" / "step_{step:06d}.ltrm",
         checkpoint_every=cfgmap["checkpoint_interval"],
-        max_steps=steps, progress=progress)
+        max_steps=cfgmap["steps"], progress=progress)
 
     manifest["checkpoints"] = sorted(
         p.name for p in (out_dir / "checkpoints").glob("*.ltrm"))
@@ -304,9 +314,7 @@ def _load_run(run_dir: Path):
         for key, value in manifest["config"].items():
             cfgmap[key] = _parse_key(key, value)
         manifest["seed"] = _parse_key("seed", manifest["seed"])
-        dataset = build_desk_dataset(cfgmap)
-        cfg, _, _ = make_configs(cfgmap, dataset)
-        noise, _ = _schedules(cfgmap)
+        dataset, cfg, _, _, noise, _ = build_run(cfgmap)
     except (ConfigError, TrainingError, md.ModelError, CorruptionError) as e:
         raise TaskError(f"{run_dir}: manifest {e}") from e
     if dataset_hash(dataset.tasks) != manifest["dataset_hash"]:
@@ -388,7 +396,7 @@ def cmd_train(args) -> None:
             print(f"step {metrics.step}: ce {metrics.ce_loss:.4f} "
                   f"acc {metrics.token_accuracy:.3f} em {metrics.exact_match_rate:.3f}")
 
-    result, tcfg, _ = execute_training(cfgmap, out_dir, progress)
+    result, tcfg, _ = execute_training(cfgmap, build_run(cfgmap), out_dir, progress)
     final = result.history[-1]
     print(f"{tcfg.objective}: {result.steps} steps, final ce {final.ce_loss:.4f} "
           f"token acc {final.token_accuracy:.3f} exact match "
@@ -438,12 +446,9 @@ def cmd_render(args) -> None:
 
     th, tw = dataset.template
     dy, dx = case.aug.offset
-    frames = []
-    for f in trace:
-        grid = from_template(f["prediction"], *case.shape, th, tw, case.aug.offset)
-        cells = [(i // tw - dy, i % tw - dx) for i in f["remasked"]]
-        frames.append(StepFrame(grid=grid, remasked=cells, q=f["q"],
-                                timestep=f["timestep"]))
+    frames = [(from_template(f["prediction"], *case.shape, th, tw, case.aug.offset),
+               [(i // tw - dy, i % tw - dx) for i in f["remasked"]],
+               f["q"], f["timestep"]) for f in trace]
     out_dir = Path(args.out) if args.out else run_dir / "render"
     task = dataset.tasks[t_idx]
     paths = render_trajectory(task.test_pairs[0][0], case.target_grid,
@@ -469,12 +474,14 @@ SUITES = {
 def cmd_ablate(args) -> None:
     base = resolve_config(args)
     out_dir = Path(args.out)
+    # every variant builds before the suite directory is made
+    cfgmaps = {name: {**base, **overrides} for name, overrides in SUITES[args.suite]}
+    built = {name: build_run(cfgmap) for name, cfgmap in cfgmaps.items()}
     _claim_run_dir(out_dir)
     rows = []
-    for name, overrides in SUITES[args.suite]:
-        cfgmap = {**base, **overrides}
+    for name, cfgmap in cfgmaps.items():
         print(f"[{args.suite}] {name}")
-        result, tcfg, manifest = execute_training(cfgmap, out_dir / name)
+        result, tcfg, manifest = execute_training(cfgmap, built[name], out_dir / name)
         # scored as `loopforge eval` scores the variant's run directory
         report, _ = pooled_eval(out_dir / name, ks=(2,))
         tail = result.history[-min(50, len(result.history)):]
@@ -561,7 +568,7 @@ def main(argv=None) -> int:
         print(f"error: training diverged: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ConfigError, TrainingError, md.ModelError, CorruptionError,
-            InferenceError, RenderError) as e:
+            InferenceError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (TaskError, md.CheckpointError, OSError) as e:

@@ -61,7 +61,7 @@ def remask_batch(inputs: np.ndarray, masks: np.ndarray, rows: np.ndarray,
     """Denoise a batch; returns (tokens (B, M), final sigmoid q (B,)).
 
     `trace`, when given, collects one frame per iteration for item 0:
-    the full prediction, the remasked indices, and the q value.
+    its timestep, the full prediction, the remasked indices and the q value.
     """
     masks = np.asarray(masks, dtype=bool)
     steps = [sample_timesteps(num_steps, g) for g in streams]
@@ -84,7 +84,7 @@ def remask_batch(inputs: np.ndarray, masks: np.ndarray, rows: np.ndarray,
                 corrupt_target(TokenSeq(p, m), float(s[it + 1]), schedule, g).tokens
                 for p, m, s, g in zip(np.where(masks, pred, PAD), masks, steps, streams)])
             if trace is not None:
-                trace.append({"step": it, "timestep": float(steps[0][it]),
+                trace.append({"timestep": float(steps[0][it]),
                               "prediction": np.where(masks[0], pred[0], PAD),
                               "remasked": np.flatnonzero(current[0] == MASK).tolist(),
                               "q": float(q_out[0])})

@@ -1,19 +1,18 @@
 """SVG rendering of generate-and-remask trajectories.
 
 One header image shows the test input and ground truth; every denoise
-step then gets its own frame with the full prediction, the cells chosen
-for remasking drawn as a cross overlay, and the step's q value printed
-in the caption.  Plain markup strings, no drawing library.
+step then gets its own image of a frame, a (grid, remasked, q, timestep)
+tuple: the full prediction in colours 0-9, the (row, col) cells masked
+after it, drawn as crosses, and the step's q and timestep, printed in the
+caption.  Plain markup strings, no drawing library.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
-
-from .tasks import NUM_COLOURS
 
 # the usual ten grid colours
 PALETTE = ("#000000", "#0074D9", "#FF4136", "#2ECC40", "#FFDC00",
@@ -22,30 +21,7 @@ PALETTE = ("#000000", "#0074D9", "#FF4136", "#2ECC40", "#FFDC00",
 CELL = 22
 PAD_PX = 6
 CAPTION_PX = 22
-
-
-class RenderError(ValueError):
-    pass
-
-
-@dataclass
-class StepFrame:
-    grid: np.ndarray          # colours 0..9, full prediction
-    remasked: list            # (row, col) cells masked after this prediction
-    q: float
-    timestep: float
-
-
-def _check_grid(grid: np.ndarray) -> np.ndarray:
-    grid = np.asarray(grid)
-    if grid.ndim != 2 or grid.min() < 0 or grid.max() >= NUM_COLOURS:
-        raise RenderError(f"renderable grids hold colours 0-9, got shape "
-                          f"{grid.shape} range [{grid.min()}, {grid.max()}]")
-    return grid
-
-
-def _esc(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+GAP_PX = 3 * CELL
 
 
 def _grid_markup(grid: np.ndarray, x0: int, y0: int, remasked=()) -> list[str]:
@@ -66,61 +42,35 @@ def _grid_markup(grid: np.ndarray, x0: int, y0: int, remasked=()) -> list[str]:
     return parts
 
 
-def _document(width: int, height: int, body: list[str]) -> str:
-    head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="{height}" viewBox="0 0 {width} {height}">')
-    bg = f'<rect x="0" y="0" width="{width}" height="{height}" fill="#1b1b1b"/>'
-    return "\n".join([head, bg, *body, "</svg>"]) + "\n"
-
-
-def _caption(text: str, x: int, y: int) -> str:
-    return (f'<text x="{x}" y="{y}" fill="#e8e8e8" font-size="13" '
-            f'font-family="monospace">{_esc(text)}</text>')
-
-
-def render_header(input_grid: np.ndarray, target_grid: np.ndarray,
-                  path: Path) -> None:
-    input_grid = _check_grid(input_grid)
-    target_grid = _check_grid(target_grid)
-    ih, iw = input_grid.shape
-    th, tw = target_grid.shape
-    gap = 3 * CELL
-    width = PAD_PX * 2 + (iw + tw) * CELL + gap
-    height = PAD_PX * 2 + CAPTION_PX + max(ih, th) * CELL
-    x_target = PAD_PX + iw * CELL + gap
-    body = [_caption("input", PAD_PX, PAD_PX + 14),
-            _caption("target", x_target, PAD_PX + 14)]
-    body += _grid_markup(input_grid, PAD_PX, PAD_PX + CAPTION_PX)
-    body += _grid_markup(target_grid, x_target, PAD_PX + CAPTION_PX)
-    Path(path).write_text(_document(width, height, body))
-
-
-def render_step(frame: StepFrame, index: int, total: int, path: Path) -> None:
-    grid = _check_grid(frame.grid)
-    h, w = grid.shape
-    width = PAD_PX * 2 + w * CELL
-    height = PAD_PX * 2 + CAPTION_PX + h * CELL
-    caption = (f"step {index + 1}/{total}  t={frame.timestep:.3f}  "
-               f"q={frame.q:.3f}  remask={len(frame.remasked)}")
-    body = [_caption(caption, PAD_PX, PAD_PX + 14)]
-    body += _grid_markup(grid, PAD_PX, PAD_PX + CAPTION_PX, frame.remasked)
-    Path(path).write_text(_document(width, height, body))
+def _write_panels(path: Path, panels) -> None:
+    """One SVG of (caption, grid, remasked cells) panels placed side by
+    side, GAP_PX apart; every caption precedes every grid."""
+    xs = list(accumulate((g.shape[1] * CELL + GAP_PX for _, g, _ in panels),
+                         initial=PAD_PX))
+    width = xs[-1] - GAP_PX + PAD_PX
+    height = PAD_PX * 2 + CAPTION_PX + max(g.shape[0] for _, g, _ in panels) * CELL
+    body = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+            f'height="{height}" viewBox="0 0 {width} {height}">',
+            f'<rect x="0" y="0" width="{width}" height="{height}" fill="#1b1b1b"/>']
+    body += [f'<text x="{x}" y="{PAD_PX + 14}" fill="#e8e8e8" font-size="13" '
+             f'font-family="monospace">{caption}</text>'
+             for x, (caption, _, _) in zip(xs, panels)]
+    for x, (_, grid, remasked) in zip(xs, panels):
+        body += _grid_markup(grid, x, PAD_PX + CAPTION_PX, remasked)
+    Path(path).write_text("\n".join([*body, "</svg>"]) + "\n")
 
 
 def render_trajectory(input_grid: np.ndarray, target_grid: np.ndarray,
-                      frames: list[StepFrame], out_dir) -> list[Path]:
-    """Header plus one frame per denoise step; returns the written paths."""
-    if not frames:
-        raise RenderError("nothing to render: empty trajectory")
-    shapes = {np.asarray(f.grid).shape for f in frames}
-    if len(shapes) != 1:
-        raise RenderError(f"frames disagree on grid shape: {sorted(shapes)}")
+                      frames: list, out_dir) -> list[Path]:
+    """Write the header, then one image per (grid, remasked, q, timestep)
+    frame; returns the written paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = [out_dir / "header.svg"]
-    render_header(input_grid, target_grid, paths[0])
-    for i, frame in enumerate(frames):
-        path = out_dir / f"step_{i + 1:03d}.svg"
-        render_step(frame, i, len(frames), path)
-        paths.append(path)
+    _write_panels(paths[0], [("input", input_grid, ()), ("target", target_grid, ())])
+    for i, (grid, remasked, q, timestep) in enumerate(frames):
+        paths.append(out_dir / f"step_{i + 1:03d}.svg")
+        caption = (f"step {i + 1}/{len(frames)}  t={timestep:.3f}  "
+                   f"q={q:.3f}  remask={len(remasked)}")
+        _write_panels(paths[-1], [(caption, grid, remasked)])
     return paths

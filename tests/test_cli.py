@@ -253,12 +253,13 @@ class TestTrain:
         ("--set", "template_h=0"), ("--set", "template_w=0"), ("--set", "template_h=-4"),
         ("--set", "checkpoint_interval=-1"), ("--grid", 0), ("--grid", 13),
         ("--family", "translate_object", "--grid", 4), ("--set", "tasks=0"),
-        ("--set", "tasks=-1"),
+        ("--set", "tasks=-1"), ("--set", "template_h=2"), ("--set", "template_w=2"),
     ], ids=["augmentations_0", "augmentations_-1", "family_nope", "denoise_steps_0",
             "num_heads_0", "num_heads_-4", "hidden_size_0", "lr_nan", "lr_inf",
             "task_embedding_lr_nan", "weight_decay_nan", "sigmoid_a_0", "sigmoid_a_nan",
             "template_h_0", "template_w_0", "template_h_-4", "checkpoint_interval_-1",
-            "grid_0", "grid_13", "translate_object_grid_4", "tasks_0", "tasks_-1"])
+            "grid_0", "grid_13", "translate_object_grid_4", "tasks_0", "tasks_-1",
+            "template_h_below_grid", "template_w_below_grid"])
     def test_rejected_value_exits_config(self, tmp_path, capsys, flags):
         # the later flag or --set wins over the one train_args gives, and
         # the error names the key that was set
@@ -344,6 +345,7 @@ BAD_MANIFESTS = {
     "sigmoid_a_zero": _edit_config("noise.sigmoid_a", 0),
     "checkpoint_interval_negative": _edit_config("checkpoint_interval", -1),
     "grid_outside_family_range": _edit_config("grid", 0),
+    "template_below_grid": _edit_config("template_h", 2),
 }
 
 
@@ -597,6 +599,20 @@ class TestAblate:
         assert [o["single_z"] for _, o in z] == [False, True]
         # every override names a config key
         assert all(set(o) <= set(cli.CONFIG_KEYS) for v in cli.SUITES.values() for _, o in v)
+
+    @pytest.mark.parametrize("argv", [
+        ("single_z", "--family", "copy", "--grid", 0),
+        ("k_sweep", "--set", "num_heads=3"),
+    ], ids=["grid_0", "num_heads_3"])
+    def test_every_variant_builds_before_the_suite_directory(self, tmp_path, capsys,
+                                                             argv):
+        out = tmp_path / "suite"
+        assert run_cli("ablate", *argv, "--out", out) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        # no variant header: the suite stops before its first variant trains
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not out.exists()
 
     def test_k_sweep_runs_and_summarises(self, tmp_path):
         out = tmp_path / "sweep"
