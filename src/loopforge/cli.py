@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -263,10 +262,6 @@ def build_run(cfgmap: dict):
     dataset = build_desk_dataset(cfgmap)
     cfg, tcfg, window = make_configs(cfgmap, dataset)
     noise, beta = _schedules(cfgmap)
-    steps = cfgmap["steps"]
-    if steps is not None:
-        per_epoch = math.ceil(len(dataset.train_examples) / tcfg.batch_size)
-        tcfg = replace(tcfg, epochs=max(tcfg.epochs, math.ceil(steps / per_epoch)))
     return dataset, cfg, tcfg, window, noise, beta
 
 
@@ -298,7 +293,7 @@ def execute_training(cfgmap: dict, built, out_dir: Path, progress=None):
 
     manifest["checkpoints"] = sorted(
         p.name for p in (out_dir / "checkpoints").glob("*.ltrm"))
-    manifest["steps_run"] = result.steps
+    manifest["steps_run"] = len(result.history)
     _write_manifest(out_dir, manifest)
     return result, tcfg, manifest
 
@@ -335,7 +330,7 @@ def _load_weights(path: Path, cfg: md.ModelConfig, objective: str):
     weights when it holds them, and its own objective, else the run's.
     A checkpoint whose config is not the run's is refused."""
     ck_cfg, params, ema, meta = md.load_checkpoint(path)
-    want, got = cfg.to_dict(), ck_cfg.to_dict()
+    want, got = asdict(cfg), asdict(ck_cfg)
     diff = [f"{k} {got[k]} (run: {want[k]})" for k in want if got[k] != want[k]]
     if diff:
         raise TaskError(f"{path}: checkpoint config differs from the run's: "
@@ -398,7 +393,7 @@ def cmd_train(args) -> None:
 
     result, tcfg, _ = execute_training(cfgmap, build_run(cfgmap), out_dir, progress)
     final = result.history[-1]
-    print(f"{tcfg.objective}: {result.steps} steps, final ce {final.ce_loss:.4f} "
+    print(f"{tcfg.objective}: {len(result.history)} steps, final ce {final.ce_loss:.4f} "
           f"token acc {final.token_accuracy:.3f} exact match "
           f"{final.exact_match_rate:.3f}")
     print(f"run directory: {out_dir}")
@@ -410,7 +405,8 @@ def cmd_eval(args) -> None:
                             augmentations=args.augmentations,
                             num_steps=args.num_denoise_steps, seed=args.seed)
     out = Path(args.out) if args.out else Path(args.run_dir) / "eval_report.json"
-    out.write_text(json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
+    text = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+    md.write_atomic(out, [text.encode("utf-8")])
     parts = [f"pass@{k} {report.accuracy(k):.3f}" for k in dict.fromkeys([2, *ks])]
     parts.append(f"pass@pool {report.accuracy():.3f}")
     print("  ".join(parts))
@@ -486,7 +482,7 @@ def cmd_ablate(args) -> None:
         report, _ = pooled_eval(out_dir / name, ks=(2,))
         tail = result.history[-min(50, len(result.history)):]
         rows.append((name, tcfg.objective, tcfg.gradient_cycles,
-                     manifest["resolved"]["warmup_cycles"], result.steps,
+                     manifest["resolved"]["warmup_cycles"], len(result.history),
                      float(np.mean([m.ce_loss for m in tail])),
                      float(np.mean([m.token_accuracy for m in tail])),
                      float(np.mean([m.exact_match_rate for m in tail])),

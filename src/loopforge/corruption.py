@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import sigmoid
-from .tasks import MASK, TokenSeq
+from .tasks import MASK
 
 NOISE_KINDS = ("cosine", "linear", "sigmoid")
 
@@ -54,23 +54,18 @@ def mask_fraction(schedule: NoiseSchedule, tau: float) -> float:
     return float((sigmoid(a * (tau - 0.5)) - lo) / (hi - lo))
 
 
-def num_masked(schedule: NoiseSchedule, tau: float, num_valid: int) -> int:
-    return int(np.floor(mask_fraction(schedule, tau) * num_valid))
+def corrupt_target(tokens: np.ndarray, valid: np.ndarray, tau: float,
+                   schedule: NoiseSchedule, rng: np.random.Generator) -> np.ndarray:
+    """Mask floor(r(tau) * valid) valid cells of a copy of tokens, chosen uniformly.
 
-
-def corrupt_target(target: TokenSeq, tau: float, schedule: NoiseSchedule,
-                   rng: np.random.Generator) -> TokenSeq:
-    """Mask floor(r(tau) * valid) cells of the target, chosen uniformly.
-
-    PAD positions are never touched; tau=0 returns the target unchanged.
+    PAD positions are never touched; tau=0 returns an unchanged copy.
     """
-    valid = np.flatnonzero(target.loss_mask)
-    count = num_masked(schedule, tau, valid.size)
-    tokens = target.tokens.copy()
+    cells = np.flatnonzero(valid)
+    count = int(np.floor(mask_fraction(schedule, tau) * cells.size))
+    out = tokens.copy()
     if count > 0:
-        chosen = rng.choice(valid, size=count, replace=False)
-        tokens[chosen] = MASK
-    return TokenSeq(tokens, target.loss_mask)
+        out[rng.choice(cells, size=count, replace=False)] = MASK
+    return out
 
 
 def sample_timesteps(num_steps: int, rng: np.random.Generator) -> np.ndarray:

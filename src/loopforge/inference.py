@@ -34,7 +34,7 @@ from . import autodiff as ad
 from . import model as md
 from .corruption import NoiseSchedule, corrupt_target, sample_timesteps
 from .seeding import rng_for
-from .tasks import (MASK, NUM_COLOURS, PAD, Augmentation, DeskDataset, TokenSeq,
+from .tasks import (MASK, NUM_COLOURS, PAD, Augmentation, DeskDataset,
                     from_template, undo_augmentation)
 from .training import DENOISE_OBJECTIVES
 
@@ -81,7 +81,7 @@ def remask_batch(inputs: np.ndarray, masks: np.ndarray, rows: np.ndarray,
             q_out = ad.sigmoid(q_logit.value)
             # re-corrupt the prediction as training corrupts its targets
             current = np.stack([
-                corrupt_target(TokenSeq(p, m), float(s[it + 1]), schedule, g).tokens
+                corrupt_target(p, m, float(s[it + 1]), schedule, g)
                 for p, m, s, g in zip(np.where(masks, pred, PAD), masks, steps, streams)])
             if trace is not None:
                 trace.append({"timestep": float(steps[0][it]),
@@ -96,14 +96,13 @@ def remask_batch(inputs: np.ndarray, masks: np.ndarray, rows: np.ndarray,
 def generate_remask(tokens: np.ndarray, loss_mask: np.ndarray, row: int,
                     params: md.Parameters, cfg: md.ModelConfig,
                     num_steps: int, rng: np.random.Generator, *,
-                    schedule: NoiseSchedule | None = None,
+                    schedule: NoiseSchedule = NoiseSchedule(),
                     trace: list | None = None) -> tuple[np.ndarray, float]:
     """Single-case generate-and-remask; all randomness from `rng`."""
-    sched = schedule if schedule is not None else NoiseSchedule()
     out, q = remask_batch(np.asarray(tokens)[None, :],
                           np.asarray(loss_mask)[None, :],
                           np.array([row], dtype=np.int64),
-                          params, cfg, num_steps, sched, [rng], trace=trace)
+                          params, cfg, num_steps, schedule, [rng], trace=trace)
     return out[0], float(q[0])
 
 
@@ -158,8 +157,11 @@ def generate_halting(tokens: np.ndarray, loss_mask: np.ndarray, row: int,
 @dataclass
 class VoteCandidate:
     canonical_grid: np.ndarray
-    vote_count: int
-    q_values: list[float]
+    q_values: list[float]      # one per vote
+
+    @property
+    def vote_count(self) -> int:
+        return len(self.q_values)
 
     @property
     def mean_q(self) -> float:
@@ -173,15 +175,11 @@ def ranked_candidates(predictions: Sequence[tuple[np.ndarray, float, Augmentatio
     """De-augment, group identical grids, and order the full pool."""
     if not predictions:
         raise InferenceError("vote over an empty prediction pool")
-    groups: dict[bytes, VoteCandidate] = {}
+    groups: dict[tuple, VoteCandidate] = {}
     for grid, q, aug in predictions:
         canon = undo_augmentation(np.asarray(grid, dtype=np.int8), aug)
-        key = canon.shape, canon.tobytes()
-        if key in groups:
-            groups[key].vote_count += 1
-            groups[key].q_values.append(float(q))
-        else:
-            groups[key] = VoteCandidate(canon, 1, [float(q)])
+        groups.setdefault((canon.shape, canon.tobytes()),
+                          VoteCandidate(canon, [])).q_values.append(float(q))
     return sorted(groups.values(),
                   key=lambda c: (-c.vote_count, -c.mean_q,
                                  c.canonical_grid.tobytes()))
@@ -222,11 +220,10 @@ class EvalReport:
 def collect_predictions(dataset: DeskDataset, params: md.Parameters,
                         cfg: md.ModelConfig, objective: str, seed: int, *,
                         num_denoise_steps: int = 16,
-                        schedule: NoiseSchedule | None = None,
+                        schedule: NoiseSchedule = NoiseSchedule(),
                         max_steps: int | None = None,
                         batch_size: int = 32) -> list[PoolEntry]:
     """Run the right generator over every eval case, in batches."""
-    sched = schedule if schedule is not None else NoiseSchedule()
     th, tw = dataset.template
     cases = dataset.eval_cases
     entries: list[PoolEntry] = []
@@ -238,7 +235,7 @@ def collect_predictions(dataset: DeskDataset, params: md.Parameters,
         streams = [rng_for(seed, "eval", lo + i) for i in range(len(chunk))]
         if objective in DENOISE_OBJECTIVES:
             tokens, q = remask_batch(inputs, masks, rows, params, cfg,
-                                     num_denoise_steps, sched, streams)
+                                     num_denoise_steps, schedule, streams)
         else:
             tokens, q, _ = halting_batch(inputs, masks, rows, params, cfg,
                                          streams, max_steps=max_steps)

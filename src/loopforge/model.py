@@ -84,13 +84,6 @@ class ModelConfig:
     def apps_per_cycle(self) -> int:
         return self.inner_steps if self.single_z else self.inner_steps + 1
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
-
 
 @dataclass
 class LatentState:
@@ -381,7 +374,7 @@ def save_checkpoint(path, cfg: ModelConfig, params: Parameters,
         named.update({f"ema/{k}": v for k, v in ema.arrays.items()})
     order = sorted(named)
     header = {
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "metadata": metadata or {},
         "arrays": [{"name": n, "shape": list(named[n].shape)} for n in order],
     }
@@ -421,7 +414,7 @@ def load_checkpoint(path) -> tuple[ModelConfig, Parameters, Parameters | None, d
         raise CheckpointError(f"{path}: unsupported version {version}")
     try:
         header = json.loads(raw[12:12 + hlen].decode("utf-8"))
-        cfg = ModelConfig.from_dict(header["config"])
+        cfg = ModelConfig(**header["config"])
         offset = 12 + hlen
         plain: dict[str, np.ndarray] = {}
         ema: dict[str, np.ndarray] = {}

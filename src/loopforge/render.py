@@ -63,9 +63,12 @@ def _write_panels(path: Path, panels) -> None:
 def render_trajectory(input_grid: np.ndarray, target_grid: np.ndarray,
                       frames: list, out_dir) -> list[Path]:
     """Write the header, then one image per (grid, remasked, q, timestep)
-    frame; returns the written paths."""
+    frame, in place of the step images already in out_dir; returns the
+    written paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for old in out_dir.glob("step_*.svg"):
+        old.unlink()
     paths = [out_dir / "header.svg"]
     _write_panels(paths[0], [("input", input_grid, ()), ("target", target_grid, ())])
     for i, (grid, remasked, q, timestep) in enumerate(frames):

@@ -63,13 +63,6 @@ class Task:
                             f"got {len(self.test_pairs)}")
 
 
-@dataclass
-class TokenSeq:
-    """Flattened template: tokens over {colours, PAD, MASK}, mask of real cells."""
-    tokens: np.ndarray      # (M,) int64
-    loss_mask: np.ndarray   # (M,) bool
-
-
 # ---------------------------------------------------------------------------
 # ARC JSON
 
@@ -352,7 +345,8 @@ def random_augmentation(rng, max_h: int, max_w: int, template_h: int,
 
 
 def to_template(grid: np.ndarray, template_h: int, template_w: int,
-                offset=(0, 0)) -> TokenSeq:
+                offset=(0, 0)) -> tuple[np.ndarray, np.ndarray]:
+    """The grid at offset in a PAD template, flattened: (tokens, mask of its cells)."""
     h, w = grid.shape
     dy, dx = offset
     if dy < 0 or dx < 0 or dy + h > template_h or dx + w > template_w:
@@ -362,7 +356,7 @@ def to_template(grid: np.ndarray, template_h: int, template_w: int,
     canvas[dy:dy + h, dx:dx + w] = grid
     mask = np.zeros((template_h, template_w), dtype=bool)
     mask[dy:dy + h, dx:dx + w] = True
-    return TokenSeq(canvas.reshape(-1), mask.reshape(-1))
+    return canvas.reshape(-1), mask.reshape(-1)
 
 
 def from_template(tokens: np.ndarray, height: int, width: int, template_h: int,
@@ -442,16 +436,15 @@ def build_dataset(tasks: list[Task], num_augmentations: int, template_h: int,
                 ain, aout = apply_augmentation(pair, aug)
                 off = _pair_offset(seed, t_idx, a_idx, p_idx, ain.shape,
                                    template_h, template_w)
-                in_seq = to_template(ain, template_h, template_w, off)
-                out_seq = to_template(aout, template_h, template_w, off)
-                train.append(PackedExample(row, in_seq.tokens, out_seq.tokens,
-                                           in_seq.loss_mask))
+                in_tokens, mask = to_template(ain, template_h, template_w, off)
+                out_tokens, _ = to_template(aout, template_h, template_w, off)
+                train.append(PackedExample(row, in_tokens, out_tokens, mask))
             for s_idx, pair in enumerate(task.test_pairs):
                 ain, _ = apply_augmentation(pair, aug)
                 off = _pair_offset(seed, t_idx, a_idx, 100 + s_idx, ain.shape,
                                    template_h, template_w)
-                seq = to_template(ain, template_h, template_w, off)
-                evals.append(EvalCase(t_idx, s_idx, row, seq.tokens, seq.loss_mask,
+                tokens, mask = to_template(ain, template_h, template_w, off)
+                evals.append(EvalCase(t_idx, s_idx, row, tokens, mask,
                                       Augmentation(aug.colour_perm, aug.dihedral, off),
                                       ain.shape, pair[1]))
     return DeskDataset(tasks, train, evals, len(tasks) * num_augmentations,

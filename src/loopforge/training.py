@@ -21,6 +21,7 @@ table, and an EMA shadow of the weights used for evaluation.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -32,7 +33,7 @@ from . import autodiff as ad
 from . import model as md
 from .corruption import BetaSchedule, NoiseSchedule, corrupt_target, perturb_latent
 from .seeding import rng_for
-from .tasks import DeskDataset, PackedExample, TokenSeq
+from .tasks import DeskDataset, PackedExample
 
 OBJECTIVES = (
     "trm",
@@ -118,10 +119,6 @@ class StepMetrics:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise TrainingError(f"metric {name} = {v} outside [0, 1]")
-
-    def record(self) -> dict:
-        """The line-delimited JSON record: every field, in field order."""
-        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +290,8 @@ def corrupt_batch(batch: Batch, schedule: NoiseSchedule, seed: int,
     out = np.empty_like(batch.targets)
     for i in range(batch.rows.size):
         tau = float(rng_for(seed, "tau", step_index, i).uniform())
-        seq = corrupt_target(TokenSeq(batch.targets[i], batch.loss_mask[i]),
-                             tau, schedule, rng_for(seed, "mask", step_index, i))
-        out[i] = seq.tokens
+        out[i] = corrupt_target(batch.targets[i], batch.loss_mask[i], tau, schedule,
+                                rng_for(seed, "mask", step_index, i))
     return out
 
 
@@ -319,8 +315,8 @@ def _sprm_perturber(sched: BetaSchedule, seed: int, step_index: int) -> Callable
 
 def train_step(batch: Batch, params: md.Parameters, cfg: md.ModelConfig,
                tcfg: TrainConfig, opt: AdamW, seed: int, step_index: int,
-               *, noise_schedule: NoiseSchedule | None = None,
-               beta_schedule: BetaSchedule | None = None) -> StepMetrics:
+               *, noise_schedule: NoiseSchedule = NoiseSchedule(),
+               beta_schedule: BetaSchedule = BetaSchedule()) -> StepMetrics:
     """Run the objective's windows over one batch, with one optimizer step
     per supervised window."""
     warm, grad_cycles = check_objective(cfg, tcfg)
@@ -329,16 +325,14 @@ def train_step(batch: Batch, params: md.Parameters, cfg: md.ModelConfig,
     streams = [rng_for(seed, "state", step_index, i) for i in range(B)]
     perturb = None
     if obj in DENOISE_OBJECTIVES:
-        sched = noise_schedule if noise_schedule is not None else NoiseSchedule()
-        corrupted = corrupt_batch(batch, sched, seed, step_index)
+        corrupted = corrupt_batch(batch, noise_schedule, seed, step_index)
         windows = 1
         first_state = lambda pt: md.label_state(pt, cfg, corrupted, streams)
     else:
         windows = tcfg.max_halt_steps
         first_state = lambda pt: md.init_state(pt, cfg, streams)
         if obj == "sprm":
-            sched = beta_schedule if beta_schedule is not None else BetaSchedule()
-            perturb = _sprm_perturber(sched, seed, step_index)
+            perturb = _sprm_perturber(beta_schedule, seed, step_index)
     halt_early = obj != "trm_no_deep_sup"
 
     ce_sum = 0.0
@@ -399,20 +393,20 @@ class TrainResult:
     params: md.Parameters
     ema: md.Parameters
     history: list[StepMetrics]
-    steps: int
 
 
 def run_training(dataset: DeskDataset, cfg: md.ModelConfig, tcfg: TrainConfig,
                  seed: int, *,
-                 noise_schedule: NoiseSchedule | None = None,
-                 beta_schedule: BetaSchedule | None = None,
+                 noise_schedule: NoiseSchedule = NoiseSchedule(),
+                 beta_schedule: BetaSchedule = BetaSchedule(),
                  metrics_path=None,
                  checkpoint_path=None,
                  checkpoint_every: int = 0,
                  max_steps: int | None = None,
                  progress: Callable[[StepMetrics], None] | None = None) -> TrainResult:
-    """Epochs over the packed training examples, up to max_steps steps;
-    checkpoints carry the EMA shadow next to the weights."""
+    """Epochs over the packed training examples: max_steps steps when
+    given, else tcfg.epochs epochs; checkpoints carry the EMA shadow next
+    to the weights."""
     check_objective(cfg, tcfg)
     if max_steps is not None and max_steps < 1:
         raise TrainingError(f"max_steps must be >= 1, got {max_steps}")
@@ -433,13 +427,14 @@ def run_training(dataset: DeskDataset, cfg: md.ModelConfig, tcfg: TrainConfig,
         raise TrainingError("dataset has no training examples")
 
     history: list[StepMetrics] = []
+    epochs = itertools.count() if max_steps is not None else range(tcfg.epochs)
     orders = (rng_for(seed, "data", epoch).permutation(len(examples))
-              for epoch in range(tcfg.epochs))
+              for epoch in epochs)
     batches = (order[lo:lo + tcfg.batch_size] for order in orders
                for lo in range(0, len(order), tcfg.batch_size))
     # line-buffered, so a killed run keeps every step it finished
     out = open(metrics_path, "w", encoding="utf-8", buffering=1) if metrics_path else None
-    step = 0
+    step = saved = 0    # saved: the step of the last checkpoint written
     try:
         for picked in batches:
             metrics = train_step(collate([examples[i] for i in picked]), params,
@@ -448,7 +443,7 @@ def run_training(dataset: DeskDataset, cfg: md.ModelConfig, tcfg: TrainConfig,
                                  beta_schedule=beta_schedule)
             history.append(metrics)
             if out is not None:
-                out.write(json.dumps(metrics.record()) + "\n")
+                out.write(json.dumps(asdict(metrics)) + "\n")
             if progress is not None:
                 progress(metrics)
             step += 1
@@ -456,12 +451,13 @@ def run_training(dataset: DeskDataset, cfg: md.ModelConfig, tcfg: TrainConfig,
                 md.save_checkpoint(str(checkpoint_path).format(step=step),
                                    cfg, params, ema,
                                    {"step": step, "objective": tcfg.objective})
-            if max_steps is not None and step >= max_steps:
+                saved = step
+            if step == max_steps:
                 break
     finally:
         if out is not None:
             out.close()
-    if checkpoint_path:
+    if checkpoint_path and saved != step:
         md.save_checkpoint(str(checkpoint_path).format(step=step), cfg, params,
                            ema, {"step": step, "objective": tcfg.objective})
-    return TrainResult(params=params, ema=ema, history=history, steps=step)
+    return TrainResult(params=params, ema=ema, history=history)

@@ -490,6 +490,19 @@ class TestEval:
             for g in body["top2"]:
                 assert all(0 <= v <= 9 for row in g for v in row)
 
+    def test_failed_report_write_keeps_the_earlier_report(self, drm_run, tmp_path,
+                                                          monkeypatch, capsys):
+        out = tmp_path / "report.json"
+        out.write_text("earlier report\n")
+        real_open = open
+        monkeypatch.setattr(md, "open", lambda path, mode="r": _HalfWrite(
+            real_open(path, mode)), raising=False)
+        assert run_cli("eval", drm_run, "--num-denoise-steps", "2", "--out", out) \
+            == cli.EXIT_DATA
+        assert_one_error_line(capsys)
+        assert sorted(tmp_path.iterdir()) == [out]
+        assert out.read_text() == "earlier report\n"
+
     def test_missing_run_dir_is_data_error(self, tmp_path):
         assert run_cli("eval", tmp_path / "nope") == cli.EXIT_DATA
 

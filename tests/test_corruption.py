@@ -9,7 +9,7 @@ import pytest
 
 from loopforge import corruption as cor
 from loopforge.seeding import rng_for
-from loopforge.tasks import MASK, PAD, TokenSeq
+from loopforge.tasks import MASK, PAD
 
 ALL_KINDS = [cor.NoiseSchedule(k) for k in cor.NOISE_KINDS]
 
@@ -67,39 +67,39 @@ def _random_target(rng, m=64):
     if not mask.any():
         mask[0] = True
     tokens = np.where(mask, rng.integers(0, 10, size=m), PAD).astype(np.int64)
-    return TokenSeq(tokens, mask)
+    return tokens, mask
 
 
 def test_mask_count_exact_over_seeds():
     sched = cor.NoiseSchedule("cosine")
     for seed in range(1000):
         rng = rng_for(seed, "count")
-        target = _random_target(rng)
+        tokens, mask = _random_target(rng)
         tau = float(rng.uniform())
-        out = cor.corrupt_target(target, tau, sched, rng)
-        valid = int(target.loss_mask.sum())
+        out = cor.corrupt_target(tokens, mask, tau, sched, rng)
+        valid = int(mask.sum())
         want = math.floor(cor.mask_fraction(sched, tau) * valid)
-        assert int((out.tokens == MASK).sum()) == want
-        # masking confined to valid cells; everything else untouched
-        changed = out.tokens != target.tokens
-        assert np.all(target.loss_mask[changed])
-        assert np.all(out.tokens[changed] == MASK)
-        assert out.loss_mask is target.loss_mask
+        assert int((out == MASK).sum()) == want
+        # masking confined to valid cells of a copy; everything else untouched
+        changed = out != tokens
+        assert np.all(mask[changed])
+        assert np.all(out[changed] == MASK)
+        assert not np.shares_memory(out, tokens)
 
 
 def test_corrupt_tau_zero_is_identity():
     rng = rng_for(7, "zero")
-    target = _random_target(rng)
-    out = cor.corrupt_target(target, 0.0, cor.NoiseSchedule("cosine"), rng)
-    assert out.tokens.tobytes() == target.tokens.tobytes()
+    tokens, mask = _random_target(rng)
+    out = cor.corrupt_target(tokens, mask, 0.0, cor.NoiseSchedule("cosine"), rng)
+    assert out.tobytes() == tokens.tobytes()
 
 
 def test_corrupt_tau_one_masks_everything_valid():
     rng = rng_for(8, "one")
-    target = _random_target(rng)
-    out = cor.corrupt_target(target, 1.0, cor.NoiseSchedule("linear"), rng)
-    assert np.all(out.tokens[target.loss_mask] == MASK)
-    assert np.all(out.tokens[~target.loss_mask] == PAD)
+    tokens, mask = _random_target(rng)
+    out = cor.corrupt_target(tokens, mask, 1.0, cor.NoiseSchedule("linear"), rng)
+    assert np.all(out[mask] == MASK)
+    assert np.all(out[~mask] == PAD)
 
 
 def test_sample_timesteps_contract():

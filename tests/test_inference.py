@@ -57,7 +57,7 @@ def copy_setup():
 def drm_copy(copy_setup):
     ds, cfg = copy_setup
     tcfg = TrainConfig(objective="drm", lr=3e-3, warmup_steps=10, batch_size=12,
-                       gradient_cycles=2, warmup_cycles=1, epochs=100000)
+                       gradient_cycles=2, warmup_cycles=1)
     result = run_training(ds, cfg, tcfg, seed=3, max_steps=2000)
     assert max(m.exact_match_rate for m in result.history[-50:]) == 1.0
     return result
@@ -66,8 +66,7 @@ def drm_copy(copy_setup):
 @pytest.fixture(scope="module")
 def trm_copy(copy_setup):
     ds, cfg = copy_setup
-    tcfg = TrainConfig(objective="trm", lr=3e-3, warmup_steps=10, batch_size=12,
-                       epochs=100000)
+    tcfg = TrainConfig(objective="trm", lr=3e-3, warmup_steps=10, batch_size=12)
     result = run_training(ds, cfg, tcfg, seed=4, max_steps=1000)
     assert max(m.exact_match_rate for m in result.history[-50:]) == 1.0
     return result

@@ -6,6 +6,7 @@ import json
 import math
 import struct
 import weakref
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -566,7 +567,7 @@ def _checkpoint_bytes(header) -> bytes:
 
 
 def _header(**config):
-    return {"config": {**tiny_cfg().to_dict(), **config}, "metadata": {},
+    return {"config": {**asdict(tiny_cfg()), **config}, "metadata": {},
             "arrays": [{"name": "q/b", "shape": [1]}]}
 
 
@@ -582,7 +583,7 @@ def _full_checkpoint(shapes=None, ema_value=None, metadata=None, config=None) ->
         named.update({f"ema/{n}": np.full(a.shape, ema_value)
                       for n, a in list(named.items())})
     order = sorted(named)
-    header = {"config": {**cfg.to_dict(), **(config or {})},
+    header = {"config": {**asdict(cfg), **(config or {})},
               "metadata": {} if metadata is None else metadata,
               "arrays": [{"name": n, "shape": list(named[n].shape)} for n in order]}
     return _checkpoint_bytes(header) + b"".join(named[n].astype("<f4").tobytes()
@@ -603,7 +604,7 @@ def test_checkpoint_with_every_array_loads(tmp_path):
     _checkpoint_bytes(b"{not json"),
     _checkpoint_bytes(b"\xff\xfe"),
     _checkpoint_bytes([1, 2, 3]),
-    _checkpoint_bytes({"config": tiny_cfg().to_dict()}),
+    _checkpoint_bytes({"config": asdict(tiny_cfg())}),
     _checkpoint_bytes({"arrays": []}),
     _checkpoint_bytes(_header(bogus=1)),
     _checkpoint_bytes(_header(hidden_size=7)),
@@ -633,7 +634,7 @@ JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.dictionaries(st.sampled_from(sorted(tiny_cfg().to_dict())), JSON_SCALARS,
+@given(st.dictionaries(st.sampled_from(sorted(asdict(tiny_cfg()))), JSON_SCALARS,
                        max_size=4))
 def test_checkpoint_config_values_load_or_raise_checkpoint_error(tmp_path_factory, config):
     # any JSON scalar in a header's config either loads, as a config whose

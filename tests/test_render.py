@@ -73,3 +73,13 @@ def test_every_caption_precedes_the_grids(rendered):
         first_cell = tags.index("rect", 1)
         assert set(tags[1:first_cell]) == {"text"}
         assert "text" not in tags[first_cell:]
+
+
+def test_rerender_replaces_earlier_step_images(tmp_path):
+    grid = np.zeros((2, 2), dtype=np.int8)
+    (tmp_path / "notes.txt").write_text("kept")
+    render_trajectory(grid, grid, [frame(grid, [], 0.5, 0.0)] * 6, tmp_path)
+    render_trajectory(grid, grid, [frame(grid, [], 0.5, 0.0)] * 2, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "header.svg", "notes.txt", "step_001.svg", "step_002.svg"]
+    assert (tmp_path / "notes.txt").read_text() == "kept"

@@ -288,25 +288,25 @@ def test_augmentation_validation():
 def test_template_round_trip():
     rng = rng_for(5, "tmpl")
     g = random_grid(rng, 4, 7)
-    seq = tk.to_template(g, 12, 12, (3, 2))
-    assert seq.tokens.shape == (144,)
-    assert int(seq.loss_mask.sum()) == 28
-    back = tk.from_template(seq.tokens, 4, 7, 12, 12, (3, 2))
+    tokens, mask = tk.to_template(g, 12, 12, (3, 2))
+    assert tokens.shape == (144,)
+    assert int(mask.sum()) == 28
+    back = tk.from_template(tokens, 4, 7, 12, 12, (3, 2))
     assert np.array_equal(back, g)
 
 
 def test_template_pad_count():
     g = np.array([[3]], dtype=np.int8)
-    seq = tk.to_template(g, 30, 30, (0, 0))
-    assert int((seq.tokens == tk.PAD).sum()) == 899
-    assert int(seq.loss_mask.sum()) == 1
+    tokens, mask = tk.to_template(g, 30, 30, (0, 0))
+    assert int((tokens == tk.PAD).sum()) == 899
+    assert int(mask.sum()) == 1
 
 
 def test_template_full_grid_no_pad():
     rng = rng_for(6, "full")
     g = random_grid(rng, 30, 30)
-    seq = tk.to_template(g, 30, 30)
-    assert int((seq.tokens == tk.PAD).sum()) == 0
+    tokens, _ = tk.to_template(g, 30, 30)
+    assert int((tokens == tk.PAD).sum()) == 0
 
 
 def test_template_overflow():
@@ -318,8 +318,8 @@ def test_template_overflow():
 def test_pad_exactly_outside_mask():
     rng = rng_for(7, "pad")
     g = random_grid(rng, 3, 3)
-    seq = tk.to_template(g, 8, 8, (1, 4))
-    assert np.all((seq.tokens == tk.PAD) == ~seq.loss_mask)
+    tokens, mask = tk.to_template(g, 8, 8, (1, 4))
+    assert np.all((tokens == tk.PAD) == ~mask)
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +341,9 @@ def test_build_dataset_identity_slot():
     tasks = tk.generate_synthetic("copy", 4, 2, seed=8)
     ds = tk.build_dataset(tasks, 2, 6, 6, seed=1)
     first = ds.train_examples[0]  # task 0, augmentation 0, pair 0
-    raw = tk.to_template(tasks[0].train_pairs[0][0], 6, 6, (0, 0))
-    assert np.array_equal(first.input_tokens, raw.tokens)
-    assert np.array_equal(first.loss_mask, raw.loss_mask)
+    tokens, mask = tk.to_template(tasks[0].train_pairs[0][0], 6, 6, (0, 0))
+    assert np.array_equal(first.input_tokens, tokens)
+    assert np.array_equal(first.loss_mask, mask)
 
 
 def test_build_dataset_undo_recovers_truth():
@@ -356,9 +356,9 @@ def test_build_dataset_undo_recovers_truth():
         _, out_grid = task.test_pairs[case.test_index]
         base_aug = tk.Augmentation(case.aug.colour_perm, case.aug.dihedral, (0, 0))
         packed_out, = tk.apply_augmentation((out_grid,), base_aug)
-        seq = tk.to_template(packed_out, 10, 10, case.aug.offset)
+        tokens, _ = tk.to_template(packed_out, 10, 10, case.aug.offset)
         h, w = case.shape
-        lifted = tk.from_template(seq.tokens, h, w, 10, 10, case.aug.offset)
+        lifted = tk.from_template(tokens, h, w, 10, 10, case.aug.offset)
         assert np.array_equal(tk.undo_augmentation(lifted, case.aug), out_grid)
 
 

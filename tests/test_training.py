@@ -1,6 +1,7 @@
 import json
 import math
 import weakref
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -343,7 +344,7 @@ def test_step_raises_after_a_run_of_skipped_updates(monkeypatch):
     bound = tr.MAX_SKIPPED_IN_A_ROW
     for s in range(bound - 1):
         m = tr.train_step(toy_batch(s), params, cfg, tcfg, opt, seed=9, step_index=s)
-        assert m.skipped_updates == s + 1 and m.record()["skipped_updates"] == s + 1
+        assert m.skipped_updates == s + 1 and asdict(m)["skipped_updates"] == s + 1
     with pytest.raises(DivergenceError, match="in a row"):
         tr.train_step(toy_batch(bound - 1), params, cfg, tcfg, opt, seed=9,
                       step_index=bound - 1)
@@ -679,12 +680,12 @@ def test_run_training_writes_metrics_and_checkpoint(tmp_path):
     ds = desk_dataset()
     cfg = tiny_cfg(seq_len=9, num_tasks=ds.num_rows, max_halt_steps=2)
     tcfg = TrainConfig(objective="trm", max_halt_steps=2, batch_size=4,
-                       epochs=10, warmup_steps=2)
+                       warmup_steps=2)
     metrics_path = tmp_path / "metrics.jsonl"
     ckpt = tmp_path / "model.ltrm"
     result = run_training(ds, cfg, tcfg, seed=91, metrics_path=metrics_path,
                           checkpoint_path=ckpt, max_steps=4)
-    assert result.steps == 4
+    assert len(result.history) == 4
     lines = metrics_path.read_text().splitlines()
     assert len(lines) == 4
     for line in lines:
@@ -705,7 +706,7 @@ def test_run_training_metrics_are_on_disk_at_each_step(tmp_path):
     ds = desk_dataset()
     cfg = tiny_cfg(seq_len=9, num_tasks=ds.num_rows, max_halt_steps=2)
     tcfg = TrainConfig(objective="trm", max_halt_steps=2, batch_size=4,
-                       epochs=10, warmup_steps=2)
+                       warmup_steps=2)
     metrics_path = tmp_path / "metrics.jsonl"
     seen = []
 
@@ -724,11 +725,44 @@ def test_run_training_is_deterministic(tmp_path):
     ds = desk_dataset()
     cfg = tiny_cfg(seq_len=9, num_tasks=ds.num_rows, max_halt_steps=2)
     tcfg = TrainConfig(objective="trm", max_halt_steps=2, batch_size=4,
-                       epochs=2, warmup_steps=2)
+                       warmup_steps=2)
     paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
     for p in paths:
         run_training(ds, cfg, tcfg, seed=92, metrics_path=p, max_steps=3)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_max_steps_sets_the_run_length(monkeypatch):
+    # 6 examples in batches of 4 make 2 batches an epoch: 5 steps walk
+    # into a third epoch, although the config asks for one
+    ds = desk_dataset()
+    cfg = tiny_cfg(seq_len=9, num_tasks=ds.num_rows, max_halt_steps=2)
+    tcfg = TrainConfig(objective="trm", max_halt_steps=2, batch_size=4, epochs=1)
+    seen = []
+    real_collate = tr.collate
+    monkeypatch.setattr(tr, "collate", lambda examples: seen.append(
+        [id(e) for e in examples]) or real_collate(examples))
+    result = run_training(ds, cfg, tcfg, seed=93, max_steps=5)
+    ids = [id(e) for e in ds.train_examples]
+    want = [[ids[i] for i in order[lo:lo + 4]]
+            for order in (rng_for(93, "data", epoch).permutation(6) for epoch in range(3))
+            for lo in (0, 4)]
+    assert len(result.history) == 5 and seen == want[:5]
+
+
+@pytest.mark.parametrize("max_steps, steps_saved", [(4, [2, 4]), (5, [2, 4, 5])])
+def test_final_checkpoint_is_written_once(tmp_path, monkeypatch, max_steps, steps_saved):
+    # one example a batch: every run here fits in one epoch of 6 steps
+    ds = desk_dataset()
+    cfg = tiny_cfg(seq_len=9, num_tasks=ds.num_rows, max_halt_steps=2)
+    tcfg = TrainConfig(objective="trm", max_halt_steps=2, batch_size=1)
+    written = []
+    real_save = md.save_checkpoint
+    monkeypatch.setattr(md, "save_checkpoint", lambda path, *a: written.append(
+        path) or real_save(path, *a))
+    run_training(ds, cfg, tcfg, seed=91, checkpoint_path=tmp_path / "s{step}.ltrm",
+                 checkpoint_every=2, max_steps=max_steps)
+    assert written == [str(tmp_path / f"s{step}.ltrm") for step in steps_saved]
 
 
 def test_run_training_validates_dataset_fit():
@@ -774,7 +808,7 @@ def test_objective_overfits_single_task(objective):
     cfg = tiny_cfg(seq_len=9, num_tasks=ds.num_rows, hidden_size=32,
                    max_halt_steps=2, untied_depth=untied)
     tcfg = TrainConfig(objective=objective, lr=3e-3, warmup_steps=10,
-                       batch_size=3, max_halt_steps=2, epochs=400, **setting)
+                       batch_size=3, max_halt_steps=2, **setting)
     result = run_training(ds, cfg, tcfg, seed=95, max_steps=400)
     best = max(m.token_accuracy for m in result.history[-100:])
     assert best >= 0.99, f"{objective} peaked at {best:.3f}"
