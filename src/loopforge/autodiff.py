@@ -88,9 +88,9 @@ class Node:
     __slots__ = ("parents", "vjp", "adjoint", "requires_grad", "op", "detached")
     value = None
 
-    def __init__(self, parents, vjp, requires_grad, op, detached):
+    def __init__(self, parents, vjp, requires_grad, op):
         self.parents, self.vjp, self.adjoint = parents, vjp, None
-        self.requires_grad, self.op, self.detached = requires_grad, op, detached
+        self.requires_grad, self.op, self.detached = requires_grad, op, None
 
 
 class Tensor:
@@ -107,10 +107,9 @@ class Tensor:
 
     __slots__ = ("value", "node")
 
-    def __init__(self, value, parents=(), vjp=None, requires_grad=False, op="input",
-                 detached=None):
+    def __init__(self, value, parents=(), vjp=None, requires_grad=False, op="input"):
         self.value = value
-        self.node = Node(tuple(p.node for p in parents), vjp, requires_grad, op, detached)
+        self.node = Node(tuple(p.node for p in parents), vjp, requires_grad, op)
 
     @property
     def shape(self):
@@ -196,30 +195,21 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """A stack times one matrix is one 2-D GEMM over all its rows, forward
-    and for a's gradient.  Each row gets its item's own product's bytes
-    only above OpenBLAS 0.3.31's small-matrix thresholds: at the desk
-    config (32 × 146 rows), not at toy sizes such as (37, 128)·(128, 32)ᵀ.
-    A (..., 1, K) stack and b's gradient stay batched: as one GEMV or one
-    GEMM, their sums would run in another order."""
+    """One broadcasting `np.matmul`, forward and for a's gradient, so each
+    item of a stack gets its own product's bytes at every size.  b's
+    gradient is the items' products summed in item order."""
     if a.value.ndim < 2 or b.value.ndim < 2:
         raise ShapeError(f"matmul: operands must be at least 2-d, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dims disagree, {a.shape} @ {b.shape}")
     av, bv = a.value, b.value
-    rows = bv.ndim == 2 and av.ndim > 2 and av.shape[-2] > 1
-
-    def mm(x, w):
-        return (np.matmul(x.reshape(-1, x.shape[-1]), w).reshape(x.shape[:-1] + w.shape[-1:])
-                if rows else np.matmul(x, w))
-
     try:
-        value = mm(av, bv)
+        value = np.matmul(av, bv)
     except ValueError:
         raise ShapeError(f"matmul: batch dims do not broadcast, {a.shape} @ {b.shape}")
 
     def vjp(g):
-        ga = _unbroadcast(mm(g, bv.swapaxes(-1, -2)), av.shape)
+        ga = _unbroadcast(np.matmul(g, bv.swapaxes(-1, -2)), av.shape)
         gb = _unbroadcast(np.matmul(av.swapaxes(-1, -2), g), bv.shape)
         return ga, gb
 
@@ -452,8 +442,7 @@ def _post_norm(op: str, h: Tensor, weights, gain: Tensor, item, item_vjp, prepar
     pass's shared state, so the node keeps only h, the weights and the gain.
     Weight gradients are summed in item order and the gain's over all rows
     in order, as backward sums the graph of f's ops and rms_norm over the
-    batch: value and gradients are that graph's, bit for bit, wherever BLAS
-    gives a stack's rows each item's own product's bytes, as at desk sizes."""
+    batch: value and gradients are that graph's, bit for bit."""
     hv, nv = h.value, gain.value
     value = np.empty(hv.shape, np.result_type(hv, nv, *(w.value for w in weights)))
     state = prepare()

@@ -447,9 +447,8 @@ def cmd_render(args) -> None:
                f["q"], f["timestep"]) for f in trace]
     out_dir = Path(args.out) if args.out else run_dir / "render"
     task = dataset.tasks[t_idx]
-    paths = render_trajectory(task.test_pairs[0][0], case.target_grid,
-                              frames, out_dir)
-    print(f"wrote {len(paths)} frames to {out_dir}")
+    render_trajectory(task.test_pairs[0][0], case.target_grid, frames, out_dir)
+    print(f"wrote {len(frames)} frames to {out_dir}")
 
 
 # each ablation suite's variants: a name and the config keys it overrides

@@ -276,41 +276,3 @@ def pass_at_k(dataset: DeskDataset, entries: Sequence[PoolEntry],
         top2.setdefault(task_id, [c.canonical_grid for c in ranked[:2]])
     return EvalReport(ks, ranks, top2)
 
-
-# ---------------------------------------------------------------------------
-# permutation significance test
-
-
-def _swap_stats(a: np.ndarray, b: np.ndarray):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise InferenceError(
-            f"permutation test needs equal-length vectors, got {a.shape} vs {b.shape}")
-    if a.size == 0:
-        raise InferenceError("permutation test over zero tasks")
-    return a - b, float((a - b).mean())
-
-
-def permutation_test(solved_a, solved_b, num_perms: int,
-                     rng: np.random.Generator) -> float:
-    """One-sided Monte-Carlo p for mean(a) - mean(b), swapping the pair
-    labels independently per task; add-one smoothed."""
-    d, observed = _swap_stats(solved_a, solved_b)
-    if num_perms < 1:
-        raise InferenceError("num_perms must be >= 1")
-    flips = rng.integers(0, 2, size=(num_perms, d.size))
-    stats = ((1.0 - 2.0 * flips) * d).mean(axis=1)
-    hits = int(np.sum(stats >= observed))
-    return (1 + hits) / (1 + num_perms)
-
-
-def permutation_test_exhaustive(solved_a, solved_b) -> float:
-    """Exact enumeration of all 2^n label swaps; n capped at 20."""
-    d, observed = _swap_stats(solved_a, solved_b)
-    n = d.size
-    if n > 20:
-        raise InferenceError(f"exhaustive enumeration over {n} tasks is too large")
-    patterns = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
-    stats = ((1.0 - 2.0 * patterns) * d).mean(axis=1)
-    return float(np.mean(stats >= observed))

@@ -88,6 +88,45 @@ def vote(predictions) -> list[inf.VoteCandidate]:
 
 
 # ---------------------------------------------------------------------------
+# permutation significance test over two regimes' per-task solved vectors
+
+
+def _swap_stats(a: np.ndarray, b: np.ndarray):
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape or a.ndim != 1:
+        raise inf.InferenceError(
+            f"permutation test needs equal-length vectors, got {a.shape} vs {b.shape}")
+    if a.size == 0:
+        raise inf.InferenceError("permutation test over zero tasks")
+    return a - b, float((a - b).mean())
+
+
+def permutation_test(solved_a, solved_b, num_perms: int,
+                     rng: np.random.Generator) -> float:
+    """One-sided Monte-Carlo p for mean(a) - mean(b), swapping the pair
+    labels independently per task; add-one smoothed."""
+    d, observed = _swap_stats(solved_a, solved_b)
+    if num_perms < 1:
+        raise inf.InferenceError("num_perms must be >= 1")
+    flips = rng.integers(0, 2, size=(num_perms, d.size))
+    stats = ((1.0 - 2.0 * flips) * d).mean(axis=1)
+    hits = int(np.sum(stats >= observed))
+    return (1 + hits) / (1 + num_perms)
+
+
+def permutation_test_exhaustive(solved_a, solved_b) -> float:
+    """Exact enumeration of all 2^n label swaps; n capped at 20."""
+    d, observed = _swap_stats(solved_a, solved_b)
+    n = d.size
+    if n > 20:
+        raise inf.InferenceError(f"exhaustive enumeration over {n} tasks is too large")
+    patterns = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+    stats = ((1.0 - 2.0 * patterns) * d).mean(axis=1)
+    return float(np.mean(stats >= observed))
+
+
+# ---------------------------------------------------------------------------
 # the gradient oracle: analytic gradients from the engine, central finite
 # differences in float64 as the reference
 
@@ -196,8 +235,9 @@ def stop_gradient(a: ad.Tensor) -> ad.Tensor:
     """Identity forward, zero backward.  The result is a leaf; the operand
     stays reachable through `.detached` for inspection only, which keeps
     the operand's whole graph alive for as long as the result lives."""
-    return ad.Tensor(a.value, parents=(), vjp=None, requires_grad=False,
-                     op="stop_gradient", detached=a)
+    out = ad.Tensor(a.value, op="stop_gradient")
+    out.node.detached = a
+    return out
 
 
 def ref_attention(q: ad.Tensor, k: ad.Tensor, v: ad.Tensor, num_heads: int) -> ad.Tensor:

@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 
 from conftest import (check_gradients, dihedral_compose, evaluate, gradient,
-                      mean_all, multiply, spy_backward, stop_gradient, vote)
+                      mean_all, multiply, permutation_test,
+                      permutation_test_exhaustive, spy_backward, stop_gradient,
+                      vote)
 import loopforge.autodiff as ad
 import loopforge.cli as cli
 import loopforge.model as md
@@ -25,7 +27,6 @@ from loopforge.corruption import (BetaSchedule, NoiseSchedule, corrupt_target,
                                   mask_fraction, perturb_latent,
                                   sample_timesteps)
 from loopforge.inference import (generate_remask, halting_batch,
-                                 permutation_test, permutation_test_exhaustive,
                                  ranked_candidates, remask_batch)
 from loopforge.seeding import rng_for
 from loopforge.tasks import (MASK, NUM_COLOURS, PAD, Augmentation,

@@ -8,7 +8,6 @@ and compares against finite_difference_gradient in float64.
 from __future__ import annotations
 
 import contextlib
-import functools
 
 import numpy as np
 import pytest
@@ -267,19 +266,20 @@ def test_recompute_backward_under_no_grad():
 
 
 def test_matmul_stack_rows_match_per_item_products():
-    # a stack times one matrix is one 2-D GEMM; every item's rows come out
-    # as they do alone, and a (B, 1, K) read-out stays per item
+    # a stack times one matrix: every item's value and a's gradient come
+    # out as they do alone, at desk and at toy sizes
     r = rng(47)
-    for B, M, K, N in ((32, 145, 128, 512), (32, 145, 512, 128), (32, 1, 128, 1)):
+    for B, M, K, N in ((32, 145, 128, 512), (32, 145, 512, 128), (32, 1, 128, 1),
+                       (3, 37, 32, 128), (12, 10, 32, 128)):
         a = r.normal(size=(B, M, K)).astype(np.float32)
         b = r.normal(size=(K, N)).astype(np.float32)
         g = r.normal(size=(B, M, N)).astype(np.float32)
         node = ad.matmul(ad.tensor(a, requires_grad=True), ad.tensor(b))
         ga, _ = node.vjp(g)
-        for i in (0, B - 1):
+        for i in range(B):
             one = ad.matmul(ad.tensor(a[i:i + 1], requires_grad=True), ad.tensor(b))
-            assert node.value[i].tobytes() == one.value[0].tobytes(), (M, K, N)
-            assert ga[i].tobytes() == one.vjp(g[i:i + 1])[0][0].tobytes(), (M, K, N)
+            assert node.value[i].tobytes() == one.value[0].tobytes(), (B, M, K, N, i)
+            assert ga[i].tobytes() == one.vjp(g[i:i + 1])[0][0].tobytes(), (B, M, K, N, i)
 
 
 def test_backward_keeps_only_leaf_adjoints():
@@ -602,31 +602,15 @@ def test_rewritten_kernels_match_reference_formulas():
         _same_bytes(gk, merge(np.matmul(gp.swapaxes(-1, -2), qs)), f"attention vjp k {dtype}")
         _same_bytes(gv, merge(np.matmul(p.swapaxes(-1, -2), ghh)), f"attention vjp v {dtype}")
 
-        # both sublayers against their graphs: the residual sum run on each
-        # item alone, then one rms_norm over the batch's sums with exactly g
-        # as its output adjoint, and each item's share of the norm's x
-        # gradient backpropagated through its own graph.  x's gradient comes
-        # out per item, the weights' summed in item order and the gain's as
-        # the batched norm sums it, over all rows in order.  The sums run
-        # per item because at sizes this small OpenBLAS's small-matrix
-        # kernels can give a stacked GEMM's rows other bytes than the item's
-        # own GEMM; at the model's sizes the batched graphs agree too
-        # (test_model's *_gradients_match_stored_graph_bitwise)
+        # both sublayers against their plain graphs over the whole batch,
+        # with exactly g as the norm's output adjoint: the one-item-at-a-time
+        # runner gives the stacked graph's bytes at this toy size too, since
+        # matmul gives every item its own product's bytes
         def post_norm_graph(residual, weights):
-            items = [[ad.tensor(a, requires_grad=True) for a in (x[b:b + 1], *weights)]
-                     for b in range(B)]
-            sums = [residual(*leaves) for leaves in items]
-            norm = ad.rms_norm(ad.tensor(np.concatenate([t.value for t in sums]),
-                                         requires_grad=True), ad.tensor(gain, requires_grad=True))
-            gs, ggain = norm.vjp(g)
-            for b, out in enumerate(sums):
-                # a scalar root whose vjp hands back the item's gs, so exactly
-                # that reaches out
-                ad.backward(ad._node(np.zeros((), dtype), (out,), lambda _, b=b: (gs[b:b + 1],),
-                                     "cotangent"))
-            gx, *gw = zip(*([t.adjoint for t in leaves] for leaves in items))
-            return norm.value, (np.concatenate(gx), *(functools.reduce(np.add, w) for w in gw),
-                                ggain)
+            leaves = [ad.tensor(a, requires_grad=True) for a in (x, *weights, gain)]
+            norm = ad.rms_norm(residual(*leaves[:-1]), leaves[-1])
+            ad.backward(ad._node(np.zeros((), dtype), (norm,), lambda _: (g,), "cotangent"))
+            return norm.value, tuple(t.adjoint for t in leaves)
 
         ws = [(r.normal(size=(d, d)) / np.sqrt(d)).astype(dtype) for _ in range(4)]
         value, grads = run(lambda *t: ad.attention(*t, H), x, *ws, gain)

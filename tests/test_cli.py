@@ -570,6 +570,11 @@ class TestRender:
         # the final frame remasks nothing, so it carries no cross overlays
         assert "<line" not in (out / "step_004.svg").read_text()
 
+    def test_frame_count_leaves_out_the_header(self, drm_run, tmp_path, capsys):
+        out = tmp_path / "frames"
+        assert run_cli("render", drm_run, "--num-denoise-steps", "6", "--out", out) == 0
+        assert capsys.readouterr().out == f"wrote 6 frames to {out}\n"
+
     def test_empty_metadata_falls_back_to_the_manifest(self, drm_run, tmp_path):
         run = tmp_path / "run"
         shutil.copytree(drm_run, run)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import vote
+from conftest import permutation_test, permutation_test_exhaustive, vote
 from loopforge import autodiff as ad
 from loopforge import inference as inf
 from loopforge import model as md
@@ -496,20 +496,20 @@ class TestEvaluate:
 class TestPermutation:
     def test_identical_vectors_give_p_one(self):
         v = np.array([1.0, 0, 1, 1, 0])
-        assert inf.permutation_test(v, v.copy(), 500, rng_for(0, "p")) == 1.0
-        assert inf.permutation_test_exhaustive(v, v.copy()) == 1.0
+        assert permutation_test(v, v.copy(), 500, rng_for(0, "p")) == 1.0
+        assert permutation_test_exhaustive(v, v.copy()) == 1.0
 
     def test_extreme_separation(self):
         a, b = np.ones(16), np.zeros(16)
-        p = inf.permutation_test(a, b, 5000, rng_for(1, "p"))
+        p = permutation_test(a, b, 5000, rng_for(1, "p"))
         assert p <= 2 / 5000
-        assert inf.permutation_test_exhaustive(a, b) == 2.0 ** -16
+        assert permutation_test_exhaustive(a, b) == 2.0 ** -16
 
     def test_monte_carlo_tracks_exhaustive(self):
         a = np.array([1, 1, 1, 0, 1, 0, 1, 1, 0, 1], dtype=float)
         b = np.array([0, 1, 0, 0, 1, 0, 0, 1, 0, 0], dtype=float)
-        exact = inf.permutation_test_exhaustive(a, b)
-        mc = inf.permutation_test(a, b, 40000, rng_for(2, "p"))
+        exact = permutation_test_exhaustive(a, b)
+        mc = permutation_test(a, b, 40000, rng_for(2, "p"))
         assert abs(mc - exact) < 0.01
 
     def test_sign_flip_symmetry(self):
@@ -520,10 +520,10 @@ class TestPermutation:
         patterns = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
         stats = ((1.0 - 2.0 * patterns) * d).mean(axis=1)
         tie = float(np.mean(stats == d.mean()))
-        p_ab = inf.permutation_test_exhaustive(a, b)
-        p_ba = inf.permutation_test_exhaustive(b, a)
+        p_ab = permutation_test_exhaustive(a, b)
+        p_ba = permutation_test_exhaustive(b, a)
         assert abs((p_ab + p_ba) - (1.0 + tie)) < 1e-12
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(inf.InferenceError):
-            inf.permutation_test(np.ones(3), np.ones(4), 10, rng_for(0, "p"))
+            permutation_test(np.ones(3), np.ones(4), 10, rng_for(0, "p"))
