@@ -20,8 +20,9 @@ each residual sum exist for one item at once and never outlive the call,
 and backward rebuilds them.
 
 Only the primitives the looped-transformer stack needs are provided.  Each
-one validates operand shapes up front and raises a structured error naming
-the op, rather than letting numpy fail somewhere downstream.
+one validates operand shapes up front and raises `AutodiffError`, the one
+error class here, with a message naming the op, rather than letting numpy
+fail somewhere downstream.
 
 Gradient flow is cut in two places only: under the `no_grad` context
 `_node` records no graph at all, for warm-up phases, and the window carry,
@@ -38,19 +39,9 @@ import numpy as np
 
 
 class AutodiffError(Exception):
-    """Base class for graph construction and evaluation failures."""
-
-
-class ShapeError(AutodiffError):
-    """Operand shapes incompatible with the op that received them."""
-
-
-class ContractError(AutodiffError):
-    """An op was called outside its documented domain."""
-
-
-class NonFiniteError(AutodiffError):
-    """A NaN or infinity crossed a graph boundary."""
+    """A graph construction or evaluation failure: operand shapes the op
+    cannot take, a call outside its domain, or a NaN or infinity crossing
+    a graph boundary."""
 
 
 _GRAD_STACK = [True]
@@ -130,14 +121,10 @@ def tensor(value, requires_grad: bool = False, op: str = "input") -> Tensor:
     """Wrap an array as a leaf node.  Floating dtype only; must be finite."""
     arr = np.asarray(value)
     if not np.issubdtype(arr.dtype, np.floating):
-        raise ContractError(f"tensor leaves must be floating point, got dtype {arr.dtype}")
+        raise AutodiffError(f"tensor leaves must be floating point, got dtype {arr.dtype}")
     if not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"non-finite values entering the graph at leaf {op!r}")
+        raise AutodiffError(f"non-finite values entering the graph at leaf {op!r}")
     return Tensor(arr, requires_grad=requires_grad, op=op)
-
-
-def constant(value, op: str = "constant") -> Tensor:
-    return tensor(value, requires_grad=False, op=op)
 
 
 def _node(value: np.ndarray, parents: tuple, vjp, op: str) -> Tensor:
@@ -180,7 +167,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     try:
         value = a.value + b.value
     except ValueError:
-        raise ShapeError(f"add: operands {a.shape} and {b.shape} do not broadcast")
+        raise AutodiffError(f"add: operands {a.shape} and {b.shape} do not broadcast")
     ashape, bshape = a.shape, b.shape
 
     def vjp(g):
@@ -199,14 +186,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     item of a stack gets its own product's bytes at every size.  b's
     gradient is the items' products summed in item order."""
     if a.value.ndim < 2 or b.value.ndim < 2:
-        raise ShapeError(f"matmul: operands must be at least 2-d, got {a.shape} and {b.shape}")
+        raise AutodiffError(f"matmul: operands must be at least 2-d, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dims disagree, {a.shape} @ {b.shape}")
+        raise AutodiffError(f"matmul: inner dims disagree, {a.shape} @ {b.shape}")
     av, bv = a.value, b.value
     try:
         value = np.matmul(av, bv)
     except ValueError:
-        raise ShapeError(f"matmul: batch dims do not broadcast, {a.shape} @ {b.shape}")
+        raise AutodiffError(f"matmul: batch dims do not broadcast, {a.shape} @ {b.shape}")
 
     def vjp(g):
         ga = _unbroadcast(np.matmul(g, bv.swapaxes(-1, -2)), av.shape)
@@ -224,7 +211,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     try:
         value = a.value.reshape(shape)
     except ValueError:
-        raise ShapeError(f"reshape: cannot view {a.shape} as {tuple(shape)}")
+        raise AutodiffError(f"reshape: cannot view {a.shape} as {tuple(shape)}")
     src = a.shape
     return _node(value, (a,), lambda g: (g.reshape(src),), "reshape")
 
@@ -233,7 +220,7 @@ def slice_axis(a: Tensor, start: int, stop: int, axis: int = -1) -> Tensor:
     ax = axis if axis >= 0 else a.value.ndim + axis
     size = a.shape[ax]
     if not (0 <= start <= stop <= size):
-        raise ShapeError(f"slice_axis: [{start}:{stop}] outside axis {axis} of {a.shape}")
+        raise AutodiffError(f"slice_axis: [{start}:{stop}] outside axis {axis} of {a.shape}")
     index = tuple(slice(None) if i != ax else slice(start, stop) for i in range(a.value.ndim))
     src = a.shape
 
@@ -247,11 +234,11 @@ def slice_axis(a: Tensor, start: int, stop: int, axis: int = -1) -> Tensor:
 
 def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
     if not parts:
-        raise ContractError("concat: need at least one operand")
+        raise AutodiffError("concat: need at least one operand")
     try:
         value = np.concatenate([p.value for p in parts], axis=axis)
     except ValueError:
-        raise ShapeError(
+        raise AutodiffError(
             "concat: shapes " + ", ".join(str(p.shape) for p in parts)
             + f" do not align on axis {axis}")
     sizes = [p.shape[axis] for p in parts]
@@ -339,7 +326,7 @@ def rms_norm(a: Tensor, gain: Tensor) -> Tensor:
     by name."""
     d = a.shape[-1]
     if gain.shape != (d,):
-        raise ShapeError(f"rms_norm: gain shape {gain.shape} does not match feature dim {d}")
+        raise AutodiffError(f"rms_norm: gain shape {gain.shape} does not match feature dim {d}")
     x, gv = a.value, gain.value
     return _node(_rms(x, gv), (a, gain), lambda g: _rms_vjp(g, x, gv), "rms_norm")
 
@@ -352,10 +339,10 @@ def gather(table: Tensor, indices: np.ndarray) -> Tensor:
     """Row lookup into an embedding table; backward scatter-adds."""
     idx = np.asarray(indices)
     if not np.issubdtype(idx.dtype, np.integer):
-        raise ContractError(f"gather: indices must be integers, got dtype {idx.dtype}")
+        raise AutodiffError(f"gather: indices must be integers, got dtype {idx.dtype}")
     rows = table.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= rows):
-        raise ContractError(
+        raise AutodiffError(
             f"gather: index out of range for table with {rows} rows "
             f"(min {idx.min()}, max {idx.max()})")
     tshape = table.shape
@@ -390,10 +377,10 @@ def _rope_tables(M: int, num_heads: int, hd: int, dtype) -> tuple:
 def _check_heads(op: str, d: int, num_heads: int) -> int:
     """The head dim of d features over num_heads heads; rope needs it even."""
     if d % num_heads != 0:
-        raise ShapeError(f"{op}: feature dim {d} not divisible by {num_heads} heads")
+        raise AutodiffError(f"{op}: feature dim {d} not divisible by {num_heads} heads")
     hd = d // num_heads
     if hd % 2 != 0:
-        raise ShapeError(f"{op}: head dim {hd} must be even")
+        raise AutodiffError(f"{op}: head dim {hd} must be even")
     return hd
 
 
@@ -506,9 +493,9 @@ def attention(h: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, gain: T
     d = h.shape[-1]
     if (h.value.ndim != 3 or any(w.shape != (d, d) for w in (wq, wk, wv, wo))
             or gain.shape != (d,)):
-        raise ShapeError(f"attention: expected h (batch, seq, d), four (d, d) weights and a "
-                         f"(d,) gain, got {h.shape}, {wq.shape}, {wk.shape}, {wv.shape}, "
-                         f"{wo.shape}, {gain.shape}")
+        raise AutodiffError(f"attention: expected h (batch, seq, d), four (d, d) weights and a "
+                            f"(d,) gain, got {h.shape}, {wq.shape}, {wk.shape}, {wv.shape}, "
+                            f"{wo.shape}, {gain.shape}")
     hd = _check_heads("attention", d, num_heads)
     alpha = 1.0 / math.sqrt(hd)
     wqv, wkv, wvv, wov = (w.value for w in (wq, wk, wv, wo))
@@ -557,8 +544,8 @@ def mlp(h: Tensor, w1: Tensor, w2: Tensor, gain: Tensor) -> Tensor:
     if (h.value.ndim != 3 or w1.value.ndim != 2 or w2.value.ndim != 2
             or h.shape[-1] != w1.shape[0] or w1.shape[1] != w2.shape[0]
             or w2.shape[1] != h.shape[-1] or gain.shape != h.shape[-1:]):
-        raise ShapeError(f"mlp: expected (batch, seq, d) @ (d, e) @ (e, d) and a (d,) gain, "
-                         f"got {h.shape} @ {w1.shape} @ {w2.shape}, {gain.shape}")
+        raise AutodiffError(f"mlp: expected (batch, seq, d) @ (d, e) @ (e, d) and a (d,) gain, "
+                            f"got {h.shape} @ {w1.shape} @ {w2.shape}, {gain.shape}")
     w1v, w2v = w1.value, w2.value
 
     def item(x, _):
@@ -587,11 +574,11 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Per-position cross entropy; logits (..., V), integer targets (...)."""
     t = np.asarray(targets)
     if t.shape != logits.shape[:-1]:
-        raise ShapeError(
+        raise AutodiffError(
             f"softmax_cross_entropy: targets {t.shape} do not match logits {logits.shape}")
     V = logits.shape[-1]
     if t.size and (t.min() < 0 or t.max() >= V):
-        raise ContractError(f"softmax_cross_entropy: target outside [0, {V})")
+        raise AutodiffError(f"softmax_cross_entropy: target outside [0, {V})")
     x = logits.value
     m = x.max(axis=-1, keepdims=True)
     lse = m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True))
@@ -611,7 +598,7 @@ def sigmoid_bce(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Elementwise binary cross entropy on raw logits against 0/1 targets."""
     t = np.asarray(targets, dtype=logits.value.dtype)
     if t.shape != logits.shape:
-        raise ShapeError(f"sigmoid_bce: targets {t.shape} do not match logits {logits.shape}")
+        raise AutodiffError(f"sigmoid_bce: targets {t.shape} do not match logits {logits.shape}")
     x = logits.value
     value = np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))
     return _node(value, (logits,), lambda g: (g * (sigmoid(x) - t),), "sigmoid_bce")
@@ -622,7 +609,7 @@ def masked_mean(a: Tensor, mask: np.ndarray) -> Tensor:
     m = np.broadcast_to(np.asarray(mask, dtype=bool), a.shape)
     n = int(m.sum())
     if n == 0:
-        raise ContractError("masked_mean: mask selects no positions")
+        raise AutodiffError("masked_mean: mask selects no positions")
     value = np.asarray((a.value * m).sum() / n, dtype=a.value.dtype)
     dtype = a.value.dtype
 
@@ -662,9 +649,9 @@ def backward(root: Tensor) -> None:
     holds only the frontier of adjoints still to be propagated; after it
     returns, every node with a vjp reads `adjoint is None`."""
     if root.value.size != 1:
-        raise ContractError(f"backward: root must be scalar, got shape {root.shape}")
+        raise AutodiffError(f"backward: root must be scalar, got shape {root.shape}")
     if not np.all(np.isfinite(root.value)):
-        raise NonFiniteError("backward: loss is not finite")
+        raise AutodiffError("backward: loss is not finite")
     if not root.requires_grad:
         return
     order = _toposort(root.node)

@@ -243,7 +243,7 @@ def read_manifest(run_dir: Path) -> dict:
         raise TaskError(f"{run_dir} has no {MANIFEST_NAME}; not a run directory")
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:
         raise TaskError(f"{path}: unreadable manifest ({e})") from e
     for key in MANIFEST_KEYS:
         if not isinstance(manifest, dict) or key not in manifest:

@@ -119,16 +119,15 @@ def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-class Parameters:
-    """Named float arrays; the single owner of all trainable state."""
-
-    def __init__(self, arrays: dict[str, np.ndarray]):
-        self.arrays = arrays
+class Parameters(dict):
+    """Named float arrays, a dict; the single owner of all trainable
+    state.  `copy()` copies the arrays too: the EMA shadow shares no
+    buffer with the weights that AdamW updates in place."""
 
     @classmethod
     def init(cls, cfg: ModelConfig, rng: np.random.Generator,
              dtype=np.float32) -> "Parameters":
-        arrays: dict[str, np.ndarray] = {}
+        params = cls()
         for name, shape in parameter_shapes(cfg).items():
             if name.endswith("/gain"):
                 arr = np.ones(shape)
@@ -140,26 +139,20 @@ class Parameters:
                 # linear maps draw N(0, 1/fan_in); embedding rows N(0, 1/d)
                 fan = shape[1] if name.startswith("embed/") else shape[0]
                 arr = rng.normal(size=shape) / np.sqrt(fan)
-            arrays[name] = arr.astype(dtype)
-        return cls(arrays)
+            params[name] = arr.astype(dtype)
+        return params
 
     def copy(self) -> "Parameters":
-        return Parameters({k: v.copy() for k, v in self.arrays.items()})
+        return Parameters({k: v.copy() for k, v in self.items()})
 
     def names(self) -> list[str]:
-        return sorted(self.arrays)
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.arrays[name]
-
-    def __setitem__(self, name: str, value: np.ndarray) -> None:
-        self.arrays[name] = value
+        return sorted(self)
 
 
 def wrap_parameters(params: Parameters) -> dict[str, ad.Tensor]:
     """Fresh leaf tensors over the parameter arrays, one graph's worth."""
     return {name: ad.Tensor(arr, requires_grad=True, op=name)
-            for name, arr in params.arrays.items()}
+            for name, arr in params.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +223,9 @@ def _noisy_state(pt: dict, cfg: ModelConfig, y: ad.Tensor,
     dtype = pt["state/z0"].value.dtype
     noise = np.stack([[(g.standard_normal(shape) * STATE_NOISE_STD).astype(dtype)
                        for _ in range(2)] for g in streams])
-    y = ad.add(y, ad.constant(noise[:, 0]))
+    y = ad.add(y, ad.tensor(noise[:, 0]))
     z = ad.add(ad.reshape(pt["state/z0"], (1, 1, cfg.hidden_size)),
-               ad.constant(noise[:, 1]))
+               ad.tensor(noise[:, 1]))
     return LatentState(y=y, z=z)
 
 
@@ -249,7 +242,7 @@ def label_state(pt: dict, cfg: ModelConfig, label_tokens: np.ndarray,
     """Initial state for denoising: y embeds the (corrupted) target behind
     the learned y row at the task position; one generator per item."""
     body = embed_label(pt, cfg, label_tokens)
-    zeros = ad.constant(np.zeros((body.shape[0], 1, 1), dtype=body.value.dtype))
+    zeros = ad.tensor(np.zeros((body.shape[0], 1, 1), dtype=body.value.dtype))
     head = ad.add(ad.reshape(pt["state/y0"], (1, 1, cfg.hidden_size)), zeros)
     return _noisy_state(pt, cfg, ad.concat([head, body], axis=1), streams)
 
@@ -285,8 +278,8 @@ def decode_state(pt: dict, cfg: ModelConfig, state: LatentState) -> tuple[ad.Ten
     carrier = state.z if cfg.single_z else state.y
     body = ad.slice_axis(carrier, 1, cfg.seq_len + 1, axis=1)
     logits = ad.matmul(body, pt["decode/w"])
-    pool_w = ad.constant(np.full((1, cfg.seq_len), 1.0 / cfg.seq_len,
-                                 dtype=carrier.value.dtype))
+    pool_w = ad.tensor(np.full((1, cfg.seq_len), 1.0 / cfg.seq_len,
+                               dtype=carrier.value.dtype))
     # (B, 1, d) @ (d, 1) keeps q one dot product per item; a (B, d) @ (d, 1)
     # product sums in a batch-size-dependent order under BLAS
     q = ad.add(ad.matmul(ad.matmul(pool_w, body), pt["q/w"]), pt["q/b"])
@@ -369,9 +362,9 @@ def halting_windows(params: Parameters, cfg: ModelConfig, inputs: np.ndarray,
 
 def save_checkpoint(path, cfg: ModelConfig, params: Parameters,
                     ema: Parameters | None, metadata: dict | None = None) -> None:
-    named: dict[str, np.ndarray] = dict(params.arrays)
+    named: dict[str, np.ndarray] = dict(params)
     if ema is not None:
-        named.update({f"ema/{k}": v for k, v in ema.arrays.items()})
+        named.update({f"ema/{k}": v for k, v in ema.items()})
     order = sorted(named)
     header = {
         "config": asdict(cfg),
@@ -430,7 +423,7 @@ def load_checkpoint(path) -> tuple[ModelConfig, Parameters, Parameters | None, d
             else:
                 plain[name] = arr
         metadata = header.get("metadata", {})
-    except (KeyError, TypeError, AttributeError, ValueError) as e:
+    except (KeyError, TypeError, AttributeError, ValueError, OverflowError, RecursionError) as e:
         raise CheckpointError(f"{path}: malformed checkpoint "
                               f"({type(e).__name__}: {e})") from e
     if not isinstance(metadata, dict):

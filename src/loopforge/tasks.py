@@ -93,7 +93,7 @@ def load_arc_json(path) -> list[Task]:
         return [t for f in files for t in load_arc_json(f)]
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as e:  # unreadable, not UTF-8, or not JSON
+    except (OSError, ValueError, RecursionError) as e:  # unreadable, not UTF-8, not JSON, too deep
         raise TaskError(f"{path}: cannot read task JSON ({e})")
     return [parse_task(obj, path.stem)]
 

@@ -21,6 +21,7 @@ table, and an EMA shadow of the weights used for evaluation.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -187,8 +188,8 @@ class AdamW:
         self.params = params
         self.ema = ema
         self.tcfg = tcfg
-        self.m = {k: np.zeros_like(v) for k, v in params.arrays.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.arrays.items()}
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
         self.skipped = 0
         self.skipped_in_a_row = 0
@@ -215,7 +216,7 @@ class AdamW:
         b1, b2 = ADAM_BETAS
         factor = self._warm_factor(self.t)
         wd = self.tcfg.weight_decay
-        for name, p in self.params.arrays.items():
+        for name, p in self.params.items():
             g = grads[name]
             lr = (self.tcfg.task_embedding_lr if name == "embed/task"
                   else self.tcfg.lr) * factor
@@ -230,9 +231,9 @@ class AdamW:
             p -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS) + lr * wd * p
         if self.ema is not None:
             d = self.tcfg.ema_decay
-            for name, e in self.ema.arrays.items():
+            for name, e in self.ema.items():
                 e *= d
-                e += (1.0 - d) * self.params.arrays[name]
+                e += (1.0 - d) * self.params[name]
         return norm, True
 
 
@@ -358,7 +359,7 @@ def train_step(batch: Batch, params: md.Parameters, cfg: md.ModelConfig,
         if opt.skipped_in_a_row >= MAX_SKIPPED_IN_A_ROW:
             raise DivergenceError(f"{opt.skipped_in_a_row} updates in a row skipped for "
                                   f"non-finite gradients, at step {step_index}")
-        if applied and not all(np.isfinite(v).all() for v in params.arrays.values()):
+        if applied and not all(np.isfinite(v).all() for v in params.values()):
             raise DivergenceError(f"non-finite parameters after step {step_index}, window {w}")
         norms.append(norm if applied else 0.0)
         ce_sum += parts.ce * parts.valid_tokens
@@ -404,9 +405,10 @@ def run_training(dataset: DeskDataset, cfg: md.ModelConfig, tcfg: TrainConfig,
                  checkpoint_every: int = 0,
                  max_steps: int | None = None,
                  progress: Callable[[StepMetrics], None] | None = None) -> TrainResult:
-    """Epochs over the packed training examples: max_steps steps when
-    given, else tcfg.epochs epochs; checkpoints carry the EMA shadow next
-    to the weights."""
+    """max_steps steps when given, else tcfg.epochs epochs, of batches
+    from an endless stream of (seed, "data", epoch) permutations of the
+    packed examples; a checkpoint with the EMA shadow is written every
+    checkpoint_every steps and at the last."""
     check_objective(cfg, tcfg)
     if max_steps is not None and max_steps < 1:
         raise TrainingError(f"max_steps must be >= 1, got {max_steps}")
@@ -427,18 +429,17 @@ def run_training(dataset: DeskDataset, cfg: md.ModelConfig, tcfg: TrainConfig,
         raise TrainingError("dataset has no training examples")
 
     history: list[StepMetrics] = []
-    epochs = itertools.count() if max_steps is not None else range(tcfg.epochs)
+    total = max_steps or tcfg.epochs * math.ceil(len(examples) / tcfg.batch_size)
     orders = (rng_for(seed, "data", epoch).permutation(len(examples))
-              for epoch in epochs)
+              for epoch in itertools.count())
     batches = (order[lo:lo + tcfg.batch_size] for order in orders
                for lo in range(0, len(order), tcfg.batch_size))
     # line-buffered, so a killed run keeps every step it finished
-    out = open(metrics_path, "w", encoding="utf-8", buffering=1) if metrics_path else None
-    step = saved = 0    # saved: the step of the last checkpoint written
-    try:
-        for picked in batches:
+    with (open(metrics_path, "w", encoding="utf-8", buffering=1) if metrics_path
+          else contextlib.nullcontext()) as out:
+        for step, picked in enumerate(itertools.islice(batches, total), 1):
             metrics = train_step(collate([examples[i] for i in picked]), params,
-                                 cfg, tcfg, opt, seed, step,
+                                 cfg, tcfg, opt, seed, step - 1,
                                  noise_schedule=noise_schedule,
                                  beta_schedule=beta_schedule)
             history.append(metrics)
@@ -446,18 +447,9 @@ def run_training(dataset: DeskDataset, cfg: md.ModelConfig, tcfg: TrainConfig,
                 out.write(json.dumps(asdict(metrics)) + "\n")
             if progress is not None:
                 progress(metrics)
-            step += 1
-            if checkpoint_path and checkpoint_every and step % checkpoint_every == 0:
+            if checkpoint_path and (step == total or checkpoint_every
+                                    and step % checkpoint_every == 0):
                 md.save_checkpoint(str(checkpoint_path).format(step=step),
                                    cfg, params, ema,
                                    {"step": step, "objective": tcfg.objective})
-                saved = step
-            if step == max_steps:
-                break
-    finally:
-        if out is not None:
-            out.close()
-    if checkpoint_path and saved != step:
-        md.save_checkpoint(str(checkpoint_path).format(step=step), cfg, params,
-                           ema, {"step": step, "objective": tcfg.objective})
     return TrainResult(params=params, ema=ema, history=history)

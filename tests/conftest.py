@@ -63,7 +63,7 @@ def dihedral_compose(second: int, first: int) -> int:
 
 def param_count(params) -> int:
     """Number of scalars across all parameter arrays."""
-    return sum(v.size for v in params.arrays.values())
+    return sum(v.size for v in params.values())
 
 
 def spy_backward(monkeypatch) -> list[dict]:
@@ -141,7 +141,7 @@ def evaluate(build: BuildFn, bindings: dict[str, np.ndarray]) -> np.ndarray:
     leaves = {name: ad.tensor(arr, op=name) for name, arr in bindings.items()}
     root = build(leaves)
     if not np.all(np.isfinite(root.value)):
-        raise ad.NonFiniteError("evaluate: result is not finite")
+        raise ad.AutodiffError("evaluate: result is not finite")
     return root.value
 
 
@@ -154,12 +154,12 @@ def gradient(build: BuildFn, bindings: dict[str, np.ndarray],
     wanted = set(wrt)
     missing = wanted - set(bindings)
     if missing:
-        raise ad.ContractError(f"gradient: unknown leaves {sorted(missing)}")
+        raise ad.AutodiffError(f"gradient: unknown leaves {sorted(missing)}")
     leaves = {name: ad.tensor(arr, requires_grad=(name in wanted), op=name)
               for name, arr in bindings.items()}
     root = build(leaves)
     if root.value.size != 1:
-        raise ad.ContractError(f"gradient: build function must return a scalar, got {root.shape}")
+        raise ad.AutodiffError(f"gradient: build function must return a scalar, got {root.shape}")
     ad.backward(root)
     out = {}
     for name in sorted(wanted):
@@ -216,7 +216,7 @@ def multiply(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
     try:
         value = a.value * b.value
     except ValueError:
-        raise ad.ShapeError(f"multiply: operands {a.shape} and {b.shape} do not broadcast")
+        raise ad.AutodiffError(f"multiply: operands {a.shape} and {b.shape} do not broadcast")
     av, bv = a.value, b.value
 
     def vjp(g):
@@ -246,7 +246,7 @@ def ref_attention(q: ad.Tensor, k: ad.Tensor, v: ad.Tensor, num_heads: int) -> a
     projections, as a node of its own.  The reference the fused sublayer
     is pinned to."""
     if not (q.shape == k.shape == v.shape) or q.value.ndim != 3:
-        raise ad.ShapeError(f"ref_attention: q/k/v shapes {q.shape}, {k.shape}, {v.shape}")
+        raise ad.AutodiffError(f"ref_attention: q/k/v shapes {q.shape}, {k.shape}, {v.shape}")
     B, M, d = q.shape
     hd = d // num_heads
     alpha = 1.0 / math.sqrt(hd)

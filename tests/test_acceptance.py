@@ -52,7 +52,7 @@ def _weighted(out, i, op, slot=0):
     # cannot hide behind a uniform mean; re-derived from the case id, so
     # every finite-difference evaluation sees the same weights
     w = rng_for(1999, "w", i, op, slot).standard_normal(out.shape)
-    return mean_all(multiply(out, ad.constant(w)))
+    return mean_all(multiply(out, ad.tensor(w)))
 
 
 def _primitive_cases(i):
@@ -198,7 +198,7 @@ def _guard_frozen(cfg, bindings, batch, y, z, grad):
     pt = {k: ad.tensor(v, op=k) for k, v in bindings.items()}
     with ad.no_grad():
         x = md.embed_input(pt, cfg, batch.inputs, batch.rows)
-        st = md.LatentState(ad.constant(y), ad.constant(z))
+        st = md.LatentState(ad.tensor(y), ad.tensor(z))
         _, logits, _ = md.run_window(pt, cfg, x, st, 0, grad)
     margin_guard(logits.value)
 
@@ -218,7 +218,7 @@ def _objective_loss_cases():
     cfg = oracle_cfg()
     base = live_params(cfg, 1001)
     batch = oracle_batch(1002)
-    base_pt = {k: ad.tensor(v, op=k) for k, v in base.arrays.items()}
+    base_pt = {k: ad.tensor(v, op=k) for k, v in base.items()}
     fy, fz = _frozen_state(base_pt, cfg, batch,
                            lambda pt: md.init_state(pt, cfg, state_streams(1033, 2)),
                            warm=1)
@@ -228,37 +228,37 @@ def _objective_loss_cases():
         return _window_loss(t, cfg, batch, state, 1, 1)
 
     def trm_frozen(t):
-        state = md.LatentState(ad.constant(fy), ad.constant(fz))
+        state = md.LatentState(ad.tensor(fy), ad.tensor(fz))
         return _window_loss(t, cfg, batch, state, 0, 1)
 
-    _guard_frozen(cfg, base.arrays, batch, fy, fz, 1)
-    yield "trm", trm_full, trm_frozen, dict(base.arrays), wrt
+    _guard_frozen(cfg, base, batch, fy, fz, 1)
+    yield "trm", trm_full, trm_frozen, dict(base), wrt
 
     # trm_no_deep_sup: only the last window is supervised; earlier windows
     # run without gradient, so the carry is a constant by construction
     cfg2 = oracle_cfg(max_halt_steps=2)
     base2 = live_params(cfg2, 1004)
     batch2 = oracle_batch(1005)
-    pt2 = {k: ad.tensor(v, op=k) for k, v in base2.arrays.items()}
+    pt2 = {k: ad.tensor(v, op=k) for k, v in base2.items()}
     with ad.no_grad():
         x = md.embed_input(pt2, cfg2, batch2.inputs, batch2.rows)
         st = md.init_state(pt2, cfg2, state_streams(1006, 2))
         st, _, _ = md.run_window(pt2, cfg2, x, st, 1, 1)
     cy, cz = st.y.value, st.z.value
     ncy, ncz = _frozen_state(
-        {k: ad.tensor(v, op=k) for k, v in base2.arrays.items()}, cfg2, batch2,
-        lambda pt: md.LatentState(ad.constant(cy), ad.constant(cz)), warm=1)
+        {k: ad.tensor(v, op=k) for k, v in base2.items()}, cfg2, batch2,
+        lambda pt: md.LatentState(ad.tensor(cy), ad.tensor(cz)), warm=1)
 
     def nds_full(t):
-        state = md.LatentState(ad.constant(cy), ad.constant(cz))
+        state = md.LatentState(ad.tensor(cy), ad.tensor(cz))
         return _window_loss(t, cfg2, batch2, state, 1, 1)
 
     def nds_frozen(t):
-        state = md.LatentState(ad.constant(ncy), ad.constant(ncz))
+        state = md.LatentState(ad.tensor(ncy), ad.tensor(ncz))
         return _window_loss(t, cfg2, batch2, state, 0, 1)
 
-    _guard_frozen(cfg2, base2.arrays, batch2, ncy, ncz, 1)
-    yield "trm_no_deep_sup", nds_full, nds_frozen, dict(base2.arrays), wrt
+    _guard_frozen(cfg2, base2, batch2, ncy, ncz, 1)
+    yield "trm_no_deep_sup", nds_full, nds_frozen, dict(base2), wrt
 
     # sprm: the carry entering the supervised window has been perturbed at
     # the boundary; the perturbation itself is sampled outside the graph
@@ -267,19 +267,19 @@ def _objective_loss_cases():
     py = np.stack([perturb_latent(cy[j], 3, beta, prng) for j in range(2)])
     pz = np.stack([perturb_latent(cz[j], 3, beta, prng) for j in range(2)])
     spy, spz = _frozen_state(
-        {k: ad.tensor(v, op=k) for k, v in base2.arrays.items()}, cfg2, batch2,
-        lambda pt: md.LatentState(ad.constant(py), ad.constant(pz)), warm=1)
+        {k: ad.tensor(v, op=k) for k, v in base2.items()}, cfg2, batch2,
+        lambda pt: md.LatentState(ad.tensor(py), ad.tensor(pz)), warm=1)
 
     def sprm_full(t):
-        state = md.LatentState(ad.constant(py), ad.constant(pz))
+        state = md.LatentState(ad.tensor(py), ad.tensor(pz))
         return _window_loss(t, cfg2, batch2, state, 1, 1)
 
     def sprm_frozen(t):
-        state = md.LatentState(ad.constant(spy), ad.constant(spz))
+        state = md.LatentState(ad.tensor(spy), ad.tensor(spz))
         return _window_loss(t, cfg2, batch2, state, 0, 1)
 
-    _guard_frozen(cfg2, base2.arrays, batch2, spy, spz, 1)
-    yield "sprm", sprm_full, sprm_frozen, dict(base2.arrays), wrt
+    _guard_frozen(cfg2, base2, batch2, spy, spz, 1)
+    yield "sprm", sprm_full, sprm_frozen, dict(base2), wrt
 
     # drm: label-initialised state, two warm-up cycles ahead of the
     # gradient cycle
@@ -287,7 +287,7 @@ def _objective_loss_cases():
     base3 = live_params(cfg3, 1008)
     batch3 = oracle_batch(1009)
     corrupted = tr.corrupt_batch(batch3, NoiseSchedule(), seed=1010, step_index=0)
-    pt3 = {k: ad.tensor(v, op=k) for k, v in base3.arrays.items()}
+    pt3 = {k: ad.tensor(v, op=k) for k, v in base3.items()}
     dy, dz = _frozen_state(
         pt3, cfg3, batch3,
         lambda pt: md.label_state(pt, cfg3, corrupted, state_streams(1011, 2)),
@@ -298,11 +298,11 @@ def _objective_loss_cases():
         return _window_loss(t, cfg3, batch3, state, 2, 1)
 
     def drm_frozen(t):
-        state = md.LatentState(ad.constant(dy), ad.constant(dz))
+        state = md.LatentState(ad.tensor(dy), ad.tensor(dz))
         return _window_loss(t, cfg3, batch3, state, 0, 1)
 
-    _guard_frozen(cfg3, base3.arrays, batch3, dy, dz, 1)
-    yield "drm", drm_full, drm_frozen, dict(base3.arrays), wrt
+    _guard_frozen(cfg3, base3, batch3, dy, dz, 1)
+    yield "drm", drm_full, drm_frozen, dict(base3), wrt
 
     # diffusion: no warm-up at all, so full and frozen coincide
     cfg4 = oracle_cfg(cycles_per_window=1)
@@ -315,11 +315,11 @@ def _objective_loss_cases():
         return _window_loss(t, cfg4, batch4, state, 0, 1)
 
     vy, vz = _frozen_state(
-        {k: ad.tensor(v, op=k) for k, v in base4.arrays.items()}, cfg4, batch4,
+        {k: ad.tensor(v, op=k) for k, v in base4.items()}, cfg4, batch4,
         lambda pt: md.label_state(pt, cfg4, corr4, state_streams(1015, 2)),
         warm=0)
-    _guard_frozen(cfg4, base4.arrays, batch4, vy, vz, 1)
-    yield "diffusion", diff_full, diff_full, dict(base4.arrays), wrt
+    _guard_frozen(cfg4, base4, batch4, vy, vz, 1)
+    yield "diffusion", diff_full, diff_full, dict(base4), wrt
 
     # stacked baselines: untied weights, one set per operator application
     wrt_stacked = ["phi0/l0/attn/wq", "phi2/l0/mlp/w1", "state/y0", "q/b"]
@@ -333,17 +333,17 @@ def _objective_loss_cases():
         return _window_loss(t, cfg5, batch5, state, 0, 1)
 
     wy, wz = _frozen_state(
-        {k: ad.tensor(v, op=k) for k, v in base5.arrays.items()}, cfg5, batch5,
+        {k: ad.tensor(v, op=k) for k, v in base5.items()}, cfg5, batch5,
         lambda pt: md.label_state(pt, cfg5, corr5, state_streams(1019, 2)),
         warm=0)
-    _guard_frozen(cfg5, base5.arrays, batch5, wy, wz, 1)
+    _guard_frozen(cfg5, base5, batch5, wy, wz, 1)
     yield ("stacked_transformer", stk_full, stk_full,
-           dict(base5.arrays), wrt_stacked)
+           dict(base5), wrt_stacked)
 
     cfg6 = oracle_cfg(cycles_per_window=1, untied_depth=3, max_halt_steps=2)
     base6 = live_params(cfg6, 1020)
     batch6 = oracle_batch(1021)
-    pt6 = {k: ad.tensor(v, op=k) for k, v in base6.arrays.items()}
+    pt6 = {k: ad.tensor(v, op=k) for k, v in base6.items()}
     with ad.no_grad():
         x = md.embed_input(pt6, cfg6, batch6.inputs, batch6.rows)
         st = md.init_state(pt6, cfg6, state_streams(1022, 2))
@@ -351,12 +351,12 @@ def _objective_loss_cases():
     sy, sz = st.y.value, st.z.value
 
     def sds_full(t):
-        state = md.LatentState(ad.constant(sy), ad.constant(sz))
+        state = md.LatentState(ad.tensor(sy), ad.tensor(sz))
         return _window_loss(t, cfg6, batch6, state, 0, 1)
 
-    _guard_frozen(cfg6, base6.arrays, batch6, sy, sz, 1)
+    _guard_frozen(cfg6, base6, batch6, sy, sz, 1)
     yield ("stacked_deep_sup", sds_full, sds_full,
-           dict(base6.arrays), wrt_stacked)
+           dict(base6), wrt_stacked)
 
 
 def test_gradient_oracle_primitives_and_objective_losses():
@@ -371,7 +371,7 @@ def test_gradient_oracle_primitives_and_objective_losses():
     rng = rng_for(1000, "sg")
     a = rng.standard_normal((3, 4))
     w = rng.standard_normal((3, 4))
-    build = lambda t: mean_all(multiply(stop_gradient(t["a"]), ad.constant(w)))
+    build = lambda t: mean_all(multiply(stop_gradient(t["a"]), ad.tensor(w)))
     g = gradient(build, {"a": a}, ["a"])
     assert np.array_equal(g["a"], np.zeros_like(a))
     assert float(evaluate(build, {"a": a})) == pytest.approx(float((a * w).mean()))
@@ -513,8 +513,8 @@ def test_degenerate_configs_reduce_to_equivalent_objectives():
         assert ra.pop("objective") == "trm"
         assert rb.pop("objective") == "sprm"
     assert recs_a == recs_b
-    for k in a.params.arrays:
-        assert np.array_equal(a.params.arrays[k], b.params.arrays[k]), k
+    for k in a.params:
+        assert np.array_equal(a.params[k], b.params[k]), k
 
     # denoising recursion with no warm-up and a single gradient cycle on a
     # one-cycle window is one-step denoising, loss for loss
@@ -530,8 +530,8 @@ def test_degenerate_configs_reduce_to_equivalent_objectives():
         assert mc.ce_loss == md_.ce_loss
         assert mc.q_loss == md_.q_loss
         assert mc.exact_match_rate == md_.exact_match_rate
-    for k in c.params.arrays:
-        assert np.array_equal(c.params.arrays[k], d.params.arrays[k]), k
+    for k in c.params:
+        assert np.array_equal(c.params[k], d.params[k]), k
 
 
 # ---------------------------------------------------------------------------

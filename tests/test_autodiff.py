@@ -79,7 +79,7 @@ def test_rms_norm_batched_weighting():
     r = rng(10)
     w = r.normal(size=(4, 6))
     check_gradients(
-        lambda t: mean_all(multiply(ad.rms_norm(t["a"], t["g"]), ad.constant(w))),
+        lambda t: mean_all(multiply(ad.rms_norm(t["a"], t["g"]), ad.tensor(w))),
         {"a": r.normal(size=(4, 6)) * 3.0, "g": r.normal(size=(6,))})
 
 
@@ -94,14 +94,14 @@ def test_gather_scatter_add():
     idx = np.array([[0, 2, 2], [1, 0, 3]])
     w = r.normal(size=(2, 3, 5))
     check_gradients(
-        lambda t: mean_all(multiply(ad.gather(t["table"], idx), ad.constant(w))),
+        lambda t: mean_all(multiply(ad.gather(t["table"], idx), ad.tensor(w))),
         {"table": r.normal(size=(4, 5))})
 
 
 def test_rope_rotation():
     r = rng(13)
     w = r.normal(size=(2, 5, 8))
-    check_gradients(lambda t: mean_all(multiply(ad.rope(t["a"], 2), ad.constant(w))),
+    check_gradients(lambda t: mean_all(multiply(ad.rope(t["a"], 2), ad.tensor(w))),
                     {"a": r.normal(size=(2, 5, 8))})
 
 
@@ -148,7 +148,7 @@ def test_attention_small():
 def test_attention_single_head():
     r = rng(19)
     w = r.normal(size=(1, 5, 6))
-    check_gradients(lambda t: mean_all(multiply(_attend(t, 1), ad.constant(w))),
+    check_gradients(lambda t: mean_all(multiply(_attend(t, 1), ad.tensor(w))),
                     {"h": r.normal(size=(1, 5, 6)), **_attention_weights(r, 6)})
 
 
@@ -228,7 +228,7 @@ def test_recompute_through_tied_residual_mlp():
         h = t["x"]
         for _ in range(2):
             h = ad.mlp(h, t["w1"], t["w2"], t["g"])
-        return mean_all(multiply(h, ad.constant(w)))
+        return mean_all(multiply(h, ad.tensor(w)))
 
     check_gradients(build, {"x": r.normal(size=(2, 3, d)),
                             "w1": r.normal(size=(d, 2 * d)) / np.sqrt(d),
@@ -386,55 +386,55 @@ def test_evaluate_is_pure():
 
 def test_backward_requires_scalar_root():
     x = ad.tensor(np.ones((2, 2)), requires_grad=True)
-    with pytest.raises(ad.ContractError):
+    with pytest.raises(ad.AutodiffError, match="backward: root must be scalar"):
         ad.backward(ad.silu(x))
 
 
 def test_shape_error_names_the_op():
     a = ad.tensor(np.ones((2, 3)))
     b = ad.tensor(np.ones((4, 5)))
-    with pytest.raises(ad.ShapeError, match="matmul"):
+    with pytest.raises(ad.AutodiffError, match="matmul: inner dims disagree"):
         ad.matmul(a, b)
-    with pytest.raises(ad.ShapeError, match="add"):
+    with pytest.raises(ad.AutodiffError, match="add: operands .* do not broadcast"):
         ad.add(ad.tensor(np.ones((2, 3))), ad.tensor(np.ones((2, 4))))
-    with pytest.raises(ad.ShapeError, match="rms_norm"):
+    with pytest.raises(ad.AutodiffError, match="rms_norm: gain shape"):
         ad.rms_norm(a, ad.tensor(np.ones(5)))
     h = ad.tensor(np.ones((2, 3, 4)))
     w1, w2 = ad.tensor(np.ones((4, 8))), ad.tensor(np.ones((8, 4)))
     gain, bad_gain = ad.tensor(np.ones(4)), ad.tensor(np.ones(5))
-    with pytest.raises(ad.ShapeError, match="mlp"):
+    with pytest.raises(ad.AutodiffError, match="mlp: expected"):
         ad.mlp(ad.tensor(np.ones((3, 4))), w1, w2, gain)
-    with pytest.raises(ad.ShapeError, match="mlp"):
+    with pytest.raises(ad.AutodiffError, match="mlp: expected"):
         ad.mlp(h, ad.tensor(np.ones((5, 8))), w2, gain)
-    with pytest.raises(ad.ShapeError, match="mlp"):
+    with pytest.raises(ad.AutodiffError, match="mlp: expected"):
         ad.mlp(h, w1, ad.tensor(np.ones((4, 4))), gain)
-    with pytest.raises(ad.ShapeError, match="mlp"):
+    with pytest.raises(ad.AutodiffError, match="mlp: expected"):
         ad.mlp(h, w1, ad.tensor(np.ones((8, 5))), gain)
-    with pytest.raises(ad.ShapeError, match="mlp"):
+    with pytest.raises(ad.AutodiffError, match="mlp: expected"):
         ad.mlp(h, w1, w2, bad_gain)
     w = [ad.tensor(np.ones((4, 4))) for _ in range(4)]
-    with pytest.raises(ad.ShapeError, match="attention"):
+    with pytest.raises(ad.AutodiffError, match="attention: expected"):
         ad.attention(ad.tensor(np.ones((3, 4))), *w, gain, 2)
-    with pytest.raises(ad.ShapeError, match="attention"):
+    with pytest.raises(ad.AutodiffError, match="attention: expected"):
         ad.attention(h, *w[:3], ad.tensor(np.ones((4, 5))), gain, 2)
-    with pytest.raises(ad.ShapeError, match="attention"):
+    with pytest.raises(ad.AutodiffError, match="attention: expected"):
         ad.attention(h, *w, bad_gain, 2)
-    with pytest.raises(ad.ShapeError, match="attention.*not divisible"):
+    with pytest.raises(ad.AutodiffError, match="attention: feature dim 4 not divisible"):
         ad.attention(h, *w, gain, 3)
-    with pytest.raises(ad.ShapeError, match="attention.*must be even"):
+    with pytest.raises(ad.AutodiffError, match="attention: head dim 1 must be even"):
         ad.attention(h, *w, gain, 4)
 
 
 def test_nonfinite_leaf_rejected():
     bad = np.ones((2, 2))
     bad[0, 0] = np.nan
-    with pytest.raises(ad.NonFiniteError):
+    with pytest.raises(ad.AutodiffError, match="non-finite values entering the graph"):
         ad.tensor(bad)
 
 
 def test_gather_index_out_of_range():
     table = ad.tensor(np.ones((4, 3)), requires_grad=True)
-    with pytest.raises(ad.ContractError):
+    with pytest.raises(ad.AutodiffError, match="gather: index out of range"):
         ad.gather(table, np.array([0, 4]))
 
 
@@ -445,7 +445,7 @@ def test_cross_entropy_uniform_logits_is_log_vocab():
 
 
 def test_masked_mean_empty_mask_rejected():
-    with pytest.raises(ad.ContractError):
+    with pytest.raises(ad.AutodiffError, match="masked_mean: mask selects no positions"):
         ad.masked_mean(ad.tensor(np.ones((2, 2))), np.zeros((2, 2), dtype=bool))
 
 

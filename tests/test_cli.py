@@ -227,11 +227,14 @@ class TestTrain:
         {"train": [{"input": [[1, 2], [3]], "output": [[1, 2], [3, 4]]}],
          "test": [{"input": [[1]], "output": [[1]]}]},
         "not_utf8",
-    ], ids=["train_not_a_list", "ragged_grid", "not_utf8"])
+        "too_deep",
+    ], ids=["train_not_a_list", "ragged_grid", "not_utf8", "too_deep"])
     def test_malformed_task_file_exits_data(self, tmp_path, capsys, task):
         data = tmp_path / "task.json"
         if task == "not_utf8":
             data.write_bytes('{"caf\xe9": 1}'.encode("latin-1"))
+        elif task == "too_deep":
+            data.write_text("[" * 100_000)
         else:
             data.write_text(json.dumps(task))
         assert run_cli("train", "--out", tmp_path / "x", "--data", data) == cli.EXIT_DATA
@@ -332,6 +335,7 @@ def _edit_config(key, value):
 BAD_MANIFESTS = {
     "truncated": lambda p: p.write_text(p.read_text()[:40]),
     "not_an_object": lambda p: p.write_text("[]"),
+    "too_deep": lambda p: p.write_text("[" * 100_000),
     "config_not_an_object": lambda p: p.write_text(
         json.dumps({**json.loads(p.read_text()), "config": 5})),
     **{f"no_{key}": _edit_manifest(key) for key in cli.MANIFEST_KEYS},
@@ -357,6 +361,45 @@ def test_malformed_manifest_is_data_error(drm_run, tmp_path, capsys, command, ba
     BAD_MANIFESTS[bad](run / cli.MANIFEST_NAME)
     assert run_cli(command, run) == cli.EXIT_DATA
     assert_one_error_line(capsys)
+
+
+# manifest values: small bounded integers, odd floats, short strings and
+# shallow containers of them
+MANIFEST_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 20) | st.text(max_size=4)
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.5, 1e-300, 1e300]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mutated_manifest_loads_or_is_data_error(drm_run, tmp_path_factory, data):
+    # one to three edits, each a config value set or deleted, a top-level
+    # key set or deleted, or the whole document replaced: the run either
+    # loads or raises TaskError, which exits 3
+    doc = json.loads((drm_run / cli.MANIFEST_NAME).read_text())
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(["config", "key", "document"]))
+        if kind == "config" and isinstance(doc, dict) and isinstance(doc.get("config"), dict):
+            node, key = doc["config"], data.draw(st.sampled_from(sorted(cli.CONFIG_KEYS)))
+        elif kind == "key" and isinstance(doc, dict):
+            node, key = doc, data.draw(st.text(max_size=4) | st.sampled_from(
+                sorted({*doc, *cli.MANIFEST_KEYS, "steps_run"})))
+        else:
+            doc = data.draw(MANIFEST_VALUES)
+            continue
+        if data.draw(st.booleans()):
+            node.pop(key, None)
+        else:
+            node[key] = data.draw(MANIFEST_VALUES)
+    run = tmp_path_factory.mktemp("run")
+    (run / cli.MANIFEST_NAME).write_text(json.dumps(doc))
+    try:
+        cli._load_run(run)
+    except cli.TaskError:
+        pass
 
 
 def test_unfinished_run_is_data_error(tmp_path, monkeypatch, capsys):

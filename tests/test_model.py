@@ -103,7 +103,7 @@ def test_embed_input_unknown_task():
     cfg, params = tiny_setup()
     pt = md.wrap_parameters(params)
     tokens = np.zeros((1, cfg.seq_len), dtype=np.int64)
-    with pytest.raises(ad.ContractError):
+    with pytest.raises(ad.AutodiffError, match="gather: index out of range"):
         md.embed_input(pt, cfg, tokens, np.array([99]))
 
 
@@ -352,7 +352,7 @@ def test_single_z_window_ignores_y_pathway():
         _, logits, q = md.run_window(pt, cfg, x, state, warm_cycles=0, grad_cycles=1)
         return ad.add(mean_all(logits), mean_all(q))
 
-    grads = gradient(build, dict(params.arrays), ["state/y0", "state/z0"])
+    grads = gradient(build, dict(params), ["state/y0", "state/z0"])
     assert np.all(grads["state/y0"] == 0.0)
     assert np.any(grads["state/z0"] != 0.0)
 
@@ -386,7 +386,7 @@ def test_window_without_gradient_gives_zero_grads():
             _, logits, _ = md.run_window(pt, cfg, x, state, cfg.cycles_per_window - 1, 1)
         return mean_all(logits)
 
-    grads = gradient(build, dict(base.arrays), ["phi/l0/attn/wq", "phi/l0/mlp/w2"])
+    grads = gradient(build, dict(base), ["phi/l0/attn/wq", "phi/l0/mlp/w2"])
     assert np.all(grads["phi/l0/attn/wq"] == 0.0)
     assert np.all(grads["phi/l0/mlp/w2"] == 0.0)
 
@@ -434,18 +434,18 @@ def test_q_readout_is_batch_invariant():
     rng = rng_for(6, "q")
     y = rng.standard_normal((8, cfg.seq_len + 1, 128)).astype(np.float32)
     with ad.no_grad():
-        _, q = md.decode_state(pt, cfg, md.LatentState(ad.constant(y), ad.constant(y)))
+        _, q = md.decode_state(pt, cfg, md.LatentState(ad.tensor(y), ad.tensor(y)))
         for i in range(8):
-            one = ad.constant(y[i:i + 1])
+            one = ad.tensor(y[i:i + 1])
             _, qi = md.decode_state(pt, cfg, md.LatentState(one, one))
             assert qi.value.tobytes() == q.value[i:i + 1].tobytes(), i
 
 
 def test_untied_depth_uses_distinct_sets():
     cfg, params = tiny_setup(untied_depth=6, cycles_per_window=2)
-    assert "phi0/l0/attn/wq" in params.arrays
-    assert "phi5/l0/attn/wq" in params.arrays
-    assert "phi/l0/attn/wq" not in params.arrays
+    assert "phi0/l0/attn/wq" in params
+    assert "phi5/l0/attn/wq" in params
+    assert "phi/l0/attn/wq" not in params
     pt = md.wrap_parameters(params)
     tokens, rows = batch_inputs(cfg, batch=1)
     x = md.embed_input(pt, cfg, tokens, rows)
@@ -494,7 +494,7 @@ def test_window_loss_matches_finite_differences():
                          warm_cycles=cfg.cycles_per_window - 1)
 
     # freeze the warm-up at the base parameters
-    base_pt = {k: ad.tensor(v, op=k) for k, v in base.arrays.items()}
+    base_pt = {k: ad.tensor(v, op=k) for k, v in base.items()}
     with ad.no_grad():
         x0 = md.embed_input(base_pt, cfg, tokens, rows)
         st0 = md.init_state(base_pt, cfg, [rng_for(7, "st")])
@@ -503,12 +503,12 @@ def test_window_loss_matches_finite_differences():
 
     def build_frozen(leaves):
         pt = dict(leaves)
-        state = md.LatentState(ad.constant(warm_y), ad.constant(warm_z))
+        state = md.LatentState(ad.tensor(warm_y), ad.tensor(warm_z))
         return loss_from(pt, state, warm_cycles=0)
 
     wrt = ["phi/l0/attn/wq", "phi/l0/mlp/w1", "embed/task", "decode/w", "q/w"]
-    grads = gradient(build_full, dict(base.arrays), wrt)
-    frozen = check_gradients(build_frozen, dict(base.arrays), wrt)
+    grads = gradient(build_full, dict(base), wrt)
+    frozen = check_gradients(build_frozen, dict(base), wrt)
     for name in wrt:
         # truncation makes these the same function of the parameters
         assert np.array_equal(grads[name], frozen[name]), name
@@ -618,10 +618,13 @@ def test_checkpoint_with_every_array_loads(tmp_path):
     _checkpoint_bytes(_header(num_layers=10 ** 9)) + struct.pack("<f", -5.0),
     _full_checkpoint(config={"hidden_size": 16.0}),
     _full_checkpoint(config={"single_z": 0}),
+    _checkpoint_bytes(b"[" * 100_000),
+    _checkpoint_bytes({**_header(), "arrays": [{"name": "q/b", "shape": [2 ** 64]}]}),
 ], ids=["short", "bad_json", "bad_utf8", "header_not_dict", "no_arrays",
         "no_config", "unknown_key", "invalid_config", "truncated_array",
         "only_q_bias", "wrong_shape", "nan_value", "metadata_list", "zero_heads",
-        "float_layers", "more_layers_than_arrays", "float_hidden_size", "int_single_z"])
+        "float_layers", "more_layers_than_arrays", "float_hidden_size", "int_single_z",
+        "too_deep", "dim_beyond_int64"])
 def test_checkpoint_malformed_bytes_raise_checkpoint_error(tmp_path, raw):
     p = tmp_path / "bad.ltrm"
     p.write_bytes(raw)
@@ -646,3 +649,59 @@ def test_checkpoint_config_values_load_or_raise_checkpoint_error(tmp_path_factor
     except md.CheckpointError:
         return
     assert params.names() == sorted(md.parameter_shapes(cfg))
+
+
+# a valid checkpoint of the tiny config with an EMA, and where its JSON
+# header ends and its arrays begin
+VALID_CHECKPOINT = _full_checkpoint(ema_value=1.0)
+ARRAYS_AT = 12 + struct.unpack_from("<I", VALID_CHECKPOINT, 8)[0]
+
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def mutated_checkpoints(draw) -> bytes:
+    """VALID_CHECKPOINT truncated, with 1-4 bytes overwritten, with its
+    header replaced by any JSON value, or with one config value or one
+    array's name or shape replaced; an edited header is re-packed with
+    its new length."""
+    raw = VALID_CHECKPOINT
+    kind = draw(st.sampled_from(["truncate", "overwrite", "header", "field"]))
+    if kind == "truncate":
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    if kind == "overwrite":
+        out = bytearray(raw)
+        for _ in range(draw(st.integers(1, 4))):
+            out[draw(st.integers(0, len(raw) - 1))] = draw(st.integers(0, 255))
+        return bytes(out)
+    header = json.loads(raw[12:ARRAYS_AT])
+    if kind == "header":
+        header = draw(JSON_VALUES)
+    elif draw(st.booleans()):
+        config = header["config"]
+        config[draw(st.sampled_from(sorted(config)))] = draw(JSON_VALUES)
+    else:
+        names = [spec["name"] for spec in header["arrays"]]
+        spec = draw(st.sampled_from(header["arrays"]))
+        spec[draw(st.sampled_from(["name", "shape"]))] = draw(
+            JSON_VALUES | st.sampled_from(names) | st.lists(st.integers(-1, 40), max_size=3))
+    return _checkpoint_bytes(header) + raw[ARRAYS_AT:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_checkpoints())
+def test_mutated_checkpoint_loads_or_raises_checkpoint_error(tmp_path_factory, raw):
+    # whatever the damage, a checkpoint loads, as a config whose arrays it
+    # holds, or raises CheckpointError; nothing else escapes
+    p = tmp_path_factory.mktemp("ck") / "m.ltrm"
+    p.write_bytes(raw)
+    try:
+        cfg, params, ema, _ = md.load_checkpoint(p)
+    except md.CheckpointError:
+        return
+    assert params.names() == sorted(md.parameter_shapes(cfg))
+    assert ema is None or ema.names() == params.names()

@@ -74,7 +74,8 @@ def test_malformed_json(tmp_path):
     json.dumps({"train": [{"input": [[1, 2], [3]], "output": [[1]]}],
                 "test": GOOD_TASK["test"]}).encode(),
     '{"train": [], "test": [], "caf\xe9": 1}'.encode("latin-1"),
-], ids=["train_not_a_list", "ragged_grid", "not_utf8"])
+    b"[" * 100_000,
+], ids=["train_not_a_list", "ragged_grid", "not_utf8", "too_deep"])
 def test_malformed_task_file_raises_task_error(tmp_path, raw):
     p = tmp_path / "bad.json"
     p.write_bytes(raw)

@@ -114,7 +114,7 @@ def test_combined_loss_one_wrong_cell_flips_match():
 
 
 def test_combined_loss_empty_mask_rejected():
-    with pytest.raises(ad.ContractError):
+    with pytest.raises(ad.AutodiffError, match="masked_mean: mask selects no positions"):
         combined_loss(ad.tensor(np.zeros((1, 3, 11))), ad.tensor(np.zeros(1)),
                       np.zeros((1, 3), dtype=np.int64),
                       np.zeros((1, 3), dtype=bool))
@@ -409,7 +409,7 @@ def test_train_step_stays_float32(objective, monkeypatch):
     assert not wrong, sorted(wrong)
     for g in grads:
         assert {str(a.dtype) for a in g.values()} == {"float32"}
-    assert {str(a.dtype) for a in params.arrays.values()} == {"float32"}
+    assert {str(a.dtype) for a in params.values()} == {"float32"}
 
 
 def run_steps(objective, seed, steps=2, beta=None, **cfg_kw):
@@ -491,8 +491,8 @@ def test_perturbed_recursion_stays_finite_over_many_windows():
             state, _ = md.run_cycles(pt, cfg, x, state, 1)
             y = perturb_latent(state.y.value, sched.num_steps, sched, rng)
             z = perturb_latent(state.z.value, sched.num_steps, sched, rng)
-            state = md.LatentState(ad.constant(y.astype(np.float32)),
-                                   ad.constant(z.astype(np.float32)))
+            state = md.LatentState(ad.tensor(y.astype(np.float32)),
+                                   ad.tensor(z.astype(np.float32)))
     assert np.all(np.isfinite(state.y.value))
     assert np.all(np.isfinite(state.z.value))
     assert np.abs(state.y.value).max() < 1e3
@@ -614,11 +614,11 @@ def test_trm_window_loss_full_gradient_matches_fd():
 
     wrt = ["phi/l0/attn/wq", "phi/l0/mlp/w1", "embed/input", "embed/task",
            "decode/w", "q/w", "state/y0"]
-    check_gradients(build, dict(base.arrays), wrt)
+    check_gradients(build, dict(base), wrt)
 
 
 def _probe_logits(cfg, base, batch):
-    pt = {k: ad.tensor(v, op=k) for k, v in base.arrays.items()}
+    pt = {k: ad.tensor(v, op=k) for k, v in base.items()}
     with ad.no_grad():
         x = md.embed_input(pt, cfg, batch.inputs, batch.rows)
         state = md.init_state(pt, cfg, state_streams(80, batch.rows.size))
@@ -645,7 +645,7 @@ def test_drm_loss_with_warmup_matches_fd_of_truncated_function():
         state = md.label_state(pt, cfg, corrupted, state_streams(86, 2))
         return loss_from(pt, state, warm_cycles)
 
-    base_pt = {k: ad.tensor(v, op=k) for k, v in base.arrays.items()}
+    base_pt = {k: ad.tensor(v, op=k) for k, v in base.items()}
     with ad.no_grad():
         x0 = md.embed_input(base_pt, cfg, batch.inputs, batch.rows)
         st0 = md.label_state(base_pt, cfg, corrupted, state_streams(86, 2))
@@ -654,14 +654,14 @@ def test_drm_loss_with_warmup_matches_fd_of_truncated_function():
 
     def build_frozen(leaves):
         pt = dict(leaves)
-        state = md.LatentState(ad.constant(frozen_y), ad.constant(frozen_z))
+        state = md.LatentState(ad.tensor(frozen_y), ad.tensor(frozen_z))
         return loss_from(pt, state, 0)
 
     # the label table feeds only the warm-up, so truncation zeroes it
     wrt = ["phi/l0/attn/wk", "phi/l0/mlp/w2", "embed/input", "embed/label",
            "decode/w", "q/b"]
-    grads = gradient(build_full, dict(base.arrays), wrt)
-    frozen = check_gradients(build_frozen, dict(base.arrays), wrt)
+    grads = gradient(build_full, dict(base), wrt)
+    frozen = check_gradients(build_frozen, dict(base), wrt)
     assert not np.any(grads["embed/label"])
     for name in wrt:
         assert np.array_equal(grads[name], frozen[name]), name
@@ -750,19 +750,29 @@ def test_max_steps_sets_the_run_length(monkeypatch):
     assert len(result.history) == 5 and seen == want[:5]
 
 
-@pytest.mark.parametrize("max_steps, steps_saved", [(4, [2, 4]), (5, [2, 4, 5])])
-def test_final_checkpoint_is_written_once(tmp_path, monkeypatch, max_steps, steps_saved):
-    # one example a batch: every run here fits in one epoch of 6 steps
+@pytest.mark.parametrize("max_steps, epochs, batch_size, steps_saved", [
+    pytest.param(4, 1, 1, [2, 4], id="4-steps_saved0"),
+    pytest.param(5, 1, 1, [2, 4, 5], id="5-steps_saved1"),
+    # without max_steps the run is epochs * ceil(6 / batch_size) steps
+    pytest.param(None, 3, 4, [2, 4, 6], id="epochs_3-batch_4_partial"),
+    pytest.param(None, 1, 5, [2], id="epochs_1-batch_5_partial"),
+    pytest.param(None, 3, 2, [2, 4, 6, 8, 9], id="epochs_3-batch_2"),
+])
+def test_final_checkpoint_is_written_once(tmp_path, monkeypatch, max_steps, epochs,
+                                          batch_size, steps_saved):
+    # 6 examples; with max_steps every run here fits in one epoch
     ds = desk_dataset()
     cfg = tiny_cfg(seq_len=9, num_tasks=ds.num_rows, max_halt_steps=2)
-    tcfg = TrainConfig(objective="trm", max_halt_steps=2, batch_size=1)
+    tcfg = TrainConfig(objective="trm", max_halt_steps=2, batch_size=batch_size,
+                       epochs=epochs)
     written = []
     real_save = md.save_checkpoint
     monkeypatch.setattr(md, "save_checkpoint", lambda path, *a: written.append(
         path) or real_save(path, *a))
-    run_training(ds, cfg, tcfg, seed=91, checkpoint_path=tmp_path / "s{step}.ltrm",
-                 checkpoint_every=2, max_steps=max_steps)
+    result = run_training(ds, cfg, tcfg, seed=91, checkpoint_path=tmp_path / "s{step}.ltrm",
+                          checkpoint_every=2, max_steps=max_steps)
     assert written == [str(tmp_path / f"s{step}.ltrm") for step in steps_saved]
+    assert len(result.history) == steps_saved[-1]
 
 
 def test_run_training_validates_dataset_fit():
