@@ -11,13 +11,13 @@ retained between steps except the raw parameter arrays owned by the caller.
 The graph is kept apart from the values: a `Tensor` pairs a forward
 value with its `Node`, and nodes link only to their parents' nodes.  A
 vjp reads only what its closure captured at forward time, so a value
-lives exactly while forward code holds its Tensor or some vjp closure
-holds the array.  `attention` and `mlp` are whole post-norm sublayers,
-each ending in its residual add and rms_norm, and one runner,
-`_post_norm`, runs both one batch item at a time and keeps only their
-input, weights and gain: q, k, v, the scores, the MLP's hidden arrays and
-each residual sum exist for one item at once and never outlive the call,
-and backward rebuilds them.
+lives while forward code holds its Tensor or a vjp closure not yet run
+by `backward` holds the array.  `attention` and `mlp` are whole
+post-norm sublayers, each ending in its residual add and rms_norm, and
+one runner, `_post_norm`, runs both one batch item at a time and keeps
+only their input, weights and gain: q, k, v, the scores, the MLP's
+hidden arrays and each residual sum exist for one item at once and never
+outlive the call, and backward rebuilds them.
 
 Only the primitives the looped-transformer stack needs are provided.  Each
 one validates operand shapes up front and raises `AutodiffError`, the one
@@ -69,11 +69,11 @@ class Node:
     keeps no array alive.
 
     `adjoint` stays None until `backward` reaches the node, so an untouched
-    node has an exactly-zero gradient; only leaves keep theirs after
-    backward.  `detached` is always None for nodes built in this package;
-    outside audits may point it at the Tensor behind a boundary and walk
-    its graph with `graph_nodes(follow_detached=True)`.  Backward never
-    follows it.
+    node has an exactly-zero gradient; after backward only leaves keep
+    theirs, and no node keeps its `vjp`.  `detached` is always None for
+    nodes built in this package; outside audits may point it at the Tensor
+    behind a boundary and walk its graph with
+    `graph_nodes(follow_detached=True)`.  Backward never follows it.
     """
 
     __slots__ = ("parents", "vjp", "adjoint", "requires_grad", "op", "detached")
@@ -645,9 +645,10 @@ def _toposort(root: Node) -> list[Node]:
 def backward(root: Tensor) -> None:
     """Populate `.adjoint` on every gradient-reachable leaf under root.
 
-    Interior adjoints are freed as soon as their vjp has run, so backward
-    holds only the frontier of adjoints still to be propagated; after it
-    returns, every node with a vjp reads `adjoint is None`."""
+    Each interior node's vjp and adjoint are dropped as soon as the vjp has
+    run, so backward holds only the adjoints still to be propagated and the
+    closures still to run; after it returns the graph holds no array, and
+    every interior node reads `vjp is None` and `adjoint is None`."""
     if root.value.size != 1:
         raise AutodiffError(f"backward: root must be scalar, got shape {root.shape}")
     if not np.all(np.isfinite(root.value)):
@@ -660,7 +661,7 @@ def backward(root: Tensor) -> None:
         if node.vjp is None:
             continue
         grads = node.vjp(node.adjoint)
-        node.adjoint = None
+        node.vjp = node.adjoint = None
         for parent, g in zip(node.parents, grads):
             if g is None or not parent.requires_grad:
                 continue

@@ -87,6 +87,7 @@ class ModelConfig:
 
 @dataclass
 class LatentState:
+    """The latent pair; `run_cycles` takes y and z out and leaves it empty."""
     y: ad.Tensor
     z: ad.Tensor
 
@@ -259,9 +260,11 @@ def run_cycles(pt: dict, cfg: ModelConfig, x: ad.Tensor, state: LatentState,
     exist, so z <- phi(x + z) and y passes through.  Returns the state and
     the next application index.
 
-    The graph holds no values: a replaced y or z, and each array an
-    application made, outlives it only if some vjp closure captured it."""
+    It empties `state`, and the graph holds no values: the input y and z,
+    a replaced y or z and each array an application made outlive their
+    last use only if the caller or a vjp closure holds them."""
     y, z, app = state.y, state.z, app_start
+    state.y = state.z = None
     for _ in range(cycles):
         for _ in range(cfg.inner_steps):
             h = ad.add(x, z) if cfg.single_z else ad.add(ad.add(x, y), z)
@@ -290,7 +293,7 @@ def run_window(pt: dict, cfg: ModelConfig, x: ad.Tensor, state: LatentState,
                warm_cycles: int, grad_cycles: int) -> tuple[LatentState, ad.Tensor, ad.Tensor]:
     """warm_cycles without gradient, then grad_cycles carrying gradient
     (unless the caller runs under `ad.no_grad`), then decode.  Returns
-    (state', logits, q_logit)."""
+    (state', logits, q_logit) and, like `run_cycles`, empties `state`."""
     if grad_cycles < 1:
         raise ModelError(f"need at least one gradient cycle, got {grad_cycles}")
     app = 0
@@ -328,9 +331,10 @@ def halting_windows(params: Parameters, cfg: ModelConfig, inputs: np.ndarray,
     and the others run wholly under `ad.no_grad`.
     Survivors carry (y, z) across a stop_gradient boundary, passed through
     perturb(y, z, w, active) when given.  Nothing carried points back at
-    the window's graph, and the generator drops its logits and q before
-    the next window runs, so once the caller has dropped its references
-    too only one window's graph is alive at a time.
+    the window's graph.  Across the yield the generator holds no embedding,
+    and the final state only while some item stays; it drops logits and q
+    before the next window runs, so once the caller has dropped its
+    references too only one window's graph is alive at a time.
     """
     inputs, rows = np.asarray(inputs), np.asarray(rows)
     active = np.arange(rows.size)
@@ -343,17 +347,19 @@ def halting_windows(params: Parameters, cfg: ModelConfig, inputs: np.ndarray,
             if state is None:
                 state = first_state(pt)
             state, logits, q = run_window(pt, cfg, x, state, warm_cycles, grad_cycles)
+            del x
         exiting = (q.value > 0) | last if halt_early else np.full(active.size, last)
-        yield w, active, pt, logits, q, exiting
-        del logits, q
         staying = ~exiting
         if not staying.any():
+            state = None
+        yield w, active, pt, logits, q, exiting
+        del logits, q
+        if state is None:
             return
         active = active[staying]
-        y, z = _carry(state.y, staying), _carry(state.z, staying)
+        state = LatentState(_carry(state.y, staying), _carry(state.z, staying))
         if perturb is not None:
-            y, z = perturb(y, z, w, active)
-        state = LatentState(y, z)
+            state = LatentState(*perturb(state.y, state.z, w, active))
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +424,10 @@ def load_checkpoint(path) -> tuple[ModelConfig, Parameters, Parameters | None, d
             offset += 4 * size
             arr = arr.reshape(shape).astype(np.float32)
             name = spec["name"]
-            if name.startswith("ema/"):
-                ema[name[4:]] = arr
-            else:
-                plain[name] = arr
+            into, key = (ema, name[4:]) if name.startswith("ema/") else (plain, name)
+            if key in into:
+                raise ValueError(f"array {name} listed twice")
+            into[key] = arr
         metadata = header.get("metadata", {})
     except (KeyError, TypeError, AttributeError, ValueError, OverflowError, RecursionError) as e:
         raise CheckpointError(f"{path}: malformed checkpoint "

@@ -368,8 +368,8 @@ def train_step(batch: Batch, params: md.Parameters, cfg: md.ModelConfig,
         q_mass += active.size
         correct += int(parts.correct[exiting].sum())
         exact += int(parts.match[exiting].sum())
-        # the generator builds the next window on resuming; holding this
-        # window's graph through it would double the peak
+        # the generator builds the next window on resuming; backward left
+        # this window's graph empty, but pt's leaves still hold its gradients
         del loss, logits, q, pt
 
     return StepMetrics(

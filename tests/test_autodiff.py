@@ -8,6 +8,7 @@ and compares against finite_difference_gradient in float64.
 from __future__ import annotations
 
 import contextlib
+import weakref
 
 import numpy as np
 import pytest
@@ -298,12 +299,43 @@ def test_backward_keeps_only_leaf_adjoints():
     loss = mean_all(ad.softmax_cross_entropy(ad.silu(h), np.zeros((2, 4), int)))
     ad.backward(loss)
     nodes = ad.graph_nodes(loss)
-    interior = [n for n in nodes if n.vjp is not None]
+    interior = [n for n in nodes if n.parents]
     assert len(interior) > 10 and loss.node in interior
     assert [n.op for n in interior if n.adjoint is not None] == []
     for leaf in [*w.values(), gain]:
         assert leaf.adjoint is not None and np.any(leaf.adjoint), leaf.op
     assert x.adjoint is None
+
+
+def test_backward_frees_each_vjp_once_run():
+    # backward drops every interior vjp once it has run it, and with it the
+    # arrays its closure captured, such as a sublayer's input; the leaf
+    # adjoints equal those of a backward whose closures all stay alive
+    def run(hold):
+        r = rng(50)
+        B, M, d, H = 2, 5, 8, 2
+        shapes = {"x": (B, M, d), "wq": (d, d), "wk": (d, d), "wv": (d, d), "wo": (d, d),
+                  "ga": (d,), "w1": (d, 2 * d), "w2": (2 * d, d), "gm": (d,)}
+        t = {n: ad.tensor(r.normal(size=s) / np.sqrt(s[0]), requires_grad=True, op=n)
+             for n, s in shapes.items()}
+        h = ad.add(t["x"], t["x"])
+        kept = weakref.ref(h.value)            # only attention's vjp holds it
+        out = ad.attention(h, t["wq"], t["wk"], t["wv"], t["wo"], t["ga"], H)
+        del h
+        loss = mean_all(multiply(out, ad.mlp(out, t["w1"], t["w2"], t["gm"])))
+        _held = [n.vjp for n in ad.graph_nodes(loss)] if hold else None   # outlive backward
+        ad.backward(loss)
+        interior = [n for n in ad.graph_nodes(loss) if n.parents]
+        assert len(interior) == 5
+        return (kept() is not None, [n.vjp is None for n in interior],
+                {n: leaf.adjoint for n, leaf in t.items()})
+
+    alive, freed, got = run(hold=False)
+    assert not alive and all(freed)
+    alive, _, want = run(hold=True)
+    assert alive
+    for name, g in got.items():
+        assert g.tobytes() == want[name].tobytes(), name
 
 
 def test_stop_gradient_blocks_branch():

@@ -150,8 +150,8 @@ def cycle_setup(seed=0, **kw):
 
 def test_latent_step_deterministic_and_tied():
     cfg, pt, x, state = cycle_setup()
-    s1, apps = md.run_cycles(pt, cfg, x, state, 1)
-    s2, _ = md.run_cycles(pt, cfg, x, state, 1)
+    s1, apps = md.run_cycles(pt, cfg, x, md.LatentState(state.y, state.z), 1)
+    s2, _ = md.run_cycles(pt, cfg, x, md.LatentState(state.y, state.z), 1)
     assert apps == cfg.inner_steps + 1
     assert s1.z.value.tobytes() == s2.z.value.tobytes()
     assert s1.y.value.tobytes() == s2.y.value.tobytes()
@@ -226,7 +226,7 @@ def test_run_cycles_releases_values_no_vjp_reads(monkeypatch):
         m.setattr(ad, "mlp", mlp_spy)
         m.setattr(ad, "silu", lambda a: refs["silu"].append(a))
         m.setattr(ad, "add", add_spy)
-        out, _ = md.run_cycles(pt, cfg, x, state, 2)
+        out, _ = md.run_cycles(pt, cfg, x, md.LatentState(state.y, state.z), 2)
     alive = {k: [r() is not None for r in v] for k, v in refs.items()}
     blocks = 2 * cfg.apps_per_cycle * cfg.num_layers
     items = blocks * len(x.value)
@@ -244,6 +244,73 @@ def test_run_cycles_releases_values_no_vjp_reads(monkeypatch):
     # holds, do not
     assert alive["z"] == [True] + [False] * (2 * cfg.inner_steps - 1)
     assert alive["y"] == [True, False]
+
+
+def test_run_cycles_input_state_dies_at_its_last_use(monkeypatch):
+    # run_cycles owns the state it is given: when the caller holds only the
+    # LatentState, the input z dies once the first latent step has replaced
+    # it and the input y once the answer step has, and the state is empty
+    cfg, pt, x, state = cycle_setup()
+    y_in, z_in = weakref.ref(state.y.value), weakref.ref(state.z.value)
+    alive = []
+    phi_apply = md.phi_apply
+
+    def spy(pt, cfg, h, app):
+        alive.append((y_in() is not None, z_in() is not None))
+        return phi_apply(pt, cfg, h, app)
+
+    monkeypatch.setattr(md, "phi_apply", spy)
+    md.run_cycles(pt, cfg, x, state, 2)
+    apps = cfg.apps_per_cycle
+    assert [y for y, _ in alive] == [True] * apps + [False] * apps
+    assert [z for _, z in alive] == [True] + [False] * (2 * apps - 1)
+    assert state.y is None and state.z is None
+
+
+def test_last_window_yields_without_x_or_final_state(monkeypatch):
+    # at the yield of the last window the generator holds neither the
+    # window's embedding x nor its final state; the caller's logits, q and
+    # pt still give the values and gradients of a run that holds both
+    def run(hold):
+        cfg, params = tiny_setup()
+        tokens, rows = batch_inputs(cfg)
+        streams = [rng_for(7, "st", i) for i in range(len(rows))]
+        made: list = []
+        embed_input, run_window = md.embed_input, md.run_window
+
+        def embed_spy(*args):
+            x = embed_input(*args)
+            made.append(x.value if hold else weakref.ref(x.value))
+            return x
+
+        def window_spy(*args):
+            out = run_window(*args)
+            made.append(out[0].z.value if hold else weakref.ref(out[0].z.value))
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(md, "embed_input", embed_spy)
+            m.setattr(md, "run_window", window_spy)
+            for w, _, pt, logits, q, exiting in md.halting_windows(
+                    params, cfg, tokens, rows, lambda pt: md.init_state(pt, cfg, streams),
+                    2, 1, 1, halt_early=False):
+                if not exiting.all():
+                    continue
+                dead = None if hold else [r() is None for r in made[2:]]
+                ad.backward(ad.add(mean_all(logits), mean_all(q)))
+                grads = {k: t.adjoint for k, t in pt.items()}
+                values = logits.value.tobytes() + q.value.tobytes()
+        assert w == 1 and len(made) == 4
+        return dead, values, grads
+
+    dead, values, grads = run(hold=False)
+    assert dead == [True, True]
+    _, want_values, want = run(hold=True)
+    assert values == want_values
+    for name, g in grads.items():
+        w = want[name]
+        assert (g is None) == (w is None), name
+        assert g is None or g.tobytes() == w.tobytes(), name
 
 
 def test_embedding_values_die_once_forward_drops_them(monkeypatch):
@@ -325,15 +392,16 @@ def test_attention_node_gradients_match_stored_graph_bitwise(monkeypatch):
 
 def test_answer_step_single_z_identity():
     cfg, pt, x, state = cycle_setup(single_z=True)
+    y0 = state.y
     out, apps = md.run_cycles(pt, cfg, x, state, 1)
-    assert out.y is state.y
+    assert out.y is y0
     assert apps == cfg.inner_steps
 
 
 def test_cycle_is_n_latent_steps_then_one_answer_step():
     cfg, pt, x, state = cycle_setup()
-    out, _ = md.run_cycles(pt, cfg, x, state, 1)
     y, z = state.y, state.z
+    out, _ = md.run_cycles(pt, cfg, x, md.LatentState(y, z), 1)
     for i in range(cfg.inner_steps):
         z = md.phi_apply(pt, cfg, ad.add(ad.add(x, y), z), i)
     y = md.phi_apply(pt, cfg, ad.add(y, z), cfg.inner_steps)
@@ -363,7 +431,8 @@ def test_window_shapes_and_t1_boundary():
     tokens, rows = batch_inputs(cfg, batch=3)
     x = md.embed_input(pt, cfg, tokens, rows)
     state = md.init_state(pt, cfg, [rng_for(1, "st", i) for i in range(3)])
-    _, logits, q = md.run_window(pt, cfg, x, state, cfg.cycles_per_window - 1, 1)
+    _, logits, q = md.run_window(pt, cfg, x, md.LatentState(state.y, state.z),
+                                 cfg.cycles_per_window - 1, 1)
     assert logits.shape == (3, cfg.seq_len, cfg.vocab_size)
     assert q.shape == (3,)
     # T=1 means zero warm-up cycles: bitwise equal to an explicit (0, 1) window
@@ -450,9 +519,9 @@ def test_untied_depth_uses_distinct_sets():
     tokens, rows = batch_inputs(cfg, batch=1)
     x = md.embed_input(pt, cfg, tokens, rows)
     state = md.init_state(pt, cfg, [rng_for(0, "st")])
-    out, logits, q = md.run_window(pt, cfg, x, state, 1, 1)
+    out, logits, q = md.run_window(pt, cfg, x, md.LatentState(state.y, state.z), 1, 1)
     assert logits.shape == (1, cfg.seq_len, cfg.vocab_size)
-    with pytest.raises(md.ModelError):
+    with pytest.raises(md.ModelError, match="exceeds untied depth"):
         md.run_window(pt, cfg, x, state, 1, 3)  # would need 9 sets
 
 
@@ -571,18 +640,20 @@ def _header(**config):
             "arrays": [{"name": "q/b", "shape": [1]}]}
 
 
-def _full_checkpoint(shapes=None, ema_value=None, metadata=None, config=None) -> bytes:
+def _full_checkpoint(shapes=None, ema_value=None, metadata=None, config=None,
+                     repeat=()) -> bytes:
     """Every array the tiny config builds, zero-filled, with `shapes`
     overriding some shapes, given `ema_value`, an ema copy filled with it,
-    `metadata` in the header (default {}) and `config` overriding some of
-    the header's config values."""
+    `metadata` in the header (default {}), `config` overriding some of
+    the header's config values and the arrays named in `repeat` listed a
+    second time at the end."""
     cfg = tiny_cfg()
     named = {n: np.zeros(s) for n, s in {**md.parameter_shapes(cfg),
                                          **(shapes or {})}.items()}
     if ema_value is not None:
         named.update({f"ema/{n}": np.full(a.shape, ema_value)
                       for n, a in list(named.items())})
-    order = sorted(named)
+    order = sorted(named) + list(repeat)
     header = {"config": {**asdict(cfg), **(config or {})},
               "metadata": {} if metadata is None else metadata,
               "arrays": [{"name": n, "shape": list(named[n].shape)} for n in order]}
@@ -620,11 +691,12 @@ def test_checkpoint_with_every_array_loads(tmp_path):
     _full_checkpoint(config={"single_z": 0}),
     _checkpoint_bytes(b"[" * 100_000),
     _checkpoint_bytes({**_header(), "arrays": [{"name": "q/b", "shape": [2 ** 64]}]}),
+    _full_checkpoint(repeat=["q/b"]),
 ], ids=["short", "bad_json", "bad_utf8", "header_not_dict", "no_arrays",
         "no_config", "unknown_key", "invalid_config", "truncated_array",
         "only_q_bias", "wrong_shape", "nan_value", "metadata_list", "zero_heads",
         "float_layers", "more_layers_than_arrays", "float_hidden_size", "int_single_z",
-        "too_deep", "dim_beyond_int64"])
+        "too_deep", "dim_beyond_int64", "repeated_name"])
 def test_checkpoint_malformed_bytes_raise_checkpoint_error(tmp_path, raw):
     p = tmp_path / "bad.ltrm"
     p.write_bytes(raw)
