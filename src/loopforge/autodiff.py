@@ -17,7 +17,8 @@ post-norm sublayers, each ending in its residual add and rms_norm, and
 one runner, `_post_norm`, runs both one batch item at a time and keeps
 only their input, weights and gain: q, k, v, the scores, the MLP's
 hidden arrays and each residual sum exist for one item at once and never
-outlive the call, and backward rebuilds them.
+outlive the call, and backward rebuilds them.  They equal the plain graph
+of their ops to rounding, and an item's bytes do not depend on its batch.
 
 Only the primitives the looped-transformer stack needs are provided.  Each
 one validates operand shapes up front and raises `AutodiffError`, the one
@@ -91,7 +92,7 @@ class Tensor:
     captures at forward time the operand arrays and shapes it needs, so an
     array lives while forward code holds its Tensor or a closure holds the
     array.  Intermediates that are cheap to rebuild are recomputed in
-    backward instead: silu's sigmoid, and everything inside the `attention`
+    backward instead: silu's tanh, and everything inside the `attention`
     and `mlp` sublayers, residual sums included, rebuilt from the
     sublayer's input.  The losses' probabilities are built only there.
     """
@@ -251,62 +252,60 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
 # nonlinearities and norms
 
 
-def _silu_grad(a: np.ndarray, s: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """silu's vjp at a for s = sigmoid(a), g * (s * (1 + a * (1 - s))), in
+def _silu(h: np.ndarray) -> np.ndarray:
+    """silu(2h) = 2h * sigmoid(2h) = h + h * tanh(h), in three passes and
     one buffer."""
-    out = np.subtract(1.0, s)
-    out *= a
+    value = np.tanh(h)
+    value *= h
+    value += h
+    return value
+
+
+def _silu_grad(h: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """silu's vjp at 2h for t = tanh(h), g * s * (1 + h * (1 - t)) with s =
+    sigmoid(2h) = (1 + t) / 2, in one buffer; t is overwritten."""
+    out = np.subtract(1.0, t)
+    out *= h
     out += 1.0
-    out *= s
+    out *= np.multiply(np.add(t, 1.0, out=t), 0.5, out=t)
     out *= g
     return out
 
 
 def silu(a: Tensor) -> Tensor:
-    """x * sigmoid(x).  The node keeps only its input: backward recomputes
-    the sigmoid rather than holding a full-size copy of it per application."""
+    """x * sigmoid(x) as `_silu` of x / 2, as `mlp` runs it.  No code in this
+    package calls it: it is the reference `mlp` is pinned to, and loopbench's
+    tracer patches it by name.  The node keeps only its input."""
     av = a.value
-    value = sigmoid(av)
-    value *= av
-    return _node(value, (a,), lambda g: (_silu_grad(av, sigmoid(av), g),), "silu")
+    return _node(_silu(av * 0.5), (a,),
+                 lambda g: (_silu_grad(av * 0.5, np.tanh(av * 0.5), g),), "silu")
 
 
 RMS_NORM_EPS = 1e-6
 
 
-def _inv_rms(sq: np.ndarray) -> np.ndarray:
-    """1 / sqrt(mean(sq) + eps) over the last axis of the squares sq, with
-    np.mean's bytes and without its per-call overhead."""
-    r = sq.sum(axis=-1, keepdims=True)
-    r /= sq.shape[-1]
-    r += RMS_NORM_EPS
-    np.sqrt(r, out=r)
-    return np.divide(1.0, r, out=r)
+def _inv_rms(x: np.ndarray) -> np.ndarray:
+    """1 / sqrt(mean(x ** 2) + eps) over the kept last axis of x, each row's
+    sum of squares one dot product."""
+    return 1.0 / np.sqrt(np.vecdot(x, x)[..., None] / x.shape[-1] + RMS_NORM_EPS)
 
 
 def _rms(x: np.ndarray, gain: np.ndarray, out=None) -> np.ndarray:
     """Each row of x scaled to unit root-mean-square, times gain; written
     to `out` when given."""
-    value = np.square(x, out=out)
-    r = _inv_rms(value)
-    np.multiply(x, r, out=value)
+    value = np.multiply(x, _inv_rms(x), out=out)
     value *= gain
     return value
 
 
 def _rms_vjp(g: np.ndarray, x: np.ndarray, gain: np.ndarray, total=None) -> tuple:
     """`_rms`'s vjp over rows x, with r rebuilt from x: x's gradient
-    r * gg - (r ** 3 / d) * x * sum(gg * x) for gg = g * gain, and gain's,
-    the rows of g * x * r summed onto `total`, the sum of earlier rows, in
-    the order `reshape(-1, d).sum(axis=0)` adds a batch's rows: one row at
-    a time, so `total` goes into the first row first.  Two full buffers."""
-    tmp = np.square(x)
-    r = _inv_rms(tmp)
+    r * gg - (r ** 3 / d) * (gg · x) * x for gg = g * gain, and gain's, the
+    rows of g * x * r summed one at a time onto `total`, the sum of earlier
+    rows, as `reshape(-1, d).sum(axis=0)` adds a batch's.  Two full buffers."""
+    r = _inv_rms(x)
     ga = g * gain
-    np.multiply(ga, x, out=tmp)
-    dot = tmp.sum(axis=-1, keepdims=True)
-    np.multiply(r ** 3 / x.shape[-1], x, out=tmp)
-    tmp *= dot
+    tmp = np.multiply(r ** 3 / x.shape[-1] * np.vecdot(ga, x)[..., None], x)
     ga *= r
     ga -= tmp
     np.multiply(g, x, out=tmp)
@@ -355,23 +354,35 @@ def gather(table: Tensor, indices: np.ndarray) -> Tensor:
     return _node(table.value[idx], (table,), vjp, "gather")
 
 
-_ROPE_CACHE: dict = {}
+_PHASES: dict = {}
 
 
-def _rope_tables(M: int, num_heads: int, hd: int, dtype) -> tuple:
-    """Tables (M, num_heads * hd), each head's [cos, cos], [-sin, sin] and
-    [sin, -sin] over its two halves."""
+def _phases(M: int, num_heads: int, hd: int, dtype) -> tuple:
+    """Rope as complex phases over q's and then k's heads, cached: a table
+    (M, num_heads * hd) of e^(i m θ_j) for position m and θ_j = 10000 **
+    (-2j / hd), times head_dim ** -0.5 / ln 2 for q, so that scores come in
+    base 2 for exp2; ln 2 times its conjugate, the rotation's transpose
+    with exp2's derivative folded in; and the column order that sets each
+    head's pairs (x[j], x[j + hd/2]) side by side.  Made in float64."""
     key = (M, num_heads, hd, np.dtype(dtype).str)
-    hit = _ROPE_CACHE.get(key)
-    if hit is None:
-        half = hd // 2
-        inv = 10000.0 ** (-np.arange(half, dtype=np.float64) / half)
-        ang = np.arange(M, dtype=np.float64)[:, None] * inv[None, :]
-        cos, sin = np.cos(ang), np.sin(ang)
-        cos = np.tile(np.concatenate([cos, cos], axis=1), num_heads).astype(dtype)
-        sin = np.tile(np.concatenate([-sin, sin], axis=1), num_heads).astype(dtype)
-        hit = _ROPE_CACHE[key] = (cos, sin, -sin)
-    return hit
+    if np.dtype(dtype).itemsize < 4:
+        raise AutodiffError(f"rope: {np.dtype(dtype)} has no complex type for the phases")
+    if key not in _PHASES:
+        inv = 10000.0 ** (-np.arange(hd // 2) / (hd // 2))
+        turn = np.tile(np.exp(1j * np.arange(M)[:, None] * inv), num_heads)
+        table = np.concatenate([turn / (math.sqrt(hd) * math.log(2)), turn], 1)
+        perm = np.arange(2 * num_heads * hd).reshape(-1, 2, hd // 2).transpose(0, 2, 1).ravel()
+        ctype = np.result_type(dtype, 1j)
+        _PHASES[key] = (table.astype(ctype), (math.log(2) * table.conj()).astype(ctype), perm)
+    return _PHASES[key]
+
+
+def _turn(a: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """a's adjacent pairs (re, im) times phases, as complex numbers, in
+    place: one complex multiply rotates every pair.  Returns a."""
+    c = a.view(phases.dtype)
+    np.multiply(c, phases, out=c)
+    return a
 
 
 def _check_heads(op: str, d: int, num_heads: int) -> int:
@@ -384,53 +395,41 @@ def _check_heads(op: str, d: int, num_heads: int) -> int:
     return hd
 
 
-def _rotate(x: np.ndarray, num_heads: int, inverse: bool = False, out=None) -> np.ndarray:
-    """Each head's halves (x1, x2) of x (..., M, d) -> swap(x) * [-sin, sin]
-    + x * [cos, cos] = (x1 cos - x2 sin, x1 sin + x2 cos), with the two-half
-    formula's bytes, into `out` when given.  `inverse` negates the angle
-    (exactly, via sin): the transpose of a rotation, so rope's vjp."""
-    *lead, M, d = x.shape
-    hd = d // num_heads
-    half = hd // 2
-    cos, sin, nsin = _rope_tables(M, num_heads, hd, x.dtype)
-    if out is None:
-        out = np.empty(x.shape, x.dtype)
-    xh, oh = (a.reshape(*lead, M, num_heads, hd) for a in (x, out))
-    oh[..., :half] = xh[..., half:]
-    oh[..., half:] = xh[..., :half]
-    out *= nsin if inverse else sin
-    out += x * cos
-    return out
-
-
 def rope(a: Tensor, num_heads: int) -> Tensor:
-    """Rotary position rotation applied per head over the sequence axis.
+    """Rotary position rotation applied per head over the sequence axis:
+    for (..., M, d), each head's pair (x[j], x[j + hd/2]) read as a complex
+    number times k's phases in `_phases`.  No code in this package calls
+    it: it is the reference `attention` is pinned to, and loopbench's
+    tracer patches it by name."""
+    hd = _check_heads("rope", a.shape[-1], num_heads)
+    *_, M, d = a.shape
+    turn, _, perm = _phases(M, num_heads, hd, a.value.dtype)
+    turn, perm = turn[:, d // 2:], perm[:d]
 
-    Expects (..., M, d) with d divisible by num_heads and an even head dim;
-    each head's features are split in halves and rotated by position.
-    No code in this package calls it (`attention` rotates with `_rotate`
-    per item); it stays because loopbench's tracer patches it by name.
-    """
-    _check_heads("rope", a.shape[-1], num_heads)
-    return _node(_rotate(a.value, num_heads), (a,),
-                 lambda g: (_rotate(g, num_heads, inverse=True),), "rope")
+    def rotate(x, phases):
+        return np.take(_turn(np.take(x, perm, axis=-1), phases), np.argsort(perm), axis=-1)
+
+    return _node(rotate(a.value, turn), (a,), lambda g: (rotate(g, turn.conj()),), "rope")
 
 
 # ---------------------------------------------------------------------------
 # the two sublayers
 
 
-def _post_norm(op: str, h: Tensor, weights, gain: Tensor, item, item_vjp, prepare) -> Tensor:
-    """The node rms_norm(h + f(h), gain) for h (B, M, d), one batch item at
-    a time: the runner of both sublayers.  `item(x, state)` returns one
-    item's residual sum x + f(x) and what its vjp reads; `item_vjp(gs, x,
-    saved, state, out)` writes x's gradient, the sum's adjoint gs included,
-    to `out` and returns the item's weight gradients.  `prepare()` builds a
-    pass's shared state, so the node keeps only h, the weights and the gain.
-    Weight gradients are summed in item order and the gain's over all rows
-    in order, as backward sums the graph of f's ops and rms_norm over the
-    batch: value and gradients are that graph's, bit for bit."""
+def _post_norm(op: str, h: Tensor, weights, gain: Tensor, item, item_vjp, prepare,
+               finish) -> Tensor:
+    """The node rms_norm(h + f(h), gain) for h (B, M, d), B > 0, one batch
+    item at a time: the runner of both sublayers.  `item(x, state)` returns
+    one item's residual sum x + f(x) and what its vjp reads; `item_vjp(gs,
+    x, saved, state, out)` writes x's gradient, the sum's adjoint gs
+    included, to `out` and returns the item's weight gradients, whose sums
+    in item order `finish(gws, state)` orders as the weights.  `prepare()`
+    builds a pass's state, so the node keeps only h, the weights and the
+    gain.  An item's value and h gradient have the same bytes in any batch
+    and equal the plain graph of f and rms_norm to rounding."""
     hv, nv = h.value, gain.value
+    if not len(hv):
+        raise AutodiffError(f"{op}: empty batch, h {h.shape}")
     value = np.empty(hv.shape, np.result_type(hv, nv, *(w.value for w in weights)))
     state = prepare()
     for b, x in enumerate(hv):
@@ -444,7 +443,7 @@ def _post_norm(op: str, h: Tensor, weights, gain: Tensor, item, item_vjp, prepar
             gs, ggain = _rms_vjp(g[b], s, nv, ggain)
             gw = item_vjp(gs, x, saved, state, gh[b])
             gws = gw if b == 0 else [np.add(t, w, out=t) for t, w in zip(gws, gw)]
-        return (gh, *gws, ggain)
+        return (gh, *finish(gws, state), ggain)
 
     return _node(value, (h, *weights, gain), vjp, op)
 
@@ -455,25 +454,26 @@ def _heads(x: np.ndarray, num_heads: int) -> np.ndarray:
     return x.reshape(M, num_heads, d // num_heads).transpose(1, 0, 2)
 
 
-def _attend(x, wqkv, wo, num_heads: int, alpha: float) -> tuple:
-    """Attention's item kernel on its sublayer input x (M, d) and the
-    stacked [wq | wk | wv]: the residual sum x + (p · v) · wo, and the
-    scaled q heads, the k heads, v, the probabilities p and the merged
-    p · v that its vjp reads.  q and k rotate in one call, as 2H heads."""
+def _attend(x, state, num_heads: int) -> tuple:
+    """Attention's item kernel on its sublayer input x (M, d): the residual
+    sum x + o · wo, and what its vjp reads: the q, k and v heads, e =
+    2 ** (s - max s) for the scores s in base 2, keys down (H, M, M), its
+    sums over keys l, and the output o = eᵀ · v / l by heads and merged.
+    One complex multiply rotates the interleaved q|k and scales q."""
+    w, turn, _, ones, wo = state[:5]
     d = x.shape[-1]
-    qkv = np.matmul(x, wqkv)
-    qk = _rotate(qkv[:, :2 * d], 2 * num_heads)
-    qk[:, :d] *= alpha
-    qs, kh, v = _heads(qk[:, :d], num_heads), _heads(qk[:, d:], num_heads), qkv[:, 2 * d:]
-    p = np.matmul(qs, kh.swapaxes(-1, -2))
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    o = np.empty(v.shape, v.dtype)
-    np.matmul(p, _heads(v, num_heads), out=_heads(o, num_heads))
+    qk = _turn(np.matmul(x, w[:, :2 * d]), turn)
+    qs, kh, vh = (_heads(a, num_heads) for a in (qk[:, :d], qk[:, d:], np.matmul(x, w[:, 2 * d:])))
+    e = np.matmul(kh, qs.swapaxes(-1, -2))
+    e -= e.max(axis=1, keepdims=True)
+    np.exp2(e, out=e)
+    l = np.matmul(ones, e)
+    oh = np.matmul(e.swapaxes(-1, -2), vh)
+    oh /= l[..., None]
+    o = oh.transpose(1, 0, 2).reshape(len(x), d)
     s = np.matmul(o, wo)
     s += x
-    return s, (qs, kh, v, p, o)
+    return s, (qs, kh, vh, e, l, oh, o)
 
 
 def attention(h: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, gain: Tensor,
@@ -481,15 +481,15 @@ def attention(h: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, gain: T
     """The post-norm attention sublayer, rms_norm(h + MHA(q, k, v) · wo,
     gain) for h (B, M, d), q = rope(h · wq), k = rope(h · wk), v = h · wv,
     run by `_post_norm`: one item's q, k, v, (H, M, M) scores, output and
-    residual sum exist at once, in cache.
-
-    Unmasked multi-head self-attention: heads are carved out of the feature
-    axis, scores scaled by head_dim ** -0.5 (a Python float folded into q,
-    so the operands' dtype is kept) and softmaxed over keys.  Per item
-    these are the ops of the graph rms_norm(h + matmul(attention core, wo),
-    gain) over rope and matmul nodes; h's gradient is summed as that
-    graph's, ((gq wqᵀ + g_s) + gk wkᵀ) + gv wvᵀ for the sum's adjoint g_s.
-    """
+    residual sum exist at once, in cache.  Unmasked multi-head
+    self-attention, scores scaled by head_dim ** -0.5, softmax over keys.
+    Each pass stacks [wq | wk | wv] with each head's rope pairs side by side
+    (a head's scores do not depend on its feature order), so q|k is rotated
+    and q scaled by one complex multiply, and the vjp multiplies by the
+    conjugates; h's gradient is one GEMM, and the q and k weight gradients
+    are put back in column order once.  Scores come in base 2 for exp2, and
+    softmax is normalised on the output; the vjp divides the output's
+    adjoint by the same sums."""
     d = h.shape[-1]
     if (h.value.ndim != 3 or any(w.shape != (d, d) for w in (wq, wk, wv, wo))
             or gain.shape != (d,)):
@@ -497,50 +497,47 @@ def attention(h: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, gain: T
                             f"(d,) gain, got {h.shape}, {wq.shape}, {wk.shape}, {wv.shape}, "
                             f"{wo.shape}, {gain.shape}")
     hd = _check_heads("attention", d, num_heads)
-    alpha = 1.0 / math.sqrt(hd)
     wqv, wkv, wvv, wov = (w.value for w in (wq, wk, wv, wo))
     M, dtype = h.shape[1], np.result_type(h.value, wqv, wkv, wvv, wov, gain.value)
 
     def prepare():
-        gqk, gqkv = np.empty((M, 2 * d), dtype), np.empty((M, 3 * d), dtype)
-        heads = (_heads(a, num_heads) for a in (gqk[:, :d], gqk[:, d:], gqkv[:, 2 * d:]))
-        return np.concatenate([wqv, wkv, wvv], axis=1), gqk, gqkv, *heads
+        turn, back, perm = _phases(M, num_heads, hd, dtype)
+        w = np.concatenate([np.concatenate([wqv, wkv], axis=1)[:, perm], wvv], axis=1, dtype=dtype)
+        return w, turn, back, np.ones(M, dtype), wov, np.empty((M, 3 * d), dtype), perm
 
     def item_vjp(gs, x, saved, state, out):
-        qs, kh, v, p, o = saved
-        _, gqk, gqkv, gq, gk, gv = state
-        ga = np.matmul(gs, wov.T)
-        gah = _heads(ga, num_heads)
-        np.matmul(p.swapaxes(-1, -2), gah, out=gv)
-        gp = np.matmul(gah, _heads(v, num_heads).swapaxes(-1, -2))
-        # softmax backward in place on gp; rowsum(gp * p) is rowsum(ga * o)
-        # per head, which costs an (M, d) product instead of (H, M, M)
-        inner = (ga * o).reshape(len(o), num_heads, hd).sum(axis=-1)
-        gp -= inner.T[..., None]
-        gp *= p
-        np.matmul(gp, kh, out=gq)
-        gq *= alpha
-        np.matmul(gp.swapaxes(-1, -2), qs, out=gk)
-        _rotate(gqk, 2 * num_heads, inverse=True, out=gqkv[:, :2 * d])
-        np.matmul(gqkv[:, :d], wqv.T, out=out)
+        qs, kh, vh, e, l, oh, o = saved
+        w, _, back, _, _, gqkv, _ = state
+        gq, gk, gv = (_heads(gqkv[:, i * d:(i + 1) * d], num_heads) for i in range(3))
+        gah = np.divide(_heads(np.matmul(gs, wov.T), num_heads), l[..., None])
+        np.matmul(e, gah, out=gv)
+        ge = np.matmul(vh, gah.swapaxes(-1, -2))
+        # softmax backward in place: sum(p * gp) over keys is ga · o per
+        # head, an (M, d) product instead of (H, M, M)
+        ge -= np.vecdot(gah, oh)[:, None]
+        ge *= e
+        np.matmul(ge.swapaxes(-1, -2), kh, out=gq)
+        np.matmul(ge, qs, out=gk)
+        _turn(gqkv[:, :2 * d], back)
+        np.matmul(gqkv, w.T, out=out)
         out += gs
-        out += np.matmul(gqkv[:, d:2 * d], wkv.T)
-        out += np.matmul(gqkv[:, 2 * d:], wvv.T)
-        gw = np.matmul(x.T, gqkv)
-        return gw[:, :d], gw[:, d:2 * d], gw[:, 2 * d:], np.matmul(o.T, gs)
+        return np.matmul(x.T, gqkv), np.matmul(o.T, gs)
+
+    def finish(gws, state):
+        gw, go = gws
+        gqk = gw[:, np.argsort(state[-1])]
+        return gqk[:, :d], gqk[:, d:], gw[:, 2 * d:], go
 
     return _post_norm("attention", h, (wq, wk, wv, wo), gain,
-                      lambda x, state: _attend(x, state[0], wov, num_heads, alpha),
-                      item_vjp, prepare)
+                      lambda x, state: _attend(x, state, num_heads), item_vjp, prepare, finish)
 
 
 def mlp(h: Tensor, w1: Tensor, w2: Tensor, gain: Tensor) -> Tensor:
     """The post-norm MLP sublayer, rms_norm(h + silu(h · w1) · w2, gain) for
     h (B, M, d), run by `_post_norm`: the wide hidden arrays and the
     residual sum exist for one item at a time, and the vjp rebuilds them,
-    the second GEMM included.  Per item these are the ops of the graph
-    rms_norm(add(h, matmul(silu(matmul(h, w1)), w2)), gain); h's gradient
-    is g_s + gh for the sum's adjoint g_s."""
+    the second GEMM included.  Each pass halves w1, which is exact, and
+    silu is `_silu` of h · w1 / 2."""
     if (h.value.ndim != 3 or w1.value.ndim != 2 or w2.value.ndim != 2
             or h.shape[-1] != w1.shape[0] or w1.shape[1] != w2.shape[0]
             or w2.shape[1] != h.shape[-1] or gain.shape != h.shape[-1:]):
@@ -548,22 +545,22 @@ def mlp(h: Tensor, w1: Tensor, w2: Tensor, gain: Tensor) -> Tensor:
                             f"got {h.shape} @ {w1.shape} @ {w2.shape}, {gain.shape}")
     w1v, w2v = w1.value, w2.value
 
-    def item(x, _):
-        a = np.matmul(x, w1v)
-        s = sigmoid(a)
-        act = s * a
+    def item(x, state):
+        a = np.matmul(x, state[0])
+        act = _silu(a)
         res = np.matmul(act, w2v)
         res += x
-        return res, (a, s, act)
+        return res, (a, act)
 
-    def item_vjp(gs, x, saved, _, out):
-        a, s, act = saved
-        ga = _silu_grad(a, s, np.matmul(gs, w2v.T))
+    def item_vjp(gs, x, saved, state, out):
+        a, act = saved
+        ga = _silu_grad(a, np.tanh(a), np.matmul(gs, w2v.T))
         np.matmul(ga, w1v.T, out=out)
         out += gs
         return np.matmul(x.T, ga), np.matmul(act.T, gs)
 
-    return _post_norm("mlp", h, (w1, w2), gain, item, item_vjp, lambda: None)
+    return _post_norm("mlp", h, (w1, w2), gain, item, item_vjp,
+                      lambda: (w1v * 0.5,), lambda gws, _: gws)
 
 
 # ---------------------------------------------------------------------------
