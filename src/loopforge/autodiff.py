@@ -252,13 +252,13 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
 # nonlinearities and norms
 
 
-def _silu(h: np.ndarray) -> np.ndarray:
-    """silu(2h) = 2h * sigmoid(2h) = h + h * tanh(h), in three passes and
-    one buffer."""
-    value = np.tanh(h)
-    value *= h
+def _silu(h: np.ndarray, keep_tanh: bool = False) -> tuple:
+    """silu(2h) = h + h * tanh(h) in three passes, and tanh(h) for the vjp:
+    in one buffer, over the tanh, unless keep_tanh."""
+    t = np.tanh(h)
+    value = np.multiply(t, h, out=None if keep_tanh else t)
     value += h
-    return value
+    return value, t
 
 
 def _silu_grad(h: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -277,7 +277,7 @@ def silu(a: Tensor) -> Tensor:
     package calls it: it is the reference `mlp` is pinned to, and loopbench's
     tracer patches it by name.  The node keeps only its input."""
     av = a.value
-    return _node(_silu(av * 0.5), (a,),
+    return _node(_silu(av * 0.5)[0], (a,),
                  lambda g: (_silu_grad(av * 0.5, np.tanh(av * 0.5), g),), "silu")
 
 
@@ -419,27 +419,30 @@ def rope(a: Tensor, num_heads: int) -> Tensor:
 def _post_norm(op: str, h: Tensor, weights, gain: Tensor, item, item_vjp, prepare,
                finish) -> Tensor:
     """The node rms_norm(h + f(h), gain) for h (B, M, d), B > 0, one batch
-    item at a time: the runner of both sublayers.  `item(x, state)` returns
-    one item's residual sum x + f(x) and what its vjp reads; `item_vjp(gs,
-    x, saved, state, out)` writes x's gradient, the sum's adjoint gs
-    included, to `out` and returns the item's weight gradients, whose sums
-    in item order `finish(gws, state)` orders as the weights.  `prepare()`
-    builds a pass's state, so the node keeps only h, the weights and the
-    gain.  An item's value and h gradient have the same bytes in any batch
-    and equal the plain graph of f and rms_norm to rounding."""
+    item at a time: the runner of both sublayers.  `item(x, state, out)`
+    writes one item's residual sum x + f(x) to `out`, its row of the
+    output, which one `_rms` call then normalises, and returns what its vjp
+    reads; `item_vjp(gs, x, saved, state, out)` writes x's gradient, the
+    sum's adjoint gs included, to `out` and returns the item's weight
+    gradients, whose sums in item order `finish(gws, state)` orders as the
+    weights.  `prepare(vjp)` builds a pass's state, with what only a vjp
+    reads if vjp, so the node keeps only h, the weights and the gain.  An
+    item's value and h gradient have the same bytes in any batch and equal
+    the plain graph of f and rms_norm to rounding."""
     hv, nv = h.value, gain.value
     if not len(hv):
         raise AutodiffError(f"{op}: empty batch, h {h.shape}")
     value = np.empty(hv.shape, np.result_type(hv, nv, *(w.value for w in weights)))
-    state = prepare()
+    state, dtype = prepare(False), value.dtype
     for b, x in enumerate(hv):
-        _rms(item(x, state)[0], nv, out=value[b])
+        item(x, state, value[b])
+    _rms(value, nv, out=value)
 
     def vjp(g):
-        state = prepare()
-        gh, ggain = np.empty_like(hv), None
+        state = prepare(True)
+        gh, ggain, s = np.empty_like(hv), None, np.empty(hv.shape[1:], dtype)
         for b, x in enumerate(hv):
-            s, saved = item(x, state)
+            saved = item(x, state, s)
             gs, ggain = _rms_vjp(g[b], s, nv, ggain)
             gw = item_vjp(gs, x, saved, state, gh[b])
             gws = gw if b == 0 else [np.add(t, w, out=t) for t, w in zip(gws, gw)]
@@ -454,42 +457,45 @@ def _heads(x: np.ndarray, num_heads: int) -> np.ndarray:
     return x.reshape(M, num_heads, d // num_heads).transpose(1, 0, 2)
 
 
-def _attend(x, state, num_heads: int) -> tuple:
-    """Attention's item kernel on its sublayer input x (M, d): the residual
-    sum x + o · wo, and what its vjp reads: the q, k and v heads, e =
-    2 ** (s - max s) for the scores s in base 2, keys down (H, M, M), its
-    sums over keys l, and the output o = eᵀ · v / l by heads and merged.
-    One complex multiply rotates the interleaved q|k and scales q."""
-    w, turn, _, ones, wo = state[:5]
+def _attend(x, state, out) -> tuple:
+    """Attention's item kernel on its sublayer input x (M, d): writes the
+    residual sum x + o · wo to `out` and returns what its vjp reads: the
+    q, k and v heads, e = 2 ** s for the (H, M, M) base-2 scores s, keys
+    down, shifted by each row's max over keys only if some score of this
+    item lies outside (-64, 64) or is not finite, its sums over keys l, and
+    the merged output o = eᵀ · v / l.  One complex multiply rotates q|k and
+    scales q; q's heads are copied into one block for the score GEMM."""
+    w, turn, ones, wo, num_heads = state[:5]
     d = x.shape[-1]
     qk = _turn(np.matmul(x, w[:, :2 * d]), turn)
     qs, kh, vh = (_heads(a, num_heads) for a in (qk[:, :d], qk[:, d:], np.matmul(x, w[:, 2 * d:])))
-    e = np.matmul(kh, qs.swapaxes(-1, -2))
-    e -= e.max(axis=1, keepdims=True)
+    e = np.matmul(kh, qs.swapaxes(-1, -2).copy())
+    if not (-64.0 < e.min() and e.max() < 64.0):
+        e -= e.max(axis=1, keepdims=True)
     np.exp2(e, out=e)
     l = np.matmul(ones, e)
-    oh = np.matmul(e.swapaxes(-1, -2), vh)
-    oh /= l[..., None]
-    o = oh.transpose(1, 0, 2).reshape(len(x), d)
-    s = np.matmul(o, wo)
-    s += x
-    return s, (qs, kh, vh, e, l, oh, o)
+    o = np.empty((len(x), d), e.dtype)
+    np.divide(np.matmul(e.swapaxes(-1, -2), vh), l[..., None], out=_heads(o, num_heads))
+    np.matmul(o, wo, out=out)
+    out += x
+    return qs, kh, vh, e, l, o
 
 
 def attention(h: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, gain: Tensor,
               num_heads: int) -> Tensor:
     """The post-norm attention sublayer, rms_norm(h + MHA(q, k, v) · wo,
     gain) for h (B, M, d), q = rope(h · wq), k = rope(h · wk), v = h · wv,
-    run by `_post_norm`: one item's q, k, v, (H, M, M) scores, output and
-    residual sum exist at once, in cache.  Unmasked multi-head
-    self-attention, scores scaled by head_dim ** -0.5, softmax over keys.
-    Each pass stacks [wq | wk | wv] with each head's rope pairs side by side
-    (a head's scores do not depend on its feature order), so q|k is rotated
-    and q scaled by one complex multiply, and the vjp multiplies by the
-    conjugates; h's gradient is one GEMM, and the q and k weight gradients
-    are put back in column order once.  Scores come in base 2 for exp2, and
-    softmax is normalised on the output; the vjp divides the output's
-    adjoint by the same sums."""
+    run by `_post_norm`: one item's q, k, v, (H, M, M) scores and output
+    exist at once, in cache.  Unmasked multi-head self-attention, scores
+    scaled by head_dim ** -0.5, softmax over keys.  Each pass stacks
+    [wq | wk | wv] with each head's rope pairs side by side (a head's
+    scores do not depend on its feature order), so q|k is rotated and q
+    scaled by one complex multiply, and the vjp multiplies by the
+    conjugates; h's gradient is one GEMM over [wq|wk|wv]ᵀ, which each vjp
+    pass copies into one block with woᵀ, and the q and k weight gradients
+    are put back in column order once.  Scores come in base 2 for exp2, shifted only if
+    one could overflow, and softmax is normalised on the output; the vjp
+    divides the output's adjoint by the same sums."""
     d = h.shape[-1]
     if (h.value.ndim != 3 or any(w.shape != (d, d) for w in (wq, wk, wv, wo))
             or gain.shape != (d,)):
@@ -500,44 +506,48 @@ def attention(h: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, gain: T
     wqv, wkv, wvv, wov = (w.value for w in (wq, wk, wv, wo))
     M, dtype = h.shape[1], np.result_type(h.value, wqv, wkv, wvv, wov, gain.value)
 
-    def prepare():
+    def prepare(vjp):
         turn, back, perm = _phases(M, num_heads, hd, dtype)
         w = np.concatenate([np.concatenate([wqv, wkv], axis=1)[:, perm], wvv], axis=1, dtype=dtype)
-        return w, turn, back, np.ones(M, dtype), wov, np.empty((M, 3 * d), dtype), perm
+        state = w, turn, np.ones(M, dtype), wov, num_heads, perm, back
+        if vjp:
+            wt = np.concatenate([w, wov], axis=1, dtype=dtype).T.copy()
+            state += np.empty((M, 3 * d), dtype), wt[:3 * d], wt[3 * d:]
+        return state
 
     def item_vjp(gs, x, saved, state, out):
-        qs, kh, vh, e, l, oh, o = saved
-        w, _, back, _, _, gqkv, _ = state
+        qs, kh, vh, e, l, o = saved
+        back, gqkv, wt, wot = state[6:]
         gq, gk, gv = (_heads(gqkv[:, i * d:(i + 1) * d], num_heads) for i in range(3))
-        gah = np.divide(_heads(np.matmul(gs, wov.T), num_heads), l[..., None])
+        gah = np.divide(_heads(np.matmul(gs, wot), num_heads), l[..., None])
         np.matmul(e, gah, out=gv)
-        ge = np.matmul(vh, gah.swapaxes(-1, -2))
+        ge = np.matmul(vh, gah.swapaxes(-1, -2).copy())
         # softmax backward in place: sum(p * gp) over keys is ga · o per
         # head, an (M, d) product instead of (H, M, M)
-        ge -= np.vecdot(gah, oh)[:, None]
+        ge -= np.vecdot(gah, _heads(o, num_heads))[:, None]
         ge *= e
         np.matmul(ge.swapaxes(-1, -2), kh, out=gq)
         np.matmul(ge, qs, out=gk)
         _turn(gqkv[:, :2 * d], back)
-        np.matmul(gqkv, w.T, out=out)
+        np.matmul(gqkv, wt, out=out)
         out += gs
         return np.matmul(x.T, gqkv), np.matmul(o.T, gs)
 
     def finish(gws, state):
         gw, go = gws
-        gqk = gw[:, np.argsort(state[-1])]
+        gqk = gw[:, np.argsort(state[5])]
         return gqk[:, :d], gqk[:, d:], gw[:, 2 * d:], go
 
-    return _post_norm("attention", h, (wq, wk, wv, wo), gain,
-                      lambda x, state: _attend(x, state, num_heads), item_vjp, prepare, finish)
+    return _post_norm("attention", h, (wq, wk, wv, wo), gain, _attend, item_vjp, prepare,
+                      finish)
 
 
 def mlp(h: Tensor, w1: Tensor, w2: Tensor, gain: Tensor) -> Tensor:
     """The post-norm MLP sublayer, rms_norm(h + silu(h · w1) · w2, gain) for
-    h (B, M, d), run by `_post_norm`: the wide hidden arrays and the
-    residual sum exist for one item at a time, and the vjp rebuilds them,
-    the second GEMM included.  Each pass halves w1, which is exact, and
-    silu is `_silu` of h · w1 / 2."""
+    h (B, M, d), run by `_post_norm`: the wide hidden arrays exist for one
+    item at a time, and the vjp rebuilds them, the second GEMM included, and
+    keeps silu's tanh.  Each pass halves w1, which is exact, and silu is
+    `_silu` of h · w1 / 2."""
     if (h.value.ndim != 3 or w1.value.ndim != 2 or w2.value.ndim != 2
             or h.shape[-1] != w1.shape[0] or w1.shape[1] != w2.shape[0]
             or w2.shape[1] != h.shape[-1] or gain.shape != h.shape[-1:]):
@@ -545,22 +555,22 @@ def mlp(h: Tensor, w1: Tensor, w2: Tensor, gain: Tensor) -> Tensor:
                             f"got {h.shape} @ {w1.shape} @ {w2.shape}, {gain.shape}")
     w1v, w2v = w1.value, w2.value
 
-    def item(x, state):
+    def item(x, state, out):
         a = np.matmul(x, state[0])
-        act = _silu(a)
-        res = np.matmul(act, w2v)
-        res += x
-        return res, (a, act)
+        act, t = _silu(a, state[1])
+        np.matmul(act, w2v, out=out)
+        out += x
+        return a, t, act
 
     def item_vjp(gs, x, saved, state, out):
-        a, act = saved
-        ga = _silu_grad(a, np.tanh(a), np.matmul(gs, w2v.T))
+        a, t, act = saved
+        ga = _silu_grad(a, t, np.matmul(gs, w2v.T))
         np.matmul(ga, w1v.T, out=out)
         out += gs
         return np.matmul(x.T, ga), np.matmul(act.T, gs)
 
     return _post_norm("mlp", h, (w1, w2), gain, item, item_vjp,
-                      lambda: (w1v * 0.5,), lambda gws, _: gws)
+                      lambda vjp: (w1v * 0.5, vjp), lambda gws, _: gws)
 
 
 # ---------------------------------------------------------------------------

@@ -706,17 +706,23 @@ def test_sublayers_per_item_bytes_and_reference_over_drawn_shapes(data):
     # fresh copy, so addresses differ) and in the whole batch.  In float64
     # every output is within 1e-12 of the plain graph, measured against the
     # node's largest output: at M = 1 the scores' gradient is zero, and the
-    # q and k weight gradients are rounding noise on both sides
+    # q and k weight gradients are rounding noise on both sides.  The
+    # weight scale and each item's input scale mix, in one batch, items
+    # whose base-2 scores all lie inside (-64, 64) and items that take the
+    # softmax's row-max shift
     B, M = data.draw(st.integers(1, 6), "B"), data.draw(st.integers(1, 40), "M")
     H, hd = data.draw(st.sampled_from([1, 2, 4]), "H"), data.draw(st.integers(1, 16), "hd") * 2
     e, d = data.draw(st.integers(1, 4), "expansion"), H * hd
     cuts = sorted(data.draw(st.sets(st.integers(1, max(B - 1, 1)), max_size=B - 1), "cuts"))
     groups = list(zip([0, *cuts], [*cuts, B]))
+    scale = data.draw(st.sampled_from([1.0, 4.0, 16.0]), "weight scale")
+    items = data.draw(st.lists(st.sampled_from([0.25, 1.0]), min_size=B, max_size=B), "items")
     r = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), "seed"))
     h, g = (r.normal(size=(B, M, d)).astype(np.float32) for _ in range(2))
+    h *= np.float32(items)[:, None, None]
     for node, graph, shapes in _sublayers(H):
-        ws = [(r.normal(size=s) / np.sqrt(s[0]) + (len(s) == 1)).astype(np.float32)
-              for s in shapes(d, e)]
+        ws = [(r.normal(size=s) / np.sqrt(s[0]) * (scale if len(s) == 2 else 1.0)
+               + (len(s) == 1)).astype(np.float32) for s in shapes(d, e)]
 
         def run(lo, hi, dtype=np.float32):
             out = node(*(ad.tensor(a.astype(dtype), requires_grad=True)
@@ -736,6 +742,38 @@ def test_sublayers_per_item_bytes_and_reference_over_drawn_shapes(data):
         for got, w in zip((value, *grads), (want_value, *want)):
             assert got.dtype == np.float64 and got.shape == w.shape
             assert np.abs(got - w).max() <= 1e-12 * scale
+
+
+def test_attention_item_whose_scores_could_overflow_takes_the_shift():
+    # an unshifted exp2 of a float32 base-2 score above 128 is infinite;
+    # such an item takes the row-max shift, is finite and matches the
+    # float64 graph, and has the same bytes alone as beside an in-range item
+    B, M, d, H = 2, 9, 8, 2
+    r = rng(50)
+    h = r.normal(size=(B, M, d))
+    h[1] *= 12.0
+    g = r.normal(size=(B, M, d))
+    ws = [r.normal(size=(d, d)) / np.sqrt(d) for _ in range(4)] + [np.ones(d)]
+    q, k = (ad.rope(ad.matmul(ad.tensor(h), ad.tensor(w)), H).value.reshape(B, M, H, d // H)
+            for w in ws[:2])
+    scores = np.einsum("bqhj,bkhj->bhqk", q, k) / np.sqrt(d // H) / np.log(2)
+    assert np.abs(scores[0]).max() < 64 and scores[1].max() > 128
+
+    def run(lo, hi):
+        out = ad.attention(*(ad.tensor(a.astype(np.float32), requires_grad=True)
+                             for a in (h[lo:hi], *ws)), H)
+        return out.value, out.vjp(g[lo:hi].astype(np.float32))
+
+    value, grads = run(0, B)
+    want_value, want = _graph_grads(lambda x, *w: ad.rms_norm(ref_sublayer(x, *w[:4], H), w[4]),
+                                    (h, *ws), g)
+    for got, w, name in zip((value, *grads), (want_value, *want),
+                            ("value", "h", "wq", "wk", "wv", "wo", "gain")):
+        assert got.dtype == np.float32 and np.all(np.isfinite(got)), name
+        assert rel_err(got.astype(np.float64), w) <= 1e-4, (name, rel_err(got, w))
+    alone, alone_grads = run(1, 2)
+    assert alone.tobytes() == value[1:].tobytes()
+    assert alone_grads[0].tobytes() == grads[0][1:].tobytes()
 
 
 def test_sublayers_refuse_an_empty_batch():

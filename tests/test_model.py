@@ -194,13 +194,13 @@ def test_run_cycles_releases_values_no_vjp_reads(monkeypatch):
         refs["qk"].append(weakref.ref(a))         # the q|k projection, rotated in place
         return turn(a, phases)
 
-    def attend_spy(*args):
-        out = attend(*args)
-        s, (_, _, v, e, _, oh, o) = out
+    def attend_spy(x, state, res):
+        out = attend(x, state, res)
+        _, _, v, e, _, o = out
         refs["v"].append(weakref.ref(v.base))
         refs["scores"].append(weakref.ref(e))
-        refs["att"] += [weakref.ref(oh), weakref.ref(o)]   # the output, by heads and merged
-        refs["res"].append(weakref.ref(s))        # the residual sum
+        refs["att"].append(weakref.ref(o))        # the merged output
+        refs["res"].append(weakref.ref(res.base))  # the output whose row the sum fills
         return out
 
     def mlp_spy(h, *args):
@@ -229,16 +229,21 @@ def test_run_cycles_releases_values_no_vjp_reads(monkeypatch):
     alive = {k: [r() is not None for r in v] for k, v in refs.items()}
     blocks = 2 * cfg.apps_per_cycle * cfg.num_layers
     items = blocks * len(x.value)
-    assert [len(alive[k]) for k in ("qk", "v", "scores", "att", "res", "mlp_in")] == [
-        items, items, items, 2 * items, items, blocks]
+    assert [len(alive[k]) for k in ("qk", "v", "scores", "att", "mlp_in")] == [
+        items, items, items, items, blocks]
     # the MLP's hidden arrays and residual sum never leave ad.mlp, which
     # builds no silu, add or rms_norm node; its vjp rebuilds them from the
     # MLP's input, which it keeps.  Attention's vjp rebuilds each item's
     # q, k, v, scores, output and residual sum from its input
     assert refs["silu"] == [] and all(alive["mlp_in"]) and all(alive["attn_in"])
     # every array no vjp reads dies with its forward
-    for key in ("qk", "v", "scores", "att", "res", "xy"):
+    for key in ("qk", "v", "scores", "att", "xy"):
         assert not any(alive[key]), key
+    # each residual sum fills a row of its node's output, the MLP's input,
+    # which the MLP's vjp keeps: attention makes no other (B, M, d) buffer
+    outputs = [r() for r in refs["mlp_in"]]
+    assert len(refs["res"]) == items
+    assert all(any(r() is a for a in outputs) for r in refs["res"])
     # a replaced z or y dies too; run_cycles' own inputs, which the caller
     # holds, do not
     assert alive["z"] == [True] + [False] * (2 * cfg.inner_steps - 1)
