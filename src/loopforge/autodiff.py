@@ -252,13 +252,13 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
 # nonlinearities and norms
 
 
-def _silu(h: np.ndarray, keep_tanh: bool = False) -> tuple:
-    """silu(2h) = h + h * tanh(h) in three passes, and tanh(h) for the vjp:
-    in one buffer, over the tanh, unless keep_tanh."""
-    t = np.tanh(h)
-    value = np.multiply(t, h, out=None if keep_tanh else t)
+def _silu(h: np.ndarray) -> np.ndarray:
+    """silu(2h) = 2h * sigmoid(2h) = h + h * tanh(h), in three passes and
+    one buffer."""
+    value = np.tanh(h)
+    value *= h
     value += h
-    return value, t
+    return value
 
 
 def _silu_grad(h: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -277,7 +277,7 @@ def silu(a: Tensor) -> Tensor:
     package calls it: it is the reference `mlp` is pinned to, and loopbench's
     tracer patches it by name.  The node keeps only its input."""
     av = a.value
-    return _node(_silu(av * 0.5)[0], (a,),
+    return _node(_silu(av * 0.5), (a,),
                  lambda g: (_silu_grad(av * 0.5, np.tanh(av * 0.5), g),), "silu")
 
 
@@ -425,21 +425,21 @@ def _post_norm(op: str, h: Tensor, weights, gain: Tensor, item, item_vjp, prepar
     reads; `item_vjp(gs, x, saved, state, out)` writes x's gradient, the
     sum's adjoint gs included, to `out` and returns the item's weight
     gradients, whose sums in item order `finish(gws, state)` orders as the
-    weights.  `prepare(vjp)` builds a pass's state, with what only a vjp
-    reads if vjp, so the node keeps only h, the weights and the gain.  An
-    item's value and h gradient have the same bytes in any batch and equal
-    the plain graph of f and rms_norm to rounding."""
+    weights.  `prepare()` builds a pass's state, so the node keeps only h,
+    the weights and the gain.  An item's value and h gradient have the
+    same bytes in any batch and equal the plain graph of f and rms_norm to
+    rounding."""
     hv, nv = h.value, gain.value
     if not len(hv):
         raise AutodiffError(f"{op}: empty batch, h {h.shape}")
-    value = np.empty(hv.shape, np.result_type(hv, nv, *(w.value for w in weights)))
-    state, dtype = prepare(False), value.dtype
+    dtype = np.result_type(hv, nv, *(w.value for w in weights))
+    value, state = np.empty(hv.shape, dtype), prepare()
     for b, x in enumerate(hv):
         item(x, state, value[b])
     _rms(value, nv, out=value)
 
     def vjp(g):
-        state = prepare(True)
+        state = prepare()
         gh, ggain, s = np.empty_like(hv), None, np.empty(hv.shape[1:], dtype)
         for b, x in enumerate(hv):
             saved = item(x, state, s)
@@ -457,19 +457,19 @@ def _heads(x: np.ndarray, num_heads: int) -> np.ndarray:
     return x.reshape(M, num_heads, d // num_heads).transpose(1, 0, 2)
 
 
-def _attend(x, state, out) -> tuple:
+def _attend(x, state, out, num_heads: int) -> tuple:
     """Attention's item kernel on its sublayer input x (M, d): writes the
     residual sum x + o · wo to `out` and returns what its vjp reads: the
     q, k and v heads, e = 2 ** s for the (H, M, M) base-2 scores s, keys
     down, shifted by each row's max over keys only if some score of this
     item lies outside (-64, 64) or is not finite, its sums over keys l, and
     the merged output o = eᵀ · v / l.  One complex multiply rotates q|k and
-    scales q; q's heads are copied into one block for the score GEMM."""
-    w, turn, ones, wo, num_heads = state[:5]
+    scales q."""
+    w, turn, _, ones, wo = state[:5]
     d = x.shape[-1]
     qk = _turn(np.matmul(x, w[:, :2 * d]), turn)
     qs, kh, vh = (_heads(a, num_heads) for a in (qk[:, :d], qk[:, d:], np.matmul(x, w[:, 2 * d:])))
-    e = np.matmul(kh, qs.swapaxes(-1, -2).copy())
+    e = np.matmul(kh, qs.swapaxes(-1, -2))
     if not (-64.0 < e.min() and e.max() < 64.0):
         e -= e.max(axis=1, keepdims=True)
     np.exp2(e, out=e)
@@ -491,11 +491,10 @@ def attention(h: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, gain: T
     [wq | wk | wv] with each head's rope pairs side by side (a head's
     scores do not depend on its feature order), so q|k is rotated and q
     scaled by one complex multiply, and the vjp multiplies by the
-    conjugates; h's gradient is one GEMM over [wq|wk|wv]ᵀ, which each vjp
-    pass copies into one block with woᵀ, and the q and k weight gradients
-    are put back in column order once.  Scores come in base 2 for exp2, shifted only if
-    one could overflow, and softmax is normalised on the output; the vjp
-    divides the output's adjoint by the same sums."""
+    conjugates; h's gradient is one GEMM, and the q and k weight gradients
+    are put back in column order once.  Scores come in base 2 for exp2,
+    shifted only if one could overflow, and softmax is normalised on the
+    output; the vjp divides the output's adjoint by the same sums."""
     d = h.shape[-1]
     if (h.value.ndim != 3 or any(w.shape != (d, d) for w in (wq, wk, wv, wo))
             or gain.shape != (d,)):
@@ -506,22 +505,18 @@ def attention(h: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, gain: T
     wqv, wkv, wvv, wov = (w.value for w in (wq, wk, wv, wo))
     M, dtype = h.shape[1], np.result_type(h.value, wqv, wkv, wvv, wov, gain.value)
 
-    def prepare(vjp):
+    def prepare():
         turn, back, perm = _phases(M, num_heads, hd, dtype)
         w = np.concatenate([np.concatenate([wqv, wkv], axis=1)[:, perm], wvv], axis=1, dtype=dtype)
-        state = w, turn, np.ones(M, dtype), wov, num_heads, perm, back
-        if vjp:
-            wt = np.concatenate([w, wov], axis=1, dtype=dtype).T.copy()
-            state += np.empty((M, 3 * d), dtype), wt[:3 * d], wt[3 * d:]
-        return state
+        return w, turn, back, np.ones(M, dtype), wov, np.empty((M, 3 * d), dtype), perm
 
     def item_vjp(gs, x, saved, state, out):
         qs, kh, vh, e, l, o = saved
-        back, gqkv, wt, wot = state[6:]
+        w, _, back, _, _, gqkv, _ = state
         gq, gk, gv = (_heads(gqkv[:, i * d:(i + 1) * d], num_heads) for i in range(3))
-        gah = np.divide(_heads(np.matmul(gs, wot), num_heads), l[..., None])
+        gah = np.divide(_heads(np.matmul(gs, wov.T), num_heads), l[..., None])
         np.matmul(e, gah, out=gv)
-        ge = np.matmul(vh, gah.swapaxes(-1, -2).copy())
+        ge = np.matmul(vh, gah.swapaxes(-1, -2))
         # softmax backward in place: sum(p * gp) over keys is ga · o per
         # head, an (M, d) product instead of (H, M, M)
         ge -= np.vecdot(gah, _heads(o, num_heads))[:, None]
@@ -529,25 +524,25 @@ def attention(h: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, gain: T
         np.matmul(ge.swapaxes(-1, -2), kh, out=gq)
         np.matmul(ge, qs, out=gk)
         _turn(gqkv[:, :2 * d], back)
-        np.matmul(gqkv, wt, out=out)
+        np.matmul(gqkv, w.T, out=out)
         out += gs
         return np.matmul(x.T, gqkv), np.matmul(o.T, gs)
 
     def finish(gws, state):
         gw, go = gws
-        gqk = gw[:, np.argsort(state[5])]
+        gqk = gw[:, np.argsort(state[-1])]
         return gqk[:, :d], gqk[:, d:], gw[:, 2 * d:], go
 
-    return _post_norm("attention", h, (wq, wk, wv, wo), gain, _attend, item_vjp, prepare,
-                      finish)
+    return _post_norm("attention", h, (wq, wk, wv, wo), gain,
+                      lambda x, state, out: _attend(x, state, out, num_heads), item_vjp,
+                      prepare, finish)
 
 
 def mlp(h: Tensor, w1: Tensor, w2: Tensor, gain: Tensor) -> Tensor:
     """The post-norm MLP sublayer, rms_norm(h + silu(h · w1) · w2, gain) for
     h (B, M, d), run by `_post_norm`: the wide hidden arrays exist for one
-    item at a time, and the vjp rebuilds them, the second GEMM included, and
-    keeps silu's tanh.  Each pass halves w1, which is exact, and silu is
-    `_silu` of h · w1 / 2."""
+    item at a time, and the vjp rebuilds them, the second GEMM included.
+    Each pass halves w1, which is exact, and silu is `_silu` of h · w1 / 2."""
     if (h.value.ndim != 3 or w1.value.ndim != 2 or w2.value.ndim != 2
             or h.shape[-1] != w1.shape[0] or w1.shape[1] != w2.shape[0]
             or w2.shape[1] != h.shape[-1] or gain.shape != h.shape[-1:]):
@@ -557,20 +552,20 @@ def mlp(h: Tensor, w1: Tensor, w2: Tensor, gain: Tensor) -> Tensor:
 
     def item(x, state, out):
         a = np.matmul(x, state[0])
-        act, t = _silu(a, state[1])
+        act = _silu(a)
         np.matmul(act, w2v, out=out)
         out += x
-        return a, t, act
+        return a, act
 
     def item_vjp(gs, x, saved, state, out):
-        a, t, act = saved
-        ga = _silu_grad(a, t, np.matmul(gs, w2v.T))
+        a, act = saved
+        ga = _silu_grad(a, np.tanh(a), np.matmul(gs, w2v.T))
         np.matmul(ga, w1v.T, out=out)
         out += gs
         return np.matmul(x.T, ga), np.matmul(act.T, gs)
 
     return _post_norm("mlp", h, (w1, w2), gain, item, item_vjp,
-                      lambda vjp: (w1v * 0.5, vjp), lambda gws, _: gws)
+                      lambda: (w1v * 0.5,), lambda gws, _: gws)
 
 
 # ---------------------------------------------------------------------------

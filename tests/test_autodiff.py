@@ -715,13 +715,13 @@ def test_sublayers_per_item_bytes_and_reference_over_drawn_shapes(data):
     e, d = data.draw(st.integers(1, 4), "expansion"), H * hd
     cuts = sorted(data.draw(st.sets(st.integers(1, max(B - 1, 1)), max_size=B - 1), "cuts"))
     groups = list(zip([0, *cuts], [*cuts, B]))
-    scale = data.draw(st.sampled_from([1.0, 4.0, 16.0]), "weight scale")
+    wscale = data.draw(st.sampled_from([1.0, 4.0, 16.0]), "weight scale")
     items = data.draw(st.lists(st.sampled_from([0.25, 1.0]), min_size=B, max_size=B), "items")
     r = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), "seed"))
     h, g = (r.normal(size=(B, M, d)).astype(np.float32) for _ in range(2))
     h *= np.float32(items)[:, None, None]
     for node, graph, shapes in _sublayers(H):
-        ws = [(r.normal(size=s) / np.sqrt(s[0]) * (scale if len(s) == 2 else 1.0)
+        ws = [(r.normal(size=s) / np.sqrt(s[0]) * (wscale if len(s) == 2 else 1.0)
                + (len(s) == 1)).astype(np.float32) for s in shapes(d, e)]
 
         def run(lo, hi, dtype=np.float32):

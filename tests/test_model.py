@@ -194,8 +194,8 @@ def test_run_cycles_releases_values_no_vjp_reads(monkeypatch):
         refs["qk"].append(weakref.ref(a))         # the q|k projection, rotated in place
         return turn(a, phases)
 
-    def attend_spy(x, state, res):
-        out = attend(x, state, res)
+    def attend_spy(x, state, res, num_heads):
+        out = attend(x, state, res, num_heads)
         _, _, v, e, _, o = out
         refs["v"].append(weakref.ref(v.base))
         refs["scores"].append(weakref.ref(e))
