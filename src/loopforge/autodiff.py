@@ -359,11 +359,11 @@ _PHASES: dict = {}
 
 def _phases(M: int, num_heads: int, hd: int, dtype) -> tuple:
     """Rope as complex phases over q's and then k's heads, cached: a table
-    (M, num_heads * hd) of e^(i m θ_j) for position m and θ_j = 10000 **
-    (-2j / hd), times head_dim ** -0.5 / ln 2 for q, so that scores come in
-    base 2 for exp2; ln 2 times its conjugate, the rotation's transpose
-    with exp2's derivative folded in; and the column order that sets each
-    head's pairs (x[j], x[j + hd/2]) side by side.  Made in float64."""
+    (M, num_heads * hd) of e^(i m θ_j) for position m and each head's
+    adjacent pair (x[2j], x[2j + 1]), θ_j = 10000 ** (-2j / hd), times
+    head_dim ** -0.5 / ln 2 for q, so that scores come in base 2 for exp2;
+    and ln 2 times its conjugate, the rotation's transpose with exp2's
+    derivative folded in.  Made in float64."""
     key = (M, num_heads, hd, np.dtype(dtype).str)
     if np.dtype(dtype).itemsize < 4:
         raise AutodiffError(f"rope: {np.dtype(dtype)} has no complex type for the phases")
@@ -371,9 +371,8 @@ def _phases(M: int, num_heads: int, hd: int, dtype) -> tuple:
         inv = 10000.0 ** (-np.arange(hd // 2) / (hd // 2))
         turn = np.tile(np.exp(1j * np.arange(M)[:, None] * inv), num_heads)
         table = np.concatenate([turn / (math.sqrt(hd) * math.log(2)), turn], 1)
-        perm = np.arange(2 * num_heads * hd).reshape(-1, 2, hd // 2).transpose(0, 2, 1).ravel()
         ctype = np.result_type(dtype, 1j)
-        _PHASES[key] = (table.astype(ctype), (math.log(2) * table.conj()).astype(ctype), perm)
+        _PHASES[key] = (table.astype(ctype), (math.log(2) * table.conj()).astype(ctype))
     return _PHASES[key]
 
 
@@ -397,36 +396,31 @@ def _check_heads(op: str, d: int, num_heads: int) -> int:
 
 def rope(a: Tensor, num_heads: int) -> Tensor:
     """Rotary position rotation applied per head over the sequence axis:
-    for (..., M, d), each head's pair (x[j], x[j + hd/2]) read as a complex
-    number times k's phases in `_phases`.  No code in this package calls
-    it: it is the reference `attention` is pinned to, and loopbench's
+    for (..., M, d), each head's adjacent pair (x[2j], x[2j + 1]) read as a
+    complex number times k's phases in `_phases`.  No code in this package
+    calls it: it is the reference `attention` is pinned to, and loopbench's
     tracer patches it by name."""
     hd = _check_heads("rope", a.shape[-1], num_heads)
     *_, M, d = a.shape
-    turn, _, perm = _phases(M, num_heads, hd, a.value.dtype)
-    turn, perm = turn[:, d // 2:], perm[:d]
-
-    def rotate(x, phases):
-        return np.take(_turn(np.take(x, perm, axis=-1), phases), np.argsort(perm), axis=-1)
-
-    return _node(rotate(a.value, turn), (a,), lambda g: (rotate(g, turn.conj()),), "rope")
+    turn = _phases(M, num_heads, hd, a.value.dtype)[0][:, d // 2:]
+    return _node(_turn(a.value.copy(), turn), (a,),
+                 lambda g: (_turn(g.copy(), turn.conj()),), "rope")
 
 
 # ---------------------------------------------------------------------------
 # the two sublayers
 
 
-def _post_norm(op: str, h: Tensor, weights, gain: Tensor, item, item_vjp, prepare,
-               finish) -> Tensor:
+def _post_norm(op: str, h: Tensor, weights, gain: Tensor, item, item_vjp, prepare) -> Tensor:
     """The node rms_norm(h + f(h), gain) for h (B, M, d), B > 0, one batch
     item at a time: the runner of both sublayers.  `item(x, state, out)`
     writes one item's residual sum x + f(x) to `out`, its row of the
     output, which one `_rms` call then normalises, and returns what its vjp
     reads; `item_vjp(gs, x, saved, state, out)` writes x's gradient, the
     sum's adjoint gs included, to `out` and returns the item's weight
-    gradients, whose sums in item order `finish(gws, state)` orders as the
-    weights.  `prepare()` builds a pass's state, so the node keeps only h,
-    the weights and the gain.  An item's value and h gradient have the
+    gradients, in the weights' order, which are summed in item order.
+    `prepare()` builds a pass's state, so the node keeps only h, the
+    weights and the gain.  An item's value and h gradient have the
     same bytes in any batch and equal the plain graph of f and rms_norm to
     rounding."""
     hv, nv = h.value, gain.value
@@ -446,7 +440,7 @@ def _post_norm(op: str, h: Tensor, weights, gain: Tensor, item, item_vjp, prepar
             gs, ggain = _rms_vjp(g[b], s, nv, ggain)
             gw = item_vjp(gs, x, saved, state, gh[b])
             gws = gw if b == 0 else [np.add(t, w, out=t) for t, w in zip(gws, gw)]
-        return (gh, *finish(gws, state), ggain)
+        return (gh, *gws, ggain)
 
     return _node(value, (h, *weights, gain), vjp, op)
 
@@ -463,8 +457,8 @@ def _attend(x, state, out, num_heads: int) -> tuple:
     q, k and v heads, e = 2 ** s for the (H, M, M) base-2 scores s, keys
     down, shifted by each row's max over keys only if some score of this
     item lies outside (-64, 64) or is not finite, its sums over keys l, and
-    the merged output o = eᵀ · v / l.  One complex multiply rotates q|k and
-    scales q."""
+    the merged output o = eᵀ · v / l.  One complex multiply rotates q|k,
+    projected by wqkv as stored, and scales q."""
     w, turn, _, ones, wo = state[:5]
     d = x.shape[-1]
     qk = _turn(np.matmul(x, w[:, :2 * d]), turn)
@@ -481,38 +475,35 @@ def _attend(x, state, out, num_heads: int) -> tuple:
     return qs, kh, vh, e, l, o
 
 
-def attention(h: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, gain: Tensor,
-              num_heads: int) -> Tensor:
+def attention(h: Tensor, wqkv: Tensor, wo: Tensor, gain: Tensor, num_heads: int) -> Tensor:
     """The post-norm attention sublayer, rms_norm(h + MHA(q, k, v) · wo,
-    gain) for h (B, M, d), q = rope(h · wq), k = rope(h · wk), v = h · wv,
-    run by `_post_norm`: one item's q, k, v, (H, M, M) scores and output
-    exist at once, in cache.  Unmasked multi-head self-attention, scores
-    scaled by head_dim ** -0.5, softmax over keys.  Each pass stacks
-    [wq | wk | wv] with each head's rope pairs side by side (a head's
-    scores do not depend on its feature order), so q|k is rotated and q
-    scaled by one complex multiply, and the vjp multiplies by the
-    conjugates; h's gradient is one GEMM, and the q and k weight gradients
-    are put back in column order once.  Scores come in base 2 for exp2,
-    shifted only if one could overflow, and softmax is normalised on the
-    output; the vjp divides the output's adjoint by the same sums."""
+    gain) for h (B, M, d) and [q | k | v] = h · wqkv, q and k rotated by
+    `rope`, run by `_post_norm`: one item's q, k, v, (H, M, M) scores and
+    output exist at once, in cache.  Unmasked multi-head self-attention,
+    scores scaled by head_dim ** -0.5, softmax over keys.  Rope turns each
+    head's adjacent feature pairs, so q|k is rotated and q scaled by one
+    complex multiply on the columns as stored, and the vjp multiplies by
+    the conjugates; h's gradient and wqkv's are one GEMM each.  Scores come
+    in base 2 for exp2, shifted only if one could overflow, and softmax is
+    normalised on the output; the vjp divides the output's adjoint by the
+    same sums."""
     d = h.shape[-1]
-    if (h.value.ndim != 3 or any(w.shape != (d, d) for w in (wq, wk, wv, wo))
+    if (h.value.ndim != 3 or wqkv.shape != (d, 3 * d) or wo.shape != (d, d)
             or gain.shape != (d,)):
-        raise AutodiffError(f"attention: expected h (batch, seq, d), four (d, d) weights and a "
-                            f"(d,) gain, got {h.shape}, {wq.shape}, {wk.shape}, {wv.shape}, "
-                            f"{wo.shape}, {gain.shape}")
+        raise AutodiffError(f"attention: expected h (batch, seq, d), a (d, 3d) wqkv, a (d, d) "
+                            f"wo and a (d,) gain, got {h.shape}, {wqkv.shape}, {wo.shape}, "
+                            f"{gain.shape}")
     hd = _check_heads("attention", d, num_heads)
-    wqv, wkv, wvv, wov = (w.value for w in (wq, wk, wv, wo))
-    M, dtype = h.shape[1], np.result_type(h.value, wqv, wkv, wvv, wov, gain.value)
+    wqkvv, wov = wqkv.value, wo.value
+    M, dtype = h.shape[1], np.result_type(h.value, wqkvv, wov, gain.value)
 
     def prepare():
-        turn, back, perm = _phases(M, num_heads, hd, dtype)
-        w = np.concatenate([np.concatenate([wqv, wkv], axis=1)[:, perm], wvv], axis=1, dtype=dtype)
-        return w, turn, back, np.ones(M, dtype), wov, np.empty((M, 3 * d), dtype), perm
+        return (wqkvv.astype(dtype, copy=False), *_phases(M, num_heads, hd, dtype),
+                np.ones(M, dtype), wov, np.empty((M, 3 * d), dtype))
 
     def item_vjp(gs, x, saved, state, out):
         qs, kh, vh, e, l, o = saved
-        w, _, back, _, _, gqkv, _ = state
+        w, _, back, _, _, gqkv = state
         gq, gk, gv = (_heads(gqkv[:, i * d:(i + 1) * d], num_heads) for i in range(3))
         gah = np.divide(_heads(np.matmul(gs, wov.T), num_heads), l[..., None])
         np.matmul(e, gah, out=gv)
@@ -528,14 +519,8 @@ def attention(h: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, gain: T
         out += gs
         return np.matmul(x.T, gqkv), np.matmul(o.T, gs)
 
-    def finish(gws, state):
-        gw, go = gws
-        gqk = gw[:, np.argsort(state[-1])]
-        return gqk[:, :d], gqk[:, d:], gw[:, 2 * d:], go
-
-    return _post_norm("attention", h, (wq, wk, wv, wo), gain,
-                      lambda x, state, out: _attend(x, state, out, num_heads), item_vjp,
-                      prepare, finish)
+    return _post_norm("attention", h, (wqkv, wo), gain,
+                      lambda x, state, out: _attend(x, state, out, num_heads), item_vjp, prepare)
 
 
 def mlp(h: Tensor, w1: Tensor, w2: Tensor, gain: Tensor) -> Tensor:
@@ -564,8 +549,7 @@ def mlp(h: Tensor, w1: Tensor, w2: Tensor, gain: Tensor) -> Tensor:
         out += gs
         return np.matmul(x.T, ga), np.matmul(act.T, gs)
 
-    return _post_norm("mlp", h, (w1, w2), gain, item, item_vjp,
-                      lambda: (w1v * 0.5,), lambda gws, _: gws)
+    return _post_norm("mlp", h, (w1, w2), gain, item, item_vjp, lambda: (w1v * 0.5,))
 
 
 # ---------------------------------------------------------------------------

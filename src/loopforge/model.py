@@ -108,8 +108,8 @@ def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
         p = "phi" if cfg.untied_depth == 0 else f"phi{s}"
         for i in range(cfg.num_layers):
             base = f"{p}/l{i}"
-            for w in ("wq", "wk", "wv", "wo"):
-                shapes[f"{base}/attn/{w}"] = (d, d)
+            shapes[f"{base}/attn/wqkv"] = (d, 3 * d)
+            shapes[f"{base}/attn/wo"] = (d, d)
             shapes[f"{base}/attn/gain"] = (d,)
             shapes[f"{base}/mlp/w1"] = (d, e * d)
             shapes[f"{base}/mlp/w2"] = (e * d, d)
@@ -176,7 +176,7 @@ def phi_apply(pt: dict, cfg: ModelConfig, h: ad.Tensor, app_index: int = 0) -> a
     p = _phi_prefix(cfg, app_index)
     for i in range(cfg.num_layers):
         base = f"{p}/l{i}"
-        attn = [pt[f"{base}/attn/{w}"] for w in ("wq", "wk", "wv", "wo", "gain")]
+        attn = [pt[f"{base}/attn/{w}"] for w in ("wqkv", "wo", "gain")]
         mlp = [pt[f"{base}/mlp/{w}"] for w in ("w1", "w2", "gain")]
         h = ad.mlp(ad.attention(h, *attn, cfg.num_heads), *mlp)
     return h

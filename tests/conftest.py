@@ -284,11 +284,10 @@ def ref_attention(q: ad.Tensor, k: ad.Tensor, v: ad.Tensor, num_heads: int) -> a
     return ad._node(value, (q, k, v), vjp, "ref_attention")
 
 
-def ref_sublayer(h: ad.Tensor, wq: ad.Tensor, wk: ad.Tensor, wv: ad.Tensor, wo: ad.Tensor,
-                 num_heads: int) -> ad.Tensor:
-    """The attention sublayer as separate nodes:
-    h + ref_attention(rope(h wq), rope(h wk), h wv) wo."""
-    q = ad.rope(ad.matmul(h, wq), num_heads)
-    k = ad.rope(ad.matmul(h, wk), num_heads)
-    att = ref_attention(q, k, ad.matmul(h, wv), num_heads)
+def ref_sublayer(h: ad.Tensor, wqkv: ad.Tensor, wo: ad.Tensor, num_heads: int) -> ad.Tensor:
+    """The attention sublayer as separate nodes: h + ref_attention(rope(q),
+    rope(k), v) wo for [q | k | v] = h wqkv."""
+    d, qkv = h.shape[-1], ad.matmul(h, wqkv)
+    q, k, v = (ad.slice_axis(qkv, i * d, (i + 1) * d) for i in range(3))
+    att = ref_attention(ad.rope(q, num_heads), ad.rope(k, num_heads), v, num_heads)
     return ad.add(h, ad.matmul(att, wo))

@@ -109,10 +109,9 @@ def _primitive_cases(i):
     yield "rope", case(lambda t: _weighted(ad.rope(t["a"], 2), i, "rope"),
                        a=n(2, m + 1, 8))
     yield "attention", case(
-        lambda t: _weighted(ad.attention(t["a"], t["wq"], t["wk"], t["wv"], t["wo"], t["g"], 2),
-                            i, "att"),
-        ("a", "wq", "wk", "wv", "wo", "g"), a=n(2, m + 1, 8),
-        **{w: n(8, 8) / np.sqrt(8) for w in ("wq", "wk", "wv", "wo")}, g=gain(8))
+        lambda t: _weighted(ad.attention(t["a"], t["wqkv"], t["wo"], t["g"], 2), i, "att"),
+        ("a", "wqkv", "wo", "g"), a=n(2, m + 1, 8),
+        wqkv=n(8, 24) / np.sqrt(8), wo=n(8, 8) / np.sqrt(8), g=gain(8))
 
     tgt = rng.integers(0, 5, size=(m, k))
     yield "softmax_cross_entropy", case(
@@ -212,7 +211,7 @@ def _objective_loss_cases():
     the frozen function, because the trainer's truncation is part of the
     loss definition, not an approximation of something longer.
     """
-    wrt = ["phi/l0/attn/wq", "state/y0", "q/b"]
+    wrt = ["phi/l0/attn/wqkv", "state/y0", "q/b"]
 
     # trm: deep supervision, warm-up cycles inside each window
     cfg = oracle_cfg()
@@ -322,7 +321,7 @@ def _objective_loss_cases():
     yield "diffusion", diff_full, diff_full, dict(base4), wrt
 
     # stacked baselines: untied weights, one set per operator application
-    wrt_stacked = ["phi0/l0/attn/wq", "phi2/l0/mlp/w1", "state/y0", "q/b"]
+    wrt_stacked = ["phi0/l0/attn/wqkv", "phi2/l0/mlp/w1", "state/y0", "q/b"]
     cfg5 = oracle_cfg(cycles_per_window=1, untied_depth=3)
     base5 = live_params(cfg5, 1016)
     batch5 = oracle_batch(1017)

@@ -134,12 +134,12 @@ def test_reshape():
 
 
 def _attention_weights(r, d):
-    w = {w: r.normal(size=(d, d)) / np.sqrt(d) for w in ("wq", "wk", "wv", "wo")}
-    return {**w, "g": r.normal(size=d) + 1.0}
+    return {"wqkv": r.normal(size=(d, 3 * d)) / np.sqrt(d),
+            "wo": r.normal(size=(d, d)) / np.sqrt(d), "g": r.normal(size=d) + 1.0}
 
 
 def _attend(t, num_heads, gain="g"):
-    return ad.attention(t["h"], t["wq"], t["wk"], t["wv"], t["wo"], t[gain], num_heads)
+    return ad.attention(t["h"], t["wqkv"], t["wo"], t[gain], num_heads)
 
 
 def test_attention_small():
@@ -205,9 +205,7 @@ def test_transformer_block_composition():
 
     check_gradients(build, {
         "h": r.normal(size=(2, 4, d)),
-        "wq": r.normal(size=(d, d)) / np.sqrt(d),
-        "wk": r.normal(size=(d, d)) / np.sqrt(d),
-        "wv": r.normal(size=(d, d)) / np.sqrt(d),
+        "wqkv": r.normal(size=(d, 3 * d)) / np.sqrt(d),
         "wo": r.normal(size=(d, d)) / np.sqrt(d),
         "g1": np.ones(d), "g2": np.ones(d),
         "w1": r.normal(size=(d, 3 * d)) / np.sqrt(d),
@@ -316,13 +314,13 @@ def test_backward_frees_each_vjp_once_run():
     def run(hold):
         r = rng(50)
         B, M, d, H = 2, 5, 8, 2
-        shapes = {"x": (B, M, d), "wq": (d, d), "wk": (d, d), "wv": (d, d), "wo": (d, d),
+        shapes = {"x": (B, M, d), "wqkv": (d, 3 * d), "wo": (d, d),
                   "ga": (d,), "w1": (d, 2 * d), "w2": (2 * d, d), "gm": (d,)}
         t = {n: ad.tensor(r.normal(size=s) / np.sqrt(s[0]), requires_grad=True, op=n)
              for n, s in shapes.items()}
         h = ad.add(t["x"], t["x"])
         kept = weakref.ref(h.value)            # only attention's vjp holds it
-        out = ad.attention(h, t["wq"], t["wk"], t["wv"], t["wo"], t["ga"], H)
+        out = ad.attention(h, t["wqkv"], t["wo"], t["ga"], H)
         del h
         loss = mean_all(multiply(out, ad.mlp(out, t["w1"], t["w2"], t["gm"])))
         _held = [n.vjp for n in ad.graph_nodes(loss)] if hold else None   # outlive backward
@@ -446,11 +444,13 @@ def test_shape_error_names_the_op():
         ad.mlp(h, w1, ad.tensor(np.ones((8, 5))), gain)
     with pytest.raises(ad.AutodiffError, match="mlp: expected"):
         ad.mlp(h, w1, w2, bad_gain)
-    w = [ad.tensor(np.ones((4, 4))) for _ in range(4)]
+    w = [ad.tensor(np.ones((4, 12))), ad.tensor(np.ones((4, 4)))]
     with pytest.raises(ad.AutodiffError, match="attention: expected"):
         ad.attention(ad.tensor(np.ones((3, 4))), *w, gain, 2)
     with pytest.raises(ad.AutodiffError, match="attention: expected"):
-        ad.attention(h, *w[:3], ad.tensor(np.ones((4, 5))), gain, 2)
+        ad.attention(h, w[1], w[1], gain, 2)
+    with pytest.raises(ad.AutodiffError, match="attention: expected"):
+        ad.attention(h, w[0], ad.tensor(np.ones((4, 5))), gain, 2)
     with pytest.raises(ad.AutodiffError, match="attention: expected"):
         ad.attention(h, *w, bad_gain, 2)
     with pytest.raises(ad.AutodiffError, match="attention: feature dim 4 not divisible"):
@@ -510,8 +510,8 @@ DTYPE_CASES = {
     "rms_norm": (lambda t: ad.rms_norm(t["a"], t["g"]), {"a": (2, 3, 4), "g": (4,)}),
     "gather": (lambda t: ad.gather(t["table"], IDX), {"table": (5, 4)}),
     "rope": (lambda t: ad.rope(t["a"], 2), {"a": (2, 6, 8)}),
-    "attention": (lambda t: _attend(t, 2), {"h": (2, 5, 8), "wq": (8, 8), "wk": (8, 8),
-                                            "wv": (8, 8), "wo": (8, 8), "g": (8,)}),
+    "attention": (lambda t: _attend(t, 2), {"h": (2, 5, 8), "wqkv": (8, 24), "wo": (8, 8),
+                                            "g": (8,)}),
     "softmax_cross_entropy": (lambda t: ad.softmax_cross_entropy(t["a"], TARGETS),
                               {"a": (2, 3, 4)}),
     "sigmoid_bce": (lambda t: ad.sigmoid_bce(t["a"], MASK), {"a": (2, 3)}),
@@ -586,8 +586,8 @@ def _sublayers(H):
     expansion e)."""
     return (
         (lambda *t: ad.attention(*t, H),
-         lambda h, *w: ad.rms_norm(ref_sublayer(h, *w[:4], H), w[4]),
-         lambda d, e: [(d, d)] * 4 + [(d,)]),
+         lambda h, wqkv, wo, gain: ad.rms_norm(ref_sublayer(h, wqkv, wo, H), gain),
+         lambda d, e: [(d, 3 * d), (d, d), (d,)]),
         (ad.mlp, lambda h, w1, w2, gain: ad.rms_norm(ad.add(h, _mlp(h, w1, w2)), gain),
          lambda d, e: [(d, e * d), (e * d, d), (d,)]))
 
@@ -639,10 +639,10 @@ def test_rewritten_kernels_match_reference_formulas():
         ang = np.arange(M, dtype=np.float64)[:, None] * inv[None, :]
         cos, sin = np.cos(ang)[:, None, :], np.sin(ang)[:, None, :]
         xh, gh = x.reshape(B, M, H, hd).astype(np.float64), g.reshape(B, M, H, hd)
-        x1, x2, g1, g2 = xh[..., :half], xh[..., half:], gh[..., :half], gh[..., half:]
-        want = np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
+        x1, x2, g1, g2 = xh[..., 0::2], xh[..., 1::2], gh[..., 0::2], gh[..., 1::2]
+        want = np.stack([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
         _close(value, want.reshape(B, M, d).astype(dtype), tol, f"rope value {dtype}")
-        want = np.concatenate([g1 * cos + g2 * sin, -g1 * sin + g2 * cos], axis=-1)
+        want = np.stack([g1 * cos + g2 * sin, -g1 * sin + g2 * cos], axis=-1)
         _close(gx, want.reshape(B, M, d).astype(dtype), tol, f"rope vjp {dtype}")
         _same_bytes(value, run(lambda t: ad.rope(t, H), x)[0], f"rope rerun {dtype}")
 
@@ -678,14 +678,14 @@ def test_rewritten_kernels_match_reference_formulas():
         # kernel is within 1e-12 in float64, and in float32 keeps the dtype
         # and repeats its bytes
         (attention, attention_graph, _), (mlp, mlp_graph, _) = _sublayers(H)
-        ws = [(r.normal(size=(d, d)) / np.sqrt(d)).astype(dtype) for _ in range(4)]
+        ws = [(r.normal(size=s) / np.sqrt(d)).astype(dtype) for s in ((d, 3 * d), (d, d))]
         value, grads = run(attention, x, *ws, gain)
         again, grads_again = run(attention, x, *ws, gain)
         want_value, want = _graph_grads(attention_graph, (x, *ws, gain), g)
         _close(value, want_value, tol, f"attention sublayer value {dtype}")
         _same_bytes(value, again, f"attention sublayer value rerun {dtype}")
         for got, got_again, w, name in zip(grads, grads_again, want,
-                                           ("h", "wq", "wk", "wv", "wo", "gain")):
+                                           ("h", "wqkv", "wo", "gain")):
             _close(got, w, tol, f"attention sublayer vjp {name} {dtype}")
             _same_bytes(got, got_again, f"attention sublayer vjp {name} rerun {dtype}")
 
@@ -709,7 +709,11 @@ def test_sublayers_per_item_bytes_and_reference_over_drawn_shapes(data):
     # q and k weight gradients are rounding noise on both sides.  The
     # weight scale and each item's input scale mix, in one batch, items
     # whose base-2 scores all lie inside (-64, 64) and items that take the
-    # softmax's row-max shift
+    # softmax's row-max shift.  At the smallest shapes every input's
+    # gradient also meets the float64 finite-difference oracle at 1e-6, at
+    # unit scale: with a scale of 16 or 1/4, a row of d = 2 can make the
+    # norm curve so sharply, or a gradient so small beside the loss, that
+    # central differences miss 1e-6 at every step size
     B, M = data.draw(st.integers(1, 6), "B"), data.draw(st.integers(1, 40), "M")
     H, hd = data.draw(st.sampled_from([1, 2, 4]), "H"), data.draw(st.integers(1, 16), "hd") * 2
     e, d = data.draw(st.integers(1, 4), "expansion"), H * hd
@@ -718,11 +722,12 @@ def test_sublayers_per_item_bytes_and_reference_over_drawn_shapes(data):
     wscale = data.draw(st.sampled_from([1.0, 4.0, 16.0]), "weight scale")
     items = data.draw(st.lists(st.sampled_from([0.25, 1.0]), min_size=B, max_size=B), "items")
     r = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), "seed"))
-    h, g = (r.normal(size=(B, M, d)).astype(np.float32) for _ in range(2))
-    h *= np.float32(items)[:, None, None]
+    unit, g = (r.normal(size=(B, M, d)).astype(np.float32) for _ in range(2))
+    h = unit * np.float32(items)[:, None, None]
     for node, graph, shapes in _sublayers(H):
-        ws = [(r.normal(size=s) / np.sqrt(s[0]) * (wscale if len(s) == 2 else 1.0)
-               + (len(s) == 1)).astype(np.float32) for s in shapes(d, e)]
+        units = [(r.normal(size=s) / np.sqrt(s[0]) + (len(s) == 1)).astype(np.float32)
+                 for s in shapes(d, e)]
+        ws = [w * np.float32(wscale) if w.ndim == 2 else w for w in units]
 
         def run(lo, hi, dtype=np.float32):
             out = node(*(ad.tensor(a.astype(dtype), requires_grad=True)
@@ -743,6 +748,12 @@ def test_sublayers_per_item_bytes_and_reference_over_drawn_shapes(data):
             assert got.dtype == np.float64 and got.shape == w.shape
             assert np.abs(got - w).max() <= 1e-12 * scale
 
+        if B * M * d <= 64 and d <= 8:
+            names = ["h", *(f"w{i}" for i in range(len(ws)))]
+            check_gradients(lambda t: mean_all(multiply(node(*(t[n] for n in names)),
+                                                        ad.tensor(g.astype(np.float64)))),
+                            dict(zip(names, (unit, *units))))
+
 
 def test_attention_item_whose_scores_could_overflow_takes_the_shift():
     # an unshifted exp2 of a float32 base-2 score above 128 is infinite;
@@ -753,9 +764,9 @@ def test_attention_item_whose_scores_could_overflow_takes_the_shift():
     h = r.normal(size=(B, M, d))
     h[1] *= 12.0
     g = r.normal(size=(B, M, d))
-    ws = [r.normal(size=(d, d)) / np.sqrt(d) for _ in range(4)] + [np.ones(d)]
-    q, k = (ad.rope(ad.matmul(ad.tensor(h), ad.tensor(w)), H).value.reshape(B, M, H, d // H)
-            for w in ws[:2])
+    ws = [r.normal(size=s) / np.sqrt(d) for s in ((d, 3 * d), (d, d))] + [np.ones(d)]
+    q, k = (ad.rope(ad.tensor(h @ ws[0][:, i * d:(i + 1) * d]), H).value.reshape(B, M, H, d // H)
+            for i in range(2))
     scores = np.einsum("bqhj,bkhj->bhqk", q, k) / np.sqrt(d // H) / np.log(2)
     assert np.abs(scores[0]).max() < 64 and scores[1].max() > 128
 
@@ -765,10 +776,9 @@ def test_attention_item_whose_scores_could_overflow_takes_the_shift():
         return out.value, out.vjp(g[lo:hi].astype(np.float32))
 
     value, grads = run(0, B)
-    want_value, want = _graph_grads(lambda x, *w: ad.rms_norm(ref_sublayer(x, *w[:4], H), w[4]),
-                                    (h, *ws), g)
+    want_value, want = _graph_grads(_sublayers(H)[0][1], (h, *ws), g)
     for got, w, name in zip((value, *grads), (want_value, *want),
-                            ("value", "h", "wq", "wk", "wv", "wo", "gain")):
+                            ("value", "h", "wqkv", "wo", "gain")):
         assert got.dtype == np.float32 and np.all(np.isfinite(got)), name
         assert rel_err(got.astype(np.float64), w) <= 1e-4, (name, rel_err(got, w))
     alone, alone_grads = run(1, 2)
@@ -779,17 +789,17 @@ def test_attention_item_whose_scores_could_overflow_takes_the_shift():
 def test_sublayers_refuse_an_empty_batch():
     h = ad.tensor(np.ones((0, 5, 8)), requires_grad=True)
     gain = ad.tensor(np.ones(8), requires_grad=True)
-    w = [ad.tensor(np.ones((8, 8)) / 8, requires_grad=True) for _ in range(4)]
+    w = [ad.tensor(np.ones(s) / 8, requires_grad=True) for s in ((8, 24), (8, 8))]
     with pytest.raises(ad.AutodiffError, match="attention: empty batch"):
         ad.attention(h, *w, gain, 2)
     with pytest.raises(ad.AutodiffError, match="mlp: empty batch"):
-        ad.mlp(h, w[0], w[1], gain)
+        ad.mlp(h, w[1], w[1], gain)
 
 
 def test_rope_and_attention_refuse_half_precision():
     # the phases are complex, and numpy has no complex type for float16
     h = ad.tensor(np.ones((1, 3, 4), np.float16))
-    w = [ad.tensor(np.eye(4, dtype=np.float16)) for _ in range(4)]
+    w = [ad.tensor(np.ones((4, 12), np.float16)), ad.tensor(np.eye(4, dtype=np.float16))]
     with pytest.raises(ad.AutodiffError, match="float16 has no complex type"):
         ad.attention(h, *w, ad.tensor(np.ones(4, np.float16)), 2)
     with pytest.raises(ad.AutodiffError, match="float16 has no complex type"):
@@ -822,10 +832,10 @@ def _closure_arrays(fn):
 def test_vjp_closures_keep_no_recomputable_arrays():
     B, M, d, H = 2, 6, 8, 2
     r = rng(43)
-    # attention keeps h, the four weights and the gain: no q, k, v, scores,
+    # attention keeps h, its two weights and the gain: no q, k, v, scores,
     # output or residual sum, also after its vjp has run once
     x = ad.tensor(r.normal(size=(B, M, d)), requires_grad=True)
-    ws = [ad.tensor(r.normal(size=(d, d)), requires_grad=True) for _ in range(4)]
+    ws = [ad.tensor(r.normal(size=s), requires_grad=True) for s in ((d, 3 * d), (d, d))]
     gain = ad.tensor(np.ones(d), requires_grad=True)
     node = ad.attention(x, *ws, gain, H)
     node.vjp(np.ones(node.shape))

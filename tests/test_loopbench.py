@@ -41,8 +41,13 @@ def test_tracer_times_the_vjps_backward_runs(monkeypatch):
                       requires_grad=True)
         b = ad.tensor(np.linspace(0, 1, 12, dtype=np.float32).reshape(3, 4),
                       requires_grad=True)
-        ad.backward(mean_all(ad.silu(ad.matmul(a, b))))
-        return [a.adjoint.tobytes(), b.adjoint.tobytes()]
+        h, wqkv, wo = (ad.tensor(np.linspace(-1, 1, n, dtype=np.float32).reshape(s),
+                                 requires_grad=True)
+                       for n, s in ((24, (2, 3, 4)), (48, (4, 12)), (16, (4, 4))))
+        gain = ad.tensor(np.ones(4, np.float32), requires_grad=True)
+        att = ad.attention(h, wqkv, wo, gain, 2)
+        ad.backward(ad.add(mean_all(ad.silu(ad.matmul(a, b))), mean_all(att)))
+        return [t.adjoint.tobytes() for t in (a, b, h, wqkv, wo, gain)]
 
     want = grads()
     tracer = Tracer()
@@ -57,5 +62,5 @@ def test_tracer_times_the_vjps_backward_runs(monkeypatch):
         tracer.restore()
     assert got == want
     parent_of = {name: tracer.spans[parent][0] for name, _, _, parent in tracer.spans}
-    for op in ("matmul", "silu", "masked_mean"):
+    for op in ("matmul", "silu", "masked_mean", "attention"):
         assert parent_of.get(f"autodiff.{op}.vjp") == "autodiff.backward", op

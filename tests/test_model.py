@@ -158,7 +158,7 @@ def test_latent_step_deterministic_and_tied():
     # all n + 1 applications read the very same weight tensors (tying is
     # structural): one shared leaf, not per-step copies
     nodes = ad.graph_nodes(s1.y)
-    leaves = [n for n in nodes if n.op == "phi/l0/attn/wq"]
+    leaves = [n for n in nodes if n.op == "phi/l0/attn/wqkv"]
     assert len(leaves) == 1
     readers = [n for n in nodes if any(p is leaves[0] for p in n.parents)]
     assert len(readers) == cfg.inner_steps + 1
@@ -170,7 +170,7 @@ def test_gradients_reach_all_step_inputs():
     loss = ad.add(mean_all(multiply(out.y, out.y)),
                   mean_all(multiply(out.z, out.z)))
     ad.backward(loss)
-    for name in ("phi/l0/attn/wq", "phi/l0/mlp/w1", "embed/input", "embed/task",
+    for name in ("phi/l0/attn/wqkv", "phi/l0/mlp/w1", "embed/input", "embed/task",
                  "state/y0", "state/z0"):
         adj = pt[name].adjoint
         assert adj is not None and np.any(adj != 0), name
@@ -403,10 +403,10 @@ def test_mlp_recompute_gradients_match_stored_graph_bitwise(monkeypatch):
 
 
 def test_attention_node_gradients_match_stored_graph_bitwise(monkeypatch):
-    def stored(h, wq, wk, wv, wo, gain, num_heads):
-        return ad.rms_norm(ref_sublayer(h, wq, wk, wv, wo, num_heads), gain)
+    def stored(h, wqkv, wo, gain, num_heads):
+        return ad.rms_norm(ref_sublayer(h, wqkv, wo, num_heads), gain)
 
-    _fused_gradients_match_stored_graph(monkeypatch, "attention", stored, "phi/l1/attn/wq",
+    _fused_gradients_match_stored_graph(monkeypatch, "attention", stored, "phi/l1/attn/wqkv",
                                         tol=1e-12)
 
 
@@ -475,8 +475,8 @@ def test_window_without_gradient_gives_zero_grads():
             _, logits, _ = md.run_window(pt, cfg, x, state, cfg.cycles_per_window - 1, 1)
         return mean_all(logits)
 
-    grads = gradient(build, dict(base), ["phi/l0/attn/wq", "phi/l0/mlp/w2"])
-    assert np.all(grads["phi/l0/attn/wq"] == 0.0)
+    grads = gradient(build, dict(base), ["phi/l0/attn/wqkv", "phi/l0/mlp/w2"])
+    assert np.all(grads["phi/l0/attn/wqkv"] == 0.0)
     assert np.all(grads["phi/l0/mlp/w2"] == 0.0)
 
 
@@ -532,9 +532,9 @@ def test_q_readout_is_batch_invariant():
 
 def test_untied_depth_uses_distinct_sets():
     cfg, params = tiny_setup(untied_depth=6, cycles_per_window=2)
-    assert "phi0/l0/attn/wq" in params
-    assert "phi5/l0/attn/wq" in params
-    assert "phi/l0/attn/wq" not in params
+    assert "phi0/l0/attn/wqkv" in params
+    assert "phi5/l0/attn/wqkv" in params
+    assert "phi/l0/attn/wqkv" not in params
     pt = md.wrap_parameters(params)
     tokens, rows = batch_inputs(cfg, batch=1)
     x = md.embed_input(pt, cfg, tokens, rows)
@@ -595,7 +595,7 @@ def test_window_loss_matches_finite_differences():
         state = md.LatentState(ad.tensor(warm_y), ad.tensor(warm_z))
         return loss_from(pt, state, warm_cycles=0)
 
-    wrt = ["phi/l0/attn/wq", "phi/l0/mlp/w1", "embed/task", "decode/w", "q/w"]
+    wrt = ["phi/l0/attn/wqkv", "phi/l0/mlp/w1", "embed/task", "decode/w", "q/w"]
     grads = gradient(build_full, dict(base), wrt)
     frozen = check_gradients(build_frozen, dict(base), wrt)
     for name in wrt:
@@ -663,13 +663,14 @@ def _header(**config):
 def _full_checkpoint(shapes=None, ema_value=None, metadata=None, config=None,
                      repeat=()) -> bytes:
     """Every array the tiny config builds, zero-filled, with `shapes`
-    overriding some shapes, given `ema_value`, an ema copy filled with it,
+    overriding some shapes, adding arrays or, for None, dropping them,
+    given `ema_value`, an ema copy filled with it,
     `metadata` in the header (default {}), `config` overriding some of
     the header's config values and the arrays named in `repeat` listed a
     second time at the end."""
     cfg = tiny_cfg()
     named = {n: np.zeros(s) for n, s in {**md.parameter_shapes(cfg),
-                                         **(shapes or {})}.items()}
+                                         **(shapes or {})}.items() if s is not None}
     if ema_value is not None:
         named.update({f"ema/{n}": np.full(a.shape, ema_value)
                       for n, a in list(named.items())})
@@ -712,11 +713,13 @@ def test_checkpoint_with_every_array_loads(tmp_path):
     _checkpoint_bytes(b"[" * 100_000),
     _checkpoint_bytes({**_header(), "arrays": [{"name": "q/b", "shape": [2 ** 64]}]}),
     _full_checkpoint(repeat=["q/b"]),
+    _full_checkpoint(shapes={"phi/l0/attn/wqkv": None, "phi/l0/attn/wq": (16, 16),
+                             "phi/l0/attn/wk": (16, 16), "phi/l0/attn/wv": (16, 16)}),
 ], ids=["short", "bad_json", "bad_utf8", "header_not_dict", "no_arrays",
         "no_config", "unknown_key", "invalid_config", "truncated_array",
         "only_q_bias", "wrong_shape", "nan_value", "metadata_list", "zero_heads",
         "float_layers", "more_layers_than_arrays", "float_hidden_size", "int_single_z",
-        "too_deep", "dim_beyond_int64", "repeated_name"])
+        "too_deep", "dim_beyond_int64", "repeated_name", "split_attention_weights"])
 def test_checkpoint_malformed_bytes_raise_checkpoint_error(tmp_path, raw):
     p = tmp_path / "bad.ltrm"
     p.write_bytes(raw)

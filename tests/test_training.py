@@ -557,9 +557,9 @@ def test_stacked_transformer_runs_untied():
     cfg = tiny_cfg(untied_depth=3)
     tcfg = TrainConfig(objective="stacked_transformer", warmup_steps=0)
     params, _, opt = fresh(cfg, tcfg)
-    phi1_before = params["phi1/l0/attn/wq"].copy()
-    params["phi0/l0/attn/wq"][0, 0] += 1.0
-    assert np.array_equal(params["phi1/l0/attn/wq"], phi1_before)
+    phi1_before = params["phi1/l0/attn/wqkv"].copy()
+    params["phi0/l0/attn/wqkv"][0, 0] += 1.0
+    assert np.array_equal(params["phi1/l0/attn/wqkv"], phi1_before)
     m = tr.train_step(toy_batch(), params, cfg, tcfg, opt, seed=70, step_index=0)
     assert opt.t == 1 and m.grad_norm > 0
 
@@ -612,7 +612,7 @@ def test_trm_window_loss_full_gradient_matches_fd():
 
     margin_guard(_probe_logits(cfg, base, batch))
 
-    wrt = ["phi/l0/attn/wq", "phi/l0/mlp/w1", "embed/input", "embed/task",
+    wrt = ["phi/l0/attn/wqkv", "phi/l0/mlp/w1", "embed/input", "embed/task",
            "decode/w", "q/w", "state/y0"]
     check_gradients(build, dict(base), wrt)
 
@@ -658,7 +658,7 @@ def test_drm_loss_with_warmup_matches_fd_of_truncated_function():
         return loss_from(pt, state, 0)
 
     # the label table feeds only the warm-up, so truncation zeroes it
-    wrt = ["phi/l0/attn/wk", "phi/l0/mlp/w2", "embed/input", "embed/label",
+    wrt = ["phi/l0/attn/wqkv", "phi/l0/mlp/w2", "embed/input", "embed/label",
            "decode/w", "q/b"]
     grads = gradient(build_full, dict(base), wrt)
     frozen = check_gradients(build_frozen, dict(base), wrt)
