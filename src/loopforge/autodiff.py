@@ -455,10 +455,11 @@ def _attend(x, state, out, num_heads: int) -> tuple:
     """Attention's item kernel on its sublayer input x (M, d): writes the
     residual sum x + o · wo to `out` and returns what its vjp reads: the
     q, k and v heads, e = 2 ** s for the (H, M, M) base-2 scores s, keys
-    down, shifted by each row's max over keys only if some score of this
-    item lies outside (-64, 64) or is not finite, its sums over keys l, and
-    the merged output o = eᵀ · v / l.  One complex multiply rotates q|k,
-    projected by wqkv as stored, and scales q."""
+    down, shifted by each row's max over keys and kept at -64 or above
+    only if some score of this item lies outside (-64, 64) or is not
+    finite, its sums over keys l, and the merged output o = eᵀ · v / l.
+    One complex multiply rotates q|k, projected by wqkv as stored, and
+    scales q."""
     w, turn, _, ones, wo = state[:5]
     d = x.shape[-1]
     qk = _turn(np.matmul(x, w[:, :2 * d]), turn)
@@ -466,6 +467,9 @@ def _attend(x, state, out, num_heads: int) -> tuple:
     e = np.matmul(kh, qs.swapaxes(-1, -2))
     if not (-64.0 < e.min() and e.max() < 64.0):
         e -= e.max(axis=1, keepdims=True)
+        # as on the direct path, no term below 2 ** -64: far smaller ones
+        # are denormals after exp2, which run many times slower
+        np.maximum(e, -64.0, out=e)
     np.exp2(e, out=e)
     l = np.matmul(ones, e)
     o = np.empty((len(x), d), e.dtype)

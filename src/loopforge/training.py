@@ -51,6 +51,9 @@ ADAM_BETAS = (0.9, 0.95)
 ADAM_EPS = 1e-8
 # this many updates in a row with non-finite gradients end the run
 MAX_SKIPPED_IN_A_ROW = 8
+# what one window's gradient cycles may keep alive for backward; a step
+# runs its batch in micro-batches small enough for it (micro_batch_size)
+RETAINED_BYTES_BUDGET = 16 * 2 ** 20
 
 
 class TrainingError(RuntimeError):
@@ -159,19 +162,27 @@ class LossParts:
 
 
 def combined_loss(logits: ad.Tensor, q_logit: ad.Tensor, targets: np.ndarray,
-                  loss_mask: np.ndarray) -> tuple[ad.Tensor, LossParts]:
+                  loss_mask: np.ndarray, window: tuple[int, int] | None = None
+                  ) -> tuple[ad.Tensor, LossParts]:
     """Masked cross entropy plus BCE between the halting logit and the
-    per-item indicator that every valid position is already correct."""
+    per-item indicator that every valid position is already correct.
+
+    `window` is (valid tokens, items) of the whole window when these items
+    are one micro-batch of it: each mean is then weighted by this part's
+    share, so the parts' losses sum to the window's.  By default the share
+    is exactly 1."""
     targets = np.asarray(targets)
     loss_mask = np.asarray(loss_mask, dtype=bool)
+    valid = int(loss_mask.sum())
+    tokens, items = window or (valid, len(targets))
     ce = ad.masked_mean(ad.softmax_cross_entropy(logits, targets), loss_mask)
     pred = np.argmax(logits.value, axis=-1)
     hit = (pred == targets) & loss_mask
     match = (hit | ~loss_mask).all(axis=-1).astype(np.float64)
     q = ad.masked_mean(ad.sigmoid_bce(q_logit, match), np.ones(match.shape, dtype=bool))
-    loss = ad.add(ce, q)
+    loss = ad.add(ad.scale(ce, valid / tokens), ad.scale(q, len(targets) / items))
     parts = LossParts(ce=float(ce.value), q=float(q.value), match=match,
-                      correct=hit.sum(axis=-1), valid_tokens=int(loss_mask.sum()))
+                      correct=hit.sum(axis=-1), valid_tokens=valid)
     return loss, parts
 
 
@@ -314,12 +325,32 @@ def _sprm_perturber(sched: BetaSchedule, seed: int, step_index: int) -> Callable
 # one training step
 
 
+def micro_batch_size(cfg: md.ModelConfig, grad_cycles: int, dtype) -> int:
+    """Items per micro-batch: as many as keep the sublayer inputs that a
+    window's gradient cycles retain for backward, two (seq_len + 1,
+    hidden_size) arrays per block application and item, within
+    RETAINED_BYTES_BUDGET; at least one."""
+    per_item = (grad_cycles * cfg.apps_per_cycle * cfg.num_layers * 2
+                * (cfg.seq_len + 1) * cfg.hidden_size * np.dtype(dtype).itemsize)
+    return max(1, RETAINED_BYTES_BUDGET // per_item)
+
+
 def train_step(batch: Batch, params: md.Parameters, cfg: md.ModelConfig,
                tcfg: TrainConfig, opt: AdamW, seed: int, step_index: int,
                *, noise_schedule: NoiseSchedule = NoiseSchedule(),
                beta_schedule: BetaSchedule = BetaSchedule()) -> StepMetrics:
     """Run the objective's windows over one batch, with one optimizer step
-    per supervised window."""
+    per supervised window.
+
+    The batch runs as micro-batches of `micro_batch_size` items, one
+    `halting_windows` generator each, in lockstep: in every window each
+    micro-batch runs its forward, loss and backward before the next one
+    starts, so only one micro-batch's graph is alive and the memory a step
+    retains for backward is bounded by the budget, not by B.  Their
+    gradients are summed into the window's one update, which every
+    micro-batch's next window sees.  Items keep their own noise, corruption
+    and perturbation streams; with one micro-batch (B within the budget)
+    the step is the whole batch's, byte for byte."""
     warm, grad_cycles = check_objective(cfg, tcfg)
     obj = tcfg.objective
     B = batch.rows.size
@@ -328,13 +359,27 @@ def train_step(batch: Batch, params: md.Parameters, cfg: md.ModelConfig,
     if obj in DENOISE_OBJECTIVES:
         corrupted = corrupt_batch(batch, noise_schedule, seed, step_index)
         windows = 1
-        first_state = lambda pt: md.label_state(pt, cfg, corrupted, streams)
+        first_state = lambda idx, pt: md.label_state(pt, cfg, corrupted[idx],
+                                                     [streams[i] for i in idx])
     else:
         windows = tcfg.max_halt_steps
-        first_state = lambda pt: md.init_state(pt, cfg, streams)
+        first_state = lambda idx, pt: md.init_state(pt, cfg, [streams[i] for i in idx])
         if obj == "sprm":
             perturb = _sprm_perturber(beta_schedule, seed, step_index)
     halt_early = obj != "trm_no_deep_sup"
+
+    def run(idx):
+        # the perturber keys its streams by the item's index in the batch
+        local = None if perturb is None else (
+            lambda y, z, w, active: perturb(y, z, w, idx[active]))
+        return idx, md.halting_windows(
+            params, cfg, batch.inputs[idx], batch.rows[idx],
+            lambda pt: first_state(idx, pt), windows, warm, grad_cycles,
+            halt_early=halt_early, perturb=local)
+
+    m = micro_batch_size(cfg, grad_cycles, params["state/z0"].dtype)
+    runs = [run(idx) for idx in np.split(np.arange(B), range(m, B, m))]
+    alive = np.ones(B, dtype=bool)      # the items that enter the next window
 
     ce_sum = 0.0
     ce_mass = 0
@@ -344,33 +389,47 @@ def train_step(batch: Batch, params: md.Parameters, cfg: md.ModelConfig,
     exact = 0
     hist = [0] * windows
     norms: list[float] = []
-    for w, active, pt, logits, q, exiting in md.halting_windows(
-            params, cfg, batch.inputs, batch.rows, first_state, windows, warm,
-            grad_cycles, halt_early=halt_early, perturb=perturb):
-        hist[w] = int(exiting.sum())
-        if not (halt_early or w == windows - 1):
-            continue        # no loss, and no item can exit here
-        loss, parts = combined_loss(logits, q, batch.targets[active],
-                                    batch.loss_mask[active])
-        if not np.all(np.isfinite(loss.value)):
-            raise DivergenceError(f"non-finite loss at step {step_index}, window {w}")
-        ad.backward(loss)
-        norm, applied = opt.apply(_collect_grads(pt))
+    for w in range(windows):
+        supervised = halt_early or w == windows - 1
+        totals = (int(batch.loss_mask[alive].sum()), int(alive.sum()))
+        grads = None
+        for idx, gen in runs:
+            out = next(gen, None)
+            if out is None:
+                continue        # every item of this micro-batch has exited
+            _, active, pt, logits, q, exiting = out
+            items = idx[active]
+            alive[items[exiting]] = False
+            hist[w] += int(exiting.sum())
+            if not supervised:
+                continue        # no loss, and no item can exit here
+            loss, parts = combined_loss(logits, q, batch.targets[items],
+                                        batch.loss_mask[items], totals)
+            if not np.all(np.isfinite(loss.value)):
+                raise DivergenceError(f"non-finite loss at step {step_index}, window {w}")
+            ad.backward(loss)
+            part = _collect_grads(pt)
+            grads = part if grads is None else {k: g + part[k] for k, g in grads.items()}
+            ce_sum += parts.ce * parts.valid_tokens
+            ce_mass += parts.valid_tokens
+            q_sum += parts.q * items.size
+            q_mass += items.size
+            correct += int(parts.correct[exiting].sum())
+            exact += int(parts.match[exiting].sum())
+            # backward left this micro-batch's graph empty; its generator
+            # keeps pt until it resumes, so free the gradients pt's leaves hold
+            for leaf in pt.values():
+                leaf.adjoint = None
+            del out, loss, logits, q, pt, part
+        if grads is None:
+            continue
+        norm, applied = opt.apply(grads)
         if opt.skipped_in_a_row >= MAX_SKIPPED_IN_A_ROW:
             raise DivergenceError(f"{opt.skipped_in_a_row} updates in a row skipped for "
                                   f"non-finite gradients, at step {step_index}")
         if applied and not all(np.isfinite(v).all() for v in params.values()):
             raise DivergenceError(f"non-finite parameters after step {step_index}, window {w}")
         norms.append(norm if applied else 0.0)
-        ce_sum += parts.ce * parts.valid_tokens
-        ce_mass += parts.valid_tokens
-        q_sum += parts.q * active.size
-        q_mass += active.size
-        correct += int(parts.correct[exiting].sum())
-        exact += int(parts.match[exiting].sum())
-        # the generator builds the next window on resuming; backward left
-        # this window's graph empty, but pt's leaves still hold its gradients
-        del loss, logits, q, pt
 
     return StepMetrics(
         step=step_index,

@@ -66,6 +66,29 @@ def param_count(params) -> int:
     return sum(v.size for v in params.values())
 
 
+def closure_arrays(fn):
+    """Every ndarray a function's closure reaches, through nested closures
+    and the lists, tuples and dicts they hold."""
+    found, stack, seen = [], [fn], set()
+    while stack:
+        f = stack.pop()
+        if id(f) in seen:
+            continue
+        seen.add(id(f))
+        objs = [cell.cell_contents for cell in f.__closure__ or ()]
+        while objs:
+            obj = objs.pop()
+            if isinstance(obj, np.ndarray):
+                found.append(obj)
+            elif isinstance(obj, (list, tuple)):
+                objs.extend(obj)
+            elif isinstance(obj, dict):
+                objs.extend(obj.values())
+            elif callable(obj) and hasattr(obj, "__closure__"):
+                stack.append(obj)
+    return found
+
+
 def spy_backward(monkeypatch) -> list[dict]:
     """Record each root `ad.backward` is called on, as its graph nodes and
     loss value, before running the real backward.  The record keeps every

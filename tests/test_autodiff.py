@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (check_gradients, evaluate, finite_difference_gradient, gradient,
-                      mean_all, multiply, ref_attention, ref_sublayer, rel_err,
+from conftest import (check_gradients, closure_arrays, evaluate, finite_difference_gradient,
+                      gradient, mean_all, multiply, ref_attention, ref_sublayer, rel_err,
                       stop_gradient)
 from loopforge import autodiff as ad
 from loopforge import model as md
@@ -245,7 +245,7 @@ def test_recompute_vjp_keeps_only_its_inputs():
     assert node.op == "mlp" and node.parents == (h.node, w1.node, w2.node, gain.node)
     want = ad.rms_norm(ad.add(h, _mlp(h, w1, w2)), gain)
     assert node.value.tobytes() == want.value.tobytes()
-    kept = _closure_arrays(node.vjp)
+    kept = closure_arrays(node.vjp)
     assert set(map(id, kept)) == {id(t.value) for t in (h, w1, w2, gain)}
 
 
@@ -705,15 +705,22 @@ def test_sublayers_per_item_bytes_and_reference_over_drawn_shapes(data):
     # value and h gradient have the same bytes alone, in its group (each a
     # fresh copy, so addresses differ) and in the whole batch.  In float64
     # every output is within 1e-12 of the plain graph, measured against the
-    # node's largest output: at M = 1 the scores' gradient is zero, and the
-    # q and k weight gradients are rounding noise on both sides.  The
-    # weight scale and each item's input scale mix, in one batch, items
-    # whose base-2 scores all lie inside (-64, 64) and items that take the
-    # softmax's row-max shift.  At the smallest shapes every input's
-    # gradient also meets the float64 finite-difference oracle at 1e-6, at
-    # unit scale: with a scale of 16 or 1/4, a row of d = 2 can make the
-    # norm curve so sharply, or a gradient so small beside the loss, that
-    # central differences miss 1e-6 at every step size
+    # node's largest output (at M = 1 the scores' gradient is zero, and the
+    # q and k weight gradients are rounding noise on both sides), plus, for
+    # attention, the rounding its softmax amplifies: a score's absolute
+    # rounding error becomes a relative error of every softmax term.  q and
+    # k come from length-d sums and the score from a length-hd one, so that
+    # error is at most (d + hd) u S, for u float64's unit roundoff and S the
+    # largest score magnitude ‖q‖‖k‖ / √hd, and the terms' relative error
+    # at most twice it, with the normaliser's; S grows with the square of
+    # the weight and item scales.  The weight scale and each item's input
+    # scale mix, in one batch, items whose base-2 scores all lie inside
+    # (-64, 64) and items that take the softmax's row-max shift.  At the
+    # smallest shapes every input's gradient also meets the float64
+    # finite-difference oracle at 1e-6, at unit scale: with a scale of 16
+    # or 1/4, a row of d = 2 can make the norm curve so sharply, or a
+    # gradient so small beside the loss, that central differences miss
+    # 1e-6 at every step size
     B, M = data.draw(st.integers(1, 6), "B"), data.draw(st.integers(1, 40), "M")
     H, hd = data.draw(st.sampled_from([1, 2, 4]), "H"), data.draw(st.integers(1, 16), "hd") * 2
     e, d = data.draw(st.integers(1, 4), "expansion"), H * hd
@@ -724,7 +731,7 @@ def test_sublayers_per_item_bytes_and_reference_over_drawn_shapes(data):
     r = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), "seed"))
     unit, g = (r.normal(size=(B, M, d)).astype(np.float32) for _ in range(2))
     h = unit * np.float32(items)[:, None, None]
-    for node, graph, shapes in _sublayers(H):
+    for (node, graph, shapes), softmax in zip(_sublayers(H), (True, False)):
         units = [(r.normal(size=s) / np.sqrt(s[0]) + (len(s) == 1)).astype(np.float32)
                  for s in shapes(d, e)]
         ws = [w * np.float32(wscale) if w.ndim == 2 else w for w in units]
@@ -744,9 +751,16 @@ def test_sublayers_per_item_bytes_and_reference_over_drawn_shapes(data):
         want_value, want = _graph_grads(graph, [a.astype(np.float64) for a in (h, *ws)],
                                         g.astype(np.float64))
         scale = max(np.abs(a).max() for a in (want_value, *want))
+        tol = 1e-12
+        if softmax:
+            qk = np.matmul(h.astype(np.float64), ws[0][:, :2 * d].astype(np.float64))
+            norms = np.linalg.norm(qk.reshape(B, M, 2, H, hd), axis=-1).max(axis=1)
+            S = (norms[:, 0] * norms[:, 1]).max() / np.sqrt(hd)
+            u = np.finfo(np.float64).eps / 2
+            tol += 2 * (d + hd) * u * S
         for got, w in zip((value, *grads), (want_value, *want)):
             assert got.dtype == np.float64 and got.shape == w.shape
-            assert np.abs(got - w).max() <= 1e-12 * scale
+            assert np.abs(got - w).max() <= tol * scale
 
         if B * M * d <= 64 and d <= 8:
             names = ["h", *(f"w{i}" for i in range(len(ws)))]
@@ -786,6 +800,36 @@ def test_attention_item_whose_scores_could_overflow_takes_the_shift():
     assert alone_grads[0].tobytes() == grads[0][1:].tobytes()
 
 
+def test_shifted_softmax_keeps_every_term_at_least_2_to_the_minus_64(monkeypatch):
+    # after the row-max shift, base-2 scores below -64 are raised to -64,
+    # as the direct path never goes below it: exp2 makes no denormal term,
+    # which would slow every pass over e many times over
+    B, M, d, H = 2, 16, 8, 2
+    r = rng(51)
+    h = r.normal(size=(B, M, d)).astype(np.float32)
+    h[1] *= 16.0
+    ws = [(r.normal(size=s) / np.sqrt(d)).astype(np.float32) for s in ((d, 3 * d), (d, d))]
+    saved = []
+    attend = ad._attend
+
+    def spy(x, state, out, num_heads):
+        kept = attend(x, state, out, num_heads)
+        saved.append(kept[3].copy())
+        return kept
+
+    monkeypatch.setattr(ad, "_attend", spy)
+    ad.attention(*(ad.tensor(a) for a in (h, *ws, np.ones(d, np.float32))), H)
+    q, k = (ad.rope(ad.tensor(h.astype(np.float64) @ ws[0][:, i * d:(i + 1) * d]), H).value
+            .reshape(B, M, H, d // H) for i in range(2))
+    scores = np.einsum("bqhj,bkhj->bhkq", q, k) / np.sqrt(d // H) / np.log(2)
+    spread = scores.max(axis=2) - scores.min(axis=2)
+    assert np.abs(scores[0]).max() < 64 and spread[1].max() > 200
+    assert len(saved) == B
+    for e in saved:
+        assert e.dtype == np.float32 and e.min() >= 2.0 ** -64
+    assert saved[1].min() == np.float32(2.0 ** -64)
+
+
 def test_sublayers_refuse_an_empty_batch():
     h = ad.tensor(np.ones((0, 5, 8)), requires_grad=True)
     gain = ad.tensor(np.ones(8), requires_grad=True)
@@ -806,29 +850,6 @@ def test_rope_and_attention_refuse_half_precision():
         ad.rope(h, 2)
 
 
-def _closure_arrays(fn):
-    """Every ndarray a function's closure reaches, through nested closures
-    and the lists, tuples and dicts they hold."""
-    found, stack, seen = [], [fn], set()
-    while stack:
-        f = stack.pop()
-        if id(f) in seen:
-            continue
-        seen.add(id(f))
-        objs = [cell.cell_contents for cell in f.__closure__ or ()]
-        while objs:
-            obj = objs.pop()
-            if isinstance(obj, np.ndarray):
-                found.append(obj)
-            elif isinstance(obj, (list, tuple)):
-                objs.extend(obj)
-            elif isinstance(obj, dict):
-                objs.extend(obj.values())
-            elif callable(obj) and hasattr(obj, "__closure__"):
-                stack.append(obj)
-    return found
-
-
 def test_vjp_closures_keep_no_recomputable_arrays():
     B, M, d, H = 2, 6, 8, 2
     r = rng(43)
@@ -839,11 +860,11 @@ def test_vjp_closures_keep_no_recomputable_arrays():
     gain = ad.tensor(np.ones(d), requires_grad=True)
     node = ad.attention(x, *ws, gain, H)
     node.vjp(np.ones(node.shape))
-    kept = _closure_arrays(node.vjp)
+    kept = closure_arrays(node.vjp)
     assert set(map(id, kept)) == {id(t.value) for t in (x, *ws, gain)}
 
     node = ad.silu(x)
-    full = [a for a in _closure_arrays(node.vjp) if a.size == x.value.size]
+    full = [a for a in closure_arrays(node.vjp) if a.size == x.value.size]
     assert full and all(a is x.value for a in full)
 
     # the MLP keeps h, the two weights and the gain, and no 4d-wide
@@ -851,7 +872,7 @@ def test_vjp_closures_keep_no_recomputable_arrays():
     w1, w2 = (ad.tensor(r.normal(size=s), requires_grad=True) for s in ((d, 4 * d), (4 * d, d)))
     node = ad.mlp(x, w1, w2, gain)
     node.vjp(np.ones(node.shape))
-    kept = _closure_arrays(node.vjp)
+    kept = closure_arrays(node.vjp)
     assert set(map(id, kept)) == {id(t.value) for t in (x, w1, w2, gain)}
 
 
@@ -867,7 +888,7 @@ def test_phi_apply_closures_keep_two_activations_per_layer():
     out = md.phi_apply(pt, cfg, h)
     bases = set()
     for node in ad.graph_nodes(out):
-        for a in _closure_arrays(node.vjp) if node.vjp is not None else ():
+        for a in closure_arrays(node.vjp) if node.vjp is not None else ():
             if a.shape == shape:
                 while a.base is not None:
                     a = a.base

@@ -6,7 +6,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from conftest import check_gradients, gradient, param_count, spy_backward
+from conftest import (check_gradients, closure_arrays, gradient, param_count, rel_err,
+                      spy_backward)
 import loopforge.autodiff as ad
 import loopforge.model as md
 import loopforge.training as tr
@@ -547,6 +548,144 @@ def test_drm_single_optimizer_step_per_batch():
     m = tr.train_step(toy_batch(), params, cfg, tcfg, opt, seed=62, step_index=0)
     assert opt.t == 1
     assert m.halt_histogram == [3]
+
+
+# ---------------------------------------------------------------------------
+# micro-batches
+
+
+def retained_per_item(cfg, tcfg):
+    """What a step charges an item against the budget: two (seq_len + 1, d)
+    float32 sublayer inputs per gradient-mode block application."""
+    grad_cycles = tr.window_plan(cfg, tcfg)[1]
+    return (grad_cycles * cfg.apps_per_cycle * cfg.num_layers * 2
+            * (cfg.seq_len + 1) * cfg.hidden_size * 4)
+
+
+def test_default_budget_micro_batch_sizes():
+    # the desk config runs drm and trm in micro-batches of 8 and a k = 4
+    # drm step in micro-batches of 2; the toy configs and the 4x4
+    # mini_sudoku4 template fit a desk batch of 32 in one
+    desk = md.ModelConfig(hidden_size=128, num_heads=4, num_layers=2, seq_len=144,
+                          inner_steps=6, cycles_per_window=3)
+    assert tr.micro_batch_size(desk, 1, np.float32) == 8
+    assert tr.micro_batch_size(desk, 4, np.float32) == 2
+    sudoku = md.ModelConfig(hidden_size=128, num_heads=4, num_layers=2, seq_len=16,
+                            inner_steps=6, cycles_per_window=3)
+    assert tr.micro_batch_size(sudoku, 1, np.float32) >= 32
+    assert tr.micro_batch_size(tiny_cfg(hidden_size=32, seq_len=9), 2, np.float32) >= 32
+    assert tr.micro_batch_size(desk, 10 ** 6, np.float32) == 1
+    assert (tr.micro_batch_size(desk, 1, np.float32)
+            == tr.RETAINED_BYTES_BUDGET // retained_per_item(desk, TrainConfig(objective="drm")))
+
+
+def spied_step(monkeypatch, objective, m=None, q_bias=None, **tcfg_kw):
+    """One step over a 5-item toy batch in micro-batches of m items (None:
+    the default budget, one micro-batch).  Returns its metrics, params and
+    optimizer, every (window, logits, q) yielded in order, and the
+    gradients of each update."""
+    cfg = tiny_cfg(max_halt_steps=3)
+    tcfg = TrainConfig(objective=objective, max_halt_steps=3, warmup_steps=2, **tcfg_kw)
+    params, _, opt = fresh(cfg, tcfg)
+    if q_bias is not None:
+        params["q/b"][:] = q_bias
+    yielded, updates = [], []
+    halting, apply = md.halting_windows, opt.apply
+
+    def windows_spy(*args, **kwargs):
+        for out in halting(*args, **kwargs):
+            w, _, _, logits, q, _ = out
+            yielded.append((w, logits.value.copy(), q.value.copy()))
+            yield out
+
+    with monkeypatch.context() as patch:
+        if m is not None:
+            patch.setattr(tr, "RETAINED_BYTES_BUDGET", m * retained_per_item(cfg, tcfg))
+        patch.setattr(md, "halting_windows", windows_spy)
+        patch.setattr(opt, "apply", lambda g: (updates.append(g), apply(g))[1])
+        metrics = tr.train_step(toy_batch(B=5), params, cfg, tcfg, opt, seed=5, step_index=0,
+                                beta_schedule=BetaSchedule(0.05, 0.2, 50))
+    return metrics, params, opt, yielded, updates
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("objective, q_bias", [
+    ("drm", None), ("diffusion", None), ("trm", None), ("trm", 0.0),
+    ("trm_no_deep_sup", None), ("sprm", None), ("sprm", 0.0)])
+def test_micro_batches_match_the_full_batch(monkeypatch, objective, q_bias, m):
+    # a q bias of 0 lets some items exit in window 0 and others run on,
+    # so micro-batches leave the lockstep at different windows
+    full, full_params, full_opt, full_out, full_updates = spied_step(
+        monkeypatch, objective, q_bias=q_bias)
+    got, params, opt, out, updates = spied_step(monkeypatch, objective, m, q_bias=q_bias)
+    assert sum(w == 0 for w, _, _ in full_out) == 1
+    assert sum(w == 0 for w, _, _ in out) == -(-5 // m)
+    # window 0 runs on the same parameters: each item's logits and q are
+    # the full batch's, byte for byte
+    for i in (1, 2):
+        want = np.concatenate([o[i] for o in full_out if o[0] == 0])
+        assert np.concatenate([o[i] for o in out if o[0] == 0]).tobytes() == want.tobytes()
+    # one update per supervised window, from the window's whole gradient
+    assert got.halt_histogram == full.halt_histogram
+    assert opt.t == full_opt.t == len(full_updates) == len(updates)
+    assert opt.t == (1 if objective in ("drm", "diffusion", "trm_no_deep_sup")
+                     else 1 + max(w for w, n in enumerate(full.halt_histogram) if n))
+    for g, want in zip(updates, full_updates):
+        assert g.keys() == want.keys()
+        for name in want:
+            assert rel_err(g[name], want[name]) <= 1e-5, name
+    for name in full_params:
+        assert rel_err(params[name], full_params[name]) <= 1e-5, name
+    assert math.isclose(got.ce_loss, full.ce_loss, rel_tol=1e-5)
+    assert math.isclose(got.grad_norm, full.grad_norm, rel_tol=1e-5)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_degeneracies_hold_under_micro_batches(monkeypatch, m):
+    per_item = retained_per_item(tiny_cfg(), TrainConfig(objective="trm"))
+    assert per_item == retained_per_item(tiny_cfg(cycles_per_window=1),
+                                         TrainConfig(objective="diffusion"))
+    monkeypatch.setattr(tr, "RETAINED_BYTES_BUDGET", m * per_item)
+    a, pa = run_steps("trm", seed=31, steps=2)
+    b, pb = run_steps("sprm", seed=31, steps=2, beta=zero_beta())
+    again, pagain = run_steps("trm", seed=31, steps=2)
+    c, pc = denoise_setup("diffusion", seed=60)
+    d, pd = denoise_setup("drm", seed=60, gradient_cycles=1, warmup_cycles=0)
+    assert all(same_numbers(x, y) for x, y in zip(a, b))
+    assert all(same_numbers(x, y) for x, y in zip(c, d))
+    assert a == again
+    for name in pa.names():
+        assert pa[name].tobytes() == pb[name].tobytes() == pagain[name].tobytes(), name
+        assert pc[name].tobytes() == pd[name].tobytes(), name
+
+
+def test_micro_batches_retain_at_most_the_budget(monkeypatch):
+    # at each backward, the arrays the vjp closures keep hold one
+    # micro-batch's sublayer inputs, the per-item figure times its items,
+    # and nothing the closures keep has more rows than a micro-batch
+    cfg = tiny_cfg(max_halt_steps=2)
+    tcfg = TrainConfig(objective="drm", gradient_cycles=2, warmup_cycles=1, warmup_steps=0)
+    params, _, opt = fresh(cfg, tcfg)
+    per_item, m = retained_per_item(cfg, tcfg), 2
+    monkeypatch.setattr(tr, "RETAINED_BYTES_BUDGET", m * per_item)
+    inputs_bytes, rows = [], []
+    backward = ad.backward
+
+    def spy(root):
+        kept = {id(a): a for node in ad.graph_nodes(root) if node.vjp is not None
+                for a in closure_arrays(node.vjp)}
+        kept = [a for a in kept.values() if not any(a is p for p in params.values())]
+        inputs_bytes.append(sum(a.nbytes for a in kept
+                                if a.shape[1:] == (cfg.seq_len + 1, cfg.hidden_size)))
+        rows.append(max(len(a) for a in kept if a.ndim))
+        backward(root)
+
+    monkeypatch.setattr(ad, "backward", spy)
+    tr.train_step(toy_batch(B=5), params, cfg, tcfg, opt, seed=5, step_index=0)
+    assert rows == [2, 2, 1]
+    assert inputs_bytes == [n * per_item for n in rows]
+    assert max(inputs_bytes) <= tr.RETAINED_BYTES_BUDGET
+    assert opt.t == 1
 
 
 # ---------------------------------------------------------------------------
