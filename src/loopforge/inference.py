@@ -2,7 +2,9 @@
 
 Two generators, one per kind of objective, both replaying the training
 loop (`md.halting_windows`) without gradient, in windows of
-`cfg.cycles_per_window` cycles.  Generate-and-remask, for
+`cfg.cycles_per_window` cycles.  Each wraps the parameters once per
+call, builds the items' first state itself and names the items by their
+position in the batch.  Generate-and-remask, for
 the denoising objectives, starts from a fully masked answer; each
 iteration is one drm training window from the label state of the current
 answer, whose full-grid prediction is then partly remasked along a
@@ -69,14 +71,15 @@ def remask_batch(inputs: np.ndarray, masks: np.ndarray, rows: np.ndarray,
         raise InferenceError("timestep draws collided; re-seed the run")
 
     current = np.where(masks, MASK, PAD).astype(np.int64)
+    pt = md.wrap_parameters(params)
+    ids = np.arange(masks.shape[0])
     with ad.no_grad():
         for it in range(num_steps):
             # the drm training window, cycles_per_window - 1 warm-up cycles
             # and one more, from the label state of the current answer
-            [(_, _, _, logits, q_logit, _)] = md.halting_windows(
-                params, cfg, inputs, rows,
-                lambda pt: md.label_state(pt, cfg, current, streams),
-                1, cfg.cycles_per_window - 1, 1)
+            state = md.label_state(pt, cfg, current, streams)
+            [(_, logits, q_logit, _)] = md.halting_windows(
+                pt, cfg, inputs, rows, ids, state, 1, cfg.cycles_per_window - 1, 1)
             pred = _colour_argmax(logits.value)
             q_out = ad.sigmoid(q_logit.value)
             # re-corrupt the prediction as training corrupts its targets
@@ -127,9 +130,11 @@ def halting_batch(inputs: np.ndarray, masks: np.ndarray, rows: np.ndarray,
 
     out = np.zeros(masks.shape, dtype=np.int64)
     traces: list[list[float]] = [[] for _ in range(masks.shape[0])]
+    pt = md.wrap_parameters(params)
     with ad.no_grad():
-        for _, active, _, logits, q_logit, halted in md.halting_windows(
-                params, cfg, inputs, rows, lambda pt: md.init_state(pt, cfg, streams),
+        state = md.init_state(pt, cfg, streams)
+        for active, logits, q_logit, halted in md.halting_windows(
+                pt, cfg, inputs, rows, np.arange(masks.shape[0]), state,
                 budget, cfg.cycles_per_window - 1, 1):
             for item, sq in zip(active, ad.sigmoid(q_logit.value)):
                 traces[item].append(float(sq))

@@ -312,54 +312,50 @@ def _carry(t: ad.Tensor, staying: np.ndarray) -> ad.Tensor:
     return ad.Tensor(value, op="stop_gradient")
 
 
-def halting_windows(params: Parameters, cfg: ModelConfig, inputs: np.ndarray,
-                    rows: np.ndarray, first_state: Callable[[dict], LatentState],
-                    windows: int, warm_cycles: int, grad_cycles: int, *,
-                    halt_early: bool = True, perturb: Callable | None = None
-                    ) -> Iterator[tuple]:
+def halting_windows(pt: dict, cfg: ModelConfig, inputs: np.ndarray, rows: np.ndarray,
+                    ids: np.ndarray, state: LatentState, windows: int,
+                    warm_cycles: int, grad_cycles: int, *, halt_early: bool = True,
+                    perturb: Callable | None = None) -> Iterator[tuple]:
     """The recursion that training runs and both generators replay.
 
-    Each of up to `windows` windows wraps the parameters afresh (one graph
-    per window), embeds the items still active, and runs `run_window`
-    from `first_state(pt)` in window 0 and from the carried state after.
-    It yields (w, active, pt, logits, q_logit, exiting); the caller takes
-    its loss or its predictions before resuming.
+    The caller owns what the windows run on: the parameter leaves `pt`,
+    which every window reads (an update made between windows is seen by
+    the next), the items' first `state`, which window 0 empties, and the
+    items' ids, which name them to the caller.  Each of up to `windows`
+    windows embeds the items still active and runs `run_window`, then
+    yields (ids, logits, q_logit, exiting) for those items; the caller
+    takes its loss or its predictions before resuming.
 
     Every item exits at the last window.  With halt_early an item also
     exits once its q logit is positive, and every window carries gradient;
     without it only the last window does, since no item can exit earlier,
     and the others run wholly under `ad.no_grad`.
     Survivors carry (y, z) across a stop_gradient boundary, passed through
-    perturb(y, z, w, active) when given.  Nothing carried points back at
+    perturb(y, z, w, ids) when given.  Nothing carried points back at
     the window's graph.  Across the yield the generator holds no embedding,
     and the final state only while some item stays; it drops logits and q
     before the next window runs, so once the caller has dropped its
     references too only one window's graph is alive at a time.
     """
     inputs, rows = np.asarray(inputs), np.asarray(rows)
-    active = np.arange(rows.size)
-    state = None
     for w in range(windows):
         last = w == windows - 1
-        pt = wrap_parameters(params)
         with contextlib.nullcontext() if halt_early or last else ad.no_grad():
-            x = embed_input(pt, cfg, inputs[active], rows[active])
-            if state is None:
-                state = first_state(pt)
+            x = embed_input(pt, cfg, inputs, rows)
             state, logits, q = run_window(pt, cfg, x, state, warm_cycles, grad_cycles)
             del x
-        exiting = (q.value > 0) | last if halt_early else np.full(active.size, last)
+        exiting = (q.value > 0) | last if halt_early else np.full(ids.size, last)
         staying = ~exiting
         if not staying.any():
             state = None
-        yield w, active, pt, logits, q, exiting
+        yield ids, logits, q, exiting
         del logits, q
         if state is None:
             return
-        active = active[staying]
+        ids, inputs, rows = ids[staying], inputs[staying], rows[staying]
         state = LatentState(_carry(state.y, staying), _carry(state.z, staying))
         if perturb is not None:
-            state = LatentState(*perturb(state.y, state.z, w, active))
+            state = LatentState(*perturb(state.y, state.z, w, ids))
 
 
 # ---------------------------------------------------------------------------

@@ -162,19 +162,19 @@ class LossParts:
 
 
 def combined_loss(logits: ad.Tensor, q_logit: ad.Tensor, targets: np.ndarray,
-                  loss_mask: np.ndarray, window: tuple[int, int] | None = None
+                  loss_mask: np.ndarray, window: tuple[int, int]
                   ) -> tuple[ad.Tensor, LossParts]:
     """Masked cross entropy plus BCE between the halting logit and the
     per-item indicator that every valid position is already correct.
 
-    `window` is (valid tokens, items) of the whole window when these items
-    are one micro-batch of it: each mean is then weighted by this part's
-    share, so the parts' losses sum to the window's.  By default the share
-    is exactly 1."""
+    `window` is (valid tokens, items) of the whole window these items are
+    part of: each mean is weighted by this part's share, so the parts'
+    losses sum to the window's.  When the items are the whole window the
+    share is exactly 1."""
     targets = np.asarray(targets)
     loss_mask = np.asarray(loss_mask, dtype=bool)
     valid = int(loss_mask.sum())
-    tokens, items = window or (valid, len(targets))
+    tokens, items = window
     ce = ad.masked_mean(ad.softmax_cross_entropy(logits, targets), loss_mask)
     pred = np.argmax(logits.value, axis=-1)
     hit = (pred == targets) & loss_mask
@@ -194,8 +194,7 @@ class AdamW:
     """AdamW with decoupled weight decay, linear lr warmup, a separate lr
     for the task-embedding table, and an EMA shadow updated per step."""
 
-    def __init__(self, params: md.Parameters, ema: md.Parameters | None,
-                 tcfg: TrainConfig):
+    def __init__(self, params: md.Parameters, ema: md.Parameters, tcfg: TrainConfig):
         self.params = params
         self.ema = ema
         self.tcfg = tcfg
@@ -240,18 +239,22 @@ class AdamW:
             mhat = m / (1.0 - b1 ** self.t)
             vhat = v / (1.0 - b2 ** self.t)
             p -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS) + lr * wd * p
-        if self.ema is not None:
-            d = self.tcfg.ema_decay
-            for name, e in self.ema.items():
-                e *= d
-                e += (1.0 - d) * self.params[name]
+        d = self.tcfg.ema_decay
+        for name, e in self.ema.items():
+            e *= d
+            e += (1.0 - d) * self.params[name]
         return norm, True
 
 
 def _collect_grads(pt: dict[str, ad.Tensor]) -> dict[str, np.ndarray]:
-    return {name: (leaf.adjoint if leaf.adjoint is not None
-                   else np.zeros_like(leaf.value))
-            for name, leaf in pt.items()}
+    """Each leaf's gradient, zeros where backward did not reach it.  It
+    clears the leaves it reads: backward adds into a leaf's adjoint, and
+    every micro-batch and window of a step shares the leaves."""
+    grads = {}
+    for name, leaf in pt.items():
+        grads[name] = leaf.adjoint if leaf.adjoint is not None else np.zeros_like(leaf.value)
+        leaf.adjoint = None
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -346,36 +349,35 @@ def train_step(batch: Batch, params: md.Parameters, cfg: md.ModelConfig,
     `halting_windows` generator each, in lockstep: in every window each
     micro-batch runs its forward, loss and backward before the next one
     starts, so only one micro-batch's graph is alive and the memory a step
-    retains for backward is bounded by the budget, not by B.  Their
-    gradients are summed into the window's one update, which every
-    micro-batch's next window sees.  Items keep their own noise, corruption
-    and perturbation streams; with one micro-batch (B within the budget)
-    the step is the whole batch's, byte for byte."""
+    retains for backward is bounded by the budget, not by B.  A
+    micro-batch builds its first state when it starts and names its items
+    by their batch ids.  Every generator reads one set of parameter
+    leaves, wrapped once per step: AdamW updates the arrays in place, so
+    the micro-batches' summed gradients make the window's one update, which
+    every micro-batch's next window sees.  Items keep their own noise,
+    corruption and perturbation streams; with one micro-batch (B within
+    the budget) the step is the whole batch's, byte for byte."""
     warm, grad_cycles = check_objective(cfg, tcfg)
     obj = tcfg.objective
     B = batch.rows.size
     streams = [rng_for(seed, "state", step_index, i) for i in range(B)]
-    perturb = None
-    if obj in DENOISE_OBJECTIVES:
+    pt = md.wrap_parameters(params)
+    denoise = obj in DENOISE_OBJECTIVES
+    if denoise:
         corrupted = corrupt_batch(batch, noise_schedule, seed, step_index)
-        windows = 1
-        first_state = lambda idx, pt: md.label_state(pt, cfg, corrupted[idx],
-                                                     [streams[i] for i in idx])
-    else:
-        windows = tcfg.max_halt_steps
-        first_state = lambda idx, pt: md.init_state(pt, cfg, [streams[i] for i in idx])
-        if obj == "sprm":
-            perturb = _sprm_perturber(beta_schedule, seed, step_index)
+    windows = 1 if denoise else tcfg.max_halt_steps
+    perturb = _sprm_perturber(beta_schedule, seed, step_index) if obj == "sprm" else None
     halt_early = obj != "trm_no_deep_sup"
 
     def run(idx):
-        # the perturber keys its streams by the item's index in the batch
-        local = None if perturb is None else (
-            lambda y, z, w, active: perturb(y, z, w, idx[active]))
-        return idx, md.halting_windows(
-            params, cfg, batch.inputs[idx], batch.rows[idx],
-            lambda pt: first_state(idx, pt), windows, warm, grad_cycles,
-            halt_early=halt_early, perturb=local)
+        # the first state is built when the micro-batch starts, so only
+        # one micro-batch's is alive at a time
+        own = [streams[i] for i in idx]
+        state = (md.label_state(pt, cfg, corrupted[idx], own) if denoise
+                 else md.init_state(pt, cfg, own))
+        yield from md.halting_windows(pt, cfg, batch.inputs[idx], batch.rows[idx], idx,
+                                      state, windows, warm, grad_cycles,
+                                      halt_early=halt_early, perturb=perturb)
 
     m = micro_batch_size(cfg, grad_cycles, params["state/z0"].dtype)
     runs = [run(idx) for idx in np.split(np.arange(B), range(m, B, m))]
@@ -393,12 +395,11 @@ def train_step(batch: Batch, params: md.Parameters, cfg: md.ModelConfig,
         supervised = halt_early or w == windows - 1
         totals = (int(batch.loss_mask[alive].sum()), int(alive.sum()))
         grads = None
-        for idx, gen in runs:
+        for gen in runs:
             out = next(gen, None)
             if out is None:
                 continue        # every item of this micro-batch has exited
-            _, active, pt, logits, q, exiting = out
-            items = idx[active]
+            items, logits, q, exiting = out
             alive[items[exiting]] = False
             hist[w] += int(exiting.sum())
             if not supervised:
@@ -416,11 +417,7 @@ def train_step(batch: Batch, params: md.Parameters, cfg: md.ModelConfig,
             q_mass += items.size
             correct += int(parts.correct[exiting].sum())
             exact += int(parts.match[exiting].sum())
-            # backward left this micro-batch's graph empty; its generator
-            # keeps pt until it resumes, so free the gradients pt's leaves hold
-            for leaf in pt.values():
-                leaf.adjoint = None
-            del out, loss, logits, q, pt, part
+            del out, loss, logits, q, part
         if grads is None:
             continue
         norm, applied = opt.apply(grads)

@@ -66,6 +66,12 @@ def param_count(params) -> int:
     return sum(v.size for v in params.values())
 
 
+def whole_window(batch) -> tuple[int, int]:
+    """`combined_loss`'s window when the batch is all of it: (valid
+    tokens, items), a share of exactly 1."""
+    return int(batch.loss_mask.sum()), batch.rows.size
+
+
 def closure_arrays(fn):
     """Every ndarray a function's closure reaches, through nested closures
     and the lists, tuples and dicts they hold."""

@@ -18,7 +18,7 @@ import pytest
 from conftest import (check_gradients, dihedral_compose, evaluate, gradient,
                       mean_all, multiply, permutation_test,
                       permutation_test_exhaustive, spy_backward, stop_gradient,
-                      vote)
+                      vote, whole_window)
 import loopforge.autodiff as ad
 import loopforge.cli as cli
 import loopforge.model as md
@@ -177,7 +177,7 @@ def margin_guard(logits, q_logit=None):
 def _window_loss(pt, cfg, batch, state, warm, grad):
     x = md.embed_input(pt, cfg, batch.inputs, batch.rows)
     _, logits, q = md.run_window(pt, cfg, x, state, warm, grad)
-    loss, _ = combined_loss(logits, q, batch.targets, batch.loss_mask)
+    loss, _ = combined_loss(logits, q, batch.targets, batch.loss_mask, whole_window(batch))
     return loss
 
 
@@ -443,8 +443,9 @@ def test_stop_gradient_blocks_adjoints_across_windows(monkeypatch):
     assert audit[0]["loss"] != audit[1]["loss"]
 
     # if the detach at the carry leaked, window 1's backward would run
-    # through window 0's nodes, so they would sit in window 1's graph
-    first = {id(n) for n in audit[0]["nodes"]}
+    # through window 0's interior nodes, so they would sit in window 1's
+    # graph; the parameter leaves are the step's and sit in both
+    first = {id(n) for n in audit[0]["nodes"] if n.parents}
     leaked = [n.op for n in audit[1]["nodes"] if id(n) in first]
     assert leaked == []
 
@@ -627,7 +628,7 @@ def test_halting_inference_replays_the_training_recursion(monkeypatch):
         return logits, q
 
     monkeypatch.setattr(md, "decode_state", spy)
-    tr.train_step(batch, params, cfg, tcfg, tr.AdamW(params, None, tcfg),
+    tr.train_step(batch, params, cfg, tcfg, tr.AdamW(params, params.copy(), tcfg),
                   seed=1602, step_index=5)
     trained, decoded[:] = decoded[:], []
     streams = [rng_for(1602, "state", 5, i) for i in range(3)]

@@ -274,7 +274,7 @@ def test_run_cycles_input_state_dies_at_its_last_use(monkeypatch):
 def test_last_window_yields_without_x_or_final_state(monkeypatch):
     # at the yield of the last window the generator holds neither the
     # window's embedding x nor its final state; the caller's logits, q and
-    # pt still give the values and gradients of a run that holds both
+    # leaves still give the values and gradients of a run that holds both
     def run(hold):
         cfg, params = tiny_setup()
         tokens, rows = batch_inputs(cfg)
@@ -295,9 +295,11 @@ def test_last_window_yields_without_x_or_final_state(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(md, "embed_input", embed_spy)
             m.setattr(md, "run_window", window_spy)
-            for w, _, pt, logits, q, exiting in md.halting_windows(
-                    params, cfg, tokens, rows, lambda pt: md.init_state(pt, cfg, streams),
-                    2, 1, 1, halt_early=False):
+            pt = md.wrap_parameters(params)
+            state = md.init_state(pt, cfg, streams)
+            for w, (_, logits, q, exiting) in enumerate(md.halting_windows(
+                    pt, cfg, tokens, rows, np.arange(len(rows)), state, 2, 1, 1,
+                    halt_early=False)):
                 if not exiting.all():
                     continue
                 dead = None if hold else [r() is None for r in made[2:]]

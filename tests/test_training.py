@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (check_gradients, closure_arrays, gradient, param_count, rel_err,
-                      spy_backward)
+                      spy_backward, whole_window)
 import loopforge.autodiff as ad
 import loopforge.model as md
 import loopforge.training as tr
@@ -72,7 +72,7 @@ def test_combined_loss_perfect_limit():
     np.put_along_axis(logits_val, targets[..., None], 30.0, axis=-1)
     loss, parts = combined_loss(ad.tensor(logits_val),
                                 ad.tensor(np.full(B, 30.0, dtype=np.float32)),
-                                targets, np.ones((B, M), dtype=bool))
+                                targets, np.ones((B, M), dtype=bool), (B * M, B))
     assert float(loss.value) < 1e-8
     assert parts.match.tolist() == [1.0, 1.0]
 
@@ -82,7 +82,7 @@ def test_combined_loss_uniform_is_log_vocab():
     targets = np.ones((B, M), dtype=np.int64)
     loss, parts = combined_loss(ad.tensor(np.zeros((B, M, 11), dtype=np.float64)),
                                 ad.tensor(np.zeros(B, dtype=np.float64)),
-                                targets, np.ones((B, M), dtype=bool))
+                                targets, np.ones((B, M), dtype=bool), (B * M, B))
     assert abs(parts.ce - math.log(11)) < 1e-12
     # uniform logits argmax to class 0, so the match target is 0 and the
     # halting term is bce(0, 0) = ln 2
@@ -95,14 +95,14 @@ def test_combined_loss_one_wrong_cell_flips_match():
     np.put_along_axis(logits, targets[..., None], 5.0, axis=-1)
     mask = np.array([[True, True, True, False]])
     _, parts = combined_loss(ad.tensor(logits), ad.tensor(np.zeros(1, np.float32)),
-                             targets, mask)
+                             targets, mask, (3, 1))
     assert parts.match.tolist() == [1.0]
 
     wrong = logits.copy()
     wrong[0, 1] = -5.0
     wrong[0, 1, (targets[0, 1] + 1) % 10] = 5.0
     _, parts = combined_loss(ad.tensor(wrong), ad.tensor(np.zeros(1, np.float32)),
-                             targets, mask)
+                             targets, mask, (3, 1))
     assert parts.match.tolist() == [0.0]
 
     # flipping the masked-out cell leaves the target alone
@@ -110,7 +110,7 @@ def test_combined_loss_one_wrong_cell_flips_match():
     masked_flip[0, 3] = -5.0
     masked_flip[0, 3, (targets[0, 3] + 1) % 10] = 5.0
     _, parts = combined_loss(ad.tensor(masked_flip), ad.tensor(np.zeros(1, np.float32)),
-                             targets, mask)
+                             targets, mask, (3, 1))
     assert parts.match.tolist() == [1.0]
 
 
@@ -118,7 +118,7 @@ def test_combined_loss_empty_mask_rejected():
     with pytest.raises(ad.AutodiffError, match="masked_mean: mask selects no positions"):
         combined_loss(ad.tensor(np.zeros((1, 3, 11))), ad.tensor(np.zeros(1)),
                       np.zeros((1, 3), dtype=np.int64),
-                      np.zeros((1, 3), dtype=bool))
+                      np.zeros((1, 3), dtype=bool), (1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +133,7 @@ def test_optimizer_first_warmup_step_scales_lr():
     p0 = np.array([1.0, -2.0, 3.0], dtype=np.float32)
     params = toy_params(w=p0.copy())
     tcfg = TrainConfig(lr=1e-2, weight_decay=0.0, warmup_steps=10)
-    opt = AdamW(params, None, tcfg)
+    opt = AdamW(params, params.copy(), tcfg)
     g = np.array([0.5, -0.5, 1.0], dtype=np.float32)
     norm, applied = opt.apply({"w": g})
     assert applied
@@ -145,7 +145,7 @@ def test_optimizer_first_warmup_step_scales_lr():
 def test_optimizer_zero_grads_zero_decay_is_identity():
     params = toy_params(w=[1.0, 2.0])
     before = params["w"].copy()
-    opt = AdamW(params, None, TrainConfig(weight_decay=0.0, warmup_steps=0))
+    opt = AdamW(params, params.copy(), TrainConfig(weight_decay=0.0, warmup_steps=0))
     opt.apply({"w": np.zeros(2, dtype=np.float32)})
     assert np.array_equal(params["w"], before)
 
@@ -153,7 +153,7 @@ def test_optimizer_zero_grads_zero_decay_is_identity():
 def test_optimizer_decay_only_shrinks_analytically():
     params = toy_params(w=[4.0, -8.0])
     tcfg = TrainConfig(lr=1e-3, weight_decay=0.1, warmup_steps=0)
-    opt = AdamW(params, None, tcfg)
+    opt = AdamW(params, params.copy(), tcfg)
     opt.apply({"w": np.zeros(2, dtype=np.float32)})
     np.testing.assert_allclose(params["w"],
                                np.array([4.0, -8.0]) * (1 - 1e-3 * 0.1),
@@ -164,7 +164,7 @@ def test_optimizer_task_table_uses_its_own_lr():
     params = toy_params(**{"embed/task": [1.0], "w": [1.0]})
     tcfg = TrainConfig(lr=1e-4, task_embedding_lr=1e-2, weight_decay=0.0,
                        warmup_steps=0)
-    opt = AdamW(params, None, tcfg)
+    opt = AdamW(params, params.copy(), tcfg)
     g = np.ones(1, dtype=np.float32)
     opt.apply({"embed/task": g, "w": g})
     d_task = 1.0 - params["embed/task"][0]
@@ -185,7 +185,7 @@ def test_optimizer_updates_ema_shadow():
 def test_optimizer_skips_nonfinite_grads():
     params = toy_params(w=[1.0])
     before = params["w"].copy()
-    opt = AdamW(params, None, TrainConfig())
+    opt = AdamW(params, params.copy(), TrainConfig())
     norm, applied = opt.apply({"w": np.array([np.inf], dtype=np.float32)})
     assert not applied
     assert not math.isfinite(norm)
@@ -267,9 +267,10 @@ def test_step_trm_two_window_detach_audit(monkeypatch):
     assert len(audit) == 2
     assert opt.t == 2
     assert m.halt_histogram == [0, 3]
-    # no node of the first window's graph is reachable from the second
-    # window's loss: the detach boundary held
-    first = {id(n) for n in audit[0]["nodes"]}
+    # no interior node of the first window's graph is reachable from the
+    # second window's loss: the detach boundary held (the parameter leaves
+    # are the step's, shared by both windows)
+    first = {id(n) for n in audit[0]["nodes"] if n.parents}
     assert not any(id(n) in first for n in audit[1]["nodes"])
 
 
@@ -593,8 +594,8 @@ def spied_step(monkeypatch, objective, m=None, q_bias=None, **tcfg_kw):
     halting, apply = md.halting_windows, opt.apply
 
     def windows_spy(*args, **kwargs):
-        for out in halting(*args, **kwargs):
-            w, _, _, logits, q, _ = out
+        for w, out in enumerate(halting(*args, **kwargs)):
+            _, logits, q, _ = out
             yielded.append((w, logits.value.copy(), q.value.copy()))
             yield out
 
@@ -657,6 +658,23 @@ def test_degeneracies_hold_under_micro_batches(monkeypatch, m):
     for name in pa.names():
         assert pa[name].tobytes() == pb[name].tobytes() == pagain[name].tobytes(), name
         assert pc[name].tobytes() == pd[name].tobytes(), name
+
+
+@pytest.mark.parametrize("objective, builder", [("drm", "label_state"),
+                                                ("trm", "init_state")])
+def test_micro_batch_builds_its_first_state_when_it_starts(monkeypatch, objective, builder):
+    # states built up front would keep every micro-batch's first state alive
+    # through the first micro-batch's window, which the budget does not count
+    cfg = tiny_cfg(max_halt_steps=2)
+    tcfg = TrainConfig(objective=objective, max_halt_steps=2, warmup_steps=0)
+    params, _, opt = fresh(cfg, tcfg)
+    monkeypatch.setattr(tr, "RETAINED_BYTES_BUDGET", retained_per_item(cfg, tcfg))
+    calls = []
+    build, backward = getattr(md, builder), ad.backward
+    monkeypatch.setattr(md, builder, lambda *a: calls.append("state") or build(*a))
+    monkeypatch.setattr(ad, "backward", lambda root: calls.append("backward") or backward(root))
+    m = tr.train_step(toy_batch(), params, cfg, tcfg, opt, seed=5, step_index=0)
+    assert calls == ["state", "backward"] * 3 + ["backward"] * sum(m.halt_histogram[1:])
 
 
 def test_micro_batches_retain_at_most_the_budget(monkeypatch):
@@ -746,7 +764,7 @@ def test_trm_window_loss_full_gradient_matches_fd():
         x = md.embed_input(pt, cfg, batch.inputs, batch.rows)
         state = md.init_state(pt, cfg, state_streams(80, 2))
         _, logits, q = md.run_window(pt, cfg, x, state, 0, cfg.cycles_per_window)
-        loss, _ = combined_loss(logits, q, batch.targets, batch.loss_mask)
+        loss, _ = combined_loss(logits, q, batch.targets, batch.loss_mask, whole_window(batch))
         return loss
 
     margin_guard(_probe_logits(cfg, base, batch))
@@ -776,7 +794,7 @@ def test_drm_loss_with_warmup_matches_fd_of_truncated_function():
     def loss_from(pt, state, warm):
         x = md.embed_input(pt, cfg, batch.inputs, batch.rows)
         _, logits, q = md.run_window(pt, cfg, x, state, warm, grad_cycles)
-        loss, _ = combined_loss(logits, q, batch.targets, batch.loss_mask)
+        loss, _ = combined_loss(logits, q, batch.targets, batch.loss_mask, whole_window(batch))
         return loss
 
     def build_full(leaves):
